@@ -5,7 +5,10 @@ information and the false-nearest-neighbor fraction.  The divergence of
 initially close trajectory pairs is tracked either from the single
 nearest neighbor of each reference point or from the average over an
 epsilon-neighborhood; the exponent is the slope of the mean log
-distance over a deterministically selected linear region.
+distance over a deterministically selected linear region.  Nearest
+neighbors of all reference points come from one batched, exact query
+(``BoxGrid.nearest_many``); epsilon-neighborhoods are queried per
+reference point.
 """
 
 from __future__ import annotations
@@ -150,7 +153,9 @@ def false_nearest_neighbors(
     A neighbor is false if the extra coordinate jumps by more than r_tol
     times the current distance, or by more than a_tol times the series
     spread (the usual catch for stochastic data).  The reported dimension
-    is the smallest d with a false fraction below 1%.
+    is the smallest d with a false fraction below 1%.  Each dimension
+    finds the neighbors of all (up to ``max_reference``) reference points
+    in one batched query and applies the test to them as arrays.
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
@@ -169,19 +174,16 @@ def false_nearest_neighbors(
                 f"series too short for FNN at dimension {d} with delay {delay}"
             )
         pts = delay_embed(series, EmbeddingSpec(delay, d))[:n_ext]
-        grid = BoxGrid(pts)
         stride = max(1, n_ext // max_reference)
         refs = np.arange(0, n_ext, stride)
-        false = 0
-        used = 0
-        for i in refs:
-            j, dist = grid.nearest(int(i), theiler=0, exclude_zero=False)
-            if j < 0:
-                continue
-            growth = abs(x[i + d * delay] - x[j + d * delay])
-            used += 1
-            if (growth > r_tol * dist and growth > noise_floor) or growth > a_tol * sigma:
-                false += 1
+        j, dist = BoxGrid(pts).nearest_many(refs, theiler=0, exclude_zero=False)
+        found = j >= 0
+        growth = np.abs(x[refs[found] + d * delay] - x[j[found] + d * delay])
+        false = np.count_nonzero(
+            ((growth > r_tol * dist[found]) & (growth > noise_floor))
+            | (growth > a_tol * sigma)
+        )
+        used = np.count_nonzero(found)
         if used == 0:
             raise ValueError("no neighbor pairs available for FNN")
         fractions[d - 1] = false / used
@@ -281,7 +283,11 @@ def lyapunov_rosenstein(
     max_reference: int = 4000,
     curve_stride: int = 1,
 ) -> LyapunovResult:
-    """Mean log divergence from each reference point's nearest neighbor."""
+    """Mean log divergence from each reference point's nearest neighbor.
+
+    The neighbors (outside the Theiler window, with room for ``horizon``
+    steps ahead) of all reference points come from one batched query.
+    """
     pts = delay_embed(series, spec)
     count = pts.shape[0]
     if count <= 10 * horizon:
@@ -290,18 +296,12 @@ def lyapunov_rosenstein(
     grid = BoxGrid(pts[: limit + 1])
     stride = max(1, (limit + 1) // max_reference)
     refs = np.arange(0, limit + 1, stride)
-
-    ri = []
-    rj = []
-    for i in refs:
-        j, _ = grid.nearest(int(i), theiler=theiler, limit=limit, exclude_zero=True)
-        if j >= 0:
-            ri.append(int(i))
-            rj.append(j)
-    if not ri:
+    j, _ = grid.nearest_many(refs, theiler=theiler, limit=limit, exclude_zero=True)
+    found = j >= 0
+    if not found.any():
         raise EmptyNeighborhoodError("no admissible nearest neighbors found")
-    ai = np.array(ri)
-    aj = np.array(rj)
+    ai = refs[found]
+    aj = j[found]
 
     ks = _divergence_ks(horizon, curve_stride)
     svals = np.empty(ks.size)
@@ -370,8 +370,9 @@ def classify(r: LyapunovResult, threshold: float = 0.01) -> Classification:
     linear region (fit R^2 >= 0.95); otherwise regular."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    exceeds = r.lambda_max > threshold
-    good_fit = r.fit_r2 >= 0.95
+    # plain bools: numpy.bool_ is not JSON serializable
+    exceeds = bool(r.lambda_max > threshold)
+    good_fit = bool(r.fit_r2 >= 0.95)
     if exceeds and good_fit:
         return Classification("chaotic", False)
     return Classification("regular", ambiguous=exceeds and not good_fit)

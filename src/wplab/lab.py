@@ -370,9 +370,9 @@ def _dispatch_analysis(
                 "divergence curve",
                 "delta_k mean_log_distance",
                 {
-                    "lambda_max": repr(result.lambda_max),
+                    "lambda_max": repr(float(result.lambda_max)),
                     "fit_range": f"{result.fit_range[0]}:{result.fit_range[1]}",
-                    "fit_r2": repr(result.fit_r2),
+                    "fit_r2": repr(float(result.fit_r2)),
                     "method": result.method,
                     "delay": result.embedding.delay,
                     "dimension": result.embedding.dimension,
@@ -415,19 +415,20 @@ def _preset_outputs(
     steps: int,
     dt: float,
     svg: bool,
-) -> list[Path]:
+    written: list[Path],
+) -> None:
     series_path = out_dir / f"{preset.id}_series.wprs"
     ts = simulate_series(preset.model, preset.params, preset.nu, preset.m, dt, steps)
-    written = [seriesio.write_series(ts, series_path)]
+    written.append(series_path)
     written.append(series_path.with_name(series_path.name + ".meta.json"))
+    seriesio.write_series(ts, series_path)
     for item in preset.analyses:
         written.extend(analyze(item.task, series_path, item.options, out_dir, svg=svg))
-    return written
 
 
 def _table_outputs(
-    preset: TablePreset, out_dir: Path, steps: int, dt: float
-) -> list[Path]:
+    preset: TablePreset, out_dir: Path, steps: int, dt: float, written: list[Path]
+) -> None:
     rows = []
     for entry in preset.entries:
         ts = simulate_series(entry.model, entry.params, entry.nu, entry.m, dt, steps)
@@ -449,17 +450,19 @@ def _table_outputs(
                 },
             }
         )
-    json_path = seriesio.write_json({"rows": rows}, out_dir / "table1.json")
+    json_path = out_dir / "table1.json"
+    written.append(json_path)
+    seriesio.write_json({"rows": rows}, json_path)
     txt_path = out_dir / "table1.txt"
+    written.append(txt_path)
     with open(txt_path, "w") as fh:
         fh.write("# wplab classification table\n")
         fh.write("# columns: gamma_over_g nu m lambda_max dynamics\n")
         for r in rows:
             fh.write(
                 f"{r['gamma_over_g']:g} {r['nu']:g} {r['m']} "
-                f"{r['lambda_max']!r} {r['label_dynamics']}\n"
+                f"{float(r['lambda_max'])!r} {r['label_dynamics']}\n"
             )
-    return [json_path, txt_path]
 
 
 def run_preset(
@@ -478,17 +481,18 @@ def run_preset(
     run_dt = float(dt) if dt is not None else preset.dt
 
     t0 = time.perf_counter()
+    # filled as each file is written, so a failure removes what exists
     written: list[Path] = []
     try:
         if isinstance(preset, TablePreset):
-            written = _table_outputs(preset, out_dir, run_steps, run_dt)
+            _table_outputs(preset, out_dir, run_steps, run_dt, written)
             parameters: dict[str, Any] = {
                 "entries": [e.label for e in preset.entries],
                 "dt": run_dt,
                 "steps": run_steps,
             }
         else:
-            written = _preset_outputs(preset, out_dir, run_steps, run_dt, svg)
+            _preset_outputs(preset, out_dir, run_steps, run_dt, svg, written)
             parameters = {
                 "model": preset.model,
                 "nu": preset.nu,

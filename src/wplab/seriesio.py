@@ -5,7 +5,9 @@ sample count, time step) followed by little-endian float64 samples, and
 are written byte-identically for identical inputs.  A JSON sidecar
 (``<file>.meta.json``) holds the observable label and model parameters.
 Analysis exports are plain text with ``# key = value`` headers echoing
-the resolved options.
+the resolved options.  Floats are written as ``repr(float(x))``: the
+repr of a numpy scalar reads ``np.float64(...)`` under numpy 2, which
+the readers here cannot parse.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def write_series_csv(ts: TimeSeries, path: str | Path) -> Path:
         fh.write(f"# dt = {ts.dt!r}\n")
         fh.write("# columns: index value\n")
         for k, v in enumerate(ts.values):
-            fh.write(f"{k},{v!r}\n")
+            fh.write(f"{k},{float(v)!r}\n")
     return path
 
 
@@ -156,7 +158,7 @@ def write_density(
         _write_header(fh, "density", options)
         fh.write("# columns: bin_center count density\n")
         for c, n, rho in zip(centers, d.counts, dens):
-            fh.write(f"{c!r} {n} {rho!r}\n")
+            fh.write(f"{float(c)!r} {n} {float(rho)!r}\n")
     return path
 
 
@@ -207,7 +209,7 @@ def write_pairs(
         _write_header(fh, kind, options or {})
         fh.write(f"# columns: {columns}\n")
         for a, b in pairs:
-            fh.write(f"{a!r} {b!r}\n")
+            fh.write(f"{float(a)!r} {float(b)!r}\n")
     return path
 
 

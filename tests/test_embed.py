@@ -16,6 +16,7 @@ from wplab.embed import (
     lyapunov_rosenstein,
     mutual_information_delay,
 )
+from wplab.neighbors import BoxGrid, brute_force_nearest
 from wplab.series import TimeSeries
 
 
@@ -153,6 +154,29 @@ class TestFnn:
         with pytest.raises(ValueError):
             false_nearest_neighbors(white_noise(30), delay=5, d_max=3)
 
+    def test_matches_oracle_neighbors(self):
+        # the per-reference loop the batched query replaced, on the oracle
+        ts = henon_series(3000)
+        x = ts.values
+        delay, d_max, r_tol, a_tol, max_ref = 2, 4, 15.0, 2.0, 700
+        sigma = float(np.std(x))
+        fracs = []
+        for d in range(1, d_max + 1):
+            n_ext = x.size - d * delay
+            pts = delay_embed(ts, EmbeddingSpec(delay, d))[:n_ext]
+            false = used = 0
+            for i in range(0, n_ext, max(1, n_ext // max_ref)):
+                j, dist = brute_force_nearest(pts, i, theiler=0, exclude_zero=False)
+                growth = abs(x[i + d * delay] - x[j + d * delay])
+                used += 1
+                if (growth > r_tol * dist and growth > 1e-10 * sigma) or growth > a_tol * sigma:
+                    false += 1
+            fracs.append(false / used)
+        f = false_nearest_neighbors(
+            ts, delay=delay, d_max=d_max, r_tol=r_tol, a_tol=a_tol, max_reference=max_ref
+        )
+        assert f.fnn_fractions.tolist() == fracs
+
 
 def logistic_oracle(ts):
     # analytic: mean log |f'(x)| along the orbit, f' = 4 - 8x
@@ -251,6 +275,28 @@ class TestLyapunov:
                 ts, EmbeddingSpec(1, 2), theiler=5, epsilon_frac=1e-12, horizon=10
             )
 
+    def test_rosenstein_matches_oracle_neighbors(self):
+        ts = henon_series(3000)
+        spec, theiler, horizon, max_ref = EmbeddingSpec(1, 2), 5, 12, 1000
+        pts = delay_embed(ts, spec)
+        limit = pts.shape[0] - 1 - horizon
+        refs = np.arange(0, limit + 1, max(1, (limit + 1) // max_ref))
+        pairs = [
+            (int(i), brute_force_nearest(pts[: limit + 1], int(i), theiler, limit)[0])
+            for i in refs
+        ]
+        ai, aj = np.array([p for p in pairs if p[1] >= 0]).T
+        j, _ = BoxGrid(pts[: limit + 1]).nearest_many(refs, theiler, limit)
+        assert np.array_equal(refs[j >= 0], ai)
+        assert np.array_equal(j[j >= 0], aj)
+        curve = []
+        for dk in range(horizon + 1):
+            diff = pts[ai + dk] - pts[aj + dk]
+            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            curve.append((dk, float(np.mean(np.log(d[d > 0])))))
+        r = lyapunov_rosenstein(ts, spec, theiler, horizon, max_reference=max_ref)
+        assert np.array_equal(r.divergence_curve, np.array(curve))
+
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
             lyapunov_rosenstein(
@@ -275,9 +321,9 @@ class TestClassify:
         assert c == Classification("chaotic", False)
 
     def test_regular_small_lambda(self):
-        c = classify(self.make_result(0.001, 0.99), threshold=0.01)
+        c = classify(self.make_result(np.float64(0.001), np.float64(0.99)), threshold=0.01)
         assert c.label == "regular"
-        assert not c.ambiguous
+        assert c.ambiguous is False
 
     def test_regular_no_linear_region(self):
         c = classify(self.make_result(0.2, 0.5), threshold=0.01)
