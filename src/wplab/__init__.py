@@ -1,7 +1,7 @@
 """Numerical laboratory for wave-packet dynamics of nonlinear
 quantum-optical models and recurrence-based time-series analysis."""
 
-from .bipartite import TwoModeParams, build_sector, decompose_initial, photon_number_series
+from .bipartite import TwoModeParams, build_sector, decompose_initial
 from .eigen import EigenDecomposition, SymTridiag, decompose
 from .embed import (
     Classification,
@@ -82,7 +82,6 @@ __all__ = [
     "mutual_information_delay",
     "overlap",
     "pacs_amplitudes",
-    "photon_number_series",
     "quadrature_expectation",
     "recurrence_matrix",
     "return_map",

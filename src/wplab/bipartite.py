@@ -3,8 +3,16 @@
 The total excitation number is conserved, so the Hamiltonian splits into
 symmetric tridiagonal blocks of dimension N+1 acting on the states
 |N-n; n> (field count N-n, second-mode count n).  Each block is
-diagonalized once and the time dependence is evaluated from exact
-eigenvalue exponentials; there is no integration error.
+diagonalized once, H_N = V diag(lambda) V^T.  Starting from e_0 with
+eigenbasis coefficients w = V[0, :], the second-mode occupancy of the
+block is
+
+    sum_s |w_s|^2 A_ss
+      + Re sum_{s<s'} 2 conj(w_s) w_s' A_ss' exp(-i (lambda_s' - lambda_s) t),
+
+with A = V^T diag(n) V: a constant plus a sum of phase-rotating terms.
+The pair terms of all blocks go through one ``series.spectral_series``
+call; there is no integration error.
 """
 
 from __future__ import annotations
@@ -16,9 +24,7 @@ import numpy as np
 
 from .eigen import EigenDecomposition, SymTridiag, decompose
 from .fock import FockState, mean_photon_number  # noqa: F401
-from .series import TimeSeries
-
-TWO_PI_LD = np.longdouble("6.2831853071795864769252867665590057684")
+from .series import TimeSeries, spectral_series
 
 # sectors fed by less field-state probability than this are dropped
 SECTOR_PRUNE_MASS = 1e-14
@@ -90,11 +96,6 @@ def decompose_initial(
     return sectors
 
 
-def _reduced_phases(lam: np.ndarray, t: float) -> np.ndarray:
-    arg = lam.astype(np.longdouble) * np.longdouble(t)
-    return np.mod(arg, TWO_PI_LD).astype(np.float64)
-
-
 @dataclass(frozen=True)
 class OccupancySeries:
     """Field and second-mode occupation numbers plus the state norm."""
@@ -110,46 +111,36 @@ def occupancy_series(
     dt: float,
     steps: int,
 ) -> OccupancySeries:
-    """<a+a>(t), <b+b>(t) and the total squared norm at t = k*dt."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    """<a+a>(t), <b+b>(t) and the total squared norm at t = k*dt.
+
+    The norm and the total number are constants of the motion; ``norm``
+    repeats the former for every sample.
+    """
     if not sectors:
         raise ValueError("no sectors to evolve")
-    dmax = max(s.N + 1 for s in sectors)
-    block = max(1, min(10_000, 2_000_000 // dmax))
-
-    field_occ = np.zeros(steps)
-    atom_occ = np.zeros(steps)
-    norm = np.zeros(steps)
-
-    # per-sector constants
-    prepped = []
+    # filled in place, so the pair terms are held in memory once
+    pairs = sum(s.N * (s.N + 1) // 2 for s in sectors)
+    amps = np.empty(pairs, dtype=np.complex128)
+    freqs = np.empty(pairs)
+    atom_const = total_number = norm = 0.0
+    j0 = 0
     for s in sectors:
         lam = s.eig.eigenvalues
-        vt = np.ascontiguousarray(s.eig.eigenvectors.T).astype(np.complex128)
-        step_rot = np.exp(-1j * _reduced_phases(lam, dt))
-        n_vec = np.arange(s.N + 1, dtype=np.float64)
+        v = s.eig.eigenvectors
+        w = s.initial_coeffs
         weight = abs(s.initial_amp) ** 2
-        prepped.append((s, lam, vt, step_rot, n_vec, weight))
-
-    k0 = 0
-    while k0 < steps:
-        b = min(block, steps - k0)
-        for s, lam, vt, step_rot, n_vec, weight in prepped:
-            dim = s.N + 1
-            z = np.empty((b, dim), dtype=np.complex128)
-            z[0] = s.initial_coeffs * np.exp(-1j * _reduced_phases(lam, k0 * dt))
-            if b > 1:
-                z[1:] = step_rot
-                np.cumprod(z, axis=0, out=z)
-            u = z @ vt  # site-basis amplitudes u_n(t) per row
-            prob = u.real**2 + u.imag**2
-            occ = prob @ n_vec
-            total = prob.sum(axis=1)
-            field_occ[k0 : k0 + b] += weight * (s.N * total - occ)
-            atom_occ[k0 : k0 + b] += weight * occ
-            norm[k0 : k0 + b] += weight * total
-        k0 += b
+        a = v.T @ (np.arange(s.N + 1.0)[:, None] * v)
+        prob = np.abs(w) ** 2
+        mass = float(prob.sum())
+        atom_const += weight * float(prob @ np.diag(a))
+        total_number += weight * s.N * mass
+        norm += weight * mass
+        lo, hi = np.triu_indices(s.N + 1, 1)
+        j1 = j0 + lo.size
+        amps[j0:j1] = 2.0 * weight * np.conj(w[lo]) * w[hi] * a[lo, hi]
+        freqs[j0:j1] = lam[hi] - lam[lo]
+        j0 = j1
+    atom_occ = atom_const + spectral_series(amps, freqs, dt, steps)
 
     meta = {
         "model": "bipartite",
@@ -160,18 +151,9 @@ def occupancy_series(
         "sectors": len(sectors),
         "steps": steps,
     }
+    field_occ = total_number - atom_occ
     return OccupancySeries(
         field=TimeSeries(dt, field_occ, observable="photon_number", meta=meta),
         atom=TimeSeries(dt, atom_occ, observable="atom_number", meta=dict(meta)),
-        norm=norm,
+        norm=np.full(steps, norm),
     )
-
-
-def photon_number_series(
-    sectors: list[SectorState],
-    p: TwoModeParams,
-    dt: float,
-    steps: int,
-) -> TimeSeries:
-    """Field observable <a+a>(t) sampled at t = k*dt."""
-    return occupancy_series(sectors, p, dt, steps).field

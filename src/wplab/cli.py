@@ -65,7 +65,8 @@ def read_config(path: str | Path) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``config`` values become the subcommands' defaults."""
     parser = argparse.ArgumentParser(
         prog="wplab",
         description="Wave-packet dynamics laboratory: simulate nonlinear "
@@ -123,6 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--svg", action="store_true")
 
     sub.add_parser("list-presets", help="list preset ids")
+    if config:
+        # a subcommand's own defaults win over the top-level parser's, so
+        # the config values go to each subcommand
+        for subparser in (sim, ana, pre):
+            subparser.set_defaults(**config)
     return parser
 
 
@@ -161,8 +167,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"wplab: config error: {exc}", file=sys.stderr)
             return 2
-        parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
+        args = build_parser(defaults).parse_args(argv)
 
     try:
         if args.command == "list-presets":

@@ -2,12 +2,13 @@
 
 The Hamiltonian is diagonal in the number basis with
 E_n = chi * n(n-1) + chi_prime * n(n-1)(n-2), so evolution is a pure
-phase rotation of the amplitudes.  Long series are generated blockwise:
-inside a block the phases advance by incremental rotation (one complex
-multiply per step), and at every block boundary the amplitudes are
-recomputed from the absolute time with the phase argument reduced
-modulo 2*pi in extended precision, which keeps drift below 1e-9 over
-1e7 steps.
+phase rotation of the amplitudes.  The quadrature is a sum of
+phase-rotating terms,
+
+    <x(t)> = Re sum_n sqrt(2(n+1)) conj(c_n) c_{n+1} exp(-i (E_{n+1} - E_n) t),
+
+which ``series.spectral_series`` evaluates on the sampling grid with
+every phase reduced modulo 2*pi in extended precision.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState, quadrature_expectation  # noqa: F401  (re-export context)
-from .series import TimeSeries
-
-TWO_PI_LD = np.longdouble("6.2831853071795864769252867665590057684")
-
-# maximum number of incremental-rotation steps between exact phase
-# recomputations from absolute time
-RECOMPUTE_INTERVAL = 10_000
+from .series import TimeSeries, reduced_phases, spectral_series
 
 
 @dataclass(frozen=True)
@@ -53,19 +48,13 @@ def kerr_spectrum(chi: float, chi_prime: float, n_max: int) -> SingleModeSpectru
     return SingleModeSpectrum(chi, chi_prime, chi * quad + chi_prime * quad * (n - 2.0))
 
 
-def _phases_at(energies: np.ndarray, t: float) -> np.ndarray:
-    """E_n * t reduced modulo 2*pi, carried out in extended precision."""
-    arg = energies.astype(np.longdouble) * np.longdouble(t)
-    return np.mod(arg, TWO_PI_LD).astype(np.float64)
-
-
 def evolve_diagonal(state0: FockState, spec: SingleModeSpectrum, t: float) -> FockState:
     """Amplitudes at time t: c_n(t) = c_n(0) * exp(-i E_n t)."""
     if state0.n_max != spec.n_max:
         raise ValueError(
             f"dimension mismatch: state n_max {state0.n_max} vs spectrum {spec.n_max}"
         )
-    phases = _phases_at(spec.energies, t)
+    phases = reduced_phases(spec.energies, t)
     return FockState(state0.amplitudes * np.exp(-1j * phases), state0.provenance)
 
 
@@ -81,32 +70,13 @@ def generate_series_x(
     spec: SingleModeSpectrum,
     dt: float,
     steps: int,
-    recompute_every: int = RECOMPUTE_INTERVAL,
 ) -> TimeSeries:
     """<x(t)> sampled at t = k*dt for k = 0..steps-1."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if state0.n_max != spec.n_max:
         raise ValueError("state and spectrum dimensions differ")
-    dim = spec.n_max + 1
-    # cap block memory at ~32 MB of complex128 scratch
-    block = max(1, min(recompute_every, 2_000_000 // dim))
-    step_rot = np.exp(-1j * _phases_at(spec.energies, dt))
-    sqrt_n = np.sqrt(np.arange(1.0, dim))
-    out = np.empty(steps)
-
-    k0 = 0
-    scratch = np.empty((block, dim), dtype=np.complex128)
-    while k0 < steps:
-        b = min(block, steps - k0)
-        z = scratch[:b]
-        z[0] = state0.amplitudes * np.exp(-1j * _phases_at(spec.energies, k0 * dt))
-        if b > 1:
-            z[1:] = step_rot
-            np.cumprod(z, axis=0, out=z)
-        corr = np.conj(z[:, :-1]) * z[:, 1:]
-        out[k0 : k0 + b] = np.sqrt(2.0) * (corr.real @ sqrt_n)
-        k0 += b
+    c = state0.amplitudes
+    amp = np.sqrt(2.0 * np.arange(1.0, spec.n_max + 1)) * np.conj(c[:-1]) * c[1:]
+    out = spectral_series(amp, np.diff(spec.energies), dt, steps)
 
     meta = {
         "model": "kerr",

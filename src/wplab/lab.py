@@ -409,6 +409,36 @@ def _resolve_steps(preset, steps: Optional[int], full_scale: bool) -> int:
     return preset.full_steps if full_scale else preset.steps
 
 
+def _check_steps(preset, steps: int) -> None:
+    """Reject a series length the preset's analyses cannot use.
+
+    Runs before any simulation: a recurrence window must fit the series,
+    and a Lyapunov fit needs more than 10 * horizon samples.
+    """
+    horizons = []
+    if isinstance(preset, TablePreset):
+        horizons.append(preset.lyapunov_options.get("horizon"))
+    else:
+        for item in preset.analyses:
+            if item.task == "rp":
+                end = int(item.options.get("window_start", 0)) + int(
+                    item.options.get("window_len", min(4000, steps))
+                )
+                if end > steps:
+                    raise ValueError(
+                        f"{preset.id}: recurrence window ending at {end} does not "
+                        f"fit {steps} steps"
+                    )
+            elif item.task in ("lyapunov", "classify"):
+                horizons.append(item.options.get("horizon"))
+    for horizon in horizons:
+        if horizon is not None and steps <= 10 * int(horizon):
+            raise ValueError(
+                f"{preset.id}: Lyapunov horizon {horizon} needs more than "
+                f"{10 * int(horizon)} steps, got {steps}"
+            )
+
+
 def _preset_outputs(
     preset: ExperimentPreset,
     out_dir: Path,
@@ -479,6 +509,7 @@ def run_preset(
     out_dir.mkdir(parents=True, exist_ok=True)
     run_steps = _resolve_steps(preset, steps, full_scale)
     run_dt = float(dt) if dt is not None else preset.dt
+    _check_steps(preset, run_steps)
 
     t0 = time.perf_counter()
     # filled as each file is written, so a failure removes what exists

@@ -9,7 +9,6 @@ from wplab.bipartite import (
     build_sector,
     decompose_initial,
     occupancy_series,
-    photon_number_series,
 )
 from wplab.fock import FockState, coherent_amplitudes, mean_photon_number, pacs_amplitudes
 
@@ -92,7 +91,7 @@ class TestSeries:
         field = pacs_amplitudes(1.0, 2, 30)
         p = TwoModeParams(g=0.0, gamma=3.0)
         sectors = decompose_initial(field, p)
-        ts = photon_number_series(sectors, p, 1e-2, 2000)
+        ts = occupancy_series(sectors, p, 1e-2, 2000).field
         expect = mean_photon_number(field)
         assert np.abs(ts.values - expect).max() < 1e-10
 
@@ -103,7 +102,7 @@ class TestSeries:
         sectors = decompose_initial(field, p)
         steps = 100_000
         dt = 1e-3
-        ts = photon_number_series(sectors, p, dt, steps)
+        ts = occupancy_series(sectors, p, dt, steps).field
         t = np.arange(steps) * dt
         oracle = 1.0 * np.cos(t) ** 2
         assert np.abs(ts.values - oracle).max() < 1e-8
@@ -134,7 +133,7 @@ class TestSeries:
         sectors = decompose_initial(field, p)
         dt = 1e-3
         steps = 1000
-        ts = photon_number_series(sectors, p, dt, steps)
+        occ = occupancy_series(sectors, p, dt, steps)
 
         h, offsets = dense_block_hamiltonian(4, p)
         dim = h.shape[0]
@@ -143,14 +142,20 @@ class TestSeries:
             psi[offsets[N]] = amps[N]  # second mode empty: n = 0 slot
         u_step = expm(-1j * h * dt)
         number_op = np.zeros(dim)
+        atom_op = np.zeros(dim)
         for N in range(5):
             for n in range(N + 1):
                 number_op[offsets[N] + n] = N - n
+                atom_op[offsets[N] + n] = n
         got = np.empty(steps)
+        got_atom = np.empty(steps)
         for k in range(steps):
             got[k] = float(np.real(np.vdot(psi, number_op * psi)))
+            got_atom[k] = float(np.real(np.vdot(psi, atom_op * psi)))
             psi = u_step @ psi
-        assert np.abs(ts.values - got).max() < 1e-8
+        assert np.abs(occ.field.values - got).max() < 1e-8
+        assert np.abs(occ.atom.values - got_atom).max() < 1e-8
+        assert np.abs(got_atom).max() > 0.1
 
     def test_collapse_revival_windows(self):
         # weak nonlinearity: the gamma=0 period pi/g still organizes returns
@@ -160,7 +165,7 @@ class TestSeries:
         dt = 1e-3
         period = math.pi / p.g
         steps = int(10 * period / dt) + 2
-        ts = photon_number_series(sectors, p, dt, steps)
+        ts = occupancy_series(sectors, p, dt, steps).field
         x0 = ts.values[0]
         for w in range(10):
             lo = int(w * period / dt)
@@ -172,6 +177,6 @@ class TestSeries:
         field = coherent_amplitudes(1.0, 25)
         p = TwoModeParams(gamma=0.05)
         sectors = decompose_initial(field, p)
-        ts = photon_number_series(sectors, p, 1e-2, 100)
+        ts = occupancy_series(sectors, p, 1e-2, 100).field
         assert ts.observable == "photon_number"
         assert ts.meta["gamma"] == 0.05

@@ -107,7 +107,7 @@ class TestSeries:
         s = coherent_amplitudes(1.0, 30)
         spec = kerr_spectrum(1.0, 0.01, 30)
         dt = 1e-3
-        ts = generate_series_x(s, spec, dt, 30_000, recompute_every=7_000)
+        ts = generate_series_x(s, spec, dt, 30_000)
         rng = np.random.default_rng(11)
         for k in rng.integers(0, 30_000, size=100):
             direct = quadrature_expectation(evolve_diagonal(s, spec, k * dt))

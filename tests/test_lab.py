@@ -28,3 +28,20 @@ def test_failed_preset_leaves_no_outputs(tmp_path):
     with pytest.raises(ValueError, match="does not fit"):
         lab.run_preset("fig11-14", out, steps=2000)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "preset_id, steps, reason",
+    [("fig11-14", 2000, "does not fit"), ("table1", 20_000, "horizon")],
+)
+def test_bad_steps_fail_before_simulating(
+    tmp_path, monkeypatch, preset_id, steps, reason
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate_series ran")
+
+    monkeypatch.setattr(lab, "simulate_series", no_simulation)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=reason):
+        lab.run_preset(preset_id, out, steps=steps)
+    assert list(out.iterdir()) == []
