@@ -12,7 +12,10 @@ block is
 
 with A = V^T diag(n) V: a constant plus a sum of phase-rotating terms.
 The pair terms of all blocks go through one ``series.spectral_series``
-call; there is no integration error.
+call, which takes every block's eigenvalues, concatenated, as its
+levels and each term as a (s', s) index pair offset by its block's
+start, so the extended-precision phase work is per eigenvalue, not per
+pair.  There is no integration error.
 """
 
 from __future__ import annotations
@@ -121,11 +124,12 @@ def occupancy_series(
     # filled in place, so the pair terms are held in memory once
     pairs = sum(s.N * (s.N + 1) // 2 for s in sectors)
     amps = np.empty(pairs, dtype=np.complex128)
-    freqs = np.empty(pairs)
+    upper = np.empty(pairs, dtype=np.intp)
+    lower = np.empty(pairs, dtype=np.intp)
+    levels = np.concatenate([s.eig.eigenvalues for s in sectors])
     atom_const = total_number = norm = 0.0
-    j0 = 0
+    j0 = offset = 0
     for s in sectors:
-        lam = s.eig.eigenvalues
         v = s.eig.eigenvectors
         w = s.initial_coeffs
         weight = abs(s.initial_amp) ** 2
@@ -138,9 +142,11 @@ def occupancy_series(
         lo, hi = np.triu_indices(s.N + 1, 1)
         j1 = j0 + lo.size
         amps[j0:j1] = 2.0 * weight * np.conj(w[lo]) * w[hi] * a[lo, hi]
-        freqs[j0:j1] = lam[hi] - lam[lo]
+        upper[j0:j1] = hi + offset
+        lower[j0:j1] = lo + offset
         j0 = j1
-    atom_occ = atom_const + spectral_series(amps, freqs, dt, steps)
+        offset += s.N + 1
+    atom_occ = atom_const + spectral_series(amps, levels, upper, lower, dt, steps)
 
     meta = {
         "model": "bipartite",

@@ -7,8 +7,9 @@ phase-rotating terms,
 
     <x(t)> = Re sum_n sqrt(2(n+1)) conj(c_n) c_{n+1} exp(-i (E_{n+1} - E_n) t),
 
-which ``series.spectral_series`` evaluates on the sampling grid with
-every phase reduced modulo 2*pi in extended precision.
+which ``series.spectral_series`` evaluates on the sampling grid from the
+energies themselves (term n pairs level n+1 with level n), with every
+level's phase reduced modulo 2*pi in extended precision.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def generate_series_x(
         raise ValueError("state and spectrum dimensions differ")
     c = state0.amplitudes
     amp = np.sqrt(2.0 * np.arange(1.0, spec.n_max + 1)) * np.conj(c[:-1]) * c[1:]
-    out = spectral_series(amp, np.diff(spec.energies), dt, steps)
+    n = np.arange(spec.n_max)
+    out = spectral_series(amp, spec.energies, n + 1, n, dt, steps)
 
     meta = {
         "model": "kerr",

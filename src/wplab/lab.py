@@ -33,7 +33,6 @@ from .kerr import generate_series_x, kerr_spectrum
 from .presets import PRESETS, AnalysisTask, ExperimentPreset, TablePreset, get_preset
 from .recur import (
     Cell,
-    fit_exponential,
     first_return_times,
     invariant_density,
     recurrence_matrix,

@@ -20,6 +20,9 @@ from .series import TimeSeries
 
 Mode = Literal["entry", "visit"]
 
+# candidate point pairs times coordinates per chunk of ``recurrence_matrix``
+_RP_CANDIDATES = 1 << 18
+
 
 class NoEventsError(RuntimeError):
     """The cell is not visited often enough to define return times."""
@@ -242,6 +245,10 @@ def recurrence_matrix(
     eps = epsilon_frac * std of the windowed values.  Distances are
     |x_i - x_j| for scalar states and the max-norm over delay vectors
     when an embedding is given.  Indices refer to the full series.
+
+    The states are swept in order of their first coordinate, so only
+    pairs already within eps in that coordinate are tested; chunking the
+    sweep bounds the candidate arrays to a few MB.
     """
     if epsilon_frac <= 0:
         raise ValueError("epsilon_frac must be positive")
@@ -260,21 +267,37 @@ def recurrence_matrix(
         if pts.shape[0] < 2:
             raise ValueError("window too small for the requested embedding")
 
-    count = pts.shape[0]
-    rows = []
-    cols = []
-    chunk = max(1, 4_000_000 // max(1, count * pts.shape[1]))
-    for i0 in range(0, count - 1, chunk):
-        i1 = min(i0 + chunk, count - 1)
-        # max-norm distances from rows i0..i1-1 to all later rows
-        d = np.abs(pts[i0:i1, None, :] - pts[None, :, :]).max(axis=2)
-        ii, jj = np.nonzero(d <= eps)
-        keep = jj > ii + i0
-        rows.append(ii[keep] + i0)
-        cols.append(jj[keep])
-    i_idx = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    j_idx = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    pairs = np.column_stack((i_idx + window_start, j_idx + window_start)).astype(
-        np.int64
-    )
+    # sort by the first coordinate: the partners j of a point within eps
+    # lie in a short run after it, found by searchsorted with a slack
+    # wide enough to cover the rounding of xs + eps; the exact max-norm
+    # test below then decides every candidate
+    order = np.argsort(pts[:, 0], kind="stable")
+    ps = pts[order]
+    xs = ps[:, 0]
+    slack = 1e-9 * (np.abs(xs) + eps)
+    ends = np.searchsorted(xs, xs + eps + slack, side="right")
+    count = ps.shape[0]
+    starts = np.arange(count)
+    later = ends - starts - 1  # candidates after each sorted position
+    # chunks of sorted positions holding about _RP_CANDIDATES candidates
+    cum = np.cumsum(later)
+    budget = max(1, _RP_CANDIDATES // ps.shape[1])
+    bounds = np.unique(np.searchsorted(cum, np.arange(budget, cum[-1], budget)))
+    keys = []  # i * count + j, which sorts as (i, j)
+    for a0, a1 in zip(np.r_[0, bounds + 1], np.r_[bounds + 1, count]):
+        run = later[a0:a1]
+        a = np.repeat(starts[a0:a1], run)
+        # b runs over a+1 .. ends[a]-1 for each a
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(run) - run, run)
+        hit = np.abs(ps[a] - ps[b]).max(axis=1) <= eps
+        i = order[a[hit]]
+        j = order[b[hit]]
+        keys.append(np.minimum(i, j) * count + np.maximum(i, j))
+    key = np.concatenate(keys)
+    del keys  # free the pieces before the sort and the pairs array
+    key.sort()
+    pairs = np.empty((key.size, 2), dtype=np.int64)
+    np.floor_divide(key, count, out=pairs[:, 0])
+    np.remainder(key, count, out=pairs[:, 1])
+    pairs += window_start
     return RecurrencePlotData(window_start, window_len, eps, pairs, embed)

@@ -8,18 +8,24 @@ Analysis exports are plain text with ``# key = value`` headers echoing
 the resolved options.  Floats are written as ``repr(float(x))``: the
 repr of a numpy scalar reads ``np.float64(...)`` under numpy 2, which
 the readers here cannot parse.
+
+Every writer fills a temporary sibling of its target and moves it into
+place with ``os.replace``, so a target is either complete or absent (or
+still the previous complete file); an interrupted write leaves no
+partial file behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from .embed import EmbeddingSpec
 from .recur import Cell, DensityHistogram, RecurrencePlotData, ReturnTimeHistogram
 from .series import TimeSeries
 
@@ -29,19 +35,52 @@ _HEADER = struct.Struct("<4sHHQd8x")  # magic, version, reserved, count, dt, pad
 assert _HEADER.size == 32
 
 
+# rows formatted per string operation by ``_write_rows``: bounds the
+# temporary tuple of Python scalars to a few MB
+_ROWS_PER_CHUNK = 1 << 16
+
+
 class FormatError(ValueError):
     """Malformed or unsupported series file."""
+
+
+@contextmanager
+def _replacing(path: Path, mode: str = "w") -> Iterator[Any]:
+    """A file handle whose contents replace ``path`` once the block ends.
+
+    The data go to a temporary sibling, moved over ``path`` by
+    ``os.replace`` after it is closed; if the block raises, the temporary
+    file is removed and ``path`` is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_rows(fh, line: str, rows: np.ndarray) -> None:
+    """Write ``line % tuple(row)`` for every row of the 2-D array ``rows``.
+
+    ``tolist`` yields Python scalars, so ``%r`` of a float64 entry is
+    ``repr(float(x))`` and ``%d`` of an integer entry is ``str(int(x))``.
+    """
+    for r0 in range(0, len(rows), _ROWS_PER_CHUNK):
+        block = rows[r0 : r0 + _ROWS_PER_CHUNK]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_series(ts: TimeSeries, path: str | Path) -> Path:
     path = Path(path)
     payload = np.ascontiguousarray(ts.values, dtype="<f8")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(ts), ts.dt))
         fh.write(payload.tobytes())
     sidecar = {"observable": ts.observable, "meta": ts.meta}
-    meta_path = path.with_name(path.name + ".meta.json")
-    meta_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    _write_json(sidecar, path.with_name(path.name + ".meta.json"))
     return path
 
 
@@ -67,17 +106,6 @@ def read_series(path: str | Path) -> TimeSeries:
         observable = sidecar.get("observable", "")
         meta = sidecar.get("meta", {})
     return TimeSeries(dt, values.copy(), observable=observable, meta=meta)
-
-
-def write_series_csv(ts: TimeSeries, path: str | Path) -> Path:
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write(f"# observable = {ts.observable}\n")
-        fh.write(f"# dt = {ts.dt!r}\n")
-        fh.write("# columns: index value\n")
-        for k, v in enumerate(ts.values):
-            fh.write(f"{k},{float(v)!r}\n")
-    return path
 
 
 def _write_header(fh, kind: str, options: dict[str, Any]) -> None:
@@ -116,11 +144,10 @@ def write_histogram(
         options["cell"] = f"{cell.lower!r}:{cell.upper!r}"
     if extra:
         options.update(extra)
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         _write_header(fh, f"{kind} histogram", options)
         fh.write("# columns: tau count\n")
-        for tau in sorted(h.counts):
-            fh.write(f"{tau} {h.counts[tau]}\n")
+        _write_rows(fh, "%d %d\n", np.column_stack((h.taus(), h.count_array())))
     return path
 
 
@@ -152,13 +179,12 @@ def write_density(
     }
     if extra:
         options.update(extra)
-    centers = d.centers()
-    dens = d.density()
-    with open(path, "w") as fh:
+    # counts (< 2**53) are exact as float64, and %d prints them as integers
+    rows = np.column_stack((d.centers(), d.counts, d.density()))
+    with _replacing(path) as fh:
         _write_header(fh, "density", options)
         fh.write("# columns: bin_center count density\n")
-        for c, n, rho in zip(centers, d.counts, dens):
-            fh.write(f"{float(c)!r} {n} {float(rho)!r}\n")
+        _write_rows(fh, "%r %d %r\n", rows)
     return path
 
 
@@ -178,11 +204,10 @@ def write_recurrence(
         options["dimension"] = rp.embedding.dimension
     if extra:
         options.update(extra)
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         _write_header(fh, "recurrence plot", options)
         fh.write("# columns: i j\n")
-        for i, j in rp.pairs:
-            fh.write(f"{i} {j}\n")
+        _write_rows(fh, "%d %d\n", rp.pairs)
     return path
 
 
@@ -205,11 +230,10 @@ def write_pairs(
 ) -> Path:
     """Generic two-column float export (return maps, divergence curves)."""
     path = Path(path)
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         _write_header(fh, kind, options or {})
         fh.write(f"# columns: {columns}\n")
-        for a, b in pairs:
-            fh.write(f"{float(a)!r} {float(b)!r}\n")
+        _write_rows(fh, "%r %r\n", np.asarray(pairs, dtype=np.float64))
     return path
 
 
@@ -223,11 +247,13 @@ def read_pairs(path: str | Path) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
+def _write_json(payload: dict[str, Any], path: Path) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
 def write_json(payload: dict[str, Any], path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write_json(payload, path)
     return path
-
-
-def embedding_options(spec: EmbeddingSpec) -> dict[str, Any]:
-    return {"delay": spec.delay, "dimension": spec.dimension}

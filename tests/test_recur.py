@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wplab.benchmarks import rotation_series, sine_series
-from wplab.embed import EmbeddingSpec
+from wplab import recur
+from wplab.benchmarks import henon_series, rotation_series, sine_series
+from wplab.embed import EmbeddingSpec, delay_embed
 from wplab.recur import (
     Cell,
     DegenerateSupportError,
@@ -24,6 +25,26 @@ from wplab.series import TimeSeries
 
 def series_of(values, dt=1.0):
     return TimeSeries(dt, np.asarray(values, dtype=float))
+
+
+def brute_force_recurrences(ts, window_start, window_len, eps, embed=None):
+    """Every pair i < j whose max-norm distance is <= eps, by full scan."""
+    w = ts.values[window_start : window_start + window_len]
+    pts = w[:, None] if embed is None else delay_embed(TimeSeries(ts.dt, w), embed)
+    close = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2) <= eps
+    return np.argwhere(np.triu(close, 1)) + window_start
+
+
+def frac_for_eps(values, eps):
+    """An epsilon_frac for which recurrence_matrix's eps is exactly ``eps``."""
+    std = np.std(values)
+    frac = eps / std
+    for _ in range(64):
+        got = float(frac * std)
+        if got == eps:
+            return frac
+        frac = np.nextafter(frac, np.inf if got < eps else -np.inf)
+    raise AssertionError("no epsilon_frac gives eps exactly")
 
 
 class TestFirstReturn:
@@ -314,6 +335,37 @@ class TestRecurrenceMatrix:
         m[i, j] = True
         m |= m.T
         assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("candidates", [None, 5])
+    def test_ties_and_duplicates_match_brute_force(self, monkeypatch, candidates):
+        # multiples of 1/8 give many duplicate values and many differences
+        # exactly at eps; a small candidate budget splits the sweep
+        if candidates is not None:
+            monkeypatch.setattr(recur, "_RP_CANDIDATES", candidates)
+        rng = np.random.default_rng(4)
+        v = rng.integers(-12, 13, 300) / 8.0
+        v[20] = 0.25 + 2.0**-50  # just beyond eps = 0.25 from 0.0
+        # fl(c + 1.0) = 1 - 2**-53 < 1.0 although fl(1.0 - c) = 1.0 = eps
+        v[21] = -(2.0**-54 + 2.0**-60)
+        v[22] = 1.0
+        ts = series_of(v)
+        for eps in (0.25, 0.375, 1.0):
+            frac = frac_for_eps(v[10:290], eps)
+            rp = recurrence_matrix(ts, 10, 280, epsilon_frac=frac)
+            assert rp.epsilon == eps
+            assert np.array_equal(rp.pairs, brute_force_recurrences(ts, 10, 280, eps))
+        assert [21, 22] in rp.pairs.tolist()
+
+    @pytest.mark.parametrize("candidates", [None, 7])
+    def test_embedded_matches_brute_force(self, monkeypatch, candidates):
+        if candidates is not None:
+            monkeypatch.setattr(recur, "_RP_CANDIDATES", candidates)
+        ts = henon_series(900)
+        spec = EmbeddingSpec(delay=3, dimension=4)
+        rp = recurrence_matrix(ts, 100, 700, epsilon_frac=0.3, embed=spec)
+        assert rp.pairs.dtype == np.int64
+        expect = brute_force_recurrences(ts, 100, 700, rp.epsilon, spec)
+        assert np.array_equal(rp.pairs, expect)
 
     def test_window_validation(self):
         ts = sine_series(100, period=10.0)

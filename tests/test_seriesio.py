@@ -1,8 +1,49 @@
 import numpy as np
+import pytest
 
 from wplab import seriesio
 from wplab.benchmarks import henon_series, sine_series
-from wplab.recur import invariant_density, return_map
+from wplab.recur import (
+    Cell,
+    RecurrencePlotData,
+    ReturnTimeHistogram,
+    first_return_times,
+    invariant_density,
+    recurrence_matrix,
+    return_map,
+)
+from wplab.series import TimeSeries
+
+# reference copies of the per-line loops the text writers used to run
+
+
+def loop_recurrence(pairs):
+    return "".join(f"{i} {j}\n" for i, j in pairs)
+
+
+def loop_pairs(pairs):
+    return "".join(f"{float(a)!r} {float(b)!r}\n" for a, b in pairs)
+
+
+def loop_density(d):
+    rows = zip(d.centers(), d.counts, d.density())
+    return "".join(f"{float(c)!r} {n} {float(rho)!r}\n" for c, n, rho in rows)
+
+
+def loop_histogram(h):
+    return "".join(f"{tau} {h.counts[tau]}\n" for tau in sorted(h.counts))
+
+
+def body(path, columns):
+    _, sep, rest = path.read_text().partition(f"# columns: {columns}\n")
+    assert sep
+    return rest
+
+
+@pytest.fixture(params=[None, 3], ids=["default-chunk", "3-row-chunks"])
+def chunking(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(seriesio, "_ROWS_PER_CHUNK", request.param)
 
 
 class TestTextExports:
@@ -29,3 +70,88 @@ class TestTextExports:
         assert np.array_equal([float(r[0]) for r in rows], d.centers())
         assert np.array_equal([int(r[1]) for r in rows], d.counts)
         assert np.array_equal([float(r[2]) for r in rows], d.density())
+
+
+class TestRowWriterMatchesLoop:
+    def test_recurrence(self, tmp_path, chunking):
+        # more pairs than one default chunk of rows
+        rp = recurrence_matrix(sine_series(3000, period=50.0), 0, 3000, 0.1)
+        assert rp.pairs.shape[0] > seriesio._ROWS_PER_CHUNK
+        path = seriesio.write_recurrence(rp, tmp_path / "rp.txt")
+        assert body(path, "i j") == loop_recurrence(rp.pairs)
+        empty = RecurrencePlotData(0, 10, 0.1, np.empty((0, 2), dtype=np.int64))
+        path = seriesio.write_recurrence(empty, tmp_path / "empty.txt")
+        assert body(path, "i j") == ""
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            return_map(henon_series(3000), use_maxima=False),
+            # an integer column, written as floats
+            np.column_stack((np.arange(1, 8), np.linspace(-1.0, 1e300, 7))),
+            np.array([[0.1, -0.0], [np.pi, 5e-324]]),
+            np.empty((0, 2)),
+        ],
+    )
+    def test_pairs(self, tmp_path, chunking, pairs):
+        path = seriesio.write_pairs(pairs, tmp_path / "pairs.txt", "map", "a b")
+        assert body(path, "a b") == loop_pairs(pairs)
+
+    @pytest.mark.parametrize("values", [henon_series(4000).values, np.ones(9)])
+    def test_density(self, tmp_path, chunking, values):
+        d = invariant_density(TimeSeries(1.0, values), 0.01)
+        path = seriesio.write_density(d, tmp_path / "density.txt")
+        assert body(path, "bin_center count density") == loop_density(d)
+
+    def test_histogram(self, tmp_path, chunking):
+        h = first_return_times(henon_series(4000), Cell(0.0, 0.3))
+        path = seriesio.write_histogram(h, tmp_path / "f1.txt")
+        assert body(path, "tau count") == loop_histogram(h)
+        assert seriesio.read_histogram(path) == h
+        empty = ReturnTimeHistogram({}, 0, 1.0, "entry")
+        path = seriesio.write_histogram(empty, tmp_path / "empty.txt")
+        assert body(path, "tau count") == ""
+
+
+class Unprintable:
+    """A value that fails to format, as a write that fails mid-body."""
+
+    def __format__(self, spec):
+        raise ValueError("unprintable")
+
+    def __index__(self):
+        raise ValueError("unprintable")
+
+    __int__ = __index__
+
+
+class TestAtomicWrites:
+    def failing_rp(self):
+        # the header and first row are written before the second row fails
+        pairs = np.array([[1, 2], [3, Unprintable()]], dtype=object)
+        return RecurrencePlotData(0, 10, 0.1, pairs)
+
+    def test_failure_mid_body_leaves_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(seriesio, "_ROWS_PER_CHUNK", 1)
+        with pytest.raises(ValueError, match="unprintable"):
+            seriesio.write_recurrence(self.failing_rp(), tmp_path / "rp.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_previous_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(seriesio, "_ROWS_PER_CHUNK", 1)
+        good = RecurrencePlotData(0, 10, 0.1, np.array([[1, 2]], dtype=np.int64))
+        path = seriesio.write_recurrence(good, tmp_path / "rp.txt")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="unprintable"):
+            seriesio.write_recurrence(self.failing_rp(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_series_and_sidecar_leave_no_temporary(self, tmp_path):
+        ts = sine_series(100, period=7.0)
+        path = seriesio.write_series(ts, tmp_path / "x.wprs")
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["x.wprs", "x.wprs.meta.json"]
+        back = seriesio.read_series(path)
+        assert np.array_equal(back.values, ts.values)
+        assert back.observable == "sine"
