@@ -5,15 +5,20 @@ information and the false-nearest-neighbor fraction.  The divergence of
 initially close trajectory pairs is tracked either from the single
 nearest neighbor of each reference point or from the average over an
 epsilon-neighborhood; the exponent is the slope of the mean log
-distance over a deterministically selected linear region.  Nearest
-neighbors of all reference points come from one batched, exact query
-(``BoxGrid.nearest_many``); epsilon-neighborhoods are queried per
-reference point.
+distance over a deterministically selected linear region: the longest
+window of the curve whose local slopes stay within FIT_SLOPE_TOL of its
+least-squares slope, found with one vectorised pass over all window
+ends per window start.  Nearest neighbors of all reference points come
+from one batched, exact query (``BoxGrid.nearest_many``), which skips
+the Theiler window by index ranges when the window is wide (Rosenstein
+with theiler = 2 * delay on long series); epsilon-neighborhoods are
+queried per reference point.  The mutual information curve bins the
+series once and forms each lag's joint histogram code with one
+addition.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,8 +95,9 @@ def delay_embed(series: TimeSeries, spec: EmbeddingSpec) -> np.ndarray:
     )
 
 
-def _mi_histogram(a: np.ndarray, b: np.ndarray, bins: int) -> float:
-    joint = np.bincount(a * bins + b, minlength=bins * bins).astype(np.float64)
+def _mi_histogram(codes: np.ndarray, bins: int) -> float:
+    """Mutual information of the pairs (a, b) coded as a * bins + b."""
+    joint = np.bincount(codes, minlength=bins * bins).astype(np.float64)
     joint /= joint.sum()
     jm = joint.reshape(bins, bins)
     px = jm.sum(axis=1)
@@ -127,11 +133,11 @@ def mutual_information_delay(
     bx = np.minimum(((x - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
     if stride is None:
         stride = max(1, (x.size - max_lag) // 200_000)
+    row = bx * bins
     curve = np.empty(max_lag)
     for lag in range(1, max_lag + 1):
-        a = bx[: x.size - lag : stride]
-        b = bx[lag::stride]
-        curve[lag - 1] = _mi_histogram(a, b[: a.size], bins)
+        a = row[: x.size - lag : stride]
+        curve[lag - 1] = _mi_histogram(a + bx[lag::stride][: a.size], bins)
     w = max(1, min_window)
     for k in range(1, max_lag - 1):
         neigh = np.concatenate((curve[max(0, k - w) : k], curve[k + 1 : k + w + 1]))
@@ -227,26 +233,28 @@ def _select_fit_window(ks: np.ndarray, svals: np.ndarray):
         r2 = (cov * cov) / (vx * vy) if vy > 0 else 0.0
         return slope, min(1.0, r2)
 
+    # for each window start, every window end at once: running extremes
+    # of the local slopes and the least-squares slope by the arithmetic
+    # of ls()
     local = np.diff(ss) / np.diff(kk)
-    best = None  # ((length, -lo), lo, hi)
+    best = None  # (length, lo, hi); ties in length go to the smaller lo
     n = kk.size
     for lo in range(0, n - FIT_MIN_POINTS + 1):
-        gmin = math.inf
-        gmax = -math.inf
-        for hi in range(lo + 1, n):
-            g = local[hi - 1]
-            if g < gmin:
-                gmin = g
-            if g > gmax:
-                gmax = g
-            if hi - lo + 1 < FIT_MIN_POINTS:
-                continue
-            slope, _ = ls(lo, hi)
-            tol = FIT_SLOPE_TOL * abs(slope)
-            if slope - tol <= gmin and gmax <= slope + tol:
-                key = (hi - lo + 1, -lo)
-                if best is None or key > best[0]:
-                    best = (key, lo, hi)
+        if best is not None and n - lo <= best[0]:
+            break  # no later start leaves room for a longer window
+        hi = np.arange(lo + FIT_MIN_POINTS - 1, n)
+        gmin = np.minimum.accumulate(local[lo:])[FIT_MIN_POINTS - 2 :]
+        gmax = np.maximum.accumulate(local[lo:])[FIT_MIN_POINTS - 2 :]
+        n_w = hi - lo + 1
+        sx = cx[hi + 1] - cx[lo]
+        sy = cy[hi + 1] - cy[lo]
+        sxx = cxx[hi + 1] - cxx[lo]
+        sxy = cxy[hi + 1] - cxy[lo]
+        slope = (n_w * sxy - sx * sy) / (n_w * sxx - sx * sx)
+        tol = FIT_SLOPE_TOL * np.abs(slope)
+        fits = np.flatnonzero((slope - tol <= gmin) & (gmax <= slope + tol))
+        if fits.size and (best is None or n_w[fits[-1]] > best[0]):
+            best = (int(n_w[fits[-1]]), lo, int(hi[fits[-1]]))
     if best is not None:
         _, lo, hi = best
         slope, r2 = ls(lo, hi)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from wplab.benchmarks import henon_series, logistic_series, sine_series
+from wplab import neighbors
 from wplab.embed import (
+    FIT_MIN_POINTS,
+    FIT_SLOPE_TOL,
     Classification,
     EmbeddingSpec,
     EmptyNeighborhoodError,
@@ -15,6 +18,7 @@ from wplab.embed import (
     lyapunov_kantz,
     lyapunov_rosenstein,
     mutual_information_delay,
+    _select_fit_window,
 )
 from wplab.neighbors import BoxGrid, brute_force_nearest
 from wplab.series import TimeSeries
@@ -109,6 +113,27 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information_delay(white_noise(100), max_lag=20, bins=8)
 
+    @pytest.mark.parametrize("stride", [None, 1, 3])
+    def test_matches_per_lag_codes(self, stride):
+        # the joint code a * bins + b formed from scratch for every lag
+        x = sine_series(20_000, period=173.0).values + 0.1 * white_noise(20_000).values
+        max_lag, bins = 60, 16
+        res = mutual_information_delay(TimeSeries(1.0, x), max_lag, bins, stride=stride)
+        lo, hi = float(x.min()), float(x.max())
+        bx = np.minimum(((x - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
+        step = stride or max(1, (x.size - max_lag) // 200_000)
+        curve = []
+        for lag in range(1, max_lag + 1):
+            a = bx[: x.size - lag : step]
+            b = bx[lag::step][: a.size]
+            joint = np.bincount(a * bins + b, minlength=bins * bins).astype(np.float64)
+            joint /= joint.sum()
+            jm = joint.reshape(bins, bins)
+            nz = jm > 0
+            denom = np.outer(jm.sum(axis=1), jm.sum(axis=0))[nz]
+            curve.append(float(np.sum(jm[nz] * np.log(jm[nz] / denom))))
+        assert np.array_equal(res.curve, np.array(curve))
+
 
 class TestFnn:
     def test_sine_dimension_two(self):
@@ -176,6 +201,130 @@ class TestFnn:
             ts, delay=delay, d_max=d_max, r_tol=r_tol, a_tol=a_tol, max_reference=max_ref
         )
         assert f.fnn_fractions.tolist() == fracs
+
+
+def select_fit_window_loop(ks, svals):
+    """The double loop ``_select_fit_window`` replaced, as its oracle."""
+    usable = np.isfinite(svals) & (ks >= 1)
+    kk = ks[usable].astype(np.float64)
+    ss = svals[usable]
+    if kk.size < 2:
+        raise ValueError("divergence curve too short to fit")
+    cx = np.concatenate(([0.0], np.cumsum(kk)))
+    cy = np.concatenate(([0.0], np.cumsum(ss)))
+    cxx = np.concatenate(([0.0], np.cumsum(kk * kk)))
+    cxy = np.concatenate(([0.0], np.cumsum(kk * ss)))
+    cyy = np.concatenate(([0.0], np.cumsum(ss * ss)))
+
+    def ls(i0, i1):
+        n_w = i1 - i0 + 1
+        sx = cx[i1 + 1] - cx[i0]
+        sy = cy[i1 + 1] - cy[i0]
+        sxx = cxx[i1 + 1] - cxx[i0]
+        sxy = cxy[i1 + 1] - cxy[i0]
+        syy = cyy[i1 + 1] - cyy[i0]
+        vx = n_w * sxx - sx * sx
+        vy = n_w * syy - sy * sy
+        cov = n_w * sxy - sx * sy
+        slope = cov / vx
+        r2 = (cov * cov) / (vx * vy) if vy > 0 else 0.0
+        return slope, min(1.0, r2)
+
+    local = np.diff(ss) / np.diff(kk)
+    best = None
+    n = kk.size
+    for lo in range(0, n - FIT_MIN_POINTS + 1):
+        gmin = math.inf
+        gmax = -math.inf
+        for hi in range(lo + 1, n):
+            g = local[hi - 1]
+            if g < gmin:
+                gmin = g
+            if g > gmax:
+                gmax = g
+            if hi - lo + 1 < FIT_MIN_POINTS:
+                continue
+            slope, _ = ls(lo, hi)
+            tol = FIT_SLOPE_TOL * abs(slope)
+            if slope - tol <= gmin and gmax <= slope + tol:
+                key = (hi - lo + 1, -lo)
+                if best is None or key > best[0]:
+                    best = (key, lo, hi)
+    if best is not None:
+        _, lo, hi = best
+        slope, r2 = ls(lo, hi)
+        return slope, r2, (int(kk[lo]), int(kk[hi])), False
+    slope, r2 = ls(0, n - 1)
+    return slope, r2, (int(kk[0]), int(kk[-1])), True
+
+
+class TestFitWindow:
+    def assert_same(self, ks, svals):
+        got = _select_fit_window(ks, svals)
+        want = select_fit_window_loop(ks, svals)
+        assert got[2:] == want[2:]
+        assert np.array_equal(np.float64(got[0]), np.float64(want[0]))
+        assert np.array_equal(np.float64(got[1]), np.float64(want[1]))
+        assert type(got[1]) is type(want[1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_curves(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        ks = np.sort(rng.choice(np.arange(0, 400), size=n, replace=False))
+        # a rise, a plateau and noise, so windows of every kind qualify
+        noise = 0.3 if seed % 2 else 0.003
+        svals = np.minimum(0.3 * ks, rng.uniform(5, 60)) + rng.normal(0, noise, n)
+        self.assert_same(ks, svals)
+        self.assert_same(ks, rng.normal(size=n))
+
+    def test_flat_and_linear_curves(self):
+        ks = np.arange(0, 50)
+        self.assert_same(ks, np.full(50, -3.0))
+        self.assert_same(ks, 0.25 * ks - 2.0)
+        self.assert_same(ks[:4], np.array([0.0, 1.0, 2.0, 4.0]))
+
+    def test_equally_long_windows(self):
+        # slopes 1, 3 and -2 on points 0-5, 5-10 and 10-13: the first two
+        # windows are the longest that qualify, and the earlier one wins
+        ks = np.arange(1, 15)
+        svals = np.concatenate(
+            (np.arange(6.0), 5.0 + 3.0 * np.arange(1, 6), 20.0 - 2.0 * np.arange(1, 4))
+        )
+        self.assert_same(ks, svals)
+        assert _select_fit_window(ks, svals)[2:] == ((1, 6), False)
+
+    def test_curves_with_nans(self):
+        rng = np.random.default_rng(9)
+        ks = np.arange(0, 80, 2)
+        svals = np.log1p(ks) + rng.normal(0, 0.02, ks.size)
+        svals[[0, 3, 4, 17, 39]] = np.nan
+        self.assert_same(ks, svals)
+        svals[5:] = np.nan
+        self.assert_same(ks, svals)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: lyapunov_rosenstein(
+                logistic_series(30_000), EmbeddingSpec(1, 2), theiler=5, horizon=12
+            ),
+            lambda: lyapunov_rosenstein(
+                henon_series(30_000), EmbeddingSpec(1, 2), theiler=5, horizon=15
+            ),
+            lambda: lyapunov_rosenstein(
+                sine_series(30_000, period=100.0),
+                EmbeddingSpec(25, 2),
+                theiler=50,
+                horizon=400,
+                curve_stride=4,
+            ),
+        ],
+        ids=["logistic", "henon", "sine"],
+    )
+    def test_divergence_curves(self, make):
+        curve = make().divergence_curve
+        self.assert_same(curve[:, 0].astype(np.int64), curve[:, 1])
 
 
 def logistic_oracle(ts):
@@ -296,6 +445,19 @@ class TestLyapunov:
             curve.append((dk, float(np.mean(np.log(d[d > 0])))))
         r = lyapunov_rosenstein(ts, spec, theiler, horizon, max_reference=max_ref)
         assert np.array_equal(r.divergence_curve, np.array(curve))
+
+    def test_rosenstein_same_on_both_search_paths(self, monkeypatch):
+        ts = sine_series(30_000, period=100.0)
+        spec, theiler, horizon = EmbeddingSpec(25, 2), 50, 400
+
+        def run(index_ranges):
+            monkeypatch.setattr(neighbors, "_uses_index_ranges", lambda t, e: index_ranges)
+            return lyapunov_rosenstein(ts, spec, theiler, horizon, curve_stride=4)
+
+        plain, ranges = run(False), run(True)
+        assert ranges.lambda_max == plain.lambda_max
+        assert ranges.fit_range == plain.fit_range
+        assert np.array_equal(ranges.divergence_curve, plain.divergence_curve)
 
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
