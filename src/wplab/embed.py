@@ -9,10 +9,9 @@ distance over a deterministically selected linear region: the longest
 window of the curve whose local slopes stay within FIT_SLOPE_TOL of its
 least-squares slope, found with one vectorised pass over all window
 ends per window start.  Nearest neighbors of all reference points come
-from one batched, exact query (``BoxGrid.nearest_many``), which skips
-the Theiler window by index ranges when the window is wide (Rosenstein
-with theiler = 2 * delay on long series); epsilon-neighborhoods are
-queried per reference point.  The mutual information curve bins the
+from one batched, exact query (``BoxGrid.nearest_many``), whose first
+k does not grow with the Theiler window (Rosenstein uses theiler =
+2 * delay); epsilon-neighborhoods are queried per reference point.  The mutual information curve bins the
 series once and forms each lag's joint histogram code with one
 addition.
 """

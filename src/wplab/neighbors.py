@@ -1,4 +1,4 @@
-"""Exact nearest-neighbour search over embedded point sets, on KD-trees.
+"""Exact nearest-neighbour search over embedded point sets, on a KD-tree.
 
 ``BoxGrid`` answers queries under the contract the Lyapunov and FNN
 estimators rely on: a candidate j for reference point i must satisfy
@@ -9,10 +9,10 @@ box-assisted grid) and stays because the benchmark's tracer
 (``perfbench/spans.py``) patches ``BoxGrid.__init__``, ``nearest`` and
 ``within`` by name; renaming it is a change to the benchmark.
 
-A KD-tree (``scipy.spatial.cKDTree``) does not know the contract, so a
-query asks it for the k spatially nearest points of each reference,
-drops the inadmissible ones, and recomputes the distances of the rest
-with the same ``sqrt(einsum(diff, diff))`` formula as
+The KD-tree (``scipy.spatial.cKDTree``) does not know the contract, so
+``nearest_many`` asks it for the k spatially nearest points of each
+reference, drops the inadmissible ones, and recomputes the distances of
+the rest with the same ``sqrt(einsum(diff, diff))`` formula as
 ``brute_force_nearest``, which makes them bitwise identical to it.
 Every point the tree did not return lies at least as far as the k-th
 tree distance.  A reference is therefore settled when its best
@@ -20,39 +20,29 @@ admissible distance is strictly below that k-th distance, with a 1e-12
 relative margin that covers the rounding gap between the tree's
 arithmetic and the recomputed one; then no unseen point can beat it or
 tie with it.  Unsettled references are asked again with four times k,
-until k covers every point of the tree.  Candidate arrays are built in
-chunks of at most ``_CHUNK_BYTES``.
+until k covers every point.  Candidate arrays are built in chunks of
+at most ``_CHUNK_BYTES``.
 
-``nearest_many`` takes one of two paths, chosen from the Theiler window
-and the number of points alone (``_uses_index_ranges``):
-
-* The plain path queries one tree of all points with k starting at
-  2 * theiler + 4, so that one query gets past the 2 * theiler + 1
-  points of a Theiler window even when they are the nearest ones.  Its
-  cost grows with the window: on a 2e5-point embedding with
-  theiler = 456, each reference asks for 916 neighbours.
-* The index-range path never looks at a window point.  The points are
-  cut into leaves of theiler + 1 consecutive indices, and every aligned
-  run of 2**h leaves (a node) gets its own tree, built and dropped one
-  node at a time.  The admissible indices of reference i,
-  [0, i - theiler) and [i + theiler + 1, limit], are the nodes wholly
-  inside them (at most two per level) plus the parts of the two leaves
-  the window cuts.  Each node tree is queried with k = ``_NODE_K`` under
-  the settle rule above; the cut leaves, at most theiler + 2 points
-  together, are checked by brute force.  Its cost is the node trees,
-  about log2(n / theiler) builds of all n points, which a small window
-  does not repay: there the plain path stays.
+k starts at the constant ``_FIRST_K`` whatever the Theiler window: the
+settle rule makes any first k exact, and on smoothly sampled
+trajectories most references settle within a few rounds of growth.  A
+first k of 2 * theiler + 4, enough to get past the 2 * theiler + 1
+window points in one query, costs far more than the extra rounds: on
+fig11-14's Rosenstein call (195 316 x 4 points, theiler 456, 2 014
+references) the exact answer ranks only ~20th by distance among all
+points, window included (median; maximum 127), and k = 4 answers in
+0.08 s against 0.62 s at k = 916 (fig4's, theiler 16: 0.027 against
+0.093 s; best of 5, one BLAS thread, 2-vCPU host).  k = 4 is also what
+the FNN calls (theiler 0) always used; k = 8 makes them ~1.4x slower.
 
 Trees are built unbalanced and without compacted nodes, with leaves of
 ``_LEAFSIZE`` points; k-NN answers do not depend on the tree's shape,
 and these settings build two to three times as fast as scipy's
-defaults.  The tree of all points
-is built on first use, so the index-range path never builds it.
+defaults.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -62,92 +52,25 @@ import numpy as np
 _MARGIN = 1e-12
 # cap on the bytes of one chunk's (refs, k, dim) candidate array
 _CHUNK_BYTES = 1 << 22
-# first k of a node-tree query on the index-range path
-_NODE_K = 4
+# first k of every query; unsettled references ask for four times more
+_FIRST_K = 4
 # points per KD-tree leaf
 _LEAFSIZE = 64
 
 
-def _kdtree(points: np.ndarray):
-    from scipy.spatial import cKDTree
-
-    return cKDTree(
-        points, leafsize=_LEAFSIZE, balanced_tree=False, compact_nodes=False
-    )
-
-
-def _uses_index_ranges(theiler: int, end: int) -> bool:
-    """Whether ``nearest_many`` over the points [0, end) takes the
-    index-range path.
-
-    The plain path costs about refs * theiler, the index-range path about
-    end * log2(end / theiler) plus a fixed cost per node.  Timed on the
-    fig4 and fig11-14 embeddings with ~2000 references (2-vCPU host,
-    one BLAS thread), the two break even at theiler ~100 for 2e4 points,
-    ~150 for 5.5e4 and ~330 for 1.95e5, i.e. near theiler**2 = end / 2.
-    """
-    return 2 * theiler * theiler >= end
-
-
-def _closest(pts, refs, cand, ok, exclude_zero):
-    """Closest admissible candidate of each reference, by the oracle's
-    distance formula; ties go to the smaller index, (-1, inf) to none."""
-    diff = (pts[cand] - pts[refs][:, None, :]).reshape(cand.size, -1)
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(cand.shape)
-    if exclude_zero:
-        ok = ok & (d > 0.0)
-    d = np.where(ok, d, math.inf)
-    dmin = d.min(axis=1)
-    j = np.where(d == dmin[:, None], cand, pts.shape[0]).min(axis=1)
-    return np.where(np.isfinite(dmin), j, -1), dmin
-
-
-def _search(tree, lo, pts, refs, k, theiler, limit, exclude_zero):
-    """Closest admissible point of pts[lo : lo + tree.n] to each reference,
-    from k tree neighbours, four times more for the unsettled ones."""
-    size = tree.n
-    dim = pts.shape[1]
-    best_j = np.full(refs.size, -1, dtype=np.int64)
-    best_d = np.full(refs.size, math.inf)
-    open_ = np.arange(refs.size)
-    while open_.size:
-        k = min(k, size)
-        rows = max(1, _CHUNK_BYTES // (8 * k * dim))
-        still = []
-        for c0 in range(0, open_.size, rows):
-            chunk = open_[c0 : c0 + rows]
-            r = refs[chunk]
-            tree_d, cand = tree.query(pts[r], k=k)
-            tree_d = tree_d.reshape(r.size, k)
-            cand = cand.reshape(r.size, k) + lo
-            ok = np.abs(cand - r[:, None]) > theiler
-            if limit is not None:
-                ok &= cand <= limit
-            j, d = _closest(pts, r, cand, ok, exclude_zero)
-            best_j[chunk] = j
-            best_d[chunk] = d
-            if k < size:
-                still.append(chunk[~(d < tree_d[:, -1] * (1.0 - _MARGIN))])
-        open_ = np.concatenate(still) if still else open_[:0]
-        k *= 4
-    return best_j, best_d
-
-
 class BoxGrid:
     def __init__(self, points: np.ndarray):
-        # scipy is imported here, not at module level: the import costs
-        # ~0.4 s, which runs that never search neighbours should not pay
-        import scipy.spatial  # noqa: F401
+        # imported here, not at module level: the import costs ~0.4 s,
+        # which runs that never search neighbours should not pay
+        from scipy.spatial import cKDTree
 
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, dim) array")
         self.points = pts
-
-    @functools.cached_property
-    def _tree(self):
-        """The KD-tree of all points, built on first use."""
-        return _kdtree(self.points)
+        self._tree = cKDTree(
+            pts, leafsize=_LEAFSIZE, balanced_tree=False, compact_nodes=False
+        )
 
     def nearest_many(
         self,
@@ -158,79 +81,50 @@ class BoxGrid:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``nearest`` for every index in ``refs``: (j, dist) arrays."""
         refs = np.asarray(refs, dtype=np.int64).reshape(-1)
-        n = self.points.shape[0]
-        end = n if limit is None else max(0, min(n, limit + 1))
-        if _uses_index_ranges(theiler, end):
-            return self._nearest_ranges(refs, theiler, end, exclude_zero)
-        return _search(
-            self._tree, 0, self.points, refs, 2 * theiler + 4, theiler, limit, exclude_zero
-        )
-
-    def _nearest_ranges(self, refs, theiler, end, exclude_zero):
-        """The index-range path over the points [0, end)."""
-        pts = self.points
-        size = theiler + 1
-        leaves = -(-end // size)
-        # admissible ranges [0, a) and [c, end); whole leaves [0, p) and
-        # [q, leaves); the cut leaves hold [p * size, a) and [c, q * size)
-        a = np.clip(refs - theiler, 0, end)
-        c = np.minimum(refs + theiler + 1, end)
-        p = a // size
-        q = -(-c // size)
-        best_j, best_d = self._cut_leaves(
-            refs, p * size, a, c, np.minimum(q * size, end), exclude_zero
-        )
-        top = (leaves - 1).bit_length()  # 2**top >= leaves
-        rest = (1 << top) - q
-        owner = np.tile(np.arange(refs.size), 2)
-        for h in range(top + 1):
-            # [0, p) holds node (p >> h) - 1 of level h when bit h of p is
-            # set, [q, 2**top) holds node ceil(q / 2**h) when bit h of
-            # 2**top - q is set
-            node = np.concatenate(
-                (
-                    np.where((p >> h) & 1, (p >> h) - 1, -1),
-                    np.where((rest >> h) & 1, -((-q) >> h), -1),
-                )
-            )
-            use = (node >= 0) & ((node << h) < leaves)
-            order = np.argsort(node[use], kind="stable")
-            node, users = node[use][order], owner[use][order]
-            starts = np.flatnonzero(np.diff(node, prepend=-1))
-            for t, group in zip(node[starts], np.split(users, starts[1:])):
-                lo = (int(t) << h) * size
-                hi = min(lo + (size << h), end)
-                j, d = _search(
-                    _kdtree(pts[lo:hi]), lo, pts, refs[group], _NODE_K, theiler, None, exclude_zero
-                )
-                bj, bd = best_j[group], best_d[group]
-                better = (d < bd) | ((d == bd) & (j < bj))
-                best_j[group] = np.where(better, j, bj)
-                best_d[group] = np.where(better, d, bd)
-        return best_j, best_d
-
-    def _cut_leaves(self, refs, l0, l1, r0, r1, exclude_zero):
-        """Brute force over [l0, l1) and [r0, r1) of each reference, laid
-        end to end; with leaves of theiler + 1 points both together hold
-        at most theiler + 2 points."""
-        pts = self.points
-        left = l1 - l0
-        count = left + np.maximum(r1 - r0, 0)
-        width = int(count.max(initial=0))
+        n, dim = self.points.shape
         best_j = np.full(refs.size, -1, dtype=np.int64)
         best_d = np.full(refs.size, math.inf)
-        if width == 0:
-            return best_j, best_d
-        span = np.arange(width)
-        rows = max(1, _CHUNK_BYTES // (8 * width * pts.shape[1]))
-        for c0 in range(0, refs.size, rows):
-            s = slice(c0, c0 + rows)
-            lf = left[s, None]
-            ok = span < count[s, None]
-            cand = np.where(span < lf, l0[s, None] + span, r0[s, None] + span - lf)
-            cand = np.where(ok, cand, 0)
-            best_j[s], best_d[s] = _closest(pts, refs[s], cand, ok, exclude_zero)
+        open_ = np.arange(refs.size)
+        k = _FIRST_K
+        while open_.size:
+            k = min(k, n)
+            rows = max(1, _CHUNK_BYTES // (8 * k * dim))
+            still = []
+            for c0 in range(0, open_.size, rows):
+                chunk = open_[c0 : c0 + rows]
+                j, d, settled = self._nearest_k(refs[chunk], k, theiler, limit, exclude_zero)
+                best_j[chunk] = j
+                best_d[chunk] = d
+                still.append(chunk[~settled])
+            open_ = np.concatenate(still)
+            k *= 4
         return best_j, best_d
+
+    def _nearest_k(self, refs, k, theiler, limit, exclude_zero):
+        """Best admissible of each reference's k tree neighbours, and
+        whether no point outside those k can beat it."""
+        pts = self.points
+        n = pts.shape[0]
+        tree_d, cand = self._tree.query(pts[refs], k=k)
+        tree_d = tree_d.reshape(refs.size, k)
+        cand = cand.reshape(refs.size, k)
+        diff = (pts[cand] - pts[refs][:, None, :]).reshape(refs.size * k, -1)
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(refs.size, k)
+        ok = np.abs(cand - refs[:, None]) > theiler
+        if limit is not None:
+            ok &= cand <= limit
+        if exclude_zero:
+            ok &= d > 0.0
+        d = np.where(ok, d, math.inf)
+        dmin = d.min(axis=1)
+        j = np.where(d == dmin[:, None], cand, n).min(axis=1)
+        found = np.isfinite(dmin)
+        j = np.where(found, j, -1)
+        if k == n:
+            settled = np.ones(refs.size, dtype=bool)
+        else:
+            settled = found & (dmin < tree_d[:, -1] * (1.0 - _MARGIN))
+        return j, dmin, settled
 
     def nearest(
         self,
@@ -242,13 +136,9 @@ class BoxGrid:
         """Index and distance of the closest point to point i.
 
         Candidates j must satisfy |i - j| > theiler and, when given,
-        j <= limit.  Returns (-1, inf) if no candidate exists.  One
-        reference never repays the node trees of the index-range path,
-        so this always queries the tree of all points.
+        j <= limit.  Returns (-1, inf) if no candidate exists.
         """
-        j, d = _search(
-            self._tree, 0, self.points, np.array([i]), 2 * theiler + 4, theiler, limit, exclude_zero
-        )
+        j, d = self.nearest_many(np.array([i]), theiler, limit, exclude_zero)
         return int(j[0]), float(d[0])
 
     def within(

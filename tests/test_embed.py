@@ -446,18 +446,20 @@ class TestLyapunov:
         r = lyapunov_rosenstein(ts, spec, theiler, horizon, max_reference=max_ref)
         assert np.array_equal(r.divergence_curve, np.array(curve))
 
-    def test_rosenstein_same_on_both_search_paths(self, monkeypatch):
+    def test_rosenstein_independent_of_first_k(self, monkeypatch):
+        # the neighbour search is exact from any first k: the constant one
+        # and one wide enough to pass the window in a single query agree
         ts = sine_series(30_000, period=100.0)
         spec, theiler, horizon = EmbeddingSpec(25, 2), 50, 400
 
-        def run(index_ranges):
-            monkeypatch.setattr(neighbors, "_uses_index_ranges", lambda t, e: index_ranges)
+        def run(first_k):
+            monkeypatch.setattr(neighbors, "_FIRST_K", first_k)
             return lyapunov_rosenstein(ts, spec, theiler, horizon, curve_stride=4)
 
-        plain, ranges = run(False), run(True)
-        assert ranges.lambda_max == plain.lambda_max
-        assert ranges.fit_range == plain.fit_range
-        assert np.array_equal(ranges.divergence_curve, plain.divergence_curve)
+        small, wide = run(4), run(2 * theiler + 4)
+        assert small.lambda_max == wide.lambda_max
+        assert small.fit_range == wide.fit_range
+        assert np.array_equal(small.divergence_curve, wide.divergence_curve)
 
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):

@@ -94,8 +94,9 @@ class TestNearest:
         # a densely sampled circle traversed 80 times from one table of
         # samples: each point recurs exactly once per turn, so the zero
         # distances (or the exact ties among the copies of the nearest
-        # nonzero point) outnumber the first k = 2 * theiler + 4 tree
-        # neighbours many times over, and k must grow at least twice
+        # nonzero point) outnumber 4 * (2 * theiler + 4) = 32 tree
+        # neighbours, four times the first k and more, so k must grow at
+        # least twice
         period, turns, theiler = 50, 80, 2
         phase = 2.0 * np.pi * np.arange(period) / period
         circle = np.column_stack((np.cos(phase), np.sin(phase)))
@@ -106,14 +107,8 @@ class TestNearest:
             _, best = brute_force_nearest(pts, int(i), **kw)
             diff = pts - pts[i]
             ranked = np.count_nonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= best)
-            assert ranked > 4 * (2 * theiler + 4)
+            assert ranked > 4 * (2 * theiler + 4) >= 4 * neighbors._FIRST_K
         assert_batch_matches(BoxGrid(pts), pts, refs, **kw)
-
-
-@pytest.fixture
-def index_ranges(monkeypatch):
-    """Send every ``nearest_many`` call down the index-range path."""
-    monkeypatch.setattr(neighbors, "_uses_index_ranges", lambda theiler, end: True)
 
 
 def periodic_curve(period, count, dim=2):
@@ -123,37 +118,32 @@ def periodic_curve(period, count, dim=2):
     return table[np.arange(count) % period]
 
 
-class TestIndexRanges:
-    def test_crossover(self):
-        # the benchmark's Rosenstein calls sit on both sides: fig11-14
-        # (theiler 456, 195 316 points) and fig4 (theiler 16, 55 960)
-        assert neighbors._uses_index_ranges(456, 195_316)
-        assert not neighbors._uses_index_ranges(16, 55_960)
-        assert not neighbors._uses_index_ranges(0, 30)
+class TestTheilerWindow:
+    """Windows much wider than the first k: every query starts with k tree
+    neighbours that all lie inside the window and must grow past it."""
 
     @pytest.mark.parametrize("theiler", [1, 2, 7, 25])
-    def test_matches_brute_force(self, index_ranges, theiler):
-        # n = 1000 is a multiple of the leaf length theiler + 1 for
-        # theiler 1 and 7 only; every reference is checked, so windows
-        # clipped by index 0 and by the last index are included
+    def test_matches_brute_force(self, theiler):
+        # every reference is checked, so windows clipped by index 0 and by
+        # the last index are included
         pts = embedded_cloud(3 + theiler, 1000, 3)
         assert_batch_matches(BoxGrid(pts), pts, np.arange(1000), theiler=theiler)
 
     @pytest.mark.parametrize("limit", [0, 1, 99, 500, 997, 998, 2000])
-    def test_limit(self, index_ranges, limit):
+    def test_limit(self, limit):
         # references beyond the limit too, whose right range is empty
         pts = embedded_cloud(17, 999, 2)
         refs = np.arange(0, 999, 3)
         assert_batch_matches(BoxGrid(pts), pts, refs, theiler=12, limit=limit)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 31, 32, 33])
-    def test_fewer_points_than_a_leaf(self, index_ranges, n):
+    def test_few_points(self, n):
         pts = embedded_cloud(n, n, 2)
         grid = BoxGrid(pts)
         assert_batch_matches(grid, pts, np.arange(n), theiler=31)
         assert_batch_matches(grid, pts, np.arange(n), theiler=3, limit=n // 2)
 
-    def test_no_candidates(self, index_ranges):
+    def test_no_candidates(self):
         pts = embedded_cloud(2, 40, 2)
         js, ds = BoxGrid(pts).nearest_many(np.arange(40), theiler=40)
         assert js.tolist() == [-1] * 40
@@ -164,7 +154,7 @@ class TestIndexRanges:
         assert ds.tolist() == [math.inf] * 50
 
     @pytest.mark.parametrize("exclude_zero", [False, True])
-    def test_duplicate_points(self, index_ranges, exclude_zero):
+    def test_duplicate_points(self, exclude_zero):
         rng = np.random.default_rng(4)
         pts = rng.integers(0, 3, size=(300, 2)).astype(np.float64)
         refs = np.arange(300)
@@ -173,10 +163,10 @@ class TestIndexRanges:
         )
 
     @pytest.mark.parametrize("exclude_zero", [False, True])
-    def test_periodic_ties_across_nodes(self, index_ranges, exclude_zero):
-        # period 12 against leaves of 8 points: the exactly tied copies of
-        # each nearest point lie in every node of both ranges and in the
-        # cut leaves, and the smallest index among them must win
+    def test_periodic_ties(self, exclude_zero):
+        # period 12 and a window of 15 points: the exactly tied copies of
+        # each nearest point lie on both sides of the window, and the
+        # smallest index among them must win
         theiler, period = 7, 12
         pts = periodic_curve(period, 12 * 64 + 5)
         refs = np.arange(0, pts.shape[0], 5)
@@ -186,29 +176,35 @@ class TestIndexRanges:
         assert_batch_matches(grid, pts, refs, theiler=theiler, exclude_zero=exclude_zero)
 
     @pytest.mark.parametrize("exclude_zero", [False, True])
-    def test_paths_agree(self, monkeypatch, exclude_zero):
+    def test_first_k_does_not_matter(self, monkeypatch, exclude_zero):
+        # from one neighbour, from the default and from a k that passes
+        # the window in one query, the settle rule gives the same answers
         pts = np.concatenate((embedded_cloud(8, 3000, 4), periodic_curve(40, 600, 4)))
         refs = np.arange(0, pts.shape[0], 7)
         grid = BoxGrid(pts)
-        out = {}
-        for ranges in (False, True):
-            monkeypatch.setattr(neighbors, "_uses_index_ranges", lambda t, e: ranges)
-            out[ranges] = grid.nearest_many(
-                refs, theiler=60, limit=3400, exclude_zero=exclude_zero
+        out = []
+        for first_k in (1, neighbors._FIRST_K, 2 * 60 + 4):
+            monkeypatch.setattr(neighbors, "_FIRST_K", first_k)
+            out.append(
+                grid.nearest_many(refs, theiler=60, limit=3400, exclude_zero=exclude_zero)
             )
-        assert np.array_equal(out[False][0], out[True][0])
-        assert np.array_equal(out[False][1], out[True][1])
+        for js, ds in out[1:]:
+            assert np.array_equal(js, out[0][0])
+            assert np.array_equal(ds, out[0][1])
 
-    def test_memory_stays_chunked(self):
-        # a 200 000 x 4 trajectory with the fig11-14 window: the brute-force
-        # cut leaves alone would need a (4000, 458, 4) array of 58 MB, and
-        # twice that for the difference vectors, without chunking
+    @pytest.mark.parametrize("drift", [0.0, 1.0])
+    def test_memory_stays_chunked(self, drift):
+        # a 200 000 x 4 trajectory with the fig11-14 window: k grows from
+        # the first k until the references get past their windows, and the
+        # (refs, k, dim) candidate arrays must stay in chunks.  With the
+        # drift the curve never comes back, the nearest admissible point
+        # ranks ~2 * theiler by distance, and k reaches 1024 for every
+        # reference (unchunked: a 131 MB candidate array)
         n, delay, theiler = 200_000, 228, 456
         t = 0.01 * np.arange(n + 3 * delay)
-        x = np.sin(t) + 0.5 * np.sin(np.sqrt(2.0) * t)
+        x = np.sin(t) + 0.5 * np.sin(np.sqrt(2.0) * t) + drift * t
         pts = np.stack([x[j * delay : j * delay + n] for j in range(4)], axis=1)
         refs = np.arange(0, n, n // 4000)
-        assert neighbors._uses_index_ranges(theiler, n)
         grid = BoxGrid(pts)
         tracemalloc.start()
         try:
@@ -217,7 +213,6 @@ class TestIndexRanges:
         finally:
             tracemalloc.stop()
         assert peak < 4 * neighbors._CHUNK_BYTES
-        assert "_tree" not in vars(grid)  # the tree of all points was never built
         for k in range(0, refs.size, 401):
             assert (js[k], ds[k]) == brute_force_nearest(pts, int(refs[k]), theiler)
 
