@@ -78,7 +78,7 @@ def generate_series_x(
     c = state0.amplitudes
     amp = np.sqrt(2.0 * np.arange(1.0, spec.n_max + 1)) * np.conj(c[:-1]) * c[1:]
     n = np.arange(spec.n_max)
-    out = spectral_series(amp, spec.energies, n + 1, n, dt, steps)
+    out, pruning = spectral_series(amp, spec.energies, n + 1, n, dt, steps)
 
     meta = {
         "model": "kerr",
@@ -86,6 +86,7 @@ def generate_series_x(
         "chi_prime": spec.chi_prime,
         "n_max": spec.n_max,
         "steps": steps,
+        **pruning,
     }
     if state0.provenance is not None:
         meta["nu"] = abs(state0.provenance.alpha) ** 2

@@ -14,6 +14,16 @@ once per level, not once per term: every level's phase E t on the block
 starts and on the two exact factor grids of R is reduced modulo 2*pi in
 long double and exponentiated, and a term's phasor is the product of
 its two levels' entries.  No error accumulates along the series.
+
+Before any of that work the kernel prunes.  Since |exp(-i w t)| = 1,
+|Re sum_{j in D} a_j exp(-i w_j t)| <= sum_{j in D} |a_j| at every t, so
+dropping a set D of terms moves no sample by more than its mass
+sum_D |a_j|.  The kernel drops the smallest terms (stable sort by |a_j|,
+so ties go in index order) whose cumulative |a_j| is at most
+``PRUNE_FRACTION * sum_j |a_j|``, and tabulates phases only for the
+levels the kept terms use.  A term larger than that budget is never
+dropped.  The caller gets the count of terms kept and the dropped mass,
+the bound on every sample's change.
 """
 
 from __future__ import annotations
@@ -29,6 +39,11 @@ TWO_PI_LD = np.longdouble("6.2831853071795864769252867665590057684")
 # largest in-block phase table (per chunk of terms) and largest product
 # slab, in bytes
 _TABLE_BYTES = 4 << 20
+
+# the smallest terms whose |a| sums to at most this share of sum |a| are
+# dropped: a tenth of the 1e-13 * sum |a| the kernel is tested to against
+# a long-double direct sum
+PRUNE_FRACTION = 1e-14
 
 
 @dataclass(frozen=True)
@@ -105,21 +120,48 @@ def _pair_phasors(tab: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.n
     return np.take(tab, upper, axis=1) * np.conj(np.take(tab, lower, axis=1))
 
 
-def spectral_series(amp, levels, upper, lower, dt: float, steps: int) -> np.ndarray:
+def _kept_terms(mag: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Indices of the terms to sum, and what is dropped.
+
+    Drops the longest run of smallest ``mag`` (a stable sort, so equal
+    magnitudes go lowest index first) whose sum is at most
+    ``PRUNE_FRACTION * mag.sum()``.  Returns (kept indices, dropped sum,
+    budget); the kept indices stay in their given order, so a sum that
+    drops nothing runs exactly as it would unpruned.
+    """
+    order = np.argsort(mag, kind="stable")
+    cum = np.cumsum(mag[order])
+    budget = PRUNE_FRACTION * float(cum[-1]) if cum.size else 0.0
+    drop = int(np.searchsorted(cum, budget, side="right"))
+    dropped = float(cum[drop - 1]) if drop else 0.0
+    return np.sort(order[drop:]), dropped, budget
+
+
+def spectral_series(
+    amp, levels, upper, lower, dt: float, steps: int
+) -> tuple[np.ndarray, dict[str, Any]]:
     """Re sum_j amp_j exp(-i (E[upper_j] - E[lower_j]) k dt), k = 0..steps-1.
 
     ``levels`` holds the energies E; ``upper`` and ``lower`` index into
-    it, one pair per term (``lower`` may exceed ``upper``).  The phase
-    tables exp(-+i E t) are built once per level on the three grids
-    (block starts, and the coarse and fine factors b = h*L + l of the
-    in-block offset, L = ceil(sqrt(B))), each phase reduced modulo 2*pi
-    in extended precision; a term's phasors are the product of its upper
-    level's entry and the conjugate of its lower level's, so the
+    it, one pair per term (``lower`` may exceed ``upper``).  Returns the
+    samples and a pruning report for the series metadata:
+    ``spectral_terms`` (given), ``spectral_terms_kept`` (summed),
+    ``spectral_dropped_mass`` (sum |amp_j| over the dropped terms, a
+    bound on every sample's change) and ``spectral_prune_budget``
+    (``PRUNE_FRACTION * sum_j |amp_j|``, which the dropped mass never
+    exceeds).  The dropped terms are the smallest by |amp_j|, ties in
+    index order, and no phase is tabulated for a level only they use.
+
+    The phase tables exp(-+i E t) are built once per level on the three
+    grids (block starts, and the coarse and fine factors b = h*L + l of
+    the in-block offset, L = ceil(sqrt(B))), each phase reduced modulo
+    2*pi in extended precision; a term's phasors are the product of its
+    upper level's entry and the conjugate of its lower level's, so the
     in-block table carries no incremental-rotation drift.
     Re(P R^T) = P_re R_re^T - P_im R_im^T is computed as one real GEMM
     over the interleaved (re, im) pairs of P and conj(R).  Terms are
     chunked so the in-block table stays within ``_TABLE_BYTES``; the
-    level tables take (blocks + 2*sqrt(B)) * 16 bytes per level.
+    level tables take (blocks + 2*sqrt(B)) * 16 bytes per kept level.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -127,6 +169,19 @@ def spectral_series(amp, levels, upper, lower, dt: float, steps: int) -> np.ndar
     levels = np.asarray(levels, dtype=np.float64).ravel()
     upper = _level_index(upper, amp.size, levels.size, "upper")
     lower = _level_index(lower, amp.size, levels.size, "lower")
+    keep, dropped, budget = _kept_terms(np.abs(amp))
+    report = {
+        "spectral_terms": amp.size,
+        "spectral_terms_kept": keep.size,
+        "spectral_dropped_mass": dropped,
+        "spectral_prune_budget": budget,
+    }
+    amp = amp[keep]
+    pairs = np.concatenate((upper[keep], lower[keep]))
+    used, index = np.unique(pairs, return_inverse=True)
+    levels = levels[used]
+    upper, lower = index[: amp.size], index[amp.size :]
+
     rows = block_rows(steps)
     blocks = -(-steps // rows)
     side = math.ceil(math.sqrt(rows))
@@ -151,4 +206,4 @@ def spectral_series(amp, levels, upper, lower, dt: float, steps: int) -> np.ndar
         rt = table.reshape(-1, up.size)[:rows].view(np.float64).T
         for i0 in range(0, blocks, slab):
             out[i0 : i0 + slab] += p[i0 : i0 + slab] @ rt
-    return out.ravel()[:steps]
+    return out.ravel()[:steps], report

@@ -180,3 +180,14 @@ class TestSeries:
         ts = occupancy_series(sectors, p, 1e-2, 100).field
         assert ts.observable == "photon_number"
         assert ts.meta["gamma"] == 0.05
+
+    def test_pruning_and_norm_metadata(self):
+        field = pacs_amplitudes(math.sqrt(5.0), 5, 60)
+        p = TwoModeParams(gamma=5.0)
+        occ = occupancy_series(decompose_initial(field, p), p, 1e-2, 100)
+        for ts in (occ.field, occ.atom):
+            meta = ts.meta
+            assert meta["norm_error"] == abs(occ.norm[0] - 1.0)
+            assert meta["norm_error"] <= 1e-12
+            assert 0 < meta["spectral_terms_kept"] < meta["spectral_terms"]
+            assert 0 < meta["spectral_dropped_mass"] <= meta["spectral_prune_budget"]

@@ -45,3 +45,13 @@ def test_bad_steps_fail_before_simulating(
     with pytest.raises(ValueError, match=reason):
         lab.run_preset(preset_id, out, steps=steps)
     assert list(out.iterdir()) == []
+
+
+def test_series_sidecar_records_pruning(tmp_path):
+    models = {"kerr": {"chi": 1.0, "chi_prime": 0.0}, "bipartite": {"gamma": 5.0}}
+    for model, params in models.items():
+        path = lab.simulate(model, params, (5.0, 5), 1e-2, 50, tmp_path / model)
+        meta = json.loads(path.with_name(path.name + ".meta.json").read_text())["meta"]
+        assert meta["spectral_terms_kept"] <= meta["spectral_terms"]
+        assert meta["spectral_dropped_mass"] <= meta["spectral_prune_budget"]
+        assert ("norm_error" in meta) == (model == "bipartite")

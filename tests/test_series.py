@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wplab import series
+from wplab import lab, series
+from wplab.bipartite import TwoModeParams, decompose_initial, occupancy_series
 from wplab.fock import pacs_amplitudes, quadrature_expectation
 from wplab.kerr import evolve_diagonal, generate_series_x, kerr_spectrum
+from wplab.presets import get_preset
 from wplab.series import block_rows, reduced_phases, spectral_series
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,7 +37,7 @@ def random_terms(seed, terms, max_freq=300.0):
 def freq_series(amp, freq, dt, steps):
     """The kernel on frequencies freq_j = E[j+1] - E[0] with levels [0, *freq]."""
     upper = np.arange(1, len(freq) + 1)
-    return spectral_series(amp, [0.0, *freq], upper, 0 * upper, dt, steps)
+    return spectral_series(amp, [0.0, *freq], upper, 0 * upper, dt, steps)[0]
 
 
 def level_freqs(levels, upper, lower):
@@ -90,7 +94,7 @@ class TestSpectralSeries:
         lower = np.concatenate(([1, 9, 23, 3, 2, 7, 5, 4], rng.integers(0, 24, 30)))
         amp = rng.normal(size=upper.size) + 1j * rng.normal(size=upper.size)
         dt = 1.3e-3
-        x = spectral_series(amp, levels, upper, lower, dt, steps)
+        x, _ = spectral_series(amp, levels, upper, lower, dt, steps)
         ks = boundary_indices(steps)
         expect = direct_sum(amp, level_freqs(levels, upper, lower), dt, ks)
         assert np.abs(x[ks] - expect).max() <= 1e-13 * np.abs(amp).sum()
@@ -100,13 +104,14 @@ class TestSpectralSeries:
         amp, levels = random_terms(11, 9)
         upper = np.arange(9)
         lower = np.roll(upper, 4)
-        x = spectral_series(amp, levels, lower, upper, 1e-2, 500)
-        y = spectral_series(np.conj(amp), levels, upper, lower, 1e-2, 500)
+        x, _ = spectral_series(amp, levels, lower, upper, 1e-2, 500)
+        y, _ = spectral_series(np.conj(amp), levels, upper, lower, 1e-2, 500)
         assert np.abs(x - y).max() <= 1e-13 * np.abs(amp).sum()
 
     def test_no_terms_is_zero(self):
-        assert np.array_equal(spectral_series([], [], [], [], 0.1, 7), np.zeros(7))
-        assert np.array_equal(spectral_series([], [1.0], [], [], 0.1, 7), np.zeros(7))
+        for levels in ([], [1.0]):
+            x, _ = spectral_series([], levels, [], [], 0.1, 7)
+            assert np.array_equal(x, np.zeros(7))
 
     @pytest.mark.parametrize(
         "upper, lower",
@@ -132,6 +137,175 @@ class TestSpectralSeries:
             spectral_series([1.0], [0.0, 1.0], [1], [0], 0.1, 0)
 
 
+def pruning_reference(mag, fraction):
+    """The pruning rule one term at a time: (kept indices, dropped mass).
+
+    Sorts by (|a|, index), totals in that order, then drops terms while
+    the running dropped sum stays within fraction * total.
+    """
+    order = sorted(range(len(mag)), key=lambda j: (mag[j], j))
+    total = 0.0
+    for j in order:
+        total += float(mag[j])
+    dropped, cut = 0.0, 0
+    for j in order:
+        if dropped + float(mag[j]) > fraction * total:
+            break
+        dropped += float(mag[j])
+        cut += 1
+    return sorted(order[cut:]), dropped
+
+
+def tabulated_levels(monkeypatch):
+    """Spy on ``reduced_phases``: the sorted level values of every call."""
+    calls = []
+    real = series.reduced_phases
+
+    def spy(freq, t):
+        calls.append(np.sort(np.asarray(freq, dtype=np.float64)))
+        return real(freq, t)
+
+    monkeypatch.setattr(series, "reduced_phases", spy)
+    return calls
+
+
+def term_sum(amp, levels, upper, lower, dt, ks, keep=None):
+    """direct_sum over the terms in ``keep`` (all when None)."""
+    keep = np.arange(len(amp)) if keep is None else np.asarray(keep, dtype=int)
+    freq = level_freqs(levels, np.asarray(upper)[keep], np.asarray(lower)[keep])
+    return direct_sum(np.asarray(amp)[keep], freq, dt, ks)
+
+
+# one term: (log10 |a|, arg a, upper, lower); levels are drawn from 12
+TERM = st.tuples(
+    st.floats(-20.0, 0.0),
+    st.floats(0.0, 2 * math.pi),
+    st.integers(0, 11),
+    st.integers(0, 11),
+)
+
+
+class TestPruning:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(TERM, min_size=1, max_size=40),
+        levels=st.lists(st.floats(-300.0, 300.0), min_size=12, max_size=12),
+        steps=st.integers(1, 3000),
+        fraction=st.sampled_from([series.PRUNE_FRACTION, 1e-9, 1e-3]),
+    )
+    def test_bound_against_direct_and_unpruned_sums(
+        self, terms, levels, steps, fraction
+    ):
+        expo, arg, upper, lower = (np.array(c) for c in zip(*terms))
+        amp = 10.0**expo * np.exp(1j * arg)
+        mass = np.abs(amp).sum()
+        dt = 1.3e-3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "PRUNE_FRACTION", fraction)
+            x, report = spectral_series(amp, levels, upper, lower, dt, steps)
+            mp.setattr(series, "PRUNE_FRACTION", 0.0)
+            y, _ = spectral_series(amp, levels, upper, lower, dt, steps)
+        keep, dropped = pruning_reference(np.abs(amp), fraction)
+        assert report["spectral_terms"] == len(terms)
+        assert report["spectral_terms_kept"] == len(keep)
+        lost, budget = report["spectral_dropped_mass"], report["spectral_prune_budget"]
+        assert lost == pytest.approx(dropped, rel=1e-12, abs=0)
+        assert lost <= budget
+        assert budget == pytest.approx(fraction * mass, rel=1e-12, abs=0)
+        ks = boundary_indices(steps)
+        kept_sum = term_sum(amp, levels, upper, lower, dt, ks, keep)
+        assert np.abs(x[ks] - kept_sum).max() <= 1e-13 * mass
+        if fraction == series.PRUNE_FRACTION:
+            full_sum = term_sum(amp, levels, upper, lower, dt, ks)
+            assert np.abs(x[ks] - full_sum).max() <= 1e-13 * mass
+        # each of x and y is within 1e-13 * mass of its exact sum, and the
+        # exact sums differ by at most the dropped mass
+        assert np.abs(x - y).max() <= lost + 2e-13 * mass
+
+    def test_all_zero_amplitudes(self, monkeypatch):
+        calls = tabulated_levels(monkeypatch)
+        upper, lower = [1, 2, 2, 0], [0, 0, 1, 2]
+        x, report = spectral_series(np.zeros(4), [0.0, 1.0, 2.5], upper, lower, 0.1, 50)
+        assert np.array_equal(x, np.zeros(50))
+        assert report["spectral_terms_kept"] == 0
+        assert report["spectral_dropped_mass"] == 0.0
+        assert all(c.size == 0 for c in calls)
+
+    def test_single_term_is_kept(self):
+        amp, levels = [3e-12j], [0.0, 7.0]
+        x, report = spectral_series(amp, levels, [1], [0], 0.01, 200)
+        assert report["spectral_terms_kept"] == 1
+        assert report["spectral_dropped_mass"] == 0.0
+        expect = term_sum(amp, levels, [1], [0], 0.01, np.arange(200))
+        assert np.abs(x - expect).max() <= 1e-13 * 3e-12
+
+    def test_term_above_budget_is_kept(self):
+        # 2e-14 exceeds the budget 1e-14 * (1 + 2e-14) by itself
+        amp = [1.0, 2e-14]
+        _, report = spectral_series(amp, [0.0, 3.0, 5.0], [1, 2], [0, 0], 0.01, 100)
+        assert report["spectral_terms_kept"] == 2
+        assert report["spectral_dropped_mass"] == 0.0
+
+    def test_ties_at_threshold_drop_lowest_index_first(self, monkeypatch):
+        # 300 terms of equal |a| = 7e-17 around one of 1: the budget
+        # 1e-14 * (1 + 2.1e-14) fits 142 of them, and the stable sort picks
+        # the lowest indices; term j has its own level 10 + j
+        tie = 7e-17 * np.resize([1.0, -1.0, 1j, -1j], 300)
+        amp = np.insert(tie, 150, 1.0)
+        levels = np.concatenate(([0.0], 10.0 + np.arange(amp.size)))
+        upper, lower = np.arange(1, amp.size + 1), np.zeros(amp.size, int)
+        calls = tabulated_levels(monkeypatch)
+        x, report = spectral_series(amp, levels, upper, lower, 0.01, 300)
+        again, _ = spectral_series(amp, levels, upper, lower, 0.01, 300)
+        assert np.array_equal(x, again)
+        keep = np.arange(142, amp.size)
+        assert report["spectral_terms_kept"] == keep.size
+        lost = report["spectral_dropped_mass"]
+        assert lost == pytest.approx(142 * 7e-17, rel=1e-13, abs=0)
+        assert all(np.array_equal(c, [0.0, *(10.0 + keep)]) for c in calls)
+        expect = term_sum(amp, levels, upper, lower, 0.01, np.arange(300), keep)
+        assert np.abs(x - expect).max() <= 1e-13 * np.abs(amp).sum()
+
+    def test_unused_levels_not_tabulated(self, monkeypatch):
+        # levels 0..29; the tiny terms alone reference levels 20..29, and
+        # levels 15..19 are referenced by nothing
+        rng = np.random.default_rng(8)
+        levels = rng.uniform(-50.0, 50.0, 30)
+        upper = np.concatenate((rng.integers(0, 15, 40), np.arange(20, 25)))
+        lower = np.concatenate((rng.integers(0, 15, 40), np.arange(25, 30)))
+        amp = np.concatenate((rng.normal(size=40) + 1j, np.full(5, 1e-18)))
+        calls = tabulated_levels(monkeypatch)
+        _, report = spectral_series(amp, levels, upper, lower, 1e-3, 5000)
+        assert report["spectral_terms_kept"] == 40
+        used = np.sort(levels[np.unique(np.concatenate((upper[:40], lower[:40])))])
+        assert len(calls) == 3
+        assert all(np.array_equal(c, used) for c in calls)
+
+    def test_pruning_with_chunked_terms(self, monkeypatch):
+        steps = 20_011
+        rows = block_rows(steps)
+        monkeypatch.setattr(series, "_TABLE_BYTES", 16 * rows * 3)
+        rng = np.random.default_rng(21)
+        amp = 10.0 ** rng.uniform(-20.0, 0.0, 60) * np.exp(2j * np.pi * rng.random(60))
+        freq = rng.uniform(-2000.0, 2000.0, 60)
+        upper = np.arange(1, 61)
+        x, report = spectral_series(amp, [0.0, *freq], upper, 0 * upper, 1e-3, steps)
+        assert report["spectral_terms_kept"] < 60
+        ks = boundary_indices(steps)
+        err = np.abs(x[ks] - direct_sum(amp, freq, 1e-3, ks)).max()
+        assert err <= 1e-13 * np.abs(amp).sum()
+
+    def test_two_mode_preset_keeps_few_pairs(self):
+        # fig11-14's sectors: under 10% of the pair terms carry all but
+        # 1e-14 of their mass
+        preset = get_preset("fig11-14")
+        p = TwoModeParams(**preset.params)
+        sectors = decompose_initial(lab.initial_field_state(preset.nu, preset.m), p)
+        meta = occupancy_series(sectors, p, preset.dt, 10).field.meta
+        assert meta["spectral_terms"] == sum(s.N * (s.N + 1) // 2 for s in sectors)
+        assert meta["spectral_terms_kept"] < 0.1 * meta["spectral_terms"]
+
+
 def test_exact_kerr_revival():
     # chi' = 0: E_{n+1} - E_n = 2 chi n, so every term returns at t = pi/chi
     chi = 1.0
@@ -155,7 +329,7 @@ amp = rng.normal(size=3000) + 1j * rng.normal(size=3000)
 freq = rng.uniform(-500.0, 500.0, 3000)
 levels = np.concatenate(([0.0], freq))
 upper = np.arange(1, 3001)
-x = spectral_series(amp, levels, upper, np.zeros(3000, int), 1e-3, 200_000)
+x, _ = spectral_series(amp, levels, upper, np.zeros(3000, int), 1e-3, 200_000)
 np.save(sys.argv[1], x)
 """
 
