@@ -2,54 +2,39 @@
 
 Subcommands: ``simulate`` (write a series file), ``analyze`` (run one
 analysis task on a series file), ``preset`` (run a catalogued
-experiment), ``list-presets``.  A flat ``key = value`` config file can
-seed any flag; explicit flags win.  Exit status: 0 success, 1 runtime
-error, 2 usage error.
+experiment), ``list-presets``.  The ``analyze`` option flags are
+generated from ``lab.OPTIONS``.
+
+``--config FILE`` reads flat ``key = value`` lines (``#`` starts a
+comment).  The keys are the subcommands' optional flags without the
+leading dashes (``max-lag`` or ``max_lag``); a value goes through the
+same conversion and choices as its flag, and a switch such as ``svg``
+takes yes/no, true/false, on/off or 1/0.  Config values become the
+defaults; explicit flags win.  One config file may serve several tasks,
+so ``analyze`` passes on only the config values its ``--task`` owns,
+while a flag the task does not own is an error.
+
+Exit status: 0 success, 1 runtime error, 2 usage error (a bad flag,
+config value or analysis option, found before any file is read).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 from . import lab
-from .lab import ANALYSIS_TASKS
 
-# config keys and the conversion applied to their values
-_CONFIG_TYPES = {
-    "dt": float,
-    "steps": int,
-    "nu": float,
-    "m": int,
-    "chi": float,
-    "chi_prime_ratio": float,
-    "g": float,
-    "omega": float,
-    "omega0": float,
-    "gamma_over_g": float,
-    "cell": str,
-    "mode": str,
-    "out": str,
-    "full_scale": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "svg": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "bin_width": float,
-    "window_start": int,
-    "window_len": int,
-    "epsilon_frac": float,
-    "delay": int,
-    "dimension": int,
-    "theiler": int,
-    "horizon": int,
-    "method": str,
-    "threshold": float,
-    "max_lag": int,
-    "bins": int,
+_SWITCH = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
 }
 
 
-def read_config(path: str | Path) -> dict:
-    """Flat key = value lines; # starts a comment."""
+def read_config(path: str | Path) -> dict[str, str]:
+    """Flat key = value lines, values as text; # starts a comment."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -58,15 +43,46 @@ def read_config(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = _CONFIG_TYPES[key](val.strip())
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
+def _config_value(action: argparse.Action, value):
+    """A config value through the same conversion and choices as its flag."""
+    if isinstance(value, str):
+        try:
+            if action.nargs == 0:  # an on/off switch
+                value = _SWITCH[value.lower()]
+            elif action.type is not None:
+                value = action.type(value)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"invalid {action.dest} value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"invalid {action.dest} value {value!r}; expected one of "
+            f"{', '.join(action.choices)}"
+        )
+    return value
+
+
+def _option_help(opt: lab.Option) -> str:
+    default = opt.default
+    if isinstance(default, dict):
+        shown = ", ".join(f"{value:g} for {task}" for task, value in default.items())
+        default = f" [{shown}]"
+    elif default is None or callable(default):
+        default = ""  # the help names a derived default
+    else:
+        default = f" [{default}]"
+    return f"{opt.help}{default}; tasks: {', '.join(opt.tasks)}"
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``config`` values become the subcommands' defaults."""
+    """The CLI parser; ``config`` values become the subcommands' defaults.
+
+    Raises ``ValueError`` for a config key that is no optional flag, or a
+    value its flag would reject.
+    """
     parser = argparse.ArgumentParser(
         prog="wplab",
         description="Wave-packet dynamics laboratory: simulate nonlinear "
@@ -74,100 +90,68 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
+    # dest -> (subparser, action) of each optional flag, which a config can seed
+    flags = defaultdict(list)
+
+    def flag(subparser, name, **kwargs):
+        action = subparser.add_argument(name, **kwargs)
+        flags[action.dest].append((subparser, action))
 
     sim = sub.add_parser("simulate", help="generate a series file")
     sim.add_argument("--model", choices=("kerr", "bipartite"), required=True)
-    sim.add_argument("--nu", type=float, default=1.0, help="mean photon number")
-    sim.add_argument("--m", type=int, default=0, help="photon additions")
-    sim.add_argument("--chi", type=float, default=1.0)
-    sim.add_argument(
-        "--chi-prime-ratio", type=float, default=0.01, help="chi'/chi (kerr)"
-    )
-    sim.add_argument("--g", type=float, default=1.0)
-    sim.add_argument("--omega", type=float, default=1.0)
-    sim.add_argument("--omega0", type=float, default=1.0)
-    sim.add_argument(
-        "--gamma-over-g", type=float, default=0.01, help="gamma/g (bipartite)"
-    )
-    sim.add_argument("--dt", type=float, default=1e-3)
-    sim.add_argument("--steps", type=int, default=100_000)
-    sim.add_argument("--out", default=".", help="output directory")
+    flag(sim, "--nu", type=float, default=1.0, help="mean photon number")
+    flag(sim, "--m", type=int, default=0, help="photon additions")
+    flag(sim, "--chi", type=float, default=1.0)
+    flag(sim, "--chi-prime-ratio", type=float, default=0.01, help="chi'/chi (kerr)")
+    flag(sim, "--g", type=float, default=1.0)
+    flag(sim, "--omega", type=float, default=1.0)
+    flag(sim, "--omega0", type=float, default=1.0)
+    flag(sim, "--gamma-over-g", type=float, default=0.01, help="gamma/g (bipartite)")
+    flag(sim, "--dt", type=float, default=1e-3)
+    flag(sim, "--steps", type=int, default=100_000)
+    flag(sim, "--out", default=".", help="output directory")
 
     ana = sub.add_parser("analyze", help="run one analysis task on a series file")
-    ana.add_argument("--task", choices=ANALYSIS_TASKS, required=True)
+    ana.add_argument("--task", choices=lab.ANALYSIS_TASKS, required=True)
     ana.add_argument("--series", required=True, help="input .wprs file")
-    ana.add_argument("--out", default=None, help="output directory")
-    ana.add_argument("--cell", default=None, help="LO:HI value cell")
-    ana.add_argument("--mode", choices=("entry", "visit"), default="entry")
-    ana.add_argument("--bin-width", type=float, default=None)
-    ana.add_argument("--window-start", type=int, default=None)
-    ana.add_argument("--window-len", type=int, default=None)
-    ana.add_argument("--epsilon-frac", type=float, default=None)
-    ana.add_argument("--delay", type=int, default=None)
-    ana.add_argument("--dimension", type=int, default=None)
-    ana.add_argument("--theiler", type=int, default=None)
-    ana.add_argument("--horizon", type=int, default=None)
-    ana.add_argument("--method", choices=("rosenstein", "kantz"), default=None)
-    ana.add_argument("--threshold", type=float, default=None)
-    ana.add_argument("--max-lag", type=int, default=None)
-    ana.add_argument("--bins", type=int, default=None)
-    ana.add_argument("--svg", action="store_true")
+    flag(ana, "--out", default=None, help="output directory")
+    for name, opt in lab.OPTIONS.items():
+        flag(
+            ana,
+            "--" + name.replace("_", "-"),
+            type=opt.type,
+            choices=opt.choices or None,
+            help=_option_help(opt),
+        )
+    flag(ana, "--svg", action="store_true")
 
     pre = sub.add_parser("preset", help="run a catalogued experiment")
     pre.add_argument("id", help="preset id (see list-presets)")
-    pre.add_argument("--out", default=".", help="output directory")
-    pre.add_argument("--steps", type=int, default=None)
-    pre.add_argument("--dt", type=float, default=None)
-    pre.add_argument(
-        "--full-scale", action="store_true", help="full-length series (1e7 samples)"
-    )
-    pre.add_argument("--svg", action="store_true")
+    flag(pre, "--out", default=".", help="output directory")
+    flag(pre, "--steps", type=int, default=None)
+    flag(pre, "--dt", type=float, default=None)
+    flag(pre, "--full-scale", action="store_true", help="1e7-sample series")
+    flag(pre, "--svg", action="store_true")
 
     sub.add_parser("list-presets", help="list preset ids")
-    if config:
-        # a subcommand's own defaults win over the top-level parser's, so
-        # the config values go to each subcommand
-        for subparser in (sim, ana, pre):
-            subparser.set_defaults(**config)
+    for key, value in (config or {}).items():
+        if key not in flags:
+            raise ValueError(f"unknown config key {key!r}")
+        # a subcommand's own defaults win over the top-level parser's
+        for subparser, action in flags[key]:
+            subparser.set_defaults(**{key: _config_value(action, value)})
     return parser
 
 
-def _analyze_options(args) -> dict:
-    opts = {}
-    for key in (
-        "cell",
-        "mode",
-        "bin_width",
-        "window_start",
-        "window_len",
-        "epsilon_frac",
-        "delay",
-        "dimension",
-        "theiler",
-        "horizon",
-        "method",
-        "threshold",
-        "max_lag",
-        "bins",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    return opts
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
+    args = given = build_parser().parse_args(argv)
     if args.config:
         try:
-            defaults = read_config(args.config)
+            parser = build_parser(read_config(args.config))
         except (OSError, ValueError) as exc:
             print(f"wplab: config error: {exc}", file=sys.stderr)
             return 2
-        args = build_parser(defaults).parse_args(argv)
+        args = parser.parse_args(argv)
 
     try:
         if args.command == "list-presets":
@@ -195,12 +179,14 @@ def main(argv=None) -> int:
             )
             print(path)
         elif args.command == "analyze":
+            # every flag given, and the config values the task owns
+            options = {
+                name: getattr(args, name)
+                for name, opt in lab.OPTIONS.items()
+                if getattr(given, name) is not None or args.task in opt.tasks
+            }
             written = lab.analyze(
-                args.task,
-                args.series,
-                _analyze_options(args),
-                out_dir=args.out,
-                svg=args.svg,
+                args.task, args.series, options, out_dir=args.out, svg=args.svg
             )
             for p in written:
                 print(p)
@@ -217,6 +203,9 @@ def main(argv=None) -> int:
                   f"{manifest.wall_time_s:.1f}s")
             for rec in manifest.outputs:
                 print(f"  {rec['path']}  {rec['sha256'][:12]}")
+    except lab.OptionError as exc:
+        print(f"wplab: usage error: {exc}", file=sys.stderr)
+        return 2
     except KeyError as exc:
         print(f"wplab: {exc.args[0]}", file=sys.stderr)
         return 1

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .embed import (
 )
 from .fock import FockState, TruncationPolicy, choose_truncation, pacs_amplitudes
 from .kerr import generate_series_x, kerr_spectrum
-from .presets import PRESETS, AnalysisTask, ExperimentPreset, TablePreset, get_preset
+from .presets import PRESETS, ExperimentPreset, TablePreset, get_preset
 from .recur import (
     Cell,
     first_return_times,
@@ -126,18 +127,179 @@ def simulate(
     return seriesio.write_series(ts, out)
 
 
-def _parse_cell(value, series: TimeSeries, width: float = 0.01) -> Cell:
-    """Cell from an option value; half-open median-centered cell by default."""
-    if value is None:
-        mid = float(np.median(series.values))
-        return Cell(mid - width / 2.0, mid + width / 2.0)
+# fixed analysis settings: no caller needs another value
+CELL_WIDTH = 0.01  # width of the default median-centred return-time cell
+MI_MIN_WINDOW = 5  # smoothing window of the mutual-information minimum
+FNN_D_MAX = 8  # largest embedding dimension FNN tries
+
+
+class OptionError(ValueError):
+    """An analysis option its task does not take, or a value it cannot use."""
+
+
+def integer(value) -> int:
+    """An integer, or its decimal text."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def number(value) -> float:
+    """A real number, or its text."""
+    if isinstance(value, str):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def cell(value) -> Cell:
+    """A ``Cell``, a ``(lo, hi)`` pair or ``"LO:HI"`` text."""
     if isinstance(value, Cell):
         return value
     if isinstance(value, str):
-        lo, _, hi = value.partition(":")
-        return Cell(float(lo), float(hi))
+        lo, sep, hi = value.partition(":")
+        if not sep:
+            raise ValueError(f"expected LO:HI, got {value!r}")
+        value = (lo, hi)
     lo, hi = value
-    return Cell(float(lo), float(hi))
+    return Cell(number(lo), number(hi))
+
+
+def _median_cell(series: TimeSeries) -> Cell:
+    mid = float(np.median(series.values))
+    return Cell(mid - CELL_WIDTH / 2.0, mid + CELL_WIDTH / 2.0)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One analysis option: conversion, default, owning tasks, help, choices.
+
+    ``default`` is a value, a ``{task: value}`` map where the tasks
+    differ, or a function: a default derived from the series, which the
+    resolver leaves as None and ``_derived`` computes once its inputs
+    (named in the help) are known.
+    """
+
+    type: Callable[[Any], Any]
+    default: Any
+    tasks: tuple[str, ...]
+    help: str
+    choices: tuple[str, ...] = ()
+
+
+_LYAPUNOV = ("lyapunov", "classify")
+
+OPTIONS: dict[str, Option] = {
+    "cell": Option(
+        cell, _median_cell, ("f1", "f2"),
+        f"LO:HI value cell [median-centred, width {CELL_WIDTH:g}]",
+    ),
+    "mode": Option(
+        str, "entry", ("f1", "f2"), "count cell entries or visiting samples",
+        ("entry", "visit"),
+    ),
+    "bin_width": Option(number, 0.01, ("density",), "value bin width"),
+    "window_start": Option(integer, 0, ("rp",), "first sample of the window"),
+    "window_len": Option(
+        integer, lambda samples: min(4000, samples), ("rp",),
+        "window length [min(4000, samples)]",
+    ),
+    "epsilon_frac": Option(
+        number, {"rp": 0.1, "lyapunov": 0.2, "classify": 0.2}, ("rp", *_LYAPUNOV),
+        "recurrence (rp) or Kantz neighbourhood radius over the series std",
+    ),
+    "delay": Option(
+        integer, None, ("rp", "fnn", *_LYAPUNOV),
+        "embedding delay in samples [mutual-information minimum]",
+    ),
+    "dimension": Option(
+        integer, None, ("rp", *_LYAPUNOV),
+        "embedding dimension [false nearest neighbours]",
+    ),
+    "max_lag": Option(
+        integer, lambda samples: min(1000, max(20, samples // 100)),
+        ("mi", *_LYAPUNOV), "largest lag searched [min(1000, max(20, samples // 100))]",
+    ),
+    "bins": Option(integer, 16, ("mi", *_LYAPUNOV), "mutual-information bins per axis"),
+    "theiler": Option(
+        integer, lambda delay: 2 * delay, _LYAPUNOV, "Theiler window [2 * delay]"
+    ),
+    "horizon": Option(
+        integer, lambda delay: 50 * delay, _LYAPUNOV,
+        "divergence horizon in samples [50 * delay]",
+    ),
+    "method": Option(
+        str, "rosenstein", _LYAPUNOV, "divergence estimator", ("rosenstein", "kantz")
+    ),
+    "curve_stride": Option(
+        integer, lambda horizon: max(1, horizon // 200), _LYAPUNOV,
+        "samples between divergence-curve points [max(1, horizon // 200)]",
+    ),
+    "max_reference": Option(integer, 4000, _LYAPUNOV, "most reference points used"),
+    "threshold": Option(number, 0.01, ("classify",), "smallest chaotic lambda_max"),
+}
+
+
+def resolve_options(task: str, options: Optional[dict[str, Any]]) -> dict[str, Any]:
+    """Check ``options`` against ``task`` and fill in its defaults.
+
+    Every option the task owns gets a value; a derived default stays
+    None (see ``_derived``), as does an unset embedding.  A None value
+    counts as unset, so a resolved dict resolves to itself.  Raises
+    ``OptionError`` naming the task and the key.
+    """
+    if task not in ANALYSIS_TASKS:
+        raise OptionError(
+            f"unknown task {task!r}; expected one of {', '.join(ANALYSIS_TASKS)}"
+        )
+    given = {k: v for k, v in (options or {}).items() if v is not None}
+    foreign = [k for k in given if k not in OPTIONS or task not in OPTIONS[k].tasks]
+    if foreign:
+        names = ", ".join(map(repr, sorted(foreign)))
+        raise OptionError(f"task {task!r} takes no option {names}")
+    resolved = {}
+    for name, opt in OPTIONS.items():
+        if task not in opt.tasks:
+            continue
+        if name not in given:
+            default = opt.default
+            if isinstance(default, dict):
+                default = default[task]
+            resolved[name] = None if callable(default) else default
+            continue
+        try:
+            value = opt.type(given[name])
+        except (TypeError, ValueError) as exc:
+            raise OptionError(f"task {task!r}, option {name!r}: {exc}") from None
+        if opt.choices and value not in opt.choices:
+            raise OptionError(
+                f"task {task!r}, option {name!r}: {value!r} is not one of "
+                f"{', '.join(opt.choices)}"
+            )
+        resolved[name] = value
+    if task == "fnn" and resolved["delay"] is None:
+        raise OptionError("task 'fnn' requires option 'delay'")
+    if task == "rp" and (resolved["delay"] is None) != (resolved["dimension"] is None):
+        raise OptionError("task 'rp' takes options 'delay' and 'dimension' together")
+    return resolved
+
+
+def _derived(options: dict[str, Any], name: str, *inputs):
+    """A resolved option's value, or its default derived from ``inputs``."""
+    value = options[name]
+    return OPTIONS[name].default(*inputs) if value is None else value
+
+
+def _mutual_information(series: TimeSeries, options: dict[str, Any]):
+    return mutual_information_delay(
+        series,
+        max_lag=_derived(options, "max_lag", len(series)),
+        bins=options["bins"],
+        min_window=MI_MIN_WINDOW,
+    )
 
 
 def choose_embedding(
@@ -145,38 +307,27 @@ def choose_embedding(
 ) -> tuple[EmbeddingSpec, dict[str, Any]]:
     """Delay from the mutual-information minimum, dimension from FNN.
 
-    Explicit ``delay``/``dimension`` options short-circuit the automatic
-    choice.  When FNN never drops below 1%, the smallest dimension under
-    5% is used (flagged), else d_max.
+    ``options`` are resolved Lyapunov options; an explicit ``delay`` or
+    ``dimension`` short-circuits the automatic choice.  When FNN never
+    drops below 1%, the smallest dimension under 5% is used (flagged),
+    else ``FNN_D_MAX``.
     """
     info: dict[str, Any] = {}
-    delay = options.get("delay")
+    delay = options["delay"]
     if delay is None:
-        mi = mutual_information_delay(
-            series,
-            max_lag=int(options.get("max_lag", min(1000, max(20, len(series) // 100)))),
-            bins=int(options.get("bins", 16)),
-            min_window=int(options.get("min_window", 5)),
-        )
+        mi = _mutual_information(series, options)
         delay = mi.lag
         info["mi_lag"] = mi.lag
         info["mi_has_minimum"] = mi.has_minimum
-    dimension = options.get("dimension")
+    dimension = options["dimension"]
     if dimension is None:
-        fnn = false_nearest_neighbors(
-            series,
-            delay=int(delay),
-            d_max=int(options.get("d_max", 8)),
-            r_tol=float(options.get("r_tol", 15.0)),
-        )
+        fnn = false_nearest_neighbors(series, delay=int(delay), d_max=FNN_D_MAX)
         info["fnn_fractions"] = [round(float(f), 6) for f in fnn.fnn_fractions]
         if fnn.dimension is not None:
             dimension = fnn.dimension
         else:
             under = np.flatnonzero(fnn.fnn_fractions < 0.05)
-            dimension = int(under[0]) + 1 if under.size else int(
-                options.get("d_max", 8)
-            )
+            dimension = int(under[0]) + 1 if under.size else FNN_D_MAX
             info["fnn_relaxed"] = True
         info["fnn_dimension"] = int(dimension)
     return EmbeddingSpec(int(delay), int(dimension)), info
@@ -184,33 +335,120 @@ def choose_embedding(
 
 def _run_lyapunov(series: TimeSeries, options: dict[str, Any]):
     spec, info = choose_embedding(series, options)
-    theiler = int(options.get("theiler", 2 * spec.delay))
-    horizon = int(options.get("horizon", 50 * spec.delay))
-    method = options.get("method", "rosenstein")
-    stride = int(options.get("curve_stride", max(1, horizon // 200)))
-    max_ref = int(options.get("max_reference", 4000))
+    theiler = _derived(options, "theiler", spec.delay)
+    horizon = _derived(options, "horizon", spec.delay)
+    stride = _derived(options, "curve_stride", horizon)
+    method = options["method"]
+    limits = {"max_reference": options["max_reference"], "curve_stride": stride}
     if method == "rosenstein":
-        result = lyapunov_rosenstein(
-            series, spec, theiler, horizon, max_reference=max_ref, curve_stride=stride
-        )
-    elif method == "kantz":
-        result = lyapunov_kantz(
-            series,
-            spec,
-            theiler,
-            float(options.get("epsilon_frac", 0.2)),
-            horizon,
-            max_reference=max_ref,
-            curve_stride=stride,
-        )
+        result = lyapunov_rosenstein(series, spec, theiler, horizon, **limits)
     else:
-        raise ValueError(f"unknown lyapunov method {method!r}")
+        eps = options["epsilon_frac"]
+        result = lyapunov_kantz(series, spec, theiler, eps, horizon, **limits)
     info.update(theiler=theiler, horizon=horizon, method=method)
     return result, info
 
 
-def _lyapunov_payload(result, info) -> dict[str, Any]:
-    return {
+def analyze(
+    task: str,
+    series_file: str | Path,
+    options: Optional[dict[str, Any]] = None,
+    out_dir: Optional[str | Path] = None,
+    svg: bool = False,
+) -> list[Path]:
+    """Run one analysis task against a series file; returns written paths.
+
+    The options are resolved (``resolve_options``) before the series is read.
+    """
+    options = resolve_options(task, options)
+    series_file = Path(series_file)
+    out_dir = Path(out_dir) if out_dir is not None else series_file.parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = series_file.name.removesuffix(".wprs")
+    ts = seriesio.read_series(series_file)
+    # listed before each write, so a failure removes what exists
+    written: list[Path] = []
+
+    def out_path(suffix: str) -> Path:
+        written.append(out_dir / f"{stem}_{task}.{suffix}")
+        return written[-1]
+
+    try:
+        plot = _run_task(task, ts, options, out_path)
+        if svg and plot is not None:
+            plot(out_path("svg"))
+    except BaseException:
+        for p in written:
+            p.unlink(missing_ok=True)
+        raise
+    return written
+
+
+def _run_task(task: str, ts: TimeSeries, options: dict[str, Any], out_path):
+    """Write the task's exports; returns its svg writer, or None."""
+    if task in ("f1", "f2"):
+        value_cell = _derived(options, "cell", ts)
+        hist_fn = first_return_times if task == "f1" else second_return_times
+        h = hist_fn(ts, value_cell, options["mode"])
+        seriesio.write_histogram(h, out_path("txt"), cell=value_cell, kind=task)
+        return lambda path: svgmod.bars_svg(
+            h.taus(), h.count_array(), path, f"{task} histogram"
+        )
+    if task == "density":
+        d = invariant_density(ts, options["bin_width"])
+        seriesio.write_density(d, out_path("txt"))
+        return lambda path: svgmod.curve_svg(
+            d.centers(), d.density(), path, "invariant density"
+        )
+    if task == "returnmap":
+        pairs = return_map(ts, use_maxima=True)
+        seriesio.write_pairs(
+            pairs,
+            out_path("txt"),
+            "return map",
+            "max_k max_k+1",
+            {"use_maxima": True, "pairs": len(pairs)},
+        )
+        return lambda path: svgmod.points_svg(
+            pairs[:, 0], pairs[:, 1], path, "return map"
+        )
+    if task == "rp":
+        spec = None
+        if options["delay"] is not None:
+            spec = EmbeddingSpec(options["delay"], options["dimension"])
+        rp = recurrence_matrix(
+            ts,
+            options["window_start"],
+            _derived(options, "window_len", len(ts)),
+            options["epsilon_frac"],
+            embed=spec,
+        )
+        seriesio.write_recurrence(rp, out_path("txt"))
+        return lambda path: svgmod.points_svg(
+            rp.pairs[:, 0], rp.pairs[:, 1], path, "recurrence plot"
+        )
+    if task == "mi":
+        mi = _mutual_information(ts, options)
+        seriesio.write_pairs(
+            np.column_stack((np.arange(1, mi.curve.size + 1), mi.curve)),
+            out_path("txt"),
+            "mutual information",
+            "lag mi_nats",
+            {"lag": mi.lag, "has_minimum": mi.has_minimum},
+        )
+        return None
+    if task == "fnn":
+        f = false_nearest_neighbors(ts, delay=options["delay"], d_max=FNN_D_MAX)
+        seriesio.write_pairs(
+            np.column_stack((np.arange(1, f.fnn_fractions.size + 1), f.fnn_fractions)),
+            out_path("txt"),
+            "false nearest neighbors",
+            "dimension fraction",
+            {"dimension": f.dimension, "delay": options["delay"]},
+        )
+        return None
+    result, info = _run_lyapunov(ts, options)
+    payload = {
         "lambda_max": result.lambda_max,
         "fit_range": list(result.fit_range),
         "fit_r2": result.fit_r2,
@@ -222,220 +460,62 @@ def _lyapunov_payload(result, info) -> dict[str, Any]:
         },
         "selection": info,
     }
-
-
-def analyze(
-    task: str,
-    series_file: str | Path,
-    options: Optional[dict[str, Any]] = None,
-    out_dir: Optional[str | Path] = None,
-    svg: bool = False,
-) -> list[Path]:
-    """Run one analysis task against a series file; returns written paths."""
-    if task not in ANALYSIS_TASKS:
-        raise ValueError(
-            f"unknown task {task!r}; expected one of {', '.join(ANALYSIS_TASKS)}"
-        )
-    options = dict(options or {})
-    series_file = Path(series_file)
-    out_dir = Path(out_dir) if out_dir is not None else series_file.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = series_file.name.removesuffix(".wprs")
-    ts = seriesio.read_series(series_file)
-    written: list[Path] = []
-
-    def out_path(suffix: str) -> Path:
-        return out_dir / f"{stem}_{suffix}"
-
-    try:
-        _dispatch_analysis(task, ts, options, out_path, written, svg)
-    except BaseException:
-        for p in written:
-            Path(p).unlink(missing_ok=True)
-        raise
-    return written
-
-
-def _dispatch_analysis(
-    task: str,
-    ts: TimeSeries,
-    options: dict[str, Any],
-    out_path,
-    written: list[Path],
-    svg: bool,
-) -> None:
-    if task in ("f1", "f2"):
-        cell = _parse_cell(options.get("cell"), ts, float(options.get("cell_width", 0.01)))
-        mode = options.get("mode", "entry")
-        hist_fn = first_return_times if task == "f1" else second_return_times
-        h = hist_fn(ts, cell, mode)
-        written.append(
-            seriesio.write_histogram(h, out_path(f"{task}.txt"), cell=cell, kind=task)
-        )
-        if svg:
-            written.append(
-                svgmod.bars_svg(
-                    h.taus(), h.count_array(), out_path(f"{task}.svg"), f"{task} histogram"
-                )
-            )
-    elif task == "density":
-        d = invariant_density(ts, float(options.get("bin_width", 0.01)))
-        written.append(seriesio.write_density(d, out_path("density.txt")))
-        if svg:
-            written.append(
-                svgmod.curve_svg(
-                    d.centers(), d.density(), out_path("density.svg"), "invariant density"
-                )
-            )
-    elif task == "returnmap":
-        pairs = return_map(ts, use_maxima=bool(options.get("use_maxima", True)))
-        written.append(
-            seriesio.write_pairs(
-                pairs,
-                out_path("returnmap.txt"),
-                "return map",
-                "max_k max_k+1",
-                {"use_maxima": options.get("use_maxima", True), "pairs": len(pairs)},
-            )
-        )
-        if svg:
-            written.append(
-                svgmod.points_svg(
-                    pairs[:, 0], pairs[:, 1], out_path("returnmap.svg"), "return map"
-                )
-            )
-    elif task == "rp":
-        spec = None
-        if "delay" in options and "dimension" in options:
-            spec = EmbeddingSpec(int(options["delay"]), int(options["dimension"]))
-        rp = recurrence_matrix(
-            ts,
-            int(options.get("window_start", 0)),
-            int(options.get("window_len", min(4000, len(ts)))),
-            float(options.get("epsilon_frac", 0.1)),
-            embed=spec,
-        )
-        written.append(seriesio.write_recurrence(rp, out_path("rp.txt")))
-        if svg:
-            written.append(
-                svgmod.points_svg(
-                    rp.pairs[:, 0], rp.pairs[:, 1], out_path("rp.svg"), "recurrence plot"
-                )
-            )
-    elif task == "mi":
-        mi = mutual_information_delay(
-            ts,
-            max_lag=int(options.get("max_lag", min(1000, max(20, len(ts) // 100)))),
-            bins=int(options.get("bins", 16)),
-            min_window=int(options.get("min_window", 5)),
-        )
-        curve = np.column_stack((np.arange(1, mi.curve.size + 1), mi.curve))
-        written.append(
-            seriesio.write_pairs(
-                curve,
-                out_path("mi.txt"),
-                "mutual information",
-                "lag mi_nats",
-                {"lag": mi.lag, "has_minimum": mi.has_minimum},
-            )
-        )
-    elif task == "fnn":
-        if "delay" not in options:
-            raise ValueError("fnn requires a 'delay' option")
-        f = false_nearest_neighbors(
-            ts,
-            delay=int(options["delay"]),
-            d_max=int(options.get("d_max", 8)),
-            r_tol=float(options.get("r_tol", 15.0)),
-        )
-        curve = np.column_stack(
-            (np.arange(1, f.fnn_fractions.size + 1), f.fnn_fractions)
-        )
-        written.append(
-            seriesio.write_pairs(
-                curve,
-                out_path("fnn.txt"),
-                "false nearest neighbors",
-                "dimension fraction",
-                {"dimension": f.dimension, "delay": int(options["delay"])},
-            )
-        )
-    elif task == "lyapunov":
-        result, info = _run_lyapunov(ts, options)
-        written.append(
-            seriesio.write_pairs(
-                result.divergence_curve,
-                out_path("lyapunov.txt"),
-                "divergence curve",
-                "delta_k mean_log_distance",
-                {
-                    "lambda_max": repr(float(result.lambda_max)),
-                    "fit_range": f"{result.fit_range[0]}:{result.fit_range[1]}",
-                    "fit_r2": repr(float(result.fit_r2)),
-                    "method": result.method,
-                    "delay": result.embedding.delay,
-                    "dimension": result.embedding.dimension,
-                },
-            )
-        )
-        written.append(
-            seriesio.write_json(_lyapunov_payload(result, info), out_path("lyapunov.json"))
-        )
-        if svg:
-            written.append(
-                svgmod.curve_svg(
-                    result.divergence_curve[:, 0],
-                    result.divergence_curve[:, 1],
-                    out_path("lyapunov.svg"),
-                    "divergence curve",
-                )
-            )
-    elif task == "classify":
-        result, info = _run_lyapunov(ts, options)
-        verdict = classify(result, float(options.get("threshold", 0.01)))
-        payload = _lyapunov_payload(result, info)
+    if task == "classify":
+        verdict = classify(result, options["threshold"])
         payload.update(label=verdict.label, ambiguous=verdict.ambiguous)
-        written.append(seriesio.write_json(payload, out_path("classify.json")))
+        seriesio.write_json(payload, out_path("json"))
+        return None
+    curve = result.divergence_curve
+    seriesio.write_pairs(
+        curve,
+        out_path("txt"),
+        "divergence curve",
+        "delta_k mean_log_distance",
+        {
+            "lambda_max": repr(float(result.lambda_max)),
+            "fit_range": f"{result.fit_range[0]}:{result.fit_range[1]}",
+            "fit_r2": repr(float(result.fit_r2)),
+            "method": result.method,
+            "delay": result.embedding.delay,
+            "dimension": result.embedding.dimension,
+        },
+    )
+    seriesio.write_json(payload, out_path("json"))
+    return lambda path: svgmod.curve_svg(
+        curve[:, 0], curve[:, 1], path, "divergence curve"
+    )
 
 
 def list_presets() -> list[str]:
     return sorted(PRESETS)
 
 
-def _resolve_steps(preset, steps: Optional[int], full_scale: bool) -> int:
-    if steps is not None:
-        return int(steps)
-    return preset.full_steps if full_scale else preset.steps
-
-
 def _check_steps(preset, steps: int) -> None:
-    """Reject a series length the preset's analyses cannot use.
+    """Resolve the preset's options and reject a series length they cannot use.
 
     Runs before any simulation: a recurrence window must fit the series,
     and a Lyapunov fit needs more than 10 * horizon samples.
     """
-    horizons = []
     if isinstance(preset, TablePreset):
-        horizons.append(preset.lyapunov_options.get("horizon"))
+        analyses = [("classify", preset.lyapunov_options)]
     else:
-        for item in preset.analyses:
-            if item.task == "rp":
-                end = int(item.options.get("window_start", 0)) + int(
-                    item.options.get("window_len", min(4000, steps))
+        analyses = [(item.task, item.options) for item in preset.analyses]
+    for task, options in analyses:
+        options = resolve_options(task, options)
+        if task == "rp":
+            end = options["window_start"] + _derived(options, "window_len", steps)
+            if end > steps:
+                raise ValueError(
+                    f"{preset.id}: recurrence window ending at {end} does not "
+                    f"fit {steps} steps"
                 )
-                if end > steps:
-                    raise ValueError(
-                        f"{preset.id}: recurrence window ending at {end} does not "
-                        f"fit {steps} steps"
-                    )
-            elif item.task in ("lyapunov", "classify"):
-                horizons.append(item.options.get("horizon"))
-    for horizon in horizons:
-        if horizon is not None and steps <= 10 * int(horizon):
-            raise ValueError(
-                f"{preset.id}: Lyapunov horizon {horizon} needs more than "
-                f"{10 * int(horizon)} steps, got {steps}"
-            )
+        elif task in _LYAPUNOV and options["horizon"] is not None:
+            horizon = options["horizon"]
+            if steps <= 10 * horizon:
+                raise ValueError(
+                    f"{preset.id}: Lyapunov horizon {horizon} needs more than "
+                    f"{10 * horizon} steps, got {steps}"
+                )
 
 
 def _preset_outputs(
@@ -458,11 +538,12 @@ def _preset_outputs(
 def _table_outputs(
     preset: TablePreset, out_dir: Path, steps: int, dt: float, written: list[Path]
 ) -> None:
+    options = resolve_options("classify", preset.lyapunov_options)
     rows = []
     for entry in preset.entries:
         ts = simulate_series(entry.model, entry.params, entry.nu, entry.m, dt, steps)
-        result, info = _run_lyapunov(ts, dict(preset.lyapunov_options))
-        verdict = classify(result, float(preset.lyapunov_options.get("threshold", 0.01)))
+        result, info = _run_lyapunov(ts, options)
+        verdict = classify(result, options["threshold"])
         rows.append(
             {
                 "label": entry.label,
@@ -506,7 +587,9 @@ def run_preset(
     preset = get_preset(preset_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_steps = _resolve_steps(preset, steps, full_scale)
+    if steps is None:
+        steps = preset.full_steps if full_scale else preset.steps
+    run_steps = int(steps)
     run_dt = float(dt) if dt is not None else preset.dt
     _check_steps(preset, run_steps)
 
@@ -545,21 +628,6 @@ def run_preset(
         }
         for p in written
     ]
-    manifest = RunManifest(
-        preset=preset_id,
-        parameters=parameters,
-        outputs=outputs,
-        wall_time_s=wall,
-        assumptions=tuple(preset.notes),
-    )
-    seriesio.write_json(
-        {
-            "preset": manifest.preset,
-            "parameters": manifest.parameters,
-            "outputs": manifest.outputs,
-            "wall_time_s": manifest.wall_time_s,
-            "assumptions": list(manifest.assumptions),
-        },
-        out_dir / f"{preset_id}_manifest.json",
-    )
+    manifest = RunManifest(preset_id, parameters, outputs, wall, tuple(preset.notes))
+    seriesio.write_json(asdict(manifest), out_dir / f"{preset_id}_manifest.json")
     return manifest

@@ -66,178 +66,75 @@ _BIP_DT_NOTE = (
 _MODEL_LYAP = {
     "max_lag": 400,
     "bins": 16,
-    "min_window": 5,
-    "d_max": 8,
     "horizon": 4000,
     "curve_stride": 20,
     "max_reference": 2000,
 }
 
-PRESETS: dict[str, ExperimentPreset | TablePreset] = {}
+_F1 = AnalysisTask("f1", {"mode": "entry"})
+_F2 = AnalysisTask("f2", {"mode": "entry"})
+_RP = AnalysisTask("rp", {"window_start": 0, "window_len": 4000, "epsilon_frac": 0.1})
+_RP_NOTE = "series length equals the recurrence-plot window"
 
 
-def _add(p: ExperimentPreset | TablePreset) -> None:
-    PRESETS[p.id] = p
+def _kerr(id: str, nu: float, m: int, *analyses: AnalysisTask, steps=DESK_STEPS, **kw):
+    return ExperimentPreset(id, "kerr", nu, m, dict(_KERR), 1e-3, steps, analyses, **kw)
 
 
-_add(
-    ExperimentPreset(
-        id="fig1",
-        model="kerr",
-        nu=1.0,
-        m=0,
-        params=dict(_KERR),
-        dt=1e-3,
-        steps=DESK_STEPS,
-        analyses=(AnalysisTask("f1", {"mode": "entry"}),),
-        notes=("median-centered cell of width 1e-2",),
+def _two_mode(id: str, nu: float, m: int, gamma: float, analyses: tuple):
+    params = {"omega": 1.0, "omega0": 1.0, "gamma": gamma, "g": 1.0}
+    return ExperimentPreset(
+        id, "bipartite", nu, m, params, 1e-3, DESK_STEPS, analyses, (_BIP_DT_NOTE,)
     )
-)
-_add(
-    ExperimentPreset(
-        id="fig2",
-        model="kerr",
-        nu=1.0,
-        m=5,
-        params=dict(_KERR),
-        dt=1e-3,
-        steps=DESK_STEPS,
-        analyses=(AnalysisTask("f1", {"mode": "entry"}),),
-    )
-)
-_add(
-    ExperimentPreset(
-        id="fig3",
-        model="kerr",
-        nu=100.0,
-        m=0,
-        params=dict(_KERR),
-        dt=1e-3,
-        steps=DESK_STEPS,
-        analyses=(
-            AnalysisTask("f1", {"mode": "entry"}),
-            AnalysisTask("f2", {"mode": "entry"}),
-        ),
-    )
-)
-_add(
-    ExperimentPreset(
-        id="fig4",
-        model="kerr",
-        nu=100.0,
-        m=5,
-        params=dict(_KERR),
-        dt=1e-3,
-        steps=DESK_STEPS,
-        analyses=(
-            AnalysisTask("f1", {"mode": "entry"}),
-            AnalysisTask("f2", {"mode": "entry"}),
-            AnalysisTask("lyapunov", dict(_MODEL_LYAP)),
-        ),
-    )
-)
-_add(
-    ExperimentPreset(
-        id="fig5",
-        model="kerr",
-        nu=1.0,
-        m=0,
-        params=dict(_KERR),
-        dt=1e-3,
-        steps=4000,
-        full_steps=4000,
-        analyses=(
-            AnalysisTask(
-                "rp", {"window_start": 0, "window_len": 4000, "epsilon_frac": 0.1}
-            ),
-        ),
-        notes=("series length equals the recurrence-plot window",),
-    )
-)
-_add(
-    ExperimentPreset(
-        id="fig6",
-        model="kerr",
-        nu=100.0,
-        m=5,
-        params=dict(_KERR),
-        dt=1e-3,
-        steps=4000,
-        full_steps=4000,
-        analyses=(
-            AnalysisTask(
-                "rp", {"window_start": 0, "window_len": 4000, "epsilon_frac": 0.1}
-            ),
-        ),
-        notes=("series length equals the recurrence-plot window",),
-    )
-)
-_add(
-    ExperimentPreset(
-        id="fig7-10",
-        model="bipartite",
-        nu=1.0,
-        m=0,
-        params={"omega": 1.0, "omega0": 1.0, "gamma": 0.01, "g": 1.0},
-        dt=1e-3,
-        steps=DESK_STEPS,
-        analyses=(
+
+
+PRESETS: dict[str, ExperimentPreset | TablePreset] = {
+    p.id: p
+    for p in (
+        _kerr("fig1", 1.0, 0, _F1, notes=("median-centered cell of width 1e-2",)),
+        _kerr("fig2", 1.0, 5, _F1),
+        _kerr("fig3", 100.0, 0, _F1, _F2),
+        _kerr("fig4", 100.0, 5, _F1, _F2, AnalysisTask("lyapunov", dict(_MODEL_LYAP))),
+        _kerr("fig5", 1.0, 0, _RP, steps=4000, full_steps=4000, notes=(_RP_NOTE,)),
+        _kerr("fig6", 100.0, 5, _RP, steps=4000, full_steps=4000, notes=(_RP_NOTE,)),
+        _two_mode("fig7-10", 1.0, 0, gamma=0.01, analyses=(
             AnalysisTask("returnmap", {}),
-            AnalysisTask(
-                "rp", {"window_start": 0, "window_len": 4000, "epsilon_frac": 0.1}
-            ),
+            _RP,
             AnalysisTask("f1", {"cell": (0.596, 0.604), "mode": "entry"}),
             AnalysisTask("density", {"bin_width": 0.001}),
-        ),
-        notes=(_BIP_DT_NOTE,),
-    )
-)
-_add(
-    ExperimentPreset(
-        id="fig11-14",
-        model="bipartite",
-        nu=5.0,
-        m=5,
-        params={"omega": 1.0, "omega0": 1.0, "gamma": 5.0, "g": 1.0},
-        dt=1e-3,
-        steps=DESK_STEPS,
-        analyses=(
+        )),
+        _two_mode("fig11-14", 5.0, 5, gamma=5.0, analyses=(
             AnalysisTask("returnmap", {}),
-            AnalysisTask(
-                "rp", {"window_start": 0, "window_len": 4000, "epsilon_frac": 0.1}
-            ),
+            _RP,
             AnalysisTask("f1", {"cell": (12.455, 12.465), "mode": "entry"}),
             AnalysisTask("f2", {"cell": (12.455, 12.465), "mode": "entry"}),
             AnalysisTask("density", {"bin_width": 0.01}),
             AnalysisTask("classify", dict(_MODEL_LYAP, threshold=0.01)),
-        ),
-        notes=(_BIP_DT_NOTE,),
-    )
-)
-_add(
-    TablePreset(
-        id="table1",
-        entries=tuple(
-            TableEntry(
-                label=f"gamma_over_g={go:g} {kind} nu={nu:g} m={m}",
-                model="bipartite",
-                nu=nu,
-                m=m,
-                params={"omega": 1.0, "omega0": 1.0, "gamma": go, "g": 1.0},
-            )
-            for go in (0.01, 1.0, 5.0)
-            for kind, nu, m in (("CS", 1.0, 0), ("PACS", 5.0, 5))
-        ),
-        dt=1e-3,
-        steps=DESK_STEPS,
-        lyapunov_options=dict(_MODEL_LYAP, threshold=0.01),
-        notes=(
-            "classification grid over the nonlinearity ratio and the two "
-            "reference initial states",
-            _BIP_DT_NOTE,
+        )),
+        TablePreset(
+            id="table1",
+            entries=tuple(
+                TableEntry(
+                    label=f"gamma_over_g={go:g} {kind} nu={nu:g} m={m}",
+                    model="bipartite",
+                    nu=nu,
+                    m=m,
+                    params={"omega": 1.0, "omega0": 1.0, "gamma": go, "g": 1.0},
+                )
+                for go in (0.01, 1.0, 5.0)
+                for kind, nu, m in (("CS", 1.0, 0), ("PACS", 5.0, 5))
+            ),
+            dt=1e-3,
+            steps=DESK_STEPS,
+            lyapunov_options=dict(_MODEL_LYAP, threshold=0.01),
+            notes=(
+                "classification grid over the nonlinearity ratio and the two "
+                "reference initial states",
+                _BIP_DT_NOTE,
+            ),
         ),
     )
-)
+}
 
 
 def get_preset(preset_id: str):

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
 import pytest
 
-from wplab import cli, seriesio
+from wplab import cli, lab, seriesio
+from wplab.presets import get_preset
 
 
 def simulate_with_config(tmp_path, config_text, *flags):
@@ -30,3 +37,109 @@ def test_explicit_flag_beats_config(tmp_path):
 def test_parser_takes_config_defaults(command):
     args = cli.build_parser({"steps": 50, "out": "runs"}).parse_args(command)
     assert (args.steps, args.out) == (50, "runs")
+
+
+def exit_code(argv):
+    """``cli.main``'s status; argparse reports usage errors by SystemExit."""
+    try:
+        return cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def series_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("series")
+    argv = ["simulate", "--model", "kerr", "--nu", "4", "--steps", "3000", "--out", out]
+    assert exit_code(argv) == 0
+    return out / "kerr_series.wprs"
+
+
+def test_exit_codes(tmp_path, series_file):
+    assert exit_code(["list-presets"]) == 0
+    assert exit_code(["analyze", "--task", "density", "--series", series_file,
+                      "--out", tmp_path]) == 0
+    assert exit_code(["analyze", "--task", "density", "--series",
+                      tmp_path / "missing.wprs"]) == 1
+    assert exit_code(["preset", "fig11-14", "--steps", 2000, "--out", tmp_path]) == 1
+    assert exit_code(["analyze", "--task", "spectrum", "--series", series_file]) == 2
+    assert exit_code(["simulate", "--model", "kerr", "--steps", "many"]) == 2
+
+
+@pytest.mark.parametrize(
+    "config_text, flags",
+    [
+        ("method = kantzz\n", ["--task", "lyapunov"]),
+        ("mode = visits\n", ["--task", "f1"]),
+        ("svg = maybe\n", ["--task", "f1"]),
+        ("max_lag = 2.5\n", ["--task", "mi"]),
+        ("horizn = 5\n", ["--task", "lyapunov"]),
+        ("", ["--task", "f1", "--cell", "0.5"]),
+        ("", ["--task", "f1", "--cell", "0.6:0.5"]),
+        ("", ["--task", "density", "--horizon", "5"]),
+        ("", ["--task", "rp", "--delay", "3"]),
+        ("", ["--task", "fnn"]),
+    ],
+)
+def test_bad_options_exit_2_before_reading(tmp_path, config_text, flags):
+    # the series file does not exist: reading it would exit 1
+    config = tmp_path / "wplab.cfg"
+    config.write_text(config_text)
+    argv = ["--config", config, "analyze", "--series", tmp_path / "missing.wprs"]
+    assert exit_code(argv + flags) == 2
+
+
+def test_config_seeds_only_the_tasks_owning_it(tmp_path, series_file):
+    # one config for several tasks: density owns neither horizon nor mode
+    config = tmp_path / "wplab.cfg"
+    config.write_text("horizon = 5\nmode = visit\nbin-width = 0.5\nsvg = yes\n")
+    argv = ["--config", config, "analyze", "--task", "density", "--series",
+            series_file, "--out", tmp_path]
+    assert exit_code(argv) == 0
+    text = (tmp_path / "kerr_series_density.txt").read_text()
+    assert "# bin_width = 0.5\n" in text
+    assert (tmp_path / "kerr_series_density.svg").exists()
+
+
+EMBEDDING = ["--delay", 10, "--dimension", 3]
+
+
+@pytest.mark.parametrize(
+    "task, flags",
+    [
+        ("f1", []),
+        ("density", []),
+        ("returnmap", []),
+        ("rp", EMBEDDING),
+        ("lyapunov", EMBEDDING + ["--horizon", 100]),
+    ],
+)
+def test_svg_output_is_xml(tmp_path, series_file, task, flags):
+    argv = ["analyze", "--task", task, "--series", series_file, "--out", tmp_path]
+    assert exit_code(argv + flags + ["--svg"]) == 0
+    (svg,) = tmp_path.glob("*.svg")
+    root = ET.parse(svg).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert len(list(root.iter())) > 3
+
+
+def test_analyze_reproduces_preset_lyapunov_run(tmp_path):
+    # the fig4 Lyapunov options are all flags
+    lab.run_preset("fig4", tmp_path / "preset", steps=41_000)
+    analyses = get_preset("fig4").analyses
+    (options,) = [a.options for a in analyses if a.task == "lyapunov"]
+    flags = [x for k, v in options.items() for x in ("--" + k.replace("_", "-"), v)]
+    series = tmp_path / "preset" / "fig4_series.wprs"
+    out = tmp_path / "cli"
+    argv = ["analyze", "--task", "lyapunov", "--series", series, "--out", out]
+    assert exit_code(argv + flags) == 0
+    for name in ("fig4_series_lyapunov.txt", "fig4_series_lyapunov.json"):
+        assert (out / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
+
+
+def test_import_does_not_load_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    check = "import wplab, sys; assert not {'argparse', 'wplab.cli'} & set(sys.modules)"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)

@@ -1,9 +1,17 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wplab import lab, seriesio
 from wplab.benchmarks import sine_series
+from wplab.presets import PRESETS, TablePreset
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_classify_json_for_regular_verdict(tmp_path):
@@ -55,3 +63,89 @@ def test_series_sidecar_records_pruning(tmp_path):
         assert meta["spectral_terms_kept"] <= meta["spectral_terms"]
         assert meta["spectral_dropped_mass"] <= meta["spectral_prune_budget"]
         assert ("norm_error" in meta) == (model == "bipartite")
+
+
+# every preset at small steps: long enough for its recurrence window and
+# Lyapunov horizon (4000 -> more than 40 000 steps); fig5/fig6 at their own
+SMOKE_STEPS = {
+    **dict.fromkeys(("fig1", "fig2", "fig3", "fig7-10"), 20_000),
+    **dict.fromkeys(("fig4", "fig11-14", "table1"), 41_000),
+    **dict.fromkeys(("fig5", "fig6"), None),
+}
+
+SMOKE_SCRIPT = """
+import json, sys
+from pathlib import Path
+from wplab import lab
+for preset_id, steps in json.loads(sys.argv[2]).items():
+    lab.run_preset(preset_id, Path(sys.argv[1]) / preset_id, steps=steps)
+"""
+
+
+def data_digests(out: Path) -> dict[str, str]:
+    """sha256 of every output except the manifests, which record wall time."""
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.glob("*/*"))
+        if not p.name.endswith("_manifest.json")
+    }
+
+
+def test_presets_match_pinned_digests(tmp_path):
+    # OpenBLAS rounds a GEMM differently per thread count and per CPU
+    # kernel, so the runs pin both; the digests are of numpy 2.4 with
+    # OpenBLAS 0.3.31, taken before the option table replaced the
+    # per-use option defaults
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        OPENBLAS_CORETYPE="Haswell",
+    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    runs = []
+    for rerun in ("a", "b"):
+        out = tmp_path / rerun
+        subprocess.run(
+            [sys.executable, "-c", SMOKE_SCRIPT, str(out), json.dumps(SMOKE_STEPS)],
+            env=env,
+            check=True,
+            timeout=300,
+        )
+        runs.append(data_digests(out))
+    assert runs[0] == runs[1]
+    pinned = json.loads(Path(__file__).with_name("preset_digests.json").read_text())
+    assert runs[0] == pinned
+
+
+@pytest.mark.parametrize("preset_id", sorted(PRESETS))
+def test_preset_options_resolve(preset_id):
+    preset = PRESETS[preset_id]
+    if isinstance(preset, TablePreset):
+        analyses = [("classify", preset.lyapunov_options)]
+    else:
+        analyses = [(item.task, item.options) for item in preset.analyses]
+    for task, options in analyses:
+        resolved = lab.resolve_options(task, options)
+        assert set(resolved) == {n for n, o in lab.OPTIONS.items() if task in o.tasks}
+        assert lab.resolve_options(task, resolved) == resolved
+
+
+@pytest.mark.parametrize(
+    "task, options, named",
+    [
+        ("mi", {"max_lagg": 5}, "max_lagg"),
+        ("density", {"horizon": 5}, "horizon"),
+        ("rp", {"delay": 3}, "dimension"),
+        ("fnn", {}, "delay"),
+        ("f1", {"mode": "visits"}, "mode"),
+        ("lyapunov", {"method": "kantzz"}, "method"),
+        ("lyapunov", {"horizon": 2.5}, "horizon"),
+        ("f2", {"cell": "0.5"}, "cell"),
+        ("classify", {"d_max": 8}, "d_max"),
+    ],
+)
+def test_bad_options_fail_before_reading(tmp_path, task, options, named):
+    # the series file does not exist: reading it would raise OSError
+    with pytest.raises(ValueError, match=f"'{task}'.*'{named}'"):
+        lab.analyze(task, tmp_path / "missing.wprs", options)

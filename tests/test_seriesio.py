@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wplab import seriesio
 from wplab.benchmarks import henon_series, sine_series
@@ -155,3 +160,28 @@ class TestAtomicWrites:
         back = seriesio.read_series(path)
         assert np.array_equal(back.values, ts.values)
         assert back.observable == "sine"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dt=st.floats(min_value=1e-300, max_value=1e300),
+    values=st.lists(finite, max_size=50),
+    observable=st.text(),
+    meta=st.dictionaries(st.text(), json_values, max_size=5),
+)
+def test_series_round_trip(dt, values, observable, meta):
+    ts = TimeSeries(dt, np.array(values), observable=observable, meta=meta)
+    with tempfile.TemporaryDirectory() as tmp:
+        back = seriesio.read_series(seriesio.write_series(ts, Path(tmp) / "s.wprs"))
+    assert back.dt == dt
+    assert back.values.tobytes() == ts.values.tobytes()
+    assert (back.observable, back.meta) == (observable, meta)
