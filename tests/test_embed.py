@@ -446,6 +446,36 @@ class TestLyapunov:
         r = lyapunov_rosenstein(ts, spec, theiler, horizon, max_reference=max_ref)
         assert np.array_equal(r.divergence_curve, np.array(curve))
 
+    def test_kantz_matches_brute_force_balls(self):
+        ts = henon_series(2000)
+        spec, theiler, horizon, eps_frac = EmbeddingSpec(1, 2), 5, 10, 0.15
+        pts = delay_embed(ts, spec)
+        limit = pts.shape[0] - 1 - horizon
+        eps = eps_frac * np.std(ts.values)
+        idx = np.arange(limit + 1)
+        balls = []
+        for i in range(limit + 1):
+            diff = pts[: limit + 1] - pts[i]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            nb = idx[(np.abs(idx - i) > theiler) & (d2 <= eps * eps)]
+            if nb.size:
+                balls.append((i, nb))
+        curve = []
+        for dk in range(horizon + 1):
+            logs = []
+            for i, nb in balls:
+                diff = pts[nb + dk] - pts[i + dk]
+                mean = np.mean(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+                if mean > 0:
+                    logs.append(math.log(mean))
+            curve.append((dk, np.mean(logs)))
+        k = lyapunov_kantz(ts, spec, theiler, eps_frac, horizon, max_reference=limit + 1)
+        assert len(balls) > limit // 2
+        assert np.array_equal(k.divergence_curve[:, 0], np.arange(horizon + 1))
+        np.testing.assert_allclose(
+            k.divergence_curve[:, 1], np.array(curve)[:, 1], rtol=1e-12, atol=0
+        )
+
     def test_rosenstein_independent_of_first_k(self, monkeypatch):
         # the neighbour search is exact from any first k: the constant one
         # and one wide enough to pass the window in a single query agree
