@@ -1,8 +1,13 @@
 """Numerical laboratory for wave-packet dynamics of nonlinear
 quantum-optical models and recurrence-based time-series analysis."""
 
-from .bipartite import TwoModeParams, build_sector, decompose_initial
-from .eigen import EigenDecomposition, SymTridiag, decompose
+from .bipartite import (
+    EigenDecomposition,
+    TwoModeParams,
+    build_sector,
+    decompose,
+    decompose_initial,
+)
 from .embed import (
     Classification,
     EmbeddingSpec,
@@ -16,9 +21,7 @@ from .embed import (
 )
 from .fock import (
     FockState,
-    TruncationPolicy,
     choose_truncation,
-    coherent_amplitudes,
     laguerre,
     mean_photon_number,
     overlap,
@@ -56,15 +59,12 @@ __all__ = [
     "ReturnTimeHistogram",
     "RunManifest",
     "SingleModeSpectrum",
-    "SymTridiag",
     "TimeSeries",
-    "TruncationPolicy",
     "TwoModeParams",
     "analyze",
     "build_sector",
     "choose_truncation",
     "classify",
-    "coherent_amplitudes",
     "decompose",
     "decompose_initial",
     "delay_embed",

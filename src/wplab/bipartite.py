@@ -3,24 +3,25 @@
 The total excitation number is conserved, so the Hamiltonian splits into
 symmetric tridiagonal blocks of dimension N+1 acting on the states
 |N-n; n> (field count N-n, second-mode count n).  Each block is
-diagonalized once, H_N = V diag(lambda) V^T.  Starting from e_0 with
-eigenbasis coefficients w = V[0, :], the second-mode occupancy of the
-block is
+diagonalized once by LAPACK, H_N = V diag(lambda) V^T.  Starting from
+e_0 with eigenbasis coefficients w = V[0, :], the second-mode occupancy
+of the block is
 
     sum_s |w_s|^2 A_ss
       + Re sum_{s<s'} 2 conj(w_s) w_s' A_ss' exp(-i (lambda_s' - lambda_s) t),
 
-with A = V^T diag(n) V: a constant plus a sum of phase-rotating terms.
-The pair terms of all blocks go through one ``series.spectral_series``
-call, which takes every block's eigenvalues, concatenated, as its
-levels and each term as a (s', s) index pair offset by its block's
-start, so the extended-precision phase work is per eigenvalue, not per
-pair.  There is no integration error.  The kernel drops the smallest
-pair terms whose |amplitude| sums to at most ``series.PRUNE_FRACTION``
-of the total, which moves no sample by more than that dropped mass
-(``fig11-14`` keeps 508 of its 9 860 pairs).  The series metadata
-records the terms kept, the dropped mass and its budget, and
-|norm - 1| over the kept sectors.
+with A = V^T diag(n) V: a constant plus a sum of phase-rotating terms,
+each unchanged when an eigenvector flips sign (so no sign convention is
+needed).  The pair terms of all blocks go through one
+``series.spectral_series`` call, which takes every block's eigenvalues,
+concatenated, as its levels and each term as a (s', s) index pair
+offset by its block's start, so the extended-precision phase work is
+per eigenvalue, not per pair.  There is no integration error.  The
+kernel drops the smallest pair terms whose |amplitude| sums to at most
+``series.PRUNE_FRACTION`` of the total, which moves no sample by more
+than that dropped mass (``fig11-14`` keeps 508 of its 9 860 pairs).
+The series metadata records the terms kept, the dropped mass and its
+budget, and |norm - 1| over the kept sectors.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import EigenDecomposition, SymTridiag, decompose
-from .fock import FockState, mean_photon_number  # noqa: F401
+from .fock import FockState
 from .series import TimeSeries, spectral_series
 
 # sectors fed by less field-state probability than this are dropped
@@ -54,6 +54,26 @@ class TwoModeParams:
 
 
 @dataclass(frozen=True)
+class EigenDecomposition:
+    """Ascending eigenvalues; column s of eigenvectors belongs to eigenvalue s."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        w = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
+        v = np.ascontiguousarray(self.eigenvectors, dtype=np.float64)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", v)
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+
+@dataclass(frozen=True)
 class SectorState:
     """One conserved-N block: spectrum plus the initial data feeding it."""
 
@@ -68,8 +88,8 @@ class SectorState:
         object.__setattr__(self, "initial_coeffs", w)
 
 
-def build_sector(N: int, p: TwoModeParams) -> SymTridiag:
-    """Tridiagonal block of the Hamiltonian at total number N.
+def build_sector(N: int, p: TwoModeParams) -> np.ndarray:
+    """Dense tridiagonal block of the Hamiltonian at total number N.
 
     Basis index n = 0..N counts the second mode: diagonal
     omega*(N-n) + omega0*n + gamma*n*(n-1), coupling g*sqrt(n*(N-n+1))
@@ -78,24 +98,28 @@ def build_sector(N: int, p: TwoModeParams) -> SymTridiag:
     if N < 0:
         raise ValueError("N must be >= 0")
     n = np.arange(N + 1, dtype=np.float64)
-    diag = p.omega * (N - n) + p.omega0 * n + p.gamma * n * (n - 1.0)
-    ncpl = np.arange(1, N + 1, dtype=np.float64)
-    offdiag = p.g * np.sqrt(ncpl * (N - ncpl + 1.0))
-    return SymTridiag(diag, offdiag)
+    h = np.diag(p.omega * (N - n) + p.omega0 * n + p.gamma * n * (n - 1.0))
+    ncpl = np.arange(1, N + 1)
+    h[ncpl - 1, ncpl] = h[ncpl, ncpl - 1] = p.g * np.sqrt(ncpl * (N - ncpl + 1.0))
+    return h
 
 
-def decompose_initial(
-    field: FockState, p: TwoModeParams, prune_mass: float = SECTOR_PRUNE_MASS
-) -> list[SectorState]:
+def decompose(h: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a real symmetric block (LAPACK's eigenvalues
+    come in ascending order)."""
+    return EigenDecomposition(*np.linalg.eigh(h))
+
+
+def decompose_initial(field: FockState, p: TwoModeParams) -> list[SectorState]:
     """Sector data for the product state (field) x (second mode ground).
 
     With the second mode empty, sector N starts in basis vector n = 0 and
     receives the field amplitude c_N.  Sectors carrying squared amplitude
-    below ``prune_mass`` are skipped.
+    below ``SECTOR_PRUNE_MASS`` are skipped.
     """
     sectors = []
     for N, amp in enumerate(field.amplitudes):
-        if abs(amp) ** 2 < prune_mass:
+        if abs(amp) ** 2 < SECTOR_PRUNE_MASS:
             continue
         eig = decompose(build_sector(N, p))
         # expansion of e_0 over eigenvectors: row 0 of the eigenvector matrix

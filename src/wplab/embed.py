@@ -4,7 +4,8 @@ Delay coordinates are chosen from the first minimum of the mutual
 information and the false-nearest-neighbor fraction.  The divergence of
 initially close trajectory pairs is tracked either from the single
 nearest neighbor of each reference point or from the average over an
-epsilon-neighborhood; the exponent is the slope of the mean log
+epsilon-neighborhood (one loop serves both: a single neighbor is a
+one-point neighborhood); the exponent is the slope of the mean log
 distance over a deterministically selected linear region: the longest
 window of the curve whose local slopes stay within FIT_SLOPE_TOL of its
 least-squares slope, found with one vectorised pass over all window
@@ -19,7 +20,7 @@ addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -262,18 +263,50 @@ def _select_fit_window(ks: np.ndarray, svals: np.ndarray):
     return slope, r2, (int(kk[0]), int(kk[-1])), True
 
 
-def _divergence_ks(horizon: int, curve_stride: int) -> np.ndarray:
+def _lyapunov(
+    series: TimeSeries,
+    spec: EmbeddingSpec,
+    horizon: int,
+    max_reference: int,
+    curve_stride: int,
+    method: str,
+    neighbors: Callable[[BoxGrid, np.ndarray, int], tuple],
+) -> LyapunovResult:
+    """Mean log divergence of neighbor groups, and its fitted slope.
+
+    ``neighbors(grid, refs, limit)`` returns (ai, aj, sizes): the pairs
+    of reference points ``refs`` and their neighbors j <= limit (so that
+    ``horizon`` steps ahead exist), in consecutive groups of ``sizes``
+    > 0 pairs, one per reference.  At each delta_k a group's distances
+    are averaged, and the mean is over the logs of the positive
+    averages.  One-pair groups give Rosenstein's estimator, epsilon-balls
+    Kantz's.
+    """
+    pts = delay_embed(series, spec)
+    count = pts.shape[0]
+    if count <= 10 * horizon:
+        raise ValueError("embedded series must be longer than 10 * horizon")
+    limit = count - 1 - horizon
+    stride = max(1, (limit + 1) // max_reference)
+    refs = np.arange(0, limit + 1, stride)
+    ai, aj, sizes = neighbors(BoxGrid(pts[: limit + 1]), refs, limit)
+    starts = np.cumsum(sizes) - sizes
+    counts = sizes.astype(np.float64)
+
     ks = np.arange(0, horizon + 1, curve_stride, dtype=np.int64)
     if ks[-1] != horizon:
         ks = np.append(ks, horizon)
-    return ks
-
-
-def _finish(curve_k, curve_s, dt, method, spec) -> LyapunovResult:
-    slope, r2, fit_range, fallback = _select_fit_window(curve_k, curve_s)
+    svals = np.empty(ks.size)
+    for n, dk in enumerate(ks):
+        diff = pts[ai + dk] - pts[aj + dk]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        means = np.add.reduceat(d, starts) / counts
+        pos = means > 0
+        svals[n] = float(np.mean(np.log(means[pos]))) if pos.any() else np.nan
+    slope, r2, fit_range, fallback = _select_fit_window(ks, svals)
     return LyapunovResult(
-        divergence_curve=np.column_stack((curve_k, curve_s)),
-        lambda_max=slope / dt,
+        divergence_curve=np.column_stack((ks, svals)),
+        lambda_max=slope / series.dt,
         fit_range=fit_range,
         method=method,
         embedding=spec,
@@ -295,29 +328,17 @@ def lyapunov_rosenstein(
     The neighbors (outside the Theiler window, with room for ``horizon``
     steps ahead) of all reference points come from one batched query.
     """
-    pts = delay_embed(series, spec)
-    count = pts.shape[0]
-    if count <= 10 * horizon:
-        raise ValueError("embedded series must be longer than 10 * horizon")
-    limit = count - 1 - horizon
-    grid = BoxGrid(pts[: limit + 1])
-    stride = max(1, (limit + 1) // max_reference)
-    refs = np.arange(0, limit + 1, stride)
-    j, _ = grid.nearest_many(refs, theiler=theiler, limit=limit, exclude_zero=True)
-    found = j >= 0
-    if not found.any():
-        raise EmptyNeighborhoodError("no admissible nearest neighbors found")
-    ai = refs[found]
-    aj = j[found]
 
-    ks = _divergence_ks(horizon, curve_stride)
-    svals = np.empty(ks.size)
-    for n, dk in enumerate(ks):
-        diff = pts[ai + dk] - pts[aj + dk]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        pos = d > 0
-        svals[n] = float(np.mean(np.log(d[pos]))) if pos.any() else np.nan
-    return _finish(ks, svals, series.dt, "rosenstein", spec)
+    def nearest(grid, refs, limit):
+        j, _ = grid.nearest_many(refs, theiler=theiler, limit=limit, exclude_zero=True)
+        found = j >= 0
+        if not found.any():
+            raise EmptyNeighborhoodError("no admissible nearest neighbors found")
+        return refs[found], j[found], np.ones(np.count_nonzero(found), dtype=np.int64)
+
+    return _lyapunov(
+        series, spec, horizon, max_reference, curve_stride, "rosenstein", nearest
+    )
 
 
 def lyapunov_kantz(
@@ -333,43 +354,18 @@ def lyapunov_kantz(
     epsilon = epsilon_frac * series standard deviation)."""
     if epsilon_frac <= 0:
         raise ValueError("epsilon_frac must be positive")
-    pts = delay_embed(series, spec)
-    count = pts.shape[0]
-    if count <= 10 * horizon:
-        raise ValueError("embedded series must be longer than 10 * horizon")
     eps = float(epsilon_frac * np.std(series.values))
-    limit = count - 1 - horizon
-    grid = BoxGrid(pts[: limit + 1])
-    stride = max(1, (limit + 1) // max_reference)
-    refs = np.arange(0, limit + 1, stride)
 
-    ref_rep = []
-    nbr_all = []
-    ptr = [0]
-    for i in refs:
-        nb = grid.within(int(i), eps, theiler=theiler, limit=limit)
-        if nb.size:
-            ref_rep.append(np.full(nb.size, i, dtype=np.int64))
-            nbr_all.append(nb)
-            ptr.append(ptr[-1] + nb.size)
-    if not nbr_all:
-        raise EmptyNeighborhoodError(
-            f"no neighborhoods within epsilon = {eps:g}; increase epsilon_frac"
-        )
-    ai = np.concatenate(ref_rep)
-    aj = np.concatenate(nbr_all)
-    starts = np.array(ptr[:-1])
-    counts = np.diff(np.array(ptr)).astype(np.float64)
+    def balls(grid, refs, limit):
+        nbs = [grid.within(int(i), eps, theiler=theiler, limit=limit) for i in refs]
+        sizes = np.array([nb.size for nb in nbs], dtype=np.int64)
+        if not sizes.any():
+            raise EmptyNeighborhoodError(
+                f"no neighborhoods within epsilon = {eps:g}; increase epsilon_frac"
+            )
+        return np.repeat(refs, sizes), np.concatenate(nbs), sizes[sizes > 0]
 
-    ks = _divergence_ks(horizon, curve_stride)
-    svals = np.empty(ks.size)
-    for n, dk in enumerate(ks):
-        diff = pts[ai + dk] - pts[aj + dk]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        means = np.add.reduceat(d, starts) / counts
-        pos = means > 0
-        svals[n] = float(np.mean(np.log(means[pos]))) if pos.any() else np.nan
-    return _finish(ks, svals, series.dt, "kantz", spec)
+    return _lyapunov(series, spec, horizon, max_reference, curve_stride, "kantz", balls)
 
 
 def classify(r: LyapunovResult, threshold: float = 0.01) -> Classification:

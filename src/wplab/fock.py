@@ -13,7 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-DEFAULT_EPSILON_TRUNC = 1e-12
+# a truncated state may lose at most this probability mass, and its
+# basis may hold at most N_MAX_CAP + 1 photon numbers
+EPSILON_TRUNC = 1e-12
+N_MAX_CAP = 4096
 
 
 class TruncationInsufficientError(ValueError):
@@ -30,18 +33,6 @@ class Provenance:
 
     alpha: complex
     m: int
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    epsilon_trunc: float = DEFAULT_EPSILON_TRUNC
-    n_max_cap: int = 4096
-
-    def __post_init__(self):
-        if not 0 < self.epsilon_trunc < 1:
-            raise ValueError("epsilon_trunc must be in (0, 1)")
-        if self.n_max_cap < 1:
-            raise ValueError("n_max_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -112,46 +103,26 @@ def _pacs_raw_amplitudes(alpha: complex, m: int, n_max: int) -> np.ndarray:
     return c
 
 
-def _finalize(
-    raw: np.ndarray, provenance: Provenance, epsilon_trunc: float
-) -> FockState:
-    """Check captured mass, then renormalize on the truncated basis.
+def pacs_amplitudes(alpha: complex, m: int, n_max: int) -> FockState:
+    """m-photon-added coherent state, truncated at n_max and renormalized.
 
-    The stricter bound on the mass sitting in the last two kept states is
-    guaranteed by choosing n_max through ``choose_truncation``.
-    """
-    norm_sq = float(np.sum(np.abs(raw) ** 2))
-    if norm_sq < 1.0 - epsilon_trunc:
-        raise TruncationInsufficientError(
-            f"truncated basis captures squared norm {norm_sq:.15g} "
-            f"< 1 - {epsilon_trunc:g}; increase n_max"
-        )
-    return FockState(raw / math.sqrt(norm_sq), provenance)
-
-
-def coherent_amplitudes(
-    alpha: complex, n_max: int, epsilon_trunc: float = DEFAULT_EPSILON_TRUNC
-) -> FockState:
-    """Coherent state |alpha> truncated at n_max and renormalized."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    raw = _pacs_raw_amplitudes(alpha, 0, n_max)
-    return _finalize(raw, Provenance(complex(alpha), 0), epsilon_trunc)
-
-
-def pacs_amplitudes(
-    alpha: complex, m: int, n_max: int, epsilon_trunc: float = DEFAULT_EPSILON_TRUNC
-) -> FockState:
-    """m-photon-added coherent state, truncated and renormalized.
-
-    m = 0 reproduces ``coherent_amplitudes`` exactly (same code path).
+    m = 0 is the coherent state |alpha>.  Raises
+    ``TruncationInsufficientError`` when the basis captures less than
+    1 - EPSILON_TRUNC of the squared norm; ``choose_truncation`` picks an
+    n_max that also bounds the mass in the last two kept states.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if n_max < m + 1:
         raise ValueError("n_max must be >= m + 1")
     raw = _pacs_raw_amplitudes(alpha, m, n_max)
-    return _finalize(raw, Provenance(complex(alpha), m), epsilon_trunc)
+    norm_sq = float(np.sum(np.abs(raw) ** 2))
+    if norm_sq < 1.0 - EPSILON_TRUNC:
+        raise TruncationInsufficientError(
+            f"truncated basis captures squared norm {norm_sq:.15g} "
+            f"< 1 - {EPSILON_TRUNC:g}; increase n_max"
+        )
+    return FockState(raw / math.sqrt(norm_sq), Provenance(complex(alpha), m))
 
 
 def mean_photon_number(state: FockState) -> float:
@@ -181,10 +152,8 @@ def overlap(s1: FockState, s2: FockState) -> complex:
     return complex(np.vdot(s1.amplitudes, s2.amplitudes))
 
 
-def choose_truncation(
-    alpha: complex, m: int, policy: TruncationPolicy = TruncationPolicy()
-) -> int:
-    """Smallest n_max within the cap whose truncation loses < epsilon_trunc.
+def choose_truncation(alpha: complex, m: int) -> int:
+    """Smallest n_max <= N_MAX_CAP whose truncation loses < EPSILON_TRUNC.
 
     Starts from a heuristic guess, then verifies by explicit summation of the
     analytically normalized amplitudes; both the out-of-basis mass and the
@@ -192,19 +161,17 @@ def choose_truncation(
     """
     nu = abs(alpha) ** 2
     guess = int(math.ceil(nu + m + 8.0 * math.sqrt(nu + 1.0) + 20.0))
-    cap = policy.n_max_cap
-    probe = min(cap, max(guess, m + 2))
-    eps = policy.epsilon_trunc
+    probe = min(N_MAX_CAP, max(guess, m + 2))
 
     def tail_ok(upto: int) -> np.ndarray:
-        # boolean per candidate n: out-of-basis and last-two mass both < eps
+        # per candidate n: out-of-basis and last-two mass both < EPSILON_TRUNC
         raw = _pacs_raw_amplitudes(alpha, m, upto)
         p = np.abs(raw) ** 2
         cum = np.cumsum(p)
         out_mass = 1.0 - cum
         last_two = p.copy()
         last_two[1:] += p[:-1]
-        return (out_mass < eps) & (last_two < eps)
+        return (out_mass < EPSILON_TRUNC) & (last_two < EPSILON_TRUNC)
 
     lo = max(1, m + 1)
     while True:
@@ -212,9 +179,9 @@ def choose_truncation(
         hits = np.flatnonzero(ok[lo:]) + lo
         if hits.size:
             return int(hits[0])
-        if probe >= cap:
+        if probe >= N_MAX_CAP:
             raise CapExceededError(
-                f"no n_max <= {cap} reaches tail mass < {eps:g} "
+                f"no n_max <= {N_MAX_CAP} reaches tail mass < {EPSILON_TRUNC:g} "
                 f"for nu={nu:g}, m={m}"
             )
-        probe = min(cap, probe * 2)
+        probe = min(N_MAX_CAP, probe * 2)

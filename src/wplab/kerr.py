@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, quadrature_expectation  # noqa: F401  (re-export context)
+from .fock import FockState
 from .series import TimeSeries, reduced_phases, spectral_series
 
 

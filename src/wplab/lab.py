@@ -3,8 +3,11 @@
 ``simulate`` writes binary series files, ``analyze`` runs one analysis
 task against a series file and writes its text export, ``run_preset``
 chains both for the preset catalogue and returns a manifest with
-content digests.  Reruns of a preset produce byte-identical data files;
-the manifest additionally records wall time and assumptions.
+content digests.  Reruns of a preset produce byte-identical data files
+as long as the BLAS thread count and OpenBLAS's CPU kernel stay the
+same: the spectral kernel's GEMM rounds differently under either, and
+neither is recorded.  The manifest additionally records wall time and
+assumptions.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import hashlib
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -29,7 +32,7 @@ from .embed import (
     lyapunov_rosenstein,
     mutual_information_delay,
 )
-from .fock import FockState, TruncationPolicy, choose_truncation, pacs_amplitudes
+from .fock import FockState, choose_truncation, pacs_amplitudes
 from .kerr import generate_series_x, kerr_spectrum
 from .presets import PRESETS, ExperimentPreset, TablePreset, get_preset
 from .recur import (
@@ -79,13 +82,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def initial_field_state(
-    nu: float, m: int, epsilon_trunc: float = 1e-12, n_max_cap: int = 4096
-) -> FockState:
+def initial_field_state(nu: float, m: int) -> FockState:
     """Photon-added coherent state at real alpha = sqrt(nu), auto-truncated."""
     alpha = math.sqrt(nu)
-    n_max = choose_truncation(alpha, m, TruncationPolicy(epsilon_trunc, n_max_cap))
-    return pacs_amplitudes(alpha, m, n_max, epsilon_trunc)
+    return pacs_amplitudes(alpha, m, choose_truncation(alpha, m))
 
 
 def simulate_series(
@@ -96,21 +96,30 @@ def simulate_series(
     dt: float,
     steps: int,
 ) -> TimeSeries:
-    """Generate the observable series for one model configuration."""
+    """Generate the observable series for one model configuration.
+
+    The parameter keys and ``dt`` are checked before any state is prepared.
+    """
+    if model == "kerr":
+        known = ("chi", "chi_prime")
+    elif model == "bipartite":
+        known = tuple(f.name for f in fields(TwoModeParams))
+    else:
+        raise ValueError(f"unknown model {model!r} (expected 'kerr' or 'bipartite')")
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(
+            f"model {model!r} takes no parameter {', '.join(map(repr, unknown))}; "
+            f"its parameters are {', '.join(known)}"
+        )
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     state = initial_field_state(nu, m)
     if model == "kerr":
         spec = kerr_spectrum(params["chi"], params["chi_prime"], state.n_max)
         return generate_series_x(state, spec, dt, steps)
-    if model == "bipartite":
-        p = TwoModeParams(
-            omega=params.get("omega", 1.0),
-            omega0=params.get("omega0", 1.0),
-            gamma=params.get("gamma", 0.0),
-            g=params.get("g", 1.0),
-        )
-        sectors = decompose_initial(state, p)
-        return occupancy_series(sectors, p, dt, steps).field
-    raise ValueError(f"unknown model {model!r} (expected 'kerr' or 'bipartite')")
+    p = TwoModeParams(**params)
+    return occupancy_series(decompose_initial(state, p), p, dt, steps).field
 
 
 def simulate(
@@ -391,9 +400,7 @@ def _run_task(task: str, ts: TimeSeries, options: dict[str, Any], out_path):
         hist_fn = first_return_times if task == "f1" else second_return_times
         h = hist_fn(ts, value_cell, options["mode"])
         seriesio.write_histogram(h, out_path("txt"), cell=value_cell, kind=task)
-        return lambda path: svgmod.bars_svg(
-            h.taus(), h.count_array(), path, f"{task} histogram"
-        )
+        return lambda path: svgmod.bars_svg(h.taus, h.counts, path, f"{task} histogram")
     if task == "density":
         d = invariant_density(ts, options["bin_width"])
         seriesio.write_density(d, out_path("txt"))
@@ -565,14 +572,16 @@ def _table_outputs(
     seriesio.write_json({"rows": rows}, json_path)
     txt_path = out_dir / "table1.txt"
     written.append(txt_path)
-    with open(txt_path, "w") as fh:
-        fh.write("# wplab classification table\n")
-        fh.write("# columns: gamma_over_g nu m lambda_max dynamics\n")
-        for r in rows:
-            fh.write(
-                f"{r['gamma_over_g']:g} {r['nu']:g} {r['m']} "
-                f"{float(r['lambda_max'])!r} {r['label_dynamics']}\n"
-            )
+    lines = [
+        "# wplab classification table\n",
+        "# columns: gamma_over_g nu m lambda_max dynamics\n",
+        *(
+            f"{r['gamma_over_g']:g} {r['nu']:g} {r['m']} "
+            f"{float(r['lambda_max'])!r} {r['label_dynamics']}\n"
+            for r in rows
+        ),
+    ]
+    seriesio.write_text("".join(lines), txt_path)
 
 
 def run_preset(

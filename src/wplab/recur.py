@@ -51,23 +51,20 @@ class Cell:
 
 @dataclass(frozen=True)
 class ReturnTimeHistogram:
-    """Counts of integer return times (units of the sampling step)."""
+    """Counts of integer return times (units of the sampling step).
 
-    counts: dict[int, int]
+    ``taus`` holds the distinct return times in ascending order and
+    ``counts`` the events at each.
+    """
+
+    taus: np.ndarray
+    counts: np.ndarray
     total_events: int
     dt: float
     mode: Mode
 
-    def taus(self) -> np.ndarray:
-        return np.array(sorted(self.counts), dtype=np.int64)
-
-    def count_array(self) -> np.ndarray:
-        return np.array([self.counts[t] for t in sorted(self.counts)], dtype=np.int64)
-
     def mean_tau(self) -> float:
-        taus = self.taus()
-        cnts = self.count_array()
-        return float(np.dot(taus, cnts) / cnts.sum())
+        return float(np.dot(self.taus, self.counts) / self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -106,40 +103,35 @@ def _event_indices(series: TimeSeries, cell: Cell, mode: Mode) -> np.ndarray:
     return np.flatnonzero(inside & ~prev)
 
 
-def _histogram(gaps: np.ndarray, dt: float, mode: Mode) -> ReturnTimeHistogram:
-    taus, cnts = np.unique(gaps, return_counts=True)
-    counts = {int(t): int(c) for t, c in zip(taus, cnts)}
-    return ReturnTimeHistogram(counts, int(gaps.size), dt, mode)
+def _return_times(
+    series: TimeSeries, cell: Cell, mode: Mode, apart: int
+) -> ReturnTimeHistogram:
+    """Histogram of gaps between events ``apart`` apart (event k to k+apart)."""
+    if len(series) < 2:
+        raise ValueError("series must have at least 2 samples")
+    events = _event_indices(series, cell, mode)
+    if events.size <= apart:
+        raise NoEventsError(
+            f"cell [{cell.lower}, {cell.upper}) visited {events.size} time(s); "
+            f"need at least {apart + 1} events"
+        )
+    gaps = events[apart:] - events[:-apart]
+    taus, counts = np.unique(gaps, return_counts=True)
+    return ReturnTimeHistogram(taus, counts, int(gaps.size), series.dt, mode)
 
 
 def first_return_times(
     series: TimeSeries, cell: Cell, mode: Mode = "entry"
 ) -> ReturnTimeHistogram:
     """Histogram of gaps between successive recurrence events."""
-    if len(series) < 2:
-        raise ValueError("series must have at least 2 samples")
-    events = _event_indices(series, cell, mode)
-    if events.size < 2:
-        raise NoEventsError(
-            f"cell [{cell.lower}, {cell.upper}) visited {events.size} time(s); "
-            "need at least 2 events"
-        )
-    return _histogram(np.diff(events), series.dt, mode)
+    return _return_times(series, cell, mode, 1)
 
 
 def second_return_times(
     series: TimeSeries, cell: Cell, mode: Mode = "entry"
 ) -> ReturnTimeHistogram:
     """Histogram of gaps between events two apart (event k to k+2)."""
-    if len(series) < 2:
-        raise ValueError("series must have at least 2 samples")
-    events = _event_indices(series, cell, mode)
-    if events.size < 3:
-        raise NoEventsError(
-            f"cell [{cell.lower}, {cell.upper}) visited {events.size} time(s); "
-            "need at least 3 events"
-        )
-    return _histogram(events[2:] - events[:-2], series.dt, mode)
+    return _return_times(series, cell, mode, 2)
 
 
 @dataclass(frozen=True)
@@ -161,8 +153,8 @@ def fit_exponential(h: ReturnTimeHistogram, min_bin_count: int = 10) -> Exponent
         raise InsufficientEventsError(
             f"{h.total_events} events < 100 required for a stable fit"
         )
-    taus = h.taus().astype(np.float64)
-    cnts = h.count_array().astype(np.float64)
+    taus = h.taus.astype(np.float64)
+    cnts = h.counts.astype(np.float64)
     total = cnts.sum()
     times = taus * h.dt
     mean_t = float(np.dot(times, cnts) / total)
@@ -194,7 +186,7 @@ def support_sparsity(h: ReturnTimeHistogram, mass: float) -> int:
     """Minimal number of distinct return times holding >= mass of events."""
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must be in (0, 1)")
-    cnts = np.sort(h.count_array())[::-1]
+    cnts = np.sort(h.counts)[::-1]
     cum = np.cumsum(cnts)
     return int(np.searchsorted(cum, mass * h.total_events) + 1)
 
@@ -207,6 +199,8 @@ def invariant_density(series: TimeSeries, bin_width: float) -> DensityHistogram:
     lo = float(v.min())
     hi = float(v.max())
     nbins = max(1, int(math.ceil((hi - lo) / bin_width))) if hi > lo else 1
+    if lo + nbins * bin_width < hi:
+        nbins += 1  # the rounded edges stop short of the maximum
     edges = lo + np.arange(nbins + 1) * bin_width
     counts, _ = np.histogram(v, bins=edges)
     norm = 1.0 / (v.size * bin_width)

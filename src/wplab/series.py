@@ -71,10 +71,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def with_values(self, values: np.ndarray) -> "TimeSeries":
-        """Same sampling and metadata, different payload."""
-        return TimeSeries(self.dt, values, self.observable, dict(self.meta))
-
 
 def reduced_phases(freq: np.ndarray, t) -> np.ndarray:
     """freq * t reduced modulo 2*pi, carried out in extended precision.

@@ -131,7 +131,6 @@ def write_histogram(
     path: str | Path,
     cell: Optional[Cell] = None,
     kind: str = "f1",
-    extra: Optional[dict[str, Any]] = None,
 ) -> Path:
     """Two-column (tau, count) text export."""
     path = Path(path)
@@ -142,12 +141,10 @@ def write_histogram(
     }
     if cell is not None:
         options["cell"] = f"{cell.lower!r}:{cell.upper!r}"
-    if extra:
-        options.update(extra)
     with _replacing(path) as fh:
         _write_header(fh, f"{kind} histogram", options)
         fh.write("# columns: tau count\n")
-        _write_rows(fh, "%d %d\n", np.column_stack((h.taus(), h.count_array())))
+        _write_rows(fh, "%d %d\n", np.column_stack((h.taus, h.counts)))
     return path
 
 
@@ -155,21 +152,15 @@ def read_histogram(path: str | Path) -> ReturnTimeHistogram:
     path = Path(path)
     lines = path.read_text().splitlines()
     header = _parse_header(lines)
-    counts = {}
-    for line in lines:
-        if line.startswith("#") or not line.strip():
-            continue
-        tau, cnt = line.split()
-        counts[int(tau)] = int(cnt)
-    total = int(header.get("total_events", sum(counts.values())))
+    rows = [line.split() for line in lines if line.strip() and not line.startswith("#")]
+    taus, counts = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    total = int(header.get("total_events", counts.sum()))
     mode = header.get("mode", "entry")
     dt = float(header.get("dt", "1.0"))
-    return ReturnTimeHistogram(counts, total, dt, mode)  # type: ignore[arg-type]
+    return ReturnTimeHistogram(taus, counts, total, dt, mode)  # type: ignore[arg-type]
 
 
-def write_density(
-    d: DensityHistogram, path: str | Path, extra: Optional[dict[str, Any]] = None
-) -> Path:
+def write_density(d: DensityHistogram, path: str | Path) -> Path:
     """Three-column (bin_center, count, density) text export."""
     path = Path(path)
     options = {
@@ -177,8 +168,6 @@ def write_density(
         "origin": repr(d.origin),
         "normalization": repr(d.normalization),
     }
-    if extra:
-        options.update(extra)
     # counts (< 2**53) are exact as float64, and %d prints them as integers
     rows = np.column_stack((d.centers(), d.counts, d.density()))
     with _replacing(path) as fh:
@@ -188,9 +177,7 @@ def write_density(
     return path
 
 
-def write_recurrence(
-    rp: RecurrencePlotData, path: str | Path, extra: Optional[dict[str, Any]] = None
-) -> Path:
+def write_recurrence(rp: RecurrencePlotData, path: str | Path) -> Path:
     """Two-column (i, j) text export of recurrence pairs."""
     path = Path(path)
     options: dict[str, Any] = {
@@ -202,23 +189,11 @@ def write_recurrence(
     if rp.embedding is not None:
         options["delay"] = rp.embedding.delay
         options["dimension"] = rp.embedding.dimension
-    if extra:
-        options.update(extra)
     with _replacing(path) as fh:
         _write_header(fh, "recurrence plot", options)
         fh.write("# columns: i j\n")
         _write_rows(fh, "%d %d\n", rp.pairs)
     return path
-
-
-def read_recurrence_pairs(path: str | Path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        i, j = line.split()
-        rows.append((int(i), int(j)))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def write_pairs(
@@ -247,10 +222,16 @@ def read_pairs(path: str | Path) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
-def _write_json(payload: dict[str, Any], path: Path) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+def write_text(text: str, path: str | Path) -> Path:
+    """``text`` as the whole of ``path``, replaced atomically."""
+    path = Path(path)
     with _replacing(path) as fh:
         fh.write(text)
+    return path
+
+
+def _write_json(payload: dict[str, Any], path: Path) -> None:
+    write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", path)
 
 
 def write_json(payload: dict[str, Any], path: str | Path) -> Path:

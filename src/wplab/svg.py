@@ -1,7 +1,8 @@
 """Minimal SVG writers over exported analysis data.
 
 Figures are conveniences; the text exports remain the contract.  Output
-is deterministic (no timestamps, fixed float formatting).
+is deterministic (no timestamps, fixed float formatting), and written
+atomically like every export (``seriesio.write_text``).
 """
 
 from __future__ import annotations
@@ -10,8 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .seriesio import write_text
+
 _W, _H = 640, 480
 _MARGIN = 50
+# scatter plots thin their points by a constant stride down to this many
+_MAX_POINTS = 200_000
 
 
 def _open(title: str) -> list[str]:
@@ -52,24 +57,17 @@ def bars_svg(x: np.ndarray, y: np.ndarray, path: str | Path, title: str) -> Path
             f'stroke="steelblue" stroke-width="1.5"/>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
-    return Path(path)
+    return write_text("\n".join(parts) + "\n", path)
 
 
-def points_svg(
-    x: np.ndarray,
-    y: np.ndarray,
-    path: str | Path,
-    title: str,
-    max_points: int = 200_000,
-) -> Path:
+def points_svg(x: np.ndarray, y: np.ndarray, path: str | Path, title: str) -> Path:
     """Scatter of (x, y) points (recurrence plots, return maps)."""
     parts = _open(title)
     _axes(parts)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size > max_points:
-        stride = int(np.ceil(x.size / max_points))
+    if x.size > _MAX_POINTS:
+        stride = int(np.ceil(x.size / _MAX_POINTS))
         x = x[::stride]
         y = y[::stride]
     if x.size:
@@ -78,8 +76,7 @@ def points_svg(
         for xi, yi in zip(px, py):
             parts.append(f'<circle cx="{xi:.2f}" cy="{yi:.2f}" r="0.8" fill="black"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
-    return Path(path)
+    return write_text("\n".join(parts) + "\n", path)
 
 
 def curve_svg(x: np.ndarray, y: np.ndarray, path: str | Path, title: str) -> Path:
@@ -96,5 +93,4 @@ def curve_svg(x: np.ndarray, y: np.ndarray, path: str | Path, title: str) -> Pat
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="firebrick"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
-    return Path(path)
+    return write_text("\n".join(parts) + "\n", path)

@@ -10,31 +10,36 @@ from wplab.bipartite import (
     decompose_initial,
     occupancy_series,
 )
-from wplab.fock import FockState, coherent_amplitudes, mean_photon_number, pacs_amplitudes
+from wplab.fock import FockState, mean_photon_number, pacs_amplitudes
 
 
 class TestBuildSector:
     def test_vacuum_sector(self):
-        tri = build_sector(0, TwoModeParams())
-        assert tri.diag.tolist() == [0.0]
-        assert tri.offdiag.size == 0
+        assert build_sector(0, TwoModeParams()).tolist() == [[0.0]]
 
     def test_n1(self):
         p = TwoModeParams(omega=1.0, omega0=1.0, gamma=7.0, g=0.25)
-        tri = build_sector(1, p)
-        assert tri.diag.tolist() == [1.0, 1.0]
-        assert tri.offdiag.tolist() == [0.25]
+        assert build_sector(1, p).tolist() == [[1.0, 0.25], [0.25, 1.0]]
 
     def test_n2_with_nonlinearity(self):
         p = TwoModeParams(omega=1.0, omega0=1.0, gamma=5.0, g=1.0)
-        tri = build_sector(2, p)
-        assert tri.diag.tolist() == [2.0, 2.0, 12.0]
-        assert tri.offdiag == pytest.approx([math.sqrt(2.0), math.sqrt(2.0)])
+        h = build_sector(2, p)
+        r2 = math.sqrt(2.0)
+        expect = np.array([[2.0, r2, 0.0], [r2, 2.0, r2], [0.0, r2, 12.0]])
+        assert h == pytest.approx(expect)
+
+
+@pytest.mark.parametrize(
+    "params", [{"gamma": math.nan}, {"omega": math.inf}, {"g": -1.0}]
+)
+def test_bad_params_rejected(params):
+    with pytest.raises(ValueError):
+        TwoModeParams(**params)
 
 
 class TestDecomposeInitial:
     def test_vacuum_field(self):
-        sectors = decompose_initial(coherent_amplitudes(0.0, 5), TwoModeParams())
+        sectors = decompose_initial(pacs_amplitudes(0.0, 0, 5), TwoModeParams())
         assert len(sectors) == 1
         assert sectors[0].N == 0
         assert sectors[0].initial_amp == 1.0 + 0.0j
@@ -59,7 +64,7 @@ class TestDecomposeInitial:
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_pruning(self):
-        field = coherent_amplitudes(1.0, 40)
+        field = pacs_amplitudes(1.0, 0, 40)
         sectors = decompose_initial(field, TwoModeParams())
         assert all(abs(s.initial_amp) ** 2 >= 1e-14 for s in sectors)
         assert len(sectors) < 41
@@ -97,7 +102,7 @@ class TestSeries:
 
     def test_gamma_zero_beam_splitter(self):
         # Heisenberg solution: <a+a>(t) = nu cos^2(g t) for field CS, atom empty
-        field = coherent_amplitudes(1.0, 25)
+        field = pacs_amplitudes(1.0, 0, 25)
         p = TwoModeParams(omega=1.0, omega0=1.0, gamma=0.0, g=1.0)
         sectors = decompose_initial(field, p)
         steps = 100_000
@@ -117,7 +122,7 @@ class TestSeries:
         assert abs(total[0] - mean_photon_number(field)) < 1e-10
 
     def test_norm_conservation(self):
-        field = coherent_amplitudes(1.3, 30)
+        field = pacs_amplitudes(1.3, 0, 30)
         p = TwoModeParams(gamma=5.0, g=1.0)
         sectors = decompose_initial(field, p)
         occ = occupancy_series(sectors, p, 1e-3, 50_000)
@@ -159,7 +164,7 @@ class TestSeries:
 
     def test_collapse_revival_windows(self):
         # weak nonlinearity: the gamma=0 period pi/g still organizes returns
-        field = coherent_amplitudes(1.0, 25)
+        field = pacs_amplitudes(1.0, 0, 25)
         p = TwoModeParams(gamma=0.01, g=1.0)
         sectors = decompose_initial(field, p)
         dt = 1e-3
@@ -174,7 +179,7 @@ class TestSeries:
             assert window_max >= x0 * 0.98, f"no return in window {w}"
 
     def test_observable_metadata(self):
-        field = coherent_amplitudes(1.0, 25)
+        field = pacs_amplitudes(1.0, 0, 25)
         p = TwoModeParams(gamma=0.05)
         sectors = decompose_initial(field, p)
         ts = occupancy_series(sectors, p, 1e-2, 100).field

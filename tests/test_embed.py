@@ -469,7 +469,9 @@ class TestLyapunov:
                 if mean > 0:
                     logs.append(math.log(mean))
             curve.append((dk, np.mean(logs)))
-        k = lyapunov_kantz(ts, spec, theiler, eps_frac, horizon, max_reference=limit + 1)
+        k = lyapunov_kantz(
+            ts, spec, theiler, eps_frac, horizon, max_reference=limit + 1
+        )
         assert len(balls) > limit // 2
         assert np.array_equal(k.divergence_curve[:, 0], np.arange(horizon + 1))
         np.testing.assert_allclose(

@@ -7,9 +7,7 @@ from wplab.fock import (
     CapExceededError,
     FockState,
     TruncationInsufficientError,
-    TruncationPolicy,
     choose_truncation,
-    coherent_amplitudes,
     laguerre,
     mean_photon_number,
     overlap,
@@ -53,12 +51,12 @@ class TestLaguerre:
 
 class TestCoherent:
     def test_vacuum(self):
-        s = coherent_amplitudes(0.0, 10)
+        s = pacs_amplitudes(0.0, 0, 10)
         assert s.amplitudes[0] == 1.0
         assert np.all(s.amplitudes[1:] == 0.0)
 
     def test_closed_form_alpha_one(self):
-        s = coherent_amplitudes(1.0, 40)
+        s = pacs_amplitudes(1.0, 0, 40)
         c0 = math.exp(-0.5)
         assert s.amplitudes[0].real == pytest.approx(c0, abs=1e-12)
         assert s.amplitudes[1].real == pytest.approx(c0, abs=1e-12)
@@ -68,25 +66,25 @@ class TestCoherent:
             assert s.amplitudes[n].real == pytest.approx(expect, rel=1e-12)
 
     def test_large_nu_tail_capture(self):
-        # pre-renormalization norm >= 1 - 1e-10 at nu=100, n_max=170
-        w = poisson_weights(100.0, 170)
-        assert w.sum() >= 1.0 - 1e-10
-        s = coherent_amplitudes(10.0, 170, epsilon_trunc=1e-9)
-        assert np.abs(np.abs(s.amplitudes[:171]) ** 2 - w / w.sum()).max() < 1e-12
+        # pre-renormalization norm >= 1 - 1e-12 at nu=100, n_max=190
+        w = poisson_weights(100.0, 190)
+        assert w.sum() >= 1.0 - 1e-12
+        s = pacs_amplitudes(10.0, 0, 190)
+        assert np.abs(np.abs(s.amplitudes) ** 2 - w / w.sum()).max() < 1e-12
 
     def test_truncation_insufficient(self):
         with pytest.raises(TruncationInsufficientError):
-            coherent_amplitudes(10.0, 120)
+            pacs_amplitudes(10.0, 0, 120)
 
     def test_unit_norm(self):
         for alpha in (0.3, 1.0, 2.5 + 1.0j, 8.0):
             n_max = choose_truncation(alpha, 0)
-            s = coherent_amplitudes(alpha, n_max)
+            s = pacs_amplitudes(alpha, 0, n_max)
             assert s.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
     def test_complex_alpha_phases(self):
         alpha = 0.8 * np.exp(1j * 0.7)
-        s = coherent_amplitudes(alpha, 30)
+        s = pacs_amplitudes(alpha, 0, 30)
         # c_n phase is n * arg(alpha)
         for n in (1, 2, 5):
             assert np.angle(s.amplitudes[n]) == pytest.approx(
@@ -96,9 +94,13 @@ class TestCoherent:
 
 class TestPacs:
     def test_m_zero_reduction(self):
-        a = coherent_amplitudes(1.0, 30)
-        b = pacs_amplitudes(1.0, 0, 30)
-        assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-14
+        # m = 0 is the coherent state: c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!)
+        alpha = 1.2 - 0.5j
+        n = np.arange(31)
+        lgam = np.array([math.lgamma(k + 1) for k in n])
+        coherent = np.exp(-abs(alpha) ** 2 / 2 - lgam / 2) * alpha**n
+        s = pacs_amplitudes(alpha, 0, 30)
+        assert np.abs(s.amplitudes - coherent / np.linalg.norm(coherent)).max() < 1e-14
 
     def test_photon_added_vacuum(self):
         s = pacs_amplitudes(0.0, 5, 12)
@@ -130,7 +132,7 @@ class TestPacs:
 
 class TestObservables:
     def test_mean_photon_coherent(self):
-        s = coherent_amplitudes(1.0, 40)
+        s = pacs_amplitudes(1.0, 0, 40)
         assert mean_photon_number(s) == pytest.approx(1.0, abs=1e-10)
 
     def test_mean_photon_pacs_closed_form(self):
@@ -158,10 +160,10 @@ class TestObservables:
         assert photon_number_variance(s) < mean_photon_number(s)
 
     def test_quadrature_vacuum(self):
-        assert quadrature_expectation(coherent_amplitudes(0.0, 10)) == 0.0
+        assert quadrature_expectation(pacs_amplitudes(0.0, 0, 10)) == 0.0
 
     def test_quadrature_coherent(self):
-        s = coherent_amplitudes(1.0, 40)
+        s = pacs_amplitudes(1.0, 0, 40)
         assert quadrature_expectation(s) == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
     def test_quadrature_fock(self):
@@ -176,19 +178,19 @@ class TestOverlap:
             assert abs(overlap(s, s) - 1.0) < 1e-12
 
     def test_two_coherent_states(self):
-        a = coherent_amplitudes(1.0, 40)
-        b = coherent_amplitudes(-1.0, 40)
+        a = pacs_amplitudes(1.0, 0, 40)
+        b = pacs_amplitudes(-1.0, 0, 40)
         # |<alpha|beta>| = exp(-|alpha-beta|^2/2)
         assert abs(overlap(a, b)) == pytest.approx(math.exp(-2.0), rel=1e-10)
 
     def test_orthogonal(self):
-        v = coherent_amplitudes(0.0, 12)
+        v = pacs_amplitudes(0.0, 0, 12)
         f5 = pacs_amplitudes(0.0, 5, 12)
         assert overlap(v, f5) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            overlap(coherent_amplitudes(1.0, 30), coherent_amplitudes(1.0, 31))
+            overlap(pacs_amplitudes(1.0, 0, 30), pacs_amplitudes(1.0, 0, 31))
 
 
 class TestChooseTruncation:
@@ -197,12 +199,12 @@ class TestChooseTruncation:
         assert n >= 1
 
     def test_nu_one_tail_verified(self):
-        n = choose_truncation(1.0, 0, TruncationPolicy(epsilon_trunc=1e-12))
+        n = choose_truncation(1.0, 0)
         w = poisson_weights(1.0, n + 400)
         assert 1.0 - w[: n + 1].sum() < 1e-12
 
     def test_nu_100_m_5(self):
-        n = choose_truncation(10.0, 5, TruncationPolicy(epsilon_trunc=1e-12))
+        n = choose_truncation(10.0, 5)
         assert n <= 250
         # brute-force tail of the analytically normalized PACS amplitudes
         s = pacs_amplitudes(10.0, 5, n + 300)
@@ -217,13 +219,14 @@ class TestChooseTruncation:
             assert p[-1] + p[-2] < 1e-12
 
     def test_cap_exceeded(self):
-        with pytest.raises(CapExceededError):
-            choose_truncation(10.0, 0, TruncationPolicy(n_max_cap=50))
+        # nu = 4900 needs n_max ~ 4900 + 8 * 70, beyond the cap of 4096
+        with pytest.raises(CapExceededError, match="4096"):
+            choose_truncation(70.0, 0)
 
 
 class TestFockState:
     def test_amplitudes_read_only(self):
-        s = coherent_amplitudes(1.0, 20)
+        s = pacs_amplitudes(1.0, 0, 20)
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 

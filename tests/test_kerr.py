@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wplab.fock import coherent_amplitudes, overlap, pacs_amplitudes
+from wplab.fock import overlap, pacs_amplitudes
 from wplab.kerr import (
     evolve_diagonal,
     generate_series_x,
@@ -33,13 +33,13 @@ class TestSpectrum:
 
 class TestEvolve:
     def test_identity_at_t0(self):
-        s = coherent_amplitudes(1.0, 30)
+        s = pacs_amplitudes(1.0, 0, 30)
         spec = kerr_spectrum(1.0, 0.01, 30)
         out = evolve_diagonal(s, spec, 0.0)
         assert np.abs(out.amplitudes - s.amplitudes).max() == 0.0
 
     @pytest.mark.parametrize("make", [
-        lambda: coherent_amplitudes(1.0, 30),
+        lambda: pacs_amplitudes(1.0, 0, 30),
         lambda: pacs_amplitudes(1.0, 3, 30),
         lambda: pacs_amplitudes(2.0, 1, 40),
     ])
@@ -50,7 +50,7 @@ class TestEvolve:
         assert abs(overlap(s, out)) ** 2 >= 1.0 - 1e-10
 
     def test_periodic_revivals(self):
-        s = coherent_amplitudes(1.0, 30)
+        s = pacs_amplitudes(1.0, 0, 30)
         spec = kerr_spectrum(1.0, 0.0, 30)
         for k in (1, 2, 3):
             out = evolve_diagonal(s, spec, k * math.pi)
@@ -79,18 +79,18 @@ class TestEvolve:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            evolve_diagonal(coherent_amplitudes(1.0, 20), kerr_spectrum(1, 0, 30), 1.0)
+            evolve_diagonal(pacs_amplitudes(1.0, 0, 20), kerr_spectrum(1, 0, 30), 1.0)
 
 
 class TestSeries:
     def test_vacuum_series_zero(self):
-        s = coherent_amplitudes(0.0, 10)
+        s = pacs_amplitudes(0.0, 0, 10)
         spec = kerr_spectrum(1.0, 0.0, 10)
         ts = generate_series_x(s, spec, 1e-3, 500)
         assert np.all(ts.values == 0.0)
 
     def test_initial_value_and_revival(self):
-        s = coherent_amplitudes(1.0, 30)
+        s = pacs_amplitudes(1.0, 0, 30)
         spec = kerr_spectrum(1.0, 0.0, 30)
         dt = 1e-3
         steps = int(round(math.pi / dt)) + 1
@@ -104,7 +104,7 @@ class TestSeries:
     def test_incremental_matches_direct(self):
         from wplab.fock import quadrature_expectation
 
-        s = coherent_amplitudes(1.0, 30)
+        s = pacs_amplitudes(1.0, 0, 30)
         spec = kerr_spectrum(1.0, 0.01, 30)
         dt = 1e-3
         ts = generate_series_x(s, spec, dt, 30_000)
@@ -120,7 +120,7 @@ class TestSeries:
         assert np.abs(ts.values).max() <= quadrature_bound(s) + 1e-12
 
     def test_metadata(self):
-        s = coherent_amplitudes(2.0, 40)
+        s = pacs_amplitudes(2.0, 0, 40)
         spec = kerr_spectrum(1.0, 0.01, 40)
         ts = generate_series_x(s, spec, 1e-3, 10)
         assert ts.observable == "quadrature_x"

@@ -65,6 +65,29 @@ def test_series_sidecar_records_pruning(tmp_path):
         assert ("norm_error" in meta) == (model == "bipartite")
 
 
+@pytest.mark.parametrize(
+    "model, params, dt, named",
+    [
+        ("bipartite", {"gama": 5.0, "g": 1.0}, 1e-3, "'gama'"),
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0, "gamma": 5.0}, 1e-3, "'gamma'"),
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0}, float("nan"), "dt"),
+        ("bipartite", {"gamma": 5.0}, float("inf"), "dt"),
+        ("bipartite", {"gamma": 5.0}, 0.0, "dt"),
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0}, -1e-3, "dt"),
+    ],
+)
+def test_bad_model_input_fails_before_any_state(
+    tmp_path, monkeypatch, model, params, dt, named
+):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a field state was prepared")
+
+    monkeypatch.setattr(lab, "initial_field_state", no_state)
+    with pytest.raises(ValueError, match=named):
+        lab.simulate(model, params, (5.0, 5), dt, 50, tmp_path / "s.wprs")
+    assert list(tmp_path.iterdir()) == []
+
+
 # every preset at small steps: long enough for its recurrence window and
 # Lyapunov horizon (4000 -> more than 40 000 steps); fig5/fig6 at their own
 SMOKE_STEPS = {

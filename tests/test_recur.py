@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wplab import recur
 from wplab.benchmarks import henon_series, rotation_series, sine_series
@@ -25,6 +27,17 @@ from wplab.series import TimeSeries
 
 def series_of(values, dt=1.0):
     return TimeSeries(dt, np.asarray(values, dtype=float))
+
+
+def counts_of(h):
+    """{tau: count} of a histogram."""
+    return dict(zip(h.taus.tolist(), h.counts.tolist()))
+
+
+def histogram_of(taus, dt=1.0):
+    """The histogram of the return times ``taus``."""
+    vals, cnts = np.unique(taus, return_counts=True)
+    return ReturnTimeHistogram(vals, cnts, len(taus), dt, "entry")
 
 
 def brute_force_recurrences(ts, window_start, window_len, eps, embed=None):
@@ -51,18 +64,18 @@ class TestFirstReturn:
     def test_periodic_single_support(self):
         ts = sine_series(10_000, period=100.0)
         h = first_return_times(ts, Cell(0.999, 1.001))
-        assert set(h.counts) == {100}
+        assert h.taus.tolist() == [100]
 
     def test_rotation_three_gap(self):
         ts = rotation_series(1_000_000)
         h = first_return_times(ts, Cell(0.0, 0.05))
-        assert len(h.counts) <= 3
+        assert h.taus.size <= 3
 
     def test_alternation_hand_enumeration(self):
         # in, out, in, out, ... -> every return time is 2
         ts = series_of([1.0, 0.0] * 50)
         h = first_return_times(ts, Cell(0.5, 1.5))
-        assert h.counts == {2: 49}
+        assert counts_of(h) == {2: 49}
         assert h.total_events == 49
 
     def test_entry_vs_visit(self):
@@ -71,14 +84,14 @@ class TestFirstReturn:
         cell = Cell(0.5, 1.5)
         entry = first_return_times(ts, cell, mode="entry")
         visit = first_return_times(ts, cell, mode="visit")
-        assert entry.counts == {3: 2}
-        assert visit.counts == {1: 3, 2: 2}
+        assert counts_of(entry) == {3: 2}
+        assert counts_of(visit) == {1: 3, 2: 2}
         assert entry.total_events <= visit.total_events
 
     def test_index_zero_counts_as_event(self):
         ts = series_of([1.0, 0.0, 1.0, 0.0])
         h = first_return_times(ts, Cell(0.5, 1.5))
-        assert h.counts == {2: 1}
+        assert counts_of(h) == {2: 1}
 
     def test_no_events(self):
         ts = series_of(np.zeros(100))
@@ -91,13 +104,13 @@ class TestFirstReturn:
         cell = Cell(-0.1, 0.1)
         h1 = first_return_times(series_of(vals), cell)
         h2 = first_return_times(series_of(vals + 3.5), cell.shifted(3.5))
-        assert h1.counts == h2.counts
+        assert counts_of(h1) == counts_of(h2)
 
     def test_dt_relabeling(self):
         vals = np.sin(2 * np.pi * np.arange(5000) / 50.0)
         h1 = first_return_times(series_of(vals, dt=1.0), Cell(0.99, 1.01))
         h2 = first_return_times(series_of(vals, dt=1e-3), Cell(0.99, 1.01))
-        assert h1.counts == h2.counts
+        assert counts_of(h1) == counts_of(h2)
         assert h2.dt == 1e-3
 
 
@@ -105,7 +118,7 @@ class TestSecondReturn:
     def test_periodic(self):
         ts = sine_series(10_000, period=100.0)
         h = second_return_times(ts, Cell(0.999, 1.001))
-        assert set(h.counts) == {200}
+        assert h.taus.tolist() == [200]
 
     def test_mean_telescoping(self):
         rng = np.random.default_rng(8)
@@ -131,7 +144,7 @@ class TestSecondReturn:
         vals[events] = 1.0
         ts = series_of(vals)
         f2 = second_return_times(ts, Cell(0.5, 1.5), mode="visit")
-        t = np.repeat(f2.taus().astype(float), f2.count_array())
+        t = np.repeat(f2.taus.astype(float), f2.counts)
         lam_exp = 1.0 / t.mean()
         ll_exp = np.sum(np.log(lam_exp) - lam_exp * t)
         lam_gam = 2.0 / t.mean()
@@ -144,10 +157,7 @@ class TestFitExponential:
         # gaps drawn in time units, then gridded at dt (kept fine vs 1/rate)
         rng = np.random.default_rng(seed)
         taus = np.maximum(1, np.round(rng.exponential(1.0 / rate, size=n) / dt).astype(int))
-        vals, cnts = np.unique(taus, return_counts=True)
-        return ReturnTimeHistogram(
-            {int(v): int(c) for v, c in zip(vals, cnts)}, n, dt, "entry"
-        )
+        return histogram_of(taus, dt)
 
     def test_recovers_rate(self):
         h = self.synthetic_exponential_hist(0.5, 100_000, dt=0.01)
@@ -159,16 +169,13 @@ class TestFitExponential:
         # rate * dt = 0.01: discretization negligible, KS is tight
         rng = np.random.default_rng(4)
         taus = np.maximum(1, np.ceil(rng.exponential(100.0, size=100_000)).astype(int))
-        vals, cnts = np.unique(taus, return_counts=True)
-        h = ReturnTimeHistogram(
-            {int(v): int(c) for v, c in zip(vals, cnts)}, taus.size, 1.0, "entry"
-        )
+        h = histogram_of(taus)
         fit = fit_exponential(h)
         assert fit.rate == pytest.approx(0.01, rel=0.02)
         assert fit.ks_stat < 0.01
 
     def test_degenerate_support(self):
-        h = ReturnTimeHistogram({100: 500}, 500, 1.0, "entry")
+        h = histogram_of(np.full(500, 100))
         with pytest.raises(DegenerateSupportError):
             fit_exponential(h)
 
@@ -183,7 +190,7 @@ class TestFitExponential:
         assert fit_or_err.ks_stat > 0.2
 
     def test_insufficient_events(self):
-        h = ReturnTimeHistogram({3: 20, 5: 30}, 50, 1.0, "entry")
+        h = histogram_of(np.repeat([3, 5], [20, 30]))
         with pytest.raises(InsufficientEventsError):
             fit_exponential(h)
 
@@ -208,19 +215,47 @@ class TestSupportSparsity:
     def test_exponential_spread(self):
         rng = np.random.default_rng(12)
         taus = np.maximum(1, np.ceil(rng.exponential(100.0, size=100_000)).astype(int))
-        vals, cnts = np.unique(taus, return_counts=True)
-        h = ReturnTimeHistogram(
-            {int(v): int(c) for v, c in zip(vals, cnts)}, taus.size, 1.0, "entry"
-        )
+        h = histogram_of(taus)
         assert support_sparsity(h, 0.9) > 50
 
     def test_mass_validation(self):
-        h = ReturnTimeHistogram({1: 10}, 10, 1.0, "entry")
+        h = histogram_of(np.ones(10, dtype=int))
         with pytest.raises(ValueError):
             support_sparsity(h, 1.5)
 
 
+def density_bins(values, bin_width):
+    """Bin count of ``[lo, lo + k * bin_width)`` edges, k = ceil(span / width)."""
+    lo, hi = min(values), max(values)
+    return max(1, math.ceil((hi - lo) / bin_width)) if hi > lo else 1
+
+
 class TestInvariantDensity:
+    def test_keeps_the_maximum(self):
+        # lo + 390 * 0.01 rounds below hi: the last edge once dropped the maximum
+        values = [-4.418474210187328, -2.0, -0.5184742101873274]
+        d = invariant_density(series_of(values), 0.01)
+        assert d.counts.sum() == 3
+        assert d.counts[-1] == 1
+        assert d.counts.size == density_bins(values, 0.01) + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+            min_size=1,
+            max_size=40,
+        ),
+        bin_width=st.floats(min_value=1e-2, max_value=10.0),
+    )
+    def test_counts_every_sample(self, values, bin_width):
+        d = invariant_density(series_of(values), bin_width)
+        assert d.counts.sum() == len(values)
+        # the edges of old stay wherever they already reach the maximum
+        bins = density_bins(values, bin_width)
+        covered = min(values) + bins * bin_width >= max(values)
+        assert d.counts.size == (bins if covered else bins + 1)
+
     def test_constant_series(self):
         d = invariant_density(series_of(np.full(100, 2.5)), 0.1)
         assert d.counts.size == 1

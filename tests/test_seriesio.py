@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplab import seriesio
+from wplab import seriesio, svg
 from wplab.benchmarks import henon_series, sine_series
 from wplab.recur import (
     Cell,
@@ -36,7 +36,7 @@ def loop_density(d):
 
 
 def loop_histogram(h):
-    return "".join(f"{tau} {h.counts[tau]}\n" for tau in sorted(h.counts))
+    return "".join(f"{tau} {n}\n" for tau, n in zip(h.taus, h.counts))
 
 
 def body(path, columns):
@@ -112,8 +112,11 @@ class TestRowWriterMatchesLoop:
         h = first_return_times(henon_series(4000), Cell(0.0, 0.3))
         path = seriesio.write_histogram(h, tmp_path / "f1.txt")
         assert body(path, "tau count") == loop_histogram(h)
-        assert seriesio.read_histogram(path) == h
-        empty = ReturnTimeHistogram({}, 0, 1.0, "entry")
+        back = seriesio.read_histogram(path)
+        assert np.array_equal(back.taus, h.taus)
+        assert np.array_equal(back.counts, h.counts)
+        assert (back.total_events, back.dt, back.mode) == (h.total_events, h.dt, h.mode)
+        empty = ReturnTimeHistogram(np.empty(0, int), np.empty(0, int), 0, 1.0, "entry")
         path = seriesio.write_histogram(empty, tmp_path / "empty.txt")
         assert body(path, "tau count") == ""
 
@@ -151,6 +154,17 @@ class TestAtomicWrites:
             seriesio.write_recurrence(self.failing_rp(), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("plot", ["bars_svg", "points_svg", "curve_svg"])
+    def test_failed_svg_write_leaves_nothing(self, tmp_path, monkeypatch, plot):
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(seriesio.os, "replace", full_disk)
+        x = np.arange(5.0)
+        with pytest.raises(OSError, match="no space"):
+            getattr(svg, plot)(x, x * x, tmp_path / "plot.svg", "title")
+        assert list(tmp_path.iterdir()) == []
 
     def test_series_and_sidecar_leave_no_temporary(self, tmp_path):
         ts = sine_series(100, period=7.0)
