@@ -15,7 +15,8 @@ so ``analyze`` passes on only the config values its ``--task`` owns,
 while a flag the task does not own is an error.
 
 Exit status: 0 success, 1 runtime error, 2 usage error (a bad flag,
-config value or analysis option, found before any file is read).
+config value, analysis option, preset id, model parameter, ``dt`` or
+``steps``, found before any file is read or written).
 """
 
 from __future__ import annotations
@@ -158,8 +159,6 @@ def main(argv=None) -> int:
             for pid in lab.list_presets():
                 print(pid)
         elif args.command == "simulate":
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
             if args.model == "kerr":
                 params = {"chi": args.chi, "chi_prime": args.chi * args.chi_prime_ratio}
             else:
@@ -175,7 +174,7 @@ def main(argv=None) -> int:
                 (args.nu, args.m),
                 args.dt,
                 args.steps,
-                out_dir / f"{args.model}_series.wprs",
+                Path(args.out) / f"{args.model}_series.wprs",
             )
             print(path)
         elif args.command == "analyze":
@@ -206,9 +205,6 @@ def main(argv=None) -> int:
     except lab.OptionError as exc:
         print(f"wplab: usage error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"wplab: {exc.args[0]}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"wplab: error: {exc}", file=sys.stderr)
         return 1

@@ -12,9 +12,9 @@ least-squares slope, found with one vectorised pass over all window
 ends per window start.  Nearest neighbors of all reference points come
 from one batched, exact query (``BoxGrid.nearest_many``), whose first
 k does not grow with the Theiler window (Rosenstein uses theiler =
-2 * delay); epsilon-neighborhoods are queried per reference point.  The mutual information curve bins the
-series once and forms each lag's joint histogram code with one
-addition.
+2 * delay); epsilon-neighborhoods are queried per reference point.
+The mutual information curve bins the series once and forms each lag's
+joint histogram code with one addition.
 """
 
 from __future__ import annotations

@@ -82,6 +82,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+class OptionError(ValueError):
+    """Bad input found before any work: a preset id, model input or option."""
+
+
 def initial_field_state(nu: float, m: int) -> FockState:
     """Photon-added coherent state at real alpha = sqrt(nu), auto-truncated."""
     alpha = math.sqrt(nu)
@@ -98,22 +102,25 @@ def simulate_series(
 ) -> TimeSeries:
     """Generate the observable series for one model configuration.
 
-    The parameter keys and ``dt`` are checked before any state is prepared.
+    The parameter keys, ``dt`` and ``steps`` are checked before any state
+    is prepared; bad input raises ``OptionError``.
     """
     if model == "kerr":
         known = ("chi", "chi_prime")
     elif model == "bipartite":
         known = tuple(f.name for f in fields(TwoModeParams))
     else:
-        raise ValueError(f"unknown model {model!r} (expected 'kerr' or 'bipartite')")
+        raise OptionError(f"unknown model {model!r} (expected 'kerr' or 'bipartite')")
     unknown = sorted(set(params) - set(known))
     if unknown:
-        raise ValueError(
+        raise OptionError(
             f"model {model!r} takes no parameter {', '.join(map(repr, unknown))}; "
             f"its parameters are {', '.join(known)}"
         )
     if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        raise OptionError(f"dt must be finite and positive, got {dt!r}")
+    if steps < 1:
+        raise OptionError(f"steps must be at least 1, got {steps!r}")
     state = initial_field_state(nu, m)
     if model == "kerr":
         spec = kerr_spectrum(params["chi"], params["chi_prime"], state.n_max)
@@ -140,10 +147,6 @@ def simulate(
 CELL_WIDTH = 0.01  # width of the default median-centred return-time cell
 MI_MIN_WINDOW = 5  # smoothing window of the mutual-information minimum
 FNN_D_MAX = 8  # largest embedding dimension FNN tries
-
-
-class OptionError(ValueError):
-    """An analysis option its task does not take, or a value it cannot use."""
 
 
 def integer(value) -> int:
@@ -358,6 +361,33 @@ def _run_lyapunov(series: TimeSeries, options: dict[str, Any]):
     return result, info
 
 
+def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
+    """The Lyapunov estimate of ``series`` and its json payload.
+
+    ``options`` are the resolved options of ``task``, "lyapunov" or
+    "classify"; for "classify" the payload adds the verdict.  The
+    ``lyapunov`` and ``classify`` json exports and the rows of a table
+    preset are this payload.
+    """
+    result, info = _run_lyapunov(series, options)
+    payload = {
+        "lambda_max": result.lambda_max,
+        "fit_range": list(result.fit_range),
+        "fit_r2": result.fit_r2,
+        "fallback_fit": result.fallback_fit,
+        "method": result.method,
+        "embedding": {
+            "delay": result.embedding.delay,
+            "dimension": result.embedding.dimension,
+        },
+        "selection": info,
+    }
+    if task == "classify":
+        verdict = classify(result, options["threshold"])
+        payload.update(label=verdict.label, ambiguous=verdict.ambiguous)
+    return result, payload
+
+
 def analyze(
     task: str,
     series_file: str | Path,
@@ -372,7 +402,6 @@ def analyze(
     options = resolve_options(task, options)
     series_file = Path(series_file)
     out_dir = Path(out_dir) if out_dir is not None else series_file.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = series_file.name.removesuffix(".wprs")
     ts = seriesio.read_series(series_file)
     # listed before each write, so a failure removes what exists
@@ -454,22 +483,8 @@ def _run_task(task: str, ts: TimeSeries, options: dict[str, Any], out_path):
             {"dimension": f.dimension, "delay": options["delay"]},
         )
         return None
-    result, info = _run_lyapunov(ts, options)
-    payload = {
-        "lambda_max": result.lambda_max,
-        "fit_range": list(result.fit_range),
-        "fit_r2": result.fit_r2,
-        "fallback_fit": result.fallback_fit,
-        "method": result.method,
-        "embedding": {
-            "delay": result.embedding.delay,
-            "dimension": result.embedding.dimension,
-        },
-        "selection": info,
-    }
+    result, payload = _lyapunov_report(task, ts, options)
     if task == "classify":
-        verdict = classify(result, options["threshold"])
-        payload.update(label=verdict.label, ambiguous=verdict.ambiguous)
         seriesio.write_json(payload, out_path("json"))
         return None
     curve = result.divergence_curve
@@ -503,23 +518,19 @@ def _check_steps(preset, steps: int) -> None:
     Runs before any simulation: a recurrence window must fit the series,
     and a Lyapunov fit needs more than 10 * horizon samples.
     """
-    if isinstance(preset, TablePreset):
-        analyses = [("classify", preset.lyapunov_options)]
-    else:
-        analyses = [(item.task, item.options) for item in preset.analyses]
-    for task, options in analyses:
-        options = resolve_options(task, options)
-        if task == "rp":
+    for item in preset.analyses:
+        options = resolve_options(item.task, item.options)
+        if item.task == "rp":
             end = options["window_start"] + _derived(options, "window_len", steps)
             if end > steps:
-                raise ValueError(
+                raise OptionError(
                     f"{preset.id}: recurrence window ending at {end} does not "
                     f"fit {steps} steps"
                 )
-        elif task in _LYAPUNOV and options["horizon"] is not None:
+        elif item.task in _LYAPUNOV and options["horizon"] is not None:
             horizon = options["horizon"]
             if steps <= 10 * horizon:
-                raise ValueError(
+                raise OptionError(
                     f"{preset.id}: Lyapunov horizon {horizon} needs more than "
                     f"{10 * horizon} steps, got {steps}"
                 )
@@ -545,26 +556,18 @@ def _preset_outputs(
 def _table_outputs(
     preset: TablePreset, out_dir: Path, steps: int, dt: float, written: list[Path]
 ) -> None:
-    options = resolve_options("classify", preset.lyapunov_options)
+    (item,) = preset.analyses
+    options = resolve_options(item.task, item.options)
     rows = []
     for entry in preset.entries:
         ts = simulate_series(entry.model, entry.params, entry.nu, entry.m, dt, steps)
-        result, info = _run_lyapunov(ts, options)
-        verdict = classify(result, options["threshold"])
         rows.append(
             {
-                "label": entry.label,
+                "entry": entry.id,
                 "gamma_over_g": entry.params["gamma"] / entry.params["g"],
                 "nu": entry.nu,
                 "m": entry.m,
-                "lambda_max": result.lambda_max,
-                "fit_r2": result.fit_r2,
-                "label_dynamics": verdict.label,
-                "ambiguous": verdict.ambiguous,
-                "embedding": {
-                    "delay": result.embedding.delay,
-                    "dimension": result.embedding.dimension,
-                },
+                **_lyapunov_report(item.task, ts, options)[1],
             }
         )
     json_path = out_dir / "table1.json"
@@ -577,7 +580,7 @@ def _table_outputs(
         "# columns: gamma_over_g nu m lambda_max dynamics\n",
         *(
             f"{r['gamma_over_g']:g} {r['nu']:g} {r['m']} "
-            f"{float(r['lambda_max'])!r} {r['label_dynamics']}\n"
+            f"{float(r['lambda_max'])!r} {r['label']}\n"
             for r in rows
         ),
     ]
@@ -593,9 +596,11 @@ def run_preset(
     svg: bool = False,
 ) -> RunManifest:
     """Generate a preset's series, run its analyses, write a manifest."""
-    preset = get_preset(preset_id)
+    try:
+        preset = get_preset(preset_id)
+    except KeyError as exc:
+        raise OptionError(exc.args[0]) from None
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if steps is None:
         steps = preset.full_steps if full_scale else preset.steps
     run_steps = int(steps)
@@ -609,7 +614,7 @@ def run_preset(
         if isinstance(preset, TablePreset):
             _table_outputs(preset, out_dir, run_steps, run_dt, written)
             parameters: dict[str, Any] = {
-                "entries": [e.label for e in preset.entries],
+                "entries": [e.id for e in preset.entries],
                 "dt": run_dt,
                 "steps": run_steps,
             }

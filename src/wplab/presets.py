@@ -36,21 +36,14 @@ class ExperimentPreset:
 
 
 @dataclass(frozen=True)
-class TableEntry:
-    label: str
-    model: str
-    nu: float
-    m: int
-    params: dict[str, float]
-
-
-@dataclass(frozen=True)
 class TablePreset:
+    """A table: the report of its classify task on each entry's series, one row each."""
+
     id: str
-    entries: tuple[TableEntry, ...]
+    entries: tuple[ExperimentPreset, ...]
     dt: float
     steps: int
-    lyapunov_options: dict[str, Any]
+    analyses: tuple[AnalysisTask, ...]
     notes: tuple[str, ...] = ()
     full_steps: int = FULL_STEPS
 
@@ -75,6 +68,7 @@ _F1 = AnalysisTask("f1", {"mode": "entry"})
 _F2 = AnalysisTask("f2", {"mode": "entry"})
 _RP = AnalysisTask("rp", {"window_start": 0, "window_len": 4000, "epsilon_frac": 0.1})
 _RP_NOTE = "series length equals the recurrence-plot window"
+_CLASSIFY = AnalysisTask("classify", dict(_MODEL_LYAP, threshold=0.01))
 
 
 def _kerr(id: str, nu: float, m: int, *analyses: AnalysisTask, steps=DESK_STEPS, **kw):
@@ -109,24 +103,18 @@ PRESETS: dict[str, ExperimentPreset | TablePreset] = {
             AnalysisTask("f1", {"cell": (12.455, 12.465), "mode": "entry"}),
             AnalysisTask("f2", {"cell": (12.455, 12.465), "mode": "entry"}),
             AnalysisTask("density", {"bin_width": 0.01}),
-            AnalysisTask("classify", dict(_MODEL_LYAP, threshold=0.01)),
+            _CLASSIFY,
         )),
         TablePreset(
             id="table1",
             entries=tuple(
-                TableEntry(
-                    label=f"gamma_over_g={go:g} {kind} nu={nu:g} m={m}",
-                    model="bipartite",
-                    nu=nu,
-                    m=m,
-                    params={"omega": 1.0, "omega0": 1.0, "gamma": go, "g": 1.0},
-                )
+                _two_mode(f"gamma_over_g={go:g} {kind} nu={nu:g} m={m}", nu, m, go, ())
                 for go in (0.01, 1.0, 5.0)
                 for kind, nu, m in (("CS", 1.0, 0), ("PACS", 5.0, 5))
             ),
             dt=1e-3,
             steps=DESK_STEPS,
-            lyapunov_options=dict(_MODEL_LYAP, threshold=0.01),
+            analyses=(_CLASSIFY,),
             notes=(
                 "classification grid over the nonlinearity ratio and the two "
                 "reference initial states",

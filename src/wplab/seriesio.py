@@ -50,8 +50,10 @@ def _replacing(path: Path, mode: str = "w") -> Iterator[Any]:
 
     The data go to a temporary sibling, moved over ``path`` by
     ``os.replace`` after it is closed; if the block raises, the temporary
-    file is removed and ``path`` is left as it was.
+    file is removed and ``path`` is left as it was.  Missing parent
+    directories are created, so none exists before something is written.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, mode) as fh:

@@ -61,9 +61,26 @@ def test_exit_codes(tmp_path, series_file):
                       "--out", tmp_path]) == 0
     assert exit_code(["analyze", "--task", "density", "--series",
                       tmp_path / "missing.wprs"]) == 1
-    assert exit_code(["preset", "fig11-14", "--steps", 2000, "--out", tmp_path]) == 1
     assert exit_code(["analyze", "--task", "spectrum", "--series", series_file]) == 2
     assert exit_code(["simulate", "--model", "kerr", "--steps", "many"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "kerr", "--dt", "nan"],
+        ["simulate", "--model", "kerr", "--steps", 0],
+        ["preset", "nosuch"],
+        ["preset", "fig11-14", "--steps", 2000],  # the rp window does not fit
+    ],
+)
+def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a field state was prepared")
+
+    monkeypatch.setattr(lab, "initial_field_state", no_state)
+    assert exit_code(argv + ["--out", tmp_path / "d" / "x"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

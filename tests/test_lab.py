@@ -9,7 +9,7 @@ import pytest
 
 from wplab import lab, seriesio
 from wplab.benchmarks import sine_series
-from wplab.presets import PRESETS, TablePreset
+from wplab.presets import PRESETS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,12 +29,16 @@ def test_classify_json_for_regular_verdict(tmp_path):
     assert payload["ambiguous"] is False
 
 
-def test_failed_preset_leaves_no_outputs(tmp_path):
-    # the 4000-sample recurrence window does not fit 2000 steps; the
-    # series and the exports written before that task must go too
+def test_failed_preset_leaves_no_outputs(tmp_path, monkeypatch):
+    # density is the last task of fig7-10: the series and the exports
+    # written before it must go too
+    def failing_density(*args, **kwargs):
+        raise RuntimeError("density failed")
+
+    monkeypatch.setattr(lab, "invariant_density", failing_density)
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="does not fit"):
-        lab.run_preset("fig11-14", out, steps=2000)
+    with pytest.raises(RuntimeError, match="density failed"):
+        lab.run_preset("fig7-10", out, steps=10_000)
     assert list(out.iterdir()) == []
 
 
@@ -50,9 +54,9 @@ def test_bad_steps_fail_before_simulating(
 
     monkeypatch.setattr(lab, "simulate_series", no_simulation)
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=reason):
+    with pytest.raises(lab.OptionError, match=reason):
         lab.run_preset(preset_id, out, steps=steps)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_series_sidecar_records_pruning(tmp_path):
@@ -143,15 +147,32 @@ def test_presets_match_pinned_digests(tmp_path):
 
 @pytest.mark.parametrize("preset_id", sorted(PRESETS))
 def test_preset_options_resolve(preset_id):
-    preset = PRESETS[preset_id]
-    if isinstance(preset, TablePreset):
-        analyses = [("classify", preset.lyapunov_options)]
-    else:
-        analyses = [(item.task, item.options) for item in preset.analyses]
-    for task, options in analyses:
-        resolved = lab.resolve_options(task, options)
-        assert set(resolved) == {n for n, o in lab.OPTIONS.items() if task in o.tasks}
-        assert lab.resolve_options(task, resolved) == resolved
+    for item in PRESETS[preset_id].analyses:
+        resolved = lab.resolve_options(item.task, item.options)
+        owned = {n for n, o in lab.OPTIONS.items() if item.task in o.tasks}
+        assert set(resolved) == owned
+        assert lab.resolve_options(item.task, resolved) == resolved
+
+
+def test_table_row_is_the_classify_export(tmp_path):
+    # a table row is the classify json of its entry's series plus the
+    # entry's own columns, key for key
+    table = PRESETS["table1"]
+    (item,) = table.analyses
+    entry = table.entries[4]  # gamma/g = 5, coherent state
+    steps = 41_000
+    lab.run_preset("table1", tmp_path / "table", steps=steps)
+    rows = json.loads((tmp_path / "table" / "table1.json").read_text())["rows"]
+    (row,) = [r for r in rows if r["entry"] == entry.id]
+    columns = {"entry": entry.id, "gamma_over_g": 5.0, "nu": 1.0, "m": 0}
+    assert {key: row.pop(key) for key in columns} == columns
+
+    series = lab.simulate(
+        entry.model, entry.params, (entry.nu, entry.m), table.dt, steps,
+        tmp_path / "s.wprs",
+    )
+    (path,) = lab.analyze(item.task, series, item.options, tmp_path / "classify")
+    assert json.loads(path.read_text()) == row
 
 
 @pytest.mark.parametrize(
