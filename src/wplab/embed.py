@@ -13,8 +13,11 @@ ends per window start.  Nearest neighbors of all reference points come
 from one batched, exact query (``BoxGrid.nearest_many``), whose first
 k does not grow with the Theiler window (Rosenstein uses theiler =
 2 * delay); epsilon-neighborhoods are queried per reference point.
-The mutual information curve bins the series once and forms each lag's
-joint histogram code with one addition.
+The mutual information curve bins the series once and keeps each lag's
+joint histogram as integer counts: a lag's counts follow from the
+previous lag's by moving only the pairs whose second point crosses a
+change of bin, or are recounted from all pairs where the series changes
+bin so often that this is cheaper.
 """
 
 from __future__ import annotations
@@ -95,9 +98,9 @@ def delay_embed(series: TimeSeries, spec: EmbeddingSpec) -> np.ndarray:
     )
 
 
-def _mi_histogram(codes: np.ndarray, bins: int) -> float:
-    """Mutual information of the pairs (a, b) coded as a * bins + b."""
-    joint = np.bincount(codes, minlength=bins * bins).astype(np.float64)
+def _mi_counts(counts: np.ndarray, bins: int) -> float:
+    """Mutual information of the (bins * bins) joint counts, flattened."""
+    joint = counts.astype(np.float64)
     joint /= joint.sum()
     jm = joint.reshape(bins, bins)
     px = jm.sum(axis=1)
@@ -105,6 +108,21 @@ def _mi_histogram(codes: np.ndarray, bins: int) -> float:
     nz = jm > 0
     denom = np.outer(px, py)[nz]
     return float(np.sum(jm[nz] * np.log(jm[nz] / denom)))
+
+
+def _joint_counts(
+    bx: np.ndarray, row: np.ndarray, lag: int, stride: int, bins: int
+) -> np.ndarray:
+    """Counts of the pairs (bx[t], bx[t + lag]), t = 0, stride, ... <
+    n - lag, flattened as bx[t] * bins + bx[t + lag]; ``row`` is bx * bins."""
+    a = row[: bx.size - lag : stride]
+    return np.bincount(a + bx[lag::stride][: a.size], minlength=bins * bins)
+
+
+# time of one change-point move in units of the time of one recounted
+# pair: 5-8 measured with numpy 2.4 on a 2-vCPU Xeon (bins 16, 6e4 to 1e6
+# samples), so a lag is recounted unless its moves are this much fewer
+_UPDATE_COST = 6
 
 
 def mutual_information_delay(
@@ -121,6 +139,14 @@ def mutual_information_delay(
     (default targets about 2e5 pairs per lag).  ``min_window`` widens the
     neighborhood a minimum must dominate; curves of noiseless periodic
     signals carry binning ripple that a 1-sample window latches onto.
+
+    The pairs at a lag are (x_t, x_{t+lag}) for t a multiple of
+    ``stride``.  Going from lag - 1 to lag, the last pair drops out and a
+    pair changes its joint bin only where its second point crosses a
+    change point of the binned series, so each lag's integer counts
+    follow from the previous lag's by those few moves; a lag is recounted
+    from all its pairs instead when that is cheaper.  Either way the
+    counts are exact, and the curve does not depend on the path taken.
     """
     x = series.values
     if x.size <= 10 * max_lag:
@@ -130,14 +156,34 @@ def mutual_information_delay(
     lo, hi = float(x.min()), float(x.max())
     if hi <= lo:
         raise ValueError("mutual information undefined for a constant series")
+    n = x.size
     bx = np.minimum(((x - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
     if stride is None:
-        stride = max(1, (x.size - max_lag) // 200_000)
+        stride = max(1, (n - max_lag) // 200_000)
     row = bx * bins
+    # change points c (bx[c] != bx[c - 1]), sorted within each residue
+    # class c mod stride
+    change = np.flatnonzero(bx[1:] != bx[:-1]) + 1
+    by_residue = [change[change % stride == r] for r in range(stride)]
+    counts = _joint_counts(bx, row, 1, stride, bins)
     curve = np.empty(max_lag)
-    for lag in range(1, max_lag + 1):
-        a = row[: x.size - lag : stride]
-        curve[lag - 1] = _mi_histogram(a + bx[lag::stride][: a.size], bins)
+    curve[0] = _mi_counts(counts, bins)
+    for lag in range(2, max_lag + 1):
+        # pair t moves its second point from t + lag - 1 to c = t + lag;
+        # its code changes iff c is a change point with c >= lag and
+        # c % stride == lag % stride
+        group = by_residue[lag % stride]
+        moved = group[np.searchsorted(group, lag) :]
+        pairs = (n - lag + stride - 1) // stride
+        if _UPDATE_COST * moved.size < pairs:
+            if (n - lag) % stride == 0:  # pair t = n - lag drops out
+                counts[row[n - lag] + bx[n - 1]] -= 1
+            first = row[moved - lag]
+            counts += np.bincount(first + bx[moved], minlength=bins * bins)
+            counts -= np.bincount(first + bx[moved - 1], minlength=bins * bins)
+        else:
+            counts = _joint_counts(bx, row, lag, stride, bins)
+        curve[lag - 1] = _mi_counts(counts, bins)
     w = max(1, min_window)
     for k in range(1, max_lag - 1):
         neigh = np.concatenate((curve[max(0, k - w) : k], curve[k + 1 : k + w + 1]))

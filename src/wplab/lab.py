@@ -5,18 +5,20 @@ task against a series file and writes its text export, ``run_preset``
 chains both for the preset catalogue and returns a manifest with
 content digests.  Reruns of a preset produce byte-identical data files
 as long as the BLAS thread count and OpenBLAS's CPU kernel stay the
-same: the spectral kernel's GEMM rounds differently under either, and
-neither is recorded.  The manifest additionally records wall time and
-assumptions.
+same: the spectral kernel's GEMM rounds differently under either.  The
+manifest additionally records wall time, assumptions and the BLAS
+(``blas_environment``), which names the kernel and thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import numbers
+import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -66,6 +68,7 @@ class RunManifest:
     outputs: list[dict[str, Any]]  # path, sha256, bytes
     wall_time_s: float
     assumptions: tuple[str, ...] = ()
+    blas: dict[str, Any] = field(default_factory=dict)  # blas_environment()
 
     def verify(self, base: str | Path = ".") -> bool:
         base = Path(base)
@@ -74,6 +77,56 @@ class RunManifest:
             if not p.exists() or _sha256(p) != rec["sha256"]:
                 return False
         return True
+
+
+# environment variables that set OpenBLAS's thread count and CPU kernel
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE")
+
+
+def _openblas_runtime() -> tuple[Optional[str], Optional[int]]:
+    """Configuration string and thread count of the OpenBLAS in this
+    process, or None for each when no OpenBLAS library is mapped.
+
+    numpy's ``show_config`` holds the configuration of the build host,
+    so the CPU kernel chosen at load time is asked of the library.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
+    except OSError:
+        return None, None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        # symbol names of the scipy-openblas wheels and of plain OpenBLAS,
+        # each with 64-bit or 32-bit integers
+        variants = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
+        for prefix, suffix in variants:
+            try:
+                get_config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
+                get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return get_config().decode("ascii", "replace"), get_threads()
+    return None, None
+
+
+def blas_environment() -> dict[str, Any]:
+    """numpy's BLAS: name and version, the run-time OpenBLAS configuration
+    (it names the CPU kernel) and thread count, and ``BLAS_VARIABLES``."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 has no mode, and only prints
+        info = {}
+    config, threads = _openblas_runtime()
+    return {
+        "name": info.get("name"),
+        "version": info.get("version"),
+        "openblas_config": config,
+        "threads": threads,
+        **{var: os.environ.get(var) for var in BLAS_VARIABLES},
+    }
 
 
 def _sha256(path: Path) -> str:
@@ -642,6 +695,8 @@ def run_preset(
         }
         for p in written
     ]
-    manifest = RunManifest(preset_id, parameters, outputs, wall, tuple(preset.notes))
+    manifest = RunManifest(
+        preset_id, parameters, outputs, wall, tuple(preset.notes), blas_environment()
+    )
     seriesio.write_json(asdict(manifest), out_dir / f"{preset_id}_manifest.json")
     return manifest

@@ -7,7 +7,9 @@ are written byte-identically for identical inputs.  A JSON sidecar
 Analysis exports are plain text with ``# key = value`` headers echoing
 the resolved options.  Floats are written as ``repr(float(x))``: the
 repr of a numpy scalar reads ``np.float64(...)`` under numpy 2, which
-the readers here cannot parse.
+the readers here cannot parse.  Integer columns (recurrence pairs,
+return-time histograms) are non-negative and formatted by numpy, as
+``%d`` would, from a table of 4-digit groups rather than Python ints.
 
 Every writer fills a temporary sibling of its target and moves it into
 place with ``os.replace``, so a target is either complete or absent (or
@@ -17,6 +19,7 @@ partial file behind.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -35,9 +38,12 @@ _HEADER = struct.Struct("<4sHHQd8x")  # magic, version, reserved, count, dt, pad
 assert _HEADER.size == 32
 
 
-# rows formatted per string operation by ``_write_rows``: bounds the
-# temporary tuple of Python scalars to a few MB
+# rows formatted per string operation by ``_write_rows`` and
+# ``_write_int_rows``: bounds their temporaries to a few MB
 _ROWS_PER_CHUNK = 1 << 16
+
+# 10**1 ... 10**18: an int64 has one digit more than the powers it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 class FormatError(ValueError):
@@ -73,6 +79,50 @@ def _write_rows(fh, line: str, rows: np.ndarray) -> None:
     for r0 in range(0, len(rows), _ROWS_PER_CHUNK):
         block = rows[r0 : r0 + _ROWS_PER_CHUNK]
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The strings "0000" ... "9999" as little-endian 4-byte words, one
+    per 4-digit group: the digit of 10**i is byte 3 - i.  Built on first
+    use, so that importing the package does not hold the memory its
+    construction touches (about 0.3 MB resident at import)."""
+    k = np.arange(10_000, dtype=np.uint32)
+    words = sum((k // 10**i % 10 + ord("0")) << 8 * (3 - i) for i in range(4))
+    table = words.astype("<u4")
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+def _write_int_rows(fh, rows: np.ndarray) -> None:
+    """Write each row of the 2-D non-negative integer array ``rows`` as
+    its entries in decimal, separated by spaces, one row per line.
+
+    The bytes are those of ``"%d %d\\n" % tuple(row)`` (for two columns),
+    formatted without Python integers: each chunk of rows is laid out in
+    fixed-width fields of 4-digit groups looked up in ``_digit_groups()``,
+    and a mask drops each field's leading zeros.
+    """
+    rows = rows.astype(np.int64, casting="safe", copy=False)
+    if rows.size and rows.min() < 0:
+        raise ValueError("integer export of a negative value")
+    table = _digit_groups()
+    for r0 in range(0, len(rows), _ROWS_PER_CHUNK):
+        block = rows[r0 : r0 + _ROWS_PER_CHUNK]
+        digits = np.searchsorted(_POWERS_OF_TEN, block, side="right") + 1
+        groups = (int(digits.max()) + 3) // 4
+        words = np.empty(block.shape + (groups,), dtype=table.dtype)
+        for g in range(groups - 1, 0, -1):
+            block, low = np.divmod(block, 10_000)
+            words[..., g] = table[low]
+        words[..., 0] = table[block]  # the leading group, < 10_000
+        width = 4 * groups
+        text = np.empty(words.shape[:2] + (width + 1,), dtype=np.uint8)
+        text[..., :width] = words.view(np.uint8)
+        text[..., width] = ord(" ")
+        text[:, -1, width] = ord("\n")
+        keep = np.arange(width + 1) >= (width - digits)[..., None]
+        fh.write(text[keep].tobytes().decode("ascii"))
 
 
 def write_series(ts: TimeSeries, path: str | Path) -> Path:
@@ -146,7 +196,7 @@ def write_histogram(
     with _replacing(path) as fh:
         _write_header(fh, f"{kind} histogram", options)
         fh.write("# columns: tau count\n")
-        _write_rows(fh, "%d %d\n", np.column_stack((h.taus, h.counts)))
+        _write_int_rows(fh, np.column_stack((h.taus, h.counts)))
     return path
 
 
@@ -194,7 +244,7 @@ def write_recurrence(rp: RecurrencePlotData, path: str | Path) -> Path:
     with _replacing(path) as fh:
         _write_header(fh, "recurrence plot", options)
         fh.write("# columns: i j\n")
-        _write_rows(fh, "%d %d\n", rp.pairs)
+        _write_int_rows(fh, rp.pairs)
     return path
 
 

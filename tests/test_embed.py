@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wplab.benchmarks import henon_series, logistic_series, sine_series
-from wplab import neighbors
+from wplab import embed, neighbors
 from wplab.embed import (
     FIT_MIN_POINTS,
     FIT_SLOPE_TOL,
@@ -47,6 +49,57 @@ def brute_force_mi_curve(x, max_lag, bins):
                     mi += joint[u, v] * math.log(joint[u, v] / (px[u] * py[v]))
         out.append(mi)
     return np.array(out)
+
+
+def per_lag_curve(x, max_lag, bins, stride):
+    """The MI curve from each lag's joint codes a * bins + b formed anew."""
+    lo, hi = float(x.min()), float(x.max())
+    bx = np.minimum(((x - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
+    curve = []
+    for lag in range(1, max_lag + 1):
+        a = bx[: x.size - lag : stride]
+        b = bx[lag::stride][: a.size]
+        joint = np.bincount(a * bins + b, minlength=bins * bins).astype(np.float64)
+        joint /= joint.sum()
+        jm = joint.reshape(bins, bins)
+        nz = jm > 0
+        denom = np.outer(jm.sum(axis=1), jm.sum(axis=0))[nz]
+        curve.append(float(np.sum(jm[nz] * np.log(jm[nz] / denom))))
+    return np.array(curve)
+
+
+@pytest.fixture
+def recounts(monkeypatch):
+    """The lags ``mutual_information_delay`` counts from all their pairs."""
+    lags = []
+    joint_counts = embed._joint_counts
+
+    def spy(bx, row, lag, stride, bins):
+        lags.append(lag)
+        return joint_counts(bx, row, lag, stride, bins)
+
+    monkeypatch.setattr(embed, "_joint_counts", spy)
+    return lags
+
+
+@st.composite
+def piecewise_constant(draw):
+    """(series, max_lag, bins, stride): runs of 1-300 equal samples."""
+    bins = draw(st.integers(2, 32))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(0, bins - 1), st.integers(1, 300)),
+            min_size=2,
+            max_size=30,
+        )
+    )
+    levels, lengths = zip(*runs)
+    x = np.repeat(np.array(levels, dtype=np.float64), lengths)
+    assume(x.size > 80 and x.min() < x.max())
+    # max_lag > stride: some lag drops its last pair, whatever x.size
+    stride = draw(st.integers(1, 7))
+    max_lag = draw(st.integers(8, min(60, (x.size - 1) // 10)))
+    return x, max_lag, bins, stride
 
 
 class TestDelayEmbed:
@@ -114,25 +167,33 @@ class TestMutualInformation:
             mutual_information_delay(white_noise(100), max_lag=20, bins=8)
 
     @pytest.mark.parametrize("stride", [None, 1, 3])
-    def test_matches_per_lag_codes(self, stride):
-        # the joint code a * bins + b formed from scratch for every lag
+    def test_matches_per_lag_codes(self, stride, recounts):
+        # a noisy sine changes bin on most samples: every lag is recounted
         x = sine_series(20_000, period=173.0).values + 0.1 * white_noise(20_000).values
         max_lag, bins = 60, 16
         res = mutual_information_delay(TimeSeries(1.0, x), max_lag, bins, stride=stride)
-        lo, hi = float(x.min()), float(x.max())
-        bx = np.minimum(((x - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
         step = stride or max(1, (x.size - max_lag) // 200_000)
-        curve = []
-        for lag in range(1, max_lag + 1):
-            a = bx[: x.size - lag : step]
-            b = bx[lag::step][: a.size]
-            joint = np.bincount(a * bins + b, minlength=bins * bins).astype(np.float64)
-            joint /= joint.sum()
-            jm = joint.reshape(bins, bins)
-            nz = jm > 0
-            denom = np.outer(jm.sum(axis=1), jm.sum(axis=0))[nz]
-            curve.append(float(np.sum(jm[nz] * np.log(jm[nz] / denom))))
-        assert np.array_equal(res.curve, np.array(curve))
+        assert np.array_equal(res.curve, per_lag_curve(x, max_lag, bins, step))
+        assert recounts == list(range(1, max_lag + 1))
+
+    @pytest.mark.parametrize("stride", [None, 1, 3, 7])
+    @pytest.mark.parametrize("n", [20_000, 20_001, 20_005])
+    def test_smooth_series_updates_counts(self, stride, n, recounts):
+        # a finely sampled sine changes bin a few hundred times: after
+        # lag 1 every lag's counts come from change-point updates
+        x = sine_series(n, period=2000.0).values
+        max_lag, bins = 60, 16
+        res = mutual_information_delay(TimeSeries(1.0, x), max_lag, bins, stride=stride)
+        step = stride or max(1, (x.size - max_lag) // 200_000)
+        assert np.array_equal(res.curve, per_lag_curve(x, max_lag, bins, step))
+        assert recounts == [1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=piecewise_constant())
+    def test_piecewise_constant_matches_per_lag_codes(self, case):
+        x, max_lag, bins, stride = case
+        res = mutual_information_delay(TimeSeries(1.0, x), max_lag, bins, stride=stride)
+        assert np.array_equal(res.curve, per_lag_curve(x, max_lag, bins, stride))
 
 
 class TestFnn:

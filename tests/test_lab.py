@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wplab import lab, seriesio
@@ -143,6 +144,40 @@ def test_presets_match_pinned_digests(tmp_path):
     assert runs[0] == runs[1]
     pinned = json.loads(Path(__file__).with_name("preset_digests.json").read_text())
     assert runs[0] == pinned
+
+
+def test_manifest_records_blas(tmp_path):
+    # OpenBLAS picks its kernel when it loads, so the run has its own
+    # process, with the thread count and kernel the digest runs pin
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        OPENBLAS_CORETYPE="Haswell",
+    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", SMOKE_SCRIPT, str(tmp_path), json.dumps({"fig5": None})],
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    m = json.loads((tmp_path / "fig5" / "fig5_manifest.json").read_text())
+    blas = m["blas"]
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (blas["name"], blas["version"]) == (info["name"], info["version"])
+    assert [blas[var] for var in lab.BLAS_VARIABLES] == ["1", "1", "Haswell"]
+    if "openblas" in info["name"]:
+        # the kernel in use, not the build host's in numpy's show_config
+        assert " Haswell " in blas["openblas_config"]
+        assert blas["threads"] == 1
+    # the five positional fields, as the benchmark's checks pass them
+    manifest = lab.RunManifest(
+        m["preset"], m["parameters"], m["outputs"], m["wall_time_s"],
+        tuple(m["assumptions"]),
+    )
+    assert manifest.blas == {}
+    assert manifest.verify(tmp_path / "fig5")
 
 
 @pytest.mark.parametrize("preset_id", sorted(PRESETS))

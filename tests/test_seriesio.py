@@ -121,37 +121,84 @@ class TestRowWriterMatchesLoop:
         assert body(path, "tau count") == ""
 
 
-class Unprintable:
-    """A value that fails to format, as a write that fails mid-body."""
+# the digit-count and 4-digit-group boundaries of the integer writer
+INT_BOUNDARIES = [0, 9, 10, 99, 999, 9_999, 10_000, 10_001, 2**32, 10**16, 2**53]
 
-    def __format__(self, spec):
-        raise ValueError("unprintable")
 
-    def __index__(self):
-        raise ValueError("unprintable")
+class TestIntegerRows:
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["1-row", "3-row", "default"])
+    def test_boundaries_match_percent_d(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(seriesio, "_ROWS_PER_CHUNK", chunk)
+        v = np.array(INT_BOUNDARIES, dtype=np.int64)
+        # every pair of boundaries, so chunks mix field widths
+        pairs = np.stack(np.meshgrid(v, v, indexing="ij"), axis=-1).reshape(-1, 2)
+        expect = "".join("%d %d\n" % (int(i), int(j)) for i, j in pairs)
+        rp = RecurrencePlotData(0, 10, 0.1, pairs)
+        path = seriesio.write_recurrence(rp, tmp_path / "rp.txt")
+        assert body(path, "i j") == expect
+        h = ReturnTimeHistogram(pairs[:, 0], pairs[:, 1], 1, 1.0, "entry")
+        path = seriesio.write_histogram(h, tmp_path / "f1.txt")
+        assert body(path, "tau count") == expect
+        empty = RecurrencePlotData(0, 10, 0.1, np.empty((0, 2), dtype=np.int64))
+        path = seriesio.write_recurrence(empty, tmp_path / "empty.txt")
+        assert body(path, "i j") == ""
 
-    __int__ = __index__
+    def test_negative_value_raises(self, tmp_path):
+        rp = RecurrencePlotData(0, 10, 0.1, np.array([[1, 2], [3, -4]]))
+        with pytest.raises(ValueError, match="negative"):
+            seriesio.write_recurrence(rp, tmp_path / "rp.txt")
+        assert list(tmp_path.iterdir()) == []
+
+
+class SecondBodyWriteFails:
+    """A text file that fails on its second write of body rows (a write
+    not starting with "#"), as a disk that fills up mid-export."""
+
+    def __init__(self, path, mode="r"):
+        self.fh = open(path, mode)
+        self.body: list[str] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        if not text.startswith("#"):
+            if self.body:
+                raise OSError("no space left on device")
+            self.body.append(text)
+        return self.fh.write(text)
 
 
 class TestAtomicWrites:
-    def failing_rp(self):
-        # the header and first row are written before the second row fails
-        pairs = np.array([[1, 2], [3, Unprintable()]], dtype=object)
-        return RecurrencePlotData(0, 10, 0.1, pairs)
+    def write_failing_rp(self, path, monkeypatch):
+        # the header and first one-row chunk are written before the
+        # second chunk fails
+        monkeypatch.setattr(seriesio, "_ROWS_PER_CHUNK", 1)
+        handles = []
+
+        def failing_open(*args):
+            handles.append(SecondBodyWriteFails(*args))
+            return handles[-1]
+
+        monkeypatch.setattr(seriesio, "open", failing_open, raising=False)
+        pairs = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        with pytest.raises(OSError, match="no space"):
+            seriesio.write_recurrence(RecurrencePlotData(0, 10, 0.1, pairs), path)
+        assert [h.body for h in handles] == [["1 2\n"]]
 
     def test_failure_mid_body_leaves_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(seriesio, "_ROWS_PER_CHUNK", 1)
-        with pytest.raises(ValueError, match="unprintable"):
-            seriesio.write_recurrence(self.failing_rp(), tmp_path / "rp.txt")
+        self.write_failing_rp(tmp_path / "rp.txt", monkeypatch)
         assert list(tmp_path.iterdir()) == []
 
     def test_failure_keeps_previous_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(seriesio, "_ROWS_PER_CHUNK", 1)
         good = RecurrencePlotData(0, 10, 0.1, np.array([[1, 2]], dtype=np.int64))
         path = seriesio.write_recurrence(good, tmp_path / "rp.txt")
         before = path.read_bytes()
-        with pytest.raises(ValueError, match="unprintable"):
-            seriesio.write_recurrence(self.failing_rp(), path)
+        self.write_failing_rp(path, monkeypatch)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
