@@ -18,11 +18,20 @@ joint histogram as integer counts: a lag's counts follow from the
 previous lag's by moving only the pairs whose second point crosses a
 change of bin, or are recounted from all pairs where the series changes
 bin so often that this is cheaper.
+
+Each scan stops at its answer.  The delay search can end at the first
+minimum of the mutual information, once the lags that confirm it are
+counted.  FNN ends at the first dimension whose false fraction drops
+below 1%, so ``fnn_fractions`` runs up to the chosen dimension (all
+``d_max`` when none does), and it hands on the KD-tree of that last
+dimension's embedding: the tree covers every embedded row, and queries
+keep to the rows they may use through ``limit``, so the divergence
+estimate of the same embedding reuses it instead of building another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,13 +65,19 @@ class EmbeddingSpec:
 class MutualInformationResult:
     lag: int
     has_minimum: bool
-    curve: np.ndarray  # I(lag) for lag = 1..max_lag, in nats
+    # I(lag) for lag = 1..max_lag, in nats; it ends where the first
+    # minimum is confirmed when the search stops there
+    curve: np.ndarray
 
 
 @dataclass(frozen=True)
 class FnnResult:
     dimension: Optional[int]
-    fnn_fractions: np.ndarray  # fraction of false neighbors for d = 1..d_max
+    # fraction of false neighbors for d = 1..dimension, or 1..d_max
+    # when no fraction drops below 1%
+    fnn_fractions: np.ndarray
+    # KD-tree over the full embedding of the last dimension scanned
+    grid: Optional[BoxGrid] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -131,6 +146,7 @@ def mutual_information_delay(
     bins: int,
     stride: Optional[int] = None,
     min_window: int = 1,
+    stop_at_minimum: bool = False,
 ) -> MutualInformationResult:
     """First strict local minimum of the histogram mutual information.
 
@@ -139,6 +155,9 @@ def mutual_information_delay(
     (default targets about 2e5 pairs per lag).  ``min_window`` widens the
     neighborhood a minimum must dominate; curves of noiseless periodic
     signals carry binning ripple that a 1-sample window latches onto.
+    With ``stop_at_minimum`` the curve ends at the lag that confirms the
+    first minimum, ``min_window`` lags past it; lag and flag are the
+    same as from the full curve.
 
     The pairs at a lag are (x_t, x_{t+lag}) for t a multiple of
     ``stride``.  Going from lag - 1 to lag, the last pair drops out and a
@@ -161,6 +180,7 @@ def mutual_information_delay(
     if stride is None:
         stride = max(1, (n - max_lag) // 200_000)
     row = bx * bins
+    w = max(1, min_window)
     # change points c (bx[c] != bx[c - 1]), sorted within each residue
     # class c mod stride
     change = np.flatnonzero(bx[1:] != bx[:-1]) + 1
@@ -184,12 +204,22 @@ def mutual_information_delay(
         else:
             counts = _joint_counts(bx, row, lag, stride, bins)
         curve[lag - 1] = _mi_counts(counts, bins)
-    w = max(1, min_window)
-    for k in range(1, max_lag - 1):
-        neigh = np.concatenate((curve[max(0, k - w) : k], curve[k + 1 : k + w + 1]))
-        if np.all(curve[k] < neigh):
+        # a stopping search tests curve index lag - 1 - w as soon as its
+        # whole window is known; the earlier indices were tested before
+        if stop_at_minimum and lag > w + 1 and _is_minimum(curve, lag - 1 - w, w):
+            return MutualInformationResult(lag - w, True, curve[:lag])
+    # the indices whose window the end of the curve cuts short are the
+    # only ones a stopping search has not tested yet
+    for k in range(max(1, max_lag - w) if stop_at_minimum else 1, max_lag - 1):
+        if _is_minimum(curve, k, w):
             return MutualInformationResult(k + 1, True, curve)
     return MutualInformationResult(max_lag, False, curve)
+
+
+def _is_minimum(curve: np.ndarray, k: int, w: int) -> bool:
+    """curve[k] is below every value within w places of it."""
+    neigh = np.concatenate((curve[max(0, k - w) : k], curve[k + 1 : k + w + 1]))
+    return bool(np.all(curve[k] < neigh))
 
 
 def false_nearest_neighbors(
@@ -205,9 +235,13 @@ def false_nearest_neighbors(
     A neighbor is false if the extra coordinate jumps by more than r_tol
     times the current distance, or by more than a_tol times the series
     spread (the usual catch for stochastic data).  The reported dimension
-    is the smallest d with a false fraction below 1%.  Each dimension
-    finds the neighbors of all (up to ``max_reference``) reference points
-    in one batched query and applies the test to them as arrays.
+    is the smallest d with a false fraction below 1%, and the scan stops
+    there: ``fnn_fractions`` ends at that d, or runs to ``d_max`` when no
+    fraction drops below 1%.  Each dimension finds the neighbors of all
+    (up to ``max_reference``) reference points in one batched query, on
+    a tree over the whole d-embedding limited to the rows whose next
+    coordinate exists, and applies the test to them as arrays.  The last
+    dimension's tree is returned as ``grid``.
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
@@ -217,18 +251,19 @@ def false_nearest_neighbors(
     # the floor, exactly periodic data flag duplicate points (distance
     # ~1e-16, growth ~1e-14) as false through a meaningless ratio
     noise_floor = 1e-10 * sigma
-    fractions = np.empty(d_max)
-    dimension: Optional[int] = None
+    fractions = []
+    grid = None
     for d in range(1, d_max + 1):
         n_ext = x.size - d * delay
         if n_ext < 20:
             raise ValueError(
                 f"series too short for FNN at dimension {d} with delay {delay}"
             )
-        pts = delay_embed(series, EmbeddingSpec(delay, d))[:n_ext]
+        grid = None  # the previous dimension's tree goes before this one is built
+        grid = BoxGrid(delay_embed(series, EmbeddingSpec(delay, d)))
         stride = max(1, n_ext // max_reference)
         refs = np.arange(0, n_ext, stride)
-        j, dist = BoxGrid(pts).nearest_many(refs, theiler=0, exclude_zero=False)
+        j, dist = grid.nearest_many(refs, theiler=0, limit=n_ext - 1, exclude_zero=False)
         found = j >= 0
         growth = np.abs(x[refs[found] + d * delay] - x[j[found] + d * delay])
         false = np.count_nonzero(
@@ -238,10 +273,10 @@ def false_nearest_neighbors(
         used = np.count_nonzero(found)
         if used == 0:
             raise ValueError("no neighbor pairs available for FNN")
-        fractions[d - 1] = false / used
-        if dimension is None and fractions[d - 1] < 0.01:
-            dimension = d
-    return FnnResult(dimension, fractions)
+        fractions.append(false / used)
+        if fractions[-1] < 0.01:
+            return FnnResult(d, np.array(fractions), grid)
+    return FnnResult(None, np.array(fractions), grid)
 
 
 def _select_fit_window(ks: np.ndarray, svals: np.ndarray):
@@ -317,6 +352,7 @@ def _lyapunov(
     curve_stride: int,
     method: str,
     neighbors: Callable[[BoxGrid, np.ndarray, int], tuple],
+    grid: Optional[BoxGrid],
 ) -> LyapunovResult:
     """Mean log divergence of neighbor groups, and its fitted slope.
 
@@ -326,16 +362,25 @@ def _lyapunov(
     > 0 pairs, one per reference.  At each delta_k a group's distances
     are averaged, and the mean is over the logs of the positive
     averages.  One-pair groups give Rosenstein's estimator, epsilon-balls
-    Kantz's.
+    Kantz's.  ``grid`` is a tree over ``delay_embed(series, spec)``, such
+    as ``FnnResult.grid``; without one, the embedding and its tree are
+    built here.
     """
-    pts = delay_embed(series, spec)
-    count = pts.shape[0]
+    if grid is None:
+        grid = BoxGrid(delay_embed(series, spec))
+    pts = grid.points
+    count = len(series) - (spec.dimension - 1) * spec.delay
+    if pts.shape != (count, spec.dimension):
+        raise ValueError(
+            f"tree over {pts.shape} points does not hold the ({count}, "
+            f"{spec.dimension}) embedding of the series"
+        )
     if count <= 10 * horizon:
         raise ValueError("embedded series must be longer than 10 * horizon")
     limit = count - 1 - horizon
     stride = max(1, (limit + 1) // max_reference)
     refs = np.arange(0, limit + 1, stride)
-    ai, aj, sizes = neighbors(BoxGrid(pts[: limit + 1]), refs, limit)
+    ai, aj, sizes = neighbors(grid, refs, limit)
     starts = np.cumsum(sizes) - sizes
     counts = sizes.astype(np.float64)
 
@@ -368,11 +413,14 @@ def lyapunov_rosenstein(
     horizon: int,
     max_reference: int = 4000,
     curve_stride: int = 1,
+    grid: Optional[BoxGrid] = None,
 ) -> LyapunovResult:
     """Mean log divergence from each reference point's nearest neighbor.
 
     The neighbors (outside the Theiler window, with room for ``horizon``
-    steps ahead) of all reference points come from one batched query.
+    steps ahead) of all reference points come from one batched query, on
+    ``grid`` when given: a tree over ``delay_embed(series, spec)``, such
+    as ``FnnResult.grid``.
     """
 
     def nearest(grid, refs, limit):
@@ -383,7 +431,7 @@ def lyapunov_rosenstein(
         return refs[found], j[found], np.ones(np.count_nonzero(found), dtype=np.int64)
 
     return _lyapunov(
-        series, spec, horizon, max_reference, curve_stride, "rosenstein", nearest
+        series, spec, horizon, max_reference, curve_stride, "rosenstein", nearest, grid
     )
 
 
@@ -395,9 +443,11 @@ def lyapunov_kantz(
     horizon: int,
     max_reference: int = 1000,
     curve_stride: int = 1,
+    grid: Optional[BoxGrid] = None,
 ) -> LyapunovResult:
     """Mean log of neighborhood-averaged divergence (all neighbors within
-    epsilon = epsilon_frac * series standard deviation)."""
+    epsilon = epsilon_frac * series standard deviation); ``grid`` as in
+    ``lyapunov_rosenstein``."""
     if epsilon_frac <= 0:
         raise ValueError("epsilon_frac must be positive")
     eps = float(epsilon_frac * np.std(series.values))
@@ -411,7 +461,9 @@ def lyapunov_kantz(
             )
         return np.repeat(refs, sizes), np.concatenate(nbs), sizes[sizes > 0]
 
-    return _lyapunov(series, spec, horizon, max_reference, curve_stride, "kantz", balls)
+    return _lyapunov(
+        series, spec, horizon, max_reference, curve_stride, "kantz", balls, grid
+    )
 
 
 def classify(r: LyapunovResult, threshold: float = 0.01) -> Classification:

@@ -36,6 +36,7 @@ from .embed import (
 )
 from .fock import FockState, choose_truncation, pacs_amplitudes
 from .kerr import generate_series_x, kerr_spectrum
+from .neighbors import BoxGrid
 from .presets import PRESETS, ExperimentPreset, TablePreset, get_preset
 from .recur import (
     Cell,
@@ -84,31 +85,35 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE"
 
 
 def _openblas_runtime() -> tuple[Optional[str], Optional[int]]:
-    """Configuration string and thread count of the OpenBLAS in this
-    process, or None for each when no OpenBLAS library is mapped.
+    """Configuration string and thread count of the OpenBLAS numpy uses,
+    or None for each when numpy's BLAS is not OpenBLAS.
 
     numpy's ``show_config`` holds the configuration of the build host,
-    so the CPU kernel chosen at load time is asked of the library.
+    so the CPU kernel chosen at load time is asked of the library.  Other
+    OpenBLAS copies may be mapped too (scipy's wheels bring their own),
+    so the symbols are looked up through numpy's core extension, whose
+    handle searches only that module and the libraries it links.
     """
     try:
-        with open("/proc/self/maps") as fh:
-            libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
     except OSError:
         return None, None
-    for path in sorted(libs):
-        lib = ctypes.CDLL(path)
-        # symbol names of the scipy-openblas wheels and of plain OpenBLAS,
-        # each with 64-bit or 32-bit integers
-        variants = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
-        for prefix, suffix in variants:
-            try:
-                get_config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
-                get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            return get_config().decode("ascii", "replace"), get_threads()
+    # symbol names of the scipy-openblas wheels and of plain OpenBLAS,
+    # each with 64-bit or 32-bit integers
+    variants = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
+    for prefix, suffix in variants:
+        try:
+            get_config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
+            get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return get_config().decode("ascii", "replace"), get_threads()
     return None, None
 
 
@@ -358,33 +363,43 @@ def _derived(options: dict[str, Any], name: str, *inputs):
     return OPTIONS[name].default(*inputs) if value is None else value
 
 
-def _mutual_information(series: TimeSeries, options: dict[str, Any]):
+def _mutual_information(
+    series: TimeSeries, options: dict[str, Any], stop_at_minimum: bool = False
+):
     return mutual_information_delay(
         series,
         max_lag=_derived(options, "max_lag", len(series)),
         bins=options["bins"],
         min_window=MI_MIN_WINDOW,
+        stop_at_minimum=stop_at_minimum,
     )
 
 
 def choose_embedding(
     series: TimeSeries, options: dict[str, Any]
-) -> tuple[EmbeddingSpec, dict[str, Any]]:
+) -> tuple[EmbeddingSpec, dict[str, Any], Optional[BoxGrid]]:
     """Delay from the mutual-information minimum, dimension from FNN.
 
     ``options`` are resolved Lyapunov options; an explicit ``delay`` or
-    ``dimension`` short-circuits the automatic choice.  When FNN never
-    drops below 1%, the smallest dimension under 5% is used (flagged),
-    else ``FNN_D_MAX``.
+    ``dimension`` short-circuits the automatic choice.  The delay search
+    ends at the first minimum.  When FNN never drops below 1%, the
+    smallest dimension under 5% is used (flagged), else ``FNN_D_MAX``.
+    ``fnn_fractions`` runs up to the dimension where FNN stopped: the
+    chosen one, or ``FNN_D_MAX`` when the choice was relaxed.
+
+    The third value is FNN's KD-tree over the chosen embedding, for the
+    divergence estimate, when FNN's last dimension is the chosen one;
+    otherwise None.
     """
     info: dict[str, Any] = {}
     delay = options["delay"]
     if delay is None:
-        mi = _mutual_information(series, options)
+        mi = _mutual_information(series, options, stop_at_minimum=True)
         delay = mi.lag
         info["mi_lag"] = mi.lag
         info["mi_has_minimum"] = mi.has_minimum
     dimension = options["dimension"]
+    grid = None
     if dimension is None:
         fnn = false_nearest_neighbors(series, delay=int(delay), d_max=FNN_D_MAX)
         info["fnn_fractions"] = [round(float(f), 6) for f in fnn.fnn_fractions]
@@ -395,21 +410,23 @@ def choose_embedding(
             dimension = int(under[0]) + 1 if under.size else FNN_D_MAX
             info["fnn_relaxed"] = True
         info["fnn_dimension"] = int(dimension)
-    return EmbeddingSpec(int(delay), int(dimension)), info
+        if fnn.fnn_fractions.size == dimension:
+            grid = fnn.grid
+    return EmbeddingSpec(int(delay), int(dimension)), info, grid
 
 
 def _run_lyapunov(series: TimeSeries, options: dict[str, Any]):
-    spec, info = choose_embedding(series, options)
+    spec, info, grid = choose_embedding(series, options)
     theiler = _derived(options, "theiler", spec.delay)
     horizon = _derived(options, "horizon", spec.delay)
     stride = _derived(options, "curve_stride", horizon)
     method = options["method"]
     limits = {"max_reference": options["max_reference"], "curve_stride": stride}
     if method == "rosenstein":
-        result = lyapunov_rosenstein(series, spec, theiler, horizon, **limits)
+        result = lyapunov_rosenstein(series, spec, theiler, horizon, grid=grid, **limits)
     else:
         eps = options["epsilon_frac"]
-        result = lyapunov_kantz(series, spec, theiler, eps, horizon, **limits)
+        result = lyapunov_kantz(series, spec, theiler, eps, horizon, grid=grid, **limits)
     info.update(theiler=theiler, horizon=horizon, method=method)
     return result, info
 

@@ -35,6 +35,15 @@ points, window included (median; maximum 127), and k = 4 answers in
 0.093 s; best of 5, one BLAS thread, 2-vCPU host).  k = 4 is also what
 the FNN calls (theiler 0) always used; k = 8 makes them ~1.4x slower.
 
+Both estimators build their tree over every row of an embedding and
+keep to the rows they may use through ``limit``: FNN to the rows whose
+next coordinate exists, Rosenstein to those with ``horizon`` steps
+ahead.  Rows past the limit are only ever dropped as candidates, and the
+settle rule still bounds every unseen row by the k-th tree distance, so
+the answers equal those of a tree over the prefix.  FNN stops at the
+dimension it chooses, which lets the divergence estimate reuse the tree
+of that last dimension instead of building its own.
+
 Trees are built unbalanced and without compacted nodes, with leaves of
 ``_LEAFSIZE`` points; k-NN answers do not depend on the tree's shape,
 and these settings build two to three times as fast as scipy's

@@ -82,6 +82,29 @@ def recounts(monkeypatch):
     return lags
 
 
+def first_under_one_percent(fracs):
+    return next((d for d, f in enumerate(fracs, 1) if f < 0.01), None)
+
+
+def full_fnn_scan(ts, delay, d_max, r_tol=15.0, a_tol=2.0, max_reference=2000):
+    """False fractions for every d up to d_max, each from a tree over the
+    rows whose next coordinate exists: the scan that never stops."""
+    x = ts.values
+    sigma = float(np.std(x))
+    out = []
+    for d in range(1, d_max + 1):
+        n_ext = x.size - d * delay
+        pts = delay_embed(ts, EmbeddingSpec(delay, d))[:n_ext]
+        refs = np.arange(0, n_ext, max(1, n_ext // max_reference))
+        j, dist = BoxGrid(pts).nearest_many(refs, theiler=0, exclude_zero=False)
+        growth = np.abs(x[refs + d * delay] - x[j + d * delay])
+        false = ((growth > r_tol * dist) & (growth > 1e-10 * sigma)) | (
+            growth > a_tol * sigma
+        )
+        out.append(np.count_nonzero(false) / refs.size)
+    return np.array(out)
+
+
 @st.composite
 def piecewise_constant(draw):
     """(series, max_lag, bins, stride): runs of 1-300 equal samples."""
@@ -100,6 +123,30 @@ def piecewise_constant(draw):
     stride = draw(st.integers(1, 7))
     max_lag = draw(st.integers(8, min(60, (x.size - 1) // 10)))
     return x, max_lag, bins, stride
+
+
+@st.composite
+def mi_series(draw):
+    """(series, max_lag, bins, stride): sums of sines with noise, random
+    walks and monotone ramps, whose curves have minima or have none."""
+    n = draw(st.integers(1000, 6000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n, dtype=np.float64)
+    kind = draw(st.sampled_from(["sines", "walk", "ramp"]))
+    if kind == "sines":
+        x = sum(
+            np.sin(2 * np.pi * t / rng.uniform(8.0, 400.0) + rng.uniform(0, 6.3))
+            for _ in range(draw(st.integers(1, 3)))
+        )
+        x = x + draw(st.sampled_from([0.0, 0.05, 0.5])) * rng.normal(size=n)
+    elif kind == "walk":
+        x = np.cumsum(rng.normal(size=n))
+    else:
+        x = (t / n) ** rng.uniform(0.5, 3.0)
+    assume(x.min() < x.max())
+    max_lag = draw(st.integers(3, min(120, (n - 1) // 10)))
+    stride = draw(st.sampled_from([None, 1, 2, 5]))
+    return x, max_lag, draw(st.integers(2, 24)), stride
 
 
 class TestDelayEmbed:
@@ -196,6 +243,36 @@ class TestMutualInformation:
         assert np.array_equal(res.curve, per_lag_curve(x, max_lag, bins, stride))
 
 
+class TestMutualInformationStop:
+    """The search that ends at the first minimum answers as the full curve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=mi_series(), window=st.integers(1, 8))
+    def test_same_lag_and_flag_as_the_full_curve(self, case, window):
+        x, max_lag, bins, stride = case
+        ts = TimeSeries(1.0, x)
+        full = mutual_information_delay(ts, max_lag, bins, stride, min_window=window)
+        stop = mutual_information_delay(
+            ts, max_lag, bins, stride, min_window=window, stop_at_minimum=True
+        )
+        assert (stop.lag, stop.has_minimum) == (full.lag, full.has_minimum)
+        # the curve ends where the minimum is confirmed, or at max_lag
+        end = min(full.lag + window, max_lag) if full.has_minimum else max_lag
+        assert np.array_equal(stop.curve, full.curve[:end])
+
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_no_minimum_scans_every_lag(self, window):
+        # the slow ramp's curve falls all the way: no minimum to stop at
+        ts = TimeSeries(1.0, np.linspace(0, 1, 4000) ** 2)
+        full = mutual_information_delay(ts, 12, 4, min_window=window)
+        stop = mutual_information_delay(
+            ts, 12, 4, min_window=window, stop_at_minimum=True
+        )
+        assert not full.has_minimum
+        assert (stop.lag, stop.has_minimum) == (12, False)
+        assert np.array_equal(stop.curve, full.curve)
+
+
 class TestFnn:
     def test_sine_dimension_two(self):
         f = false_nearest_neighbors(
@@ -234,7 +311,10 @@ class TestFnn:
                     false += 1
             fracs.append(false / n_ext)
         f = false_nearest_neighbors(ts, delay=1, d_max=3, r_tol=15.0, max_reference=10**9)
-        assert np.abs(f.fnn_fractions - np.array(fracs)).max() < 1e-12
+        # the scan ends at the oracle's first dimension under 1%
+        assert f.dimension == first_under_one_percent(fracs)
+        assert f.fnn_fractions.size == (f.dimension or len(fracs))
+        assert np.abs(f.fnn_fractions - np.array(fracs[: f.fnn_fractions.size])).max() < 1e-12
 
     def test_insufficient_points(self):
         with pytest.raises(ValueError):
@@ -261,7 +341,27 @@ class TestFnn:
         f = false_nearest_neighbors(
             ts, delay=delay, d_max=d_max, r_tol=r_tol, a_tol=a_tol, max_reference=max_ref
         )
-        assert f.fnn_fractions.tolist() == fracs
+        assert f.dimension == first_under_one_percent(fracs)
+        assert f.fnn_fractions.tolist() == fracs[: f.dimension or d_max]
+
+    @pytest.mark.parametrize(
+        "make, delay, d_max, dimension",
+        [
+            (lambda: sine_series(10_000, period=100.0), 25, 6, 2),
+            (lambda: henon_series(10_000), 1, 6, 2),
+            (lambda: white_noise(10_000), 1, 5, None),
+        ],
+        ids=["sine", "henon", "noise"],
+    )
+    def test_stops_where_the_full_scan_answers(self, make, delay, d_max, dimension):
+        ts = make()
+        full = full_fnn_scan(ts, delay, d_max)
+        f = false_nearest_neighbors(ts, delay=delay, d_max=d_max)
+        assert f.dimension == first_under_one_percent(full.tolist()) == dimension
+        stop = dimension or d_max  # noise never drops below 1%: all d_max
+        assert np.array_equal(f.fnn_fractions, full[:stop])
+        # the tree handed on covers the whole embedding of the last d
+        assert np.array_equal(f.grid.points, delay_embed(ts, EmbeddingSpec(delay, stop)))
 
 
 def select_fit_window_loop(ks, svals):
@@ -553,6 +653,33 @@ class TestLyapunov:
         assert small.lambda_max == wide.lambda_max
         assert small.fit_range == wide.fit_range
         assert np.array_equal(small.divergence_curve, wide.divergence_curve)
+
+    @pytest.mark.parametrize("method", ["rosenstein", "kantz"])
+    def test_handed_over_tree_gives_the_same_result(self, method):
+        # FNN's tree of the chosen dimension against the estimator's own
+        ts = henon_series(4000)
+        f = false_nearest_neighbors(ts, delay=1, d_max=6)
+        spec = EmbeddingSpec(1, f.dimension)
+        if method == "rosenstein":
+            run = lambda **kw: lyapunov_rosenstein(ts, spec, 5, 20, **kw)
+        else:
+            run = lambda **kw: lyapunov_kantz(ts, spec, 5, 0.15, 20, **kw)
+        own, handed = run(), run(grid=f.grid)
+        for name in LyapunovResult.__dataclass_fields__:
+            a, b = getattr(own, name), getattr(handed, name)
+            if isinstance(a, (float, np.ndarray)):
+                # bitwise, signed zeros and NaNs included
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+            else:
+                assert a == b, name
+
+    def test_tree_of_another_embedding_is_refused(self):
+        ts = henon_series(2000)
+        grid = BoxGrid(delay_embed(ts, EmbeddingSpec(1, 3)))
+        with pytest.raises(ValueError, match="embedding"):
+            lyapunov_rosenstein(ts, EmbeddingSpec(1, 2), 5, 20, grid=grid)
+        with pytest.raises(ValueError, match="embedding"):
+            lyapunov_rosenstein(ts, EmbeddingSpec(2, 3), 5, 20, grid=grid)
 
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):

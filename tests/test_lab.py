@@ -1,14 +1,16 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wplab import lab, seriesio
+from wplab import lab, neighbors, seriesio
 from wplab.benchmarks import sine_series
 from wplab.presets import PRESETS
 
@@ -28,6 +30,43 @@ def test_classify_json_for_regular_verdict(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["label"] == "regular"
     assert payload["ambiguous"] is False
+
+
+def fig4_series(steps):
+    p = PRESETS["fig4"]
+    return lab.simulate_series(p.model, p.params, p.nu, p.m, p.dt, steps)
+
+
+@pytest.mark.parametrize(
+    "make, options, shared",
+    [
+        # FNN stops at d = 2 and its tree serves the divergence estimate
+        (lambda: sine_series(20_000, period=100.0), {}, True),
+        # an explicit dimension: no FNN, the estimator builds its tree
+        (lambda: sine_series(20_000, period=100.0), {"dimension": 3}, False),
+        # relaxed: FNN scans all FNN_D_MAX and the estimator uses d = 6
+        (lambda: fig4_series(20_000), {"horizon": 100}, False),
+    ],
+    ids=["fnn-stops", "explicit-dimension", "fnn-relaxed"],
+)
+def test_no_tree_outlives_the_estimate(monkeypatch, make, options, shared):
+    built = []
+    init = neighbors.BoxGrid.__init__
+
+    def record(self, points):
+        init(self, points)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(neighbors.BoxGrid, "__init__", record)
+    series = make()
+    result, info = lab._run_lyapunov(series, lab.resolve_options("lyapunov", options))
+    scanned = len(info.get("fnn_fractions", ()))
+    assert (result.embedding.dimension == scanned) == shared
+    # one tree per FNN dimension, and one more unless FNN's last is shared
+    assert len(built) == scanned + (not shared)
+    # the result and info are still held: neither may keep a tree alive
+    gc.collect()
+    assert [ref() for ref in built] == [None] * len(built)
 
 
 def test_failed_preset_leaves_no_outputs(tmp_path, monkeypatch):
@@ -178,6 +217,40 @@ def test_manifest_records_blas(tmp_path):
     )
     assert manifest.blas == {}
     assert manifest.verify(tmp_path / "fig5")
+
+
+BLAS_WITH_SCIPY = """
+import ctypes, json
+from wplab import lab
+before = lab.blas_environment()  # numpy's OpenBLAS is the only one mapped
+import scipy.spatial  # maps scipy's own OpenBLAS too, with scipy.linalg
+from scipy.linalg import _fblas
+scipy_blas = ctypes.CDLL(_fblas.__file__)
+for name in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+    if hasattr(scipy_blas, name):
+        set_threads = getattr(scipy_blas, name)
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(2)  # a thread count numpy's library does not have
+        break
+print(json.dumps([before, lab.blas_environment()]))
+"""
+
+
+def test_blas_is_numpys_with_scipy_loaded():
+    # with a second OpenBLAS in the process the manifest still names the
+    # one numpy's arrays run on, whichever path sorts first
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_WITH_SCIPY],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    before, after = json.loads(out)
+    assert after == before
 
 
 @pytest.mark.parametrize("preset_id", sorted(PRESETS))

@@ -136,6 +136,30 @@ class TestTheilerWindow:
         refs = np.arange(0, 999, 3)
         assert_batch_matches(BoxGrid(pts), pts, refs, theiler=12, limit=limit)
 
+    @pytest.mark.parametrize("exclude_zero", [False, True])
+    @pytest.mark.parametrize("theiler", [0, 9])
+    def test_rows_beyond_limit_answer_as_the_prefix(self, theiler, exclude_zero):
+        # a tree over every row, limited, against brute force over the
+        # rows up to the limit only: the rows past it (here the exact
+        # copies of a periodic stretch and points that crowd the
+        # references) must change no index and no distance bit
+        cloud = embedded_cloud(21, 600, 3)
+        loop = periodic_curve(30, 300, 3)
+        pts = np.concatenate((loop, cloud, loop, cloud + 1e-9))
+        grid = BoxGrid(pts)
+        for limit in (29, 299, 650, 1199):
+            prefix = pts[: limit + 1]
+            refs = np.arange(0, limit + 1, 4)
+            js, ds = grid.nearest_many(
+                refs, theiler=theiler, limit=limit, exclude_zero=exclude_zero
+            )
+            for i, j, d in zip(refs, js, ds):
+                bj, bd = brute_force_nearest(
+                    prefix, int(i), theiler=theiler, exclude_zero=exclude_zero
+                )
+                assert j == bj
+                assert d == pytest.approx(bd, abs=0.0)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 31, 32, 33])
     def test_few_points(self, n):
         pts = embedded_cloud(n, n, 2)
