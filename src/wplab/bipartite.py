@@ -16,10 +16,15 @@ needed).  The pair terms of all blocks go through one
 ``series.spectral_series`` call, which takes every block's eigenvalues,
 concatenated, as its levels and each term as a (s', s) index pair
 offset by its block's start, so the extended-precision phase work is
-per eigenvalue, not per pair.  There is no integration error.  The
-kernel drops the smallest pair terms whose |amplitude| sums to at most
-``series.PRUNE_FRACTION`` of the total, which moves no sample by more
-than that dropped mass (``fig11-14`` keeps 508 of its 9 860 pairs).
+per eigenvalue, not per pair.  There is no integration error.  A level
+whose w_s is exactly zero (more than half of them at nu = 50, gamma/g = 5)
+makes every pair term it is in exactly zero, so such pairs are counted
+in ``spectral_terms`` but never formed: the kernel would drop them
+first, adding nothing to the dropped mass, and sum the same terms in
+the same order.  The kernel drops the smallest pair terms whose
+|amplitude| sums to at most ``series.PRUNE_FRACTION`` of the total,
+which moves no sample by more than that dropped mass (``fig11-14``
+keeps 508 of its 9 860 pairs).
 The series metadata records the terms kept, the dropped mass and its
 budget, and |norm - 1| over the kept sectors.
 """
@@ -146,19 +151,22 @@ def occupancy_series(
     """<a+a>(t), <b+b>(t) and the total squared norm at t = k*dt.
 
     The norm and the total number are constants of the motion; ``norm``
-    repeats the former for every sample.
+    is a read-only view repeating the former for every sample.
     """
     if not sectors:
         raise ValueError("no sectors to evolve")
-    # filled in place, so the pair terms are held in memory once
-    pairs = sum(s.N * (s.N + 1) // 2 for s in sectors)
+    # a level with w_s = 0 gives exactly zero pair terms: only the levels
+    # with w_s != 0 are paired, and the terms are filled in place, so they
+    # are held in memory once
+    fed = [np.flatnonzero(s.initial_coeffs) for s in sectors]
+    pairs = sum(f.size * (f.size - 1) // 2 for f in fed)
     amps = np.empty(pairs, dtype=np.complex128)
     upper = np.empty(pairs, dtype=np.intp)
     lower = np.empty(pairs, dtype=np.intp)
     levels = np.concatenate([s.eig.eigenvalues for s in sectors])
     atom_const = total_number = norm = 0.0
     j0 = offset = 0
-    for s in sectors:
+    for s, f in zip(sectors, fed):
         v = s.eig.eigenvectors
         w = s.initial_coeffs
         weight = abs(s.initial_amp) ** 2
@@ -168,7 +176,7 @@ def occupancy_series(
         atom_const += weight * float(prob @ np.diag(a))
         total_number += weight * s.N * mass
         norm += weight * mass
-        lo, hi = np.triu_indices(s.N + 1, 1)
+        lo, hi = f[np.asarray(np.triu_indices(f.size, 1))]
         j1 = j0 + lo.size
         amps[j0:j1] = 2.0 * weight * np.conj(w[lo]) * w[hi] * a[lo, hi]
         upper[j0:j1] = hi + offset
@@ -177,6 +185,8 @@ def occupancy_series(
         offset += s.N + 1
     atom_occ, pruning = spectral_series(amps, levels, upper, lower, dt, steps)
     atom_occ += atom_const
+    # the unformed zero terms count as given, as the kernel would count them
+    pruning["spectral_terms"] = sum(s.N * (s.N + 1) // 2 for s in sectors)
 
     meta = {
         "model": "bipartite",
@@ -193,5 +203,5 @@ def occupancy_series(
     return OccupancySeries(
         field=TimeSeries(dt, field_occ, observable="photon_number", meta=meta),
         atom=TimeSeries(dt, atom_occ, observable="atom_number", meta=dict(meta)),
-        norm=np.full(steps, norm),
+        norm=np.broadcast_to(norm, steps),
     )

@@ -239,7 +239,20 @@ def cell(value) -> Cell:
 
 
 def _median_cell(series: TimeSeries) -> Cell:
-    mid = float(np.median(series.values))
+    """The cell of width ``CELL_WIDTH`` centred on the series' median.
+
+    The median is ``np.median``'s, bit for bit (the middle order
+    statistic, or the mean of the middle two), taken from
+    ``np.partition``: ``np.median`` imports ``numpy.ma`` (14 ms), which
+    nothing else on the two-mode analysis path does.
+    """
+    v = series.values
+    half = v.size // 2
+    if v.size % 2:
+        mid = float(np.partition(v, half)[half])
+    else:
+        low, high = np.partition(v, (half - 1, half))[half - 1 : half + 1]
+        mid = float((low + high) / 2.0)
     return Cell(mid - CELL_WIDTH / 2.0, mid + CELL_WIDTH / 2.0)
 
 

@@ -242,7 +242,10 @@ def recurrence_matrix(
 
     The states are swept in order of their first coordinate, so only
     pairs already within eps in that coordinate are tested; chunking the
-    sweep bounds the candidate arrays to a few MB.
+    sweep bounds the candidate arrays to a few MB.  A candidate is
+    tested one coordinate at a time, each a contiguous column, and only
+    the pairs within eps in every coordinate so far go on to the next:
+    no (pairs, dimension) difference array is formed.
     """
     if epsilon_frac <= 0:
         raise ValueError("epsilon_frac must be positive")
@@ -266,32 +269,43 @@ def recurrence_matrix(
     # wide enough to cover the rounding of xs + eps; the exact max-norm
     # test below then decides every candidate
     order = np.argsort(pts[:, 0], kind="stable")
-    ps = pts[order]
-    xs = ps[:, 0]
+    # one contiguous row per coordinate, in sorted order
+    cols = np.ascontiguousarray(pts[order].T)
+    xs = cols[0]
     slack = 1e-9 * (np.abs(xs) + eps)
     ends = np.searchsorted(xs, xs + eps + slack, side="right")
-    count = ps.shape[0]
+    count = xs.size
     starts = np.arange(count)
     later = ends - starts - 1  # candidates after each sorted position
     # chunks of sorted positions holding about _RP_CANDIDATES candidates
     cum = np.cumsum(later)
-    budget = max(1, _RP_CANDIDATES // ps.shape[1])
-    bounds = np.unique(np.searchsorted(cum, np.arange(budget, cum[-1], budget)))
-    keys = []  # i * count + j, which sorts as (i, j)
+    budget = max(1, _RP_CANDIDATES // cols.shape[0])
+    bounds = np.searchsorted(cum, np.arange(budget, cum[-1], budget))
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # sorted: drop repeats
+    # a pair's key (i << shift) | j sorts as (i, j); it fits 32 bits when
+    # the window does, and 32-bit keys sort in half the time
+    shift = (count - 1).bit_length()
+    order = order.astype(np.uint32 if shift <= 16 else np.int64)
+    keys = []
     for a0, a1 in zip(np.r_[0, bounds + 1], np.r_[bounds + 1, count]):
         run = later[a0:a1]
         a = np.repeat(starts[a0:a1], run)
         # b runs over a+1 .. ends[a]-1 for each a
-        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(run) - run, run)
-        hit = np.abs(ps[a] - ps[b]).max(axis=1) <= eps
-        i = order[a[hit]]
-        j = order[b[hit]]
-        keys.append(np.minimum(i, j) * count + np.maximum(i, j))
+        b = np.arange(a.size) + np.repeat(starts[a0:a1] + run - np.cumsum(run) + 1, run)
+        # the max-norm test |x_a - x_b| <= eps one coordinate at a time,
+        # each on the candidates that passed the ones before
+        for col in cols:
+            hit = np.abs(col[a] - col[b]) <= eps
+            a = a[hit]
+            b = b[hit]
+        i = order[a]
+        j = order[b]
+        keys.append(np.minimum(i, j) << shift | np.maximum(i, j))
     key = np.concatenate(keys)
     del keys  # free the pieces before the sort and the pairs array
     key.sort()
     pairs = np.empty((key.size, 2), dtype=np.int64)
-    np.floor_divide(key, count, out=pairs[:, 0])
-    np.remainder(key, count, out=pairs[:, 1])
+    np.right_shift(key, shift, out=pairs[:, 0])
+    np.bitwise_and(key, (1 << shift) - 1, out=pairs[:, 1])
     pairs += window_start
     return RecurrencePlotData(window_start, window_len, eps, pairs, embed)

@@ -9,7 +9,8 @@ the resolved options.  Floats are written as ``repr(float(x))``: the
 repr of a numpy scalar reads ``np.float64(...)`` under numpy 2, which
 the readers here cannot parse.  Integer columns (recurrence pairs,
 return-time histograms) are non-negative and formatted by numpy, as
-``%d`` would, from a table of 4-digit groups rather than Python ints.
+``%d`` would, from tables of 4-digit groups rather than Python ints:
+the leading zeros are NUL bytes, dropped by one select per chunk.
 
 Every writer fills a temporary sibling of its target and moves it into
 place with ``os.replace``, so a target is either complete or absent (or
@@ -41,9 +42,6 @@ assert _HEADER.size == 32
 # rows formatted per string operation by ``_write_rows`` and
 # ``_write_int_rows``: bounds their temporaries to a few MB
 _ROWS_PER_CHUNK = 1 << 16
-
-# 10**1 ... 10**18: an int64 has one digit more than the powers it reaches
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 class FormatError(ValueError):
@@ -82,16 +80,24 @@ def _write_rows(fh, line: str, rows: np.ndarray) -> None:
 
 
 @functools.cache
-def _digit_groups() -> np.ndarray:
-    """The strings "0000" ... "9999" as little-endian 4-byte words, one
-    per 4-digit group: the digit of 10**i is byte 3 - i.  Built on first
-    use, so that importing the package does not hold the memory its
-    construction touches (about 0.3 MB resident at import)."""
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """The 4-digit groups "0000" ... "9999" as little-endian 4-byte words
+    (the digit of 10**i is byte 3 - i), and the same groups as the
+    leading group of a number, with NUL bytes for the leading zeros:
+    row 0 writes 0 as "0" for the lowest group, row 1 writes it as
+    nothing for a higher one.  Built on first use, so that importing the
+    package does not hold the memory its construction touches (about
+    0.3 MB resident at import)."""
     k = np.arange(10_000, dtype=np.uint32)
-    words = sum((k // 10**i % 10 + ord("0")) << 8 * (3 - i) for i in range(4))
-    table = words.astype("<u4")
-    table.flags.writeable = False  # shared by every call
-    return table
+    digits = [(k // 10**i % 10 + ord("0")) << 8 * (3 - i) for i in range(4)]
+    full = sum(digits).astype("<u4")
+    lead = np.empty((2, k.size), dtype="<u4")
+    lead[1] = sum(np.where(k >= 10**i, d, 0) for i, d in enumerate(digits))
+    lead[0] = lead[1]
+    lead[0, 0] = digits[0][0]  # "0"
+    for table in (full, lead):
+        table.flags.writeable = False  # shared by every call
+    return full, lead
 
 
 def _write_int_rows(fh, rows: np.ndarray) -> None:
@@ -101,28 +107,31 @@ def _write_int_rows(fh, rows: np.ndarray) -> None:
     The bytes are those of ``"%d %d\\n" % tuple(row)`` (for two columns),
     formatted without Python integers: each chunk of rows is laid out in
     fixed-width fields of 4-digit groups looked up in ``_digit_groups()``,
-    and a mask drops each field's leading zeros.
+    each followed by its separator.  A number's leading group comes from
+    the table that writes leading zeros as NUL bytes, and the groups
+    above it are NUL, so one ``!= 0`` select drops every field's padding.
     """
     rows = rows.astype(np.int64, casting="safe", copy=False)
     if rows.size and rows.min() < 0:
         raise ValueError("integer export of a negative value")
-    table = _digit_groups()
+    full, lead = _digit_groups()
     for r0 in range(0, len(rows), _ROWS_PER_CHUNK):
         block = rows[r0 : r0 + _ROWS_PER_CHUNK]
-        digits = np.searchsorted(_POWERS_OF_TEN, block, side="right") + 1
-        groups = (int(digits.max()) + 3) // 4
-        words = np.empty(block.shape + (groups,), dtype=table.dtype)
-        for g in range(groups - 1, 0, -1):
+        groups = (len(str(int(block.max()))) + 3) // 4
+        # one packed field: the groups, most significant first, then the
+        # separator
+        field = np.dtype([("groups", "<u4", (groups,)), ("sep", "u1")])
+        text = np.empty(block.shape, dtype=field)
+        text["sep"] = ord(" ")
+        text["sep"][:, -1] = ord("\n")
+        words = text["groups"]
+        for g in range(groups - 1):
             block, low = np.divmod(block, 10_000)
-            words[..., g] = table[low]
-        words[..., 0] = table[block]  # the leading group, < 10_000
-        width = 4 * groups
-        text = np.empty(words.shape[:2] + (width + 1,), dtype=np.uint8)
-        text[..., :width] = words.view(np.uint8)
-        text[..., width] = ord(" ")
-        text[:, -1, width] = ord("\n")
-        keep = np.arange(width + 1) >= (width - digits)[..., None]
-        fh.write(text[keep].tobytes().decode("ascii"))
+            # the leading group where nothing is left above it
+            words[..., -1 - g] = np.where(block == 0, lead[min(g, 1)][low], full[low])
+        words[..., 0] = lead[min(groups - 1, 1)][block]
+        raw = text.view(np.uint8)
+        fh.write(str(raw[raw != 0], "ascii"))
 
 
 def write_series(ts: TimeSeries, path: str | Path) -> Path:

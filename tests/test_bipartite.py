@@ -11,6 +11,8 @@ from wplab.bipartite import (
     occupancy_series,
 )
 from wplab.fock import FockState, mean_photon_number, pacs_amplitudes
+from wplab.lab import initial_field_state
+from wplab.series import spectral_series
 
 
 class TestBuildSector:
@@ -196,3 +198,79 @@ class TestSeries:
             assert meta["norm_error"] <= 1e-12
             assert 0 < meta["spectral_terms_kept"] < meta["spectral_terms"]
             assert 0 < meta["spectral_dropped_mass"] <= meta["spectral_prune_budget"]
+
+
+def occupancy_every_pair(sectors, p, dt, steps):
+    """The series with a pair term formed for every pair of levels, zero
+    or not: the construction before zero terms were skipped."""
+    pairs = sum(s.N * (s.N + 1) // 2 for s in sectors)
+    amps = np.empty(pairs, dtype=np.complex128)
+    upper = np.empty(pairs, dtype=np.intp)
+    lower = np.empty(pairs, dtype=np.intp)
+    levels = np.concatenate([s.eig.eigenvalues for s in sectors])
+    atom_const = total_number = norm = 0.0
+    j0 = offset = 0
+    for s in sectors:
+        v = s.eig.eigenvectors
+        w = s.initial_coeffs
+        weight = abs(s.initial_amp) ** 2
+        a = v.T @ (np.arange(s.N + 1.0)[:, None] * v)
+        prob = np.abs(w) ** 2
+        mass = float(prob.sum())
+        atom_const += weight * float(prob @ np.diag(a))
+        total_number += weight * s.N * mass
+        norm += weight * mass
+        lo, hi = np.triu_indices(s.N + 1, 1)
+        j1 = j0 + lo.size
+        amps[j0:j1] = 2.0 * weight * np.conj(w[lo]) * w[hi] * a[lo, hi]
+        upper[j0:j1] = hi + offset
+        lower[j0:j1] = lo + offset
+        j0 = j1
+        offset += s.N + 1
+    atom, pruning = spectral_series(amps, levels, upper, lower, dt, steps)
+    atom += atom_const
+    meta = {
+        "model": "bipartite",
+        "omega": p.omega,
+        "omega0": p.omega0,
+        "gamma": p.gamma,
+        "g": p.g,
+        "sectors": len(sectors),
+        "steps": steps,
+        "norm_error": abs(norm - 1.0),
+        **pruning,
+    }
+    return total_number - atom, atom, meta
+
+
+@pytest.mark.parametrize(
+    "nu, m, gamma_over_g",
+    [(50.0, 5, 5.0), (5.0, 5, 5.0), (1.0, 0, 0.01)],
+    ids=["two-mode-wide", "fig11-14", "table1-weakest"],
+)
+def test_zero_pair_terms_skipped_exactly(nu, m, gamma_over_g):
+    # the skipped terms are exactly zero: the samples are the same bits
+    # and the metadata counts every pair of the model
+    p = TwoModeParams(omega=1.0, omega0=1.0, gamma=gamma_over_g, g=1.0)
+    sectors = decompose_initial(initial_field_state(nu, m), p)
+    dt, steps = 1e-3, 3000
+    occ = occupancy_series(sectors, p, dt, steps)
+    field, atom, meta = occupancy_every_pair(sectors, p, dt, steps)
+    assert np.array_equal(occ.field.values, field)
+    assert np.array_equal(occ.atom.values, atom)
+    assert occ.field.meta == meta
+    assert occ.atom.meta == meta
+    if nu == 50.0:
+        # more than half the levels have w_s = 0 and are never paired
+        zero = sum(int(np.count_nonzero(s.initial_coeffs == 0)) for s in sectors)
+        assert 2 * zero > sum(s.N + 1 for s in sectors)
+
+
+def test_norm_is_one_value_per_sample():
+    field = pacs_amplitudes(1.0, 0, 25)
+    p = TwoModeParams(gamma=0.5)
+    occ = occupancy_series(decompose_initial(field, p), p, 1e-2, 1000)
+    assert len(occ.norm) == 1000
+    assert occ.norm.strides == (0,)  # a view of one float, not 1000
+    assert not occ.norm.flags.writeable
+    assert np.all(occ.norm == occ.norm[0])

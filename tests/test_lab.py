@@ -13,6 +13,8 @@ import pytest
 from wplab import lab, neighbors, seriesio
 from wplab.benchmarks import sine_series
 from wplab.presets import PRESETS
+from wplab.recur import Cell
+from wplab.series import TimeSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -301,3 +303,53 @@ def test_bad_options_fail_before_reading(tmp_path, task, options, named):
     # the series file does not exist: reading it would raise OSError
     with pytest.raises(ValueError, match=f"'{task}'.*'{named}'"):
         lab.analyze(task, tmp_path / "missing.wprs", options)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0, 1.0, 2.0],
+        [0.1, 0.7, 0.2, 0.3],
+        [2.0, 2.0, 1.0, 2.0, 5.0],  # ties at the middle, odd length
+        [1.0, 4.0, 4.0, 1.0, 4.0, 1.0],  # ties, even length
+        [7.0],
+        [-0.0, 0.0, -0.0],
+        np.random.default_rng(0).normal(size=1001),
+        np.random.default_rng(1).integers(0, 5, size=1000) / 7.0,  # many ties
+    ],
+)
+def test_median_cell_is_numpys_median_bitwise(values):
+    def bits(cell):
+        return np.array([cell.lower, cell.upper]).tobytes()
+
+    for v in (np.array(values), np.random.default_rng(2).permutation(values)):
+        mid = float(np.median(v))
+        expect = Cell(mid - lab.CELL_WIDTH / 2.0, mid + lab.CELL_WIDTH / 2.0)
+        assert bits(lab._median_cell(TimeSeries(1.0, v))) == bits(expect)
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from pathlib import Path
+from wplab import lab
+out = Path(sys.argv[1])
+params = {"omega": 1.0, "omega0": 1.0, "gamma": 5.0, "g": 1.0}
+series = lab.simulate("bipartite", params, (5.0, 5), 1e-3, 4000, out / "s.wprs")
+for task in ("rp", "density", "returnmap", "f1", "f2"):
+    lab.analyze(task, series, {}, out)
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_two_mode_run_does_not_import_masked_arrays(tmp_path):
+    # numpy.ma costs 14 ms to import, and numpy's median and bare unique
+    # import it on their first call
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    assert len(list(tmp_path.glob("s_*.txt"))) == 5

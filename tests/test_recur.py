@@ -402,6 +402,20 @@ class TestRecurrenceMatrix:
         expect = brute_force_recurrences(ts, 100, 700, rp.epsilon, spec)
         assert np.array_equal(rp.pairs, expect)
 
+    def test_window_too_wide_for_32_bit_keys(self):
+        # a pair key (i << shift) | j of 70 001 states needs 34 bits; the
+        # values permute 0 ... 70 000, so at eps = 2 each state recurs
+        # with exactly the states holding v - 2 ... v + 2
+        n = 70_001
+        v = (np.arange(n) * 7_919 % n).astype(np.float64)
+        rp = recurrence_matrix(series_of(v), 0, n, epsilon_frac=frac_for_eps(v, 2.0))
+        holder = np.argsort(v)  # holder[k] is the state with value k
+        expect = set()
+        for d in (1, 2):
+            i, j = holder[:-d], holder[d:]
+            expect |= set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+        assert rp.pairs.tolist() == sorted(map(list, expect))
+
     def test_window_validation(self):
         ts = sine_series(100, period=10.0)
         with pytest.raises(ValueError):

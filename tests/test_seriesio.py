@@ -1,5 +1,7 @@
+import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,6 +151,47 @@ class TestIntegerRows:
         with pytest.raises(ValueError, match="negative"):
             seriesio.write_recurrence(rp, tmp_path / "rp.txt")
         assert list(tmp_path.iterdir()) == []
+
+
+def percent_d(rows):
+    return "".join(" ".join("%d" % v for v in row) + "\n" for row in rows)
+
+
+def written_int_rows(rows):
+    fh = io.StringIO()
+    seriesio._write_int_rows(fh, np.array(rows, dtype=np.int64))
+    return fh.getvalue()
+
+
+# a non-negative int64 up to 2**62 with a drawn digit count, 1 ... 19, so
+# every count of 4-digit groups (1 ... 5) turns up
+any_digit_count = st.integers(1, 19).flatmap(
+    lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d - 1, 2**62))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    columns=st.integers(1, 3),
+    chunk=st.integers(1, 4),
+)
+def test_int_rows_match_percent_d(data, columns, chunk):
+    rows = data.draw(
+        st.lists(st.lists(any_digit_count, min_size=columns, max_size=columns),
+                 min_size=1, max_size=12)
+    )
+    # small chunks, so one export mixes chunks of different field widths
+    with mock.patch.object(seriesio, "_ROWS_PER_CHUNK", chunk):
+        assert written_int_rows(rows) == percent_d(rows)
+
+
+def test_int_rows_longer_than_a_chunk_match_percent_d():
+    rng = np.random.default_rng(7)
+    shape = (seriesio._ROWS_PER_CHUNK + 5, 3)
+    # every digit count: a random 62-bit value shifted right by 0 ... 62
+    rows = rng.integers(0, 2**62, shape) >> rng.integers(0, 63, shape)
+    assert written_int_rows(rows) == percent_d(rows.tolist())
 
 
 class SecondBodyWriteFails:
