@@ -7,6 +7,7 @@ from .bipartite import (
     build_sector,
     decompose,
     decompose_initial,
+    sector_diagonals,
 )
 from .embed import (
     Classification,
@@ -87,6 +88,7 @@ __all__ = [
     "return_map",
     "run_preset",
     "second_return_times",
+    "sector_diagonals",
     "simulate",
     "simulate_series",
     "support_sparsity",

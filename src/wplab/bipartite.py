@@ -3,9 +3,18 @@
 The total excitation number is conserved, so the Hamiltonian splits into
 symmetric tridiagonal blocks of dimension N+1 acting on the states
 |N-n; n> (field count N-n, second-mode count n).  Each block is
-diagonalized once by LAPACK, H_N = V diag(lambda) V^T.  Starting from
-e_0 with eigenbasis coefficients w = V[0, :], the second-mode occupancy
-of the block is
+diagonalized once, H_N = V diag(lambda) V^T, by LAPACK ``dstevd``
+(divide and conquer on the tridiagonal) of numpy's own OpenBLAS, called
+through ctypes on the block's two diagonals.  The dense ``eigh``
+(``dsyevd``) of the same block only adds a Householder reduction and
+back-transformation that change nothing around the same ``dstedc``
+call, so both give the same bits; ``eigh`` remains the fallback where
+numpy's LAPACK exports no ``dstevd``.  scipy's binding of the routine is
+not used: importing ``scipy.linalg`` costs more than all of a run's
+solves.  The routine that ran is reported by ``sector_eigensolver``.
+
+Starting from e_0 with eigenbasis coefficients w = V[0, :], the
+second-mode occupancy of the block is
 
     sum_s |w_s|^2 A_ss
       + Re sum_{s<s'} 2 conj(w_s) w_s' A_ss' exp(-i (lambda_s' - lambda_s) t),
@@ -31,11 +40,15 @@ budget, and |norm - 1| over the kept sectors.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import openblas
 from .fock import FockState
 from .series import TimeSeries, spectral_series
 
@@ -93,8 +106,8 @@ class SectorState:
         object.__setattr__(self, "initial_coeffs", w)
 
 
-def build_sector(N: int, p: TwoModeParams) -> np.ndarray:
-    """Dense tridiagonal block of the Hamiltonian at total number N.
+def sector_diagonals(N: int, p: TwoModeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the Hamiltonian block at total number N.
 
     Basis index n = 0..N counts the second mode: diagonal
     omega*(N-n) + omega0*n + gamma*n*(n-1), coupling g*sqrt(n*(N-n+1))
@@ -103,16 +116,95 @@ def build_sector(N: int, p: TwoModeParams) -> np.ndarray:
     if N < 0:
         raise ValueError("N must be >= 0")
     n = np.arange(N + 1, dtype=np.float64)
-    h = np.diag(p.omega * (N - n) + p.omega0 * n + p.gamma * n * (n - 1.0))
+    diag = p.omega * (N - n) + p.omega0 * n + p.gamma * n * (n - 1.0)
     ncpl = np.arange(1, N + 1)
-    h[ncpl - 1, ncpl] = h[ncpl, ncpl - 1] = p.g * np.sqrt(ncpl * (N - ncpl + 1.0))
+    return diag, p.g * np.sqrt(ncpl * (N - ncpl + 1.0))
+
+
+def tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix with diagonal ``diag`` and off-diagonal ``off``."""
+    h = np.diag(np.asarray(diag, dtype=np.float64))
+    i = np.arange(len(off))
+    h[i, i + 1] = h[i + 1, i] = off
     return h
 
 
-def decompose(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric block (LAPACK's eigenvalues
-    come in ascending order)."""
-    return EigenDecomposition(*np.linalg.eigh(h))
+def build_sector(N: int, p: TwoModeParams) -> np.ndarray:
+    """Dense tridiagonal block of the Hamiltonian at total number N (the
+    reference ``decompose`` is tested against)."""
+    return tridiagonal(*sector_diagonals(N, p))
+
+
+@functools.cache
+def _dstevd() -> Optional[tuple[str, Callable[..., EigenDecomposition]]]:
+    """The exported name of LAPACK ``dstevd`` in numpy's OpenBLAS and a
+    solver of (diag, off) calling it, or None when it is not exported.
+    The solver takes float64 arrays of matching sizes, checked by
+    ``decompose``."""
+    found = openblas.symbol("dstevd_")
+    if found is None:
+        return None
+    name, fn, cint = found
+    ref, ptr = ctypes.POINTER(cint), ctypes.c_void_p
+    # jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, then the
+    # hidden length of jobz that Fortran passes with a character argument
+    fn.argtypes = [ctypes.c_char_p, ref, ptr, ptr, ptr, ref, ptr, ref, ptr, ref, ref]
+    fn.argtypes += [ctypes.c_size_t]
+    fn.restype = None
+    itype = np.int64 if cint is ctypes.c_int64 else np.int32
+
+    def solve(diag: np.ndarray, off: np.ndarray) -> EigenDecomposition:
+        n = diag.size
+        d = diag.copy()  # overwritten by the eigenvalues
+        e = np.zeros(n)  # off-diagonal, destroyed
+        e[: n - 1] = off
+        z = np.empty((n, n), order="F")
+        lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if n > 1 else (1, 1)
+        work = np.empty(lwork)
+        iwork = np.empty(liwork, dtype=itype)
+        info = cint(0)
+        fn(
+            b"V",
+            ctypes.byref(cint(n)),
+            d.ctypes.data,
+            e.ctypes.data,
+            z.ctypes.data,
+            ctypes.byref(cint(max(n, 1))),
+            work.ctypes.data,
+            ctypes.byref(cint(lwork)),
+            iwork.ctypes.data,
+            ctypes.byref(cint(liwork)),
+            ctypes.byref(info),
+            1,
+        )
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"{name} failed with info = {info.value}")
+        return EigenDecomposition(d, z)
+
+    return name, solve
+
+
+def sector_eigensolver() -> str:
+    """What ``decompose`` runs: the exported ``dstevd`` symbol, or
+    ``numpy.linalg.eigh`` when numpy's LAPACK has none."""
+    found = _dstevd()
+    return "numpy.linalg.eigh" if found is None else found[0]
+
+
+def decompose(diag: np.ndarray, off: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of the symmetric tridiagonal matrix with diagonal
+    ``diag`` and off-diagonal ``off``; eigenvalues in ascending order."""
+    diag = np.asarray(diag, dtype=np.float64)
+    off = np.asarray(off, dtype=np.float64)
+    if diag.ndim != 1 or off.shape != (max(diag.size - 1, 0),):
+        raise ValueError(
+            f"need a diagonal and an off-diagonal one shorter, got shapes "
+            f"{diag.shape} and {off.shape}"
+        )
+    found = _dstevd()
+    if found is None:
+        return EigenDecomposition(*np.linalg.eigh(tridiagonal(diag, off)))
+    return found[1](diag, off)
 
 
 def decompose_initial(field: FockState, p: TwoModeParams) -> list[SectorState]:
@@ -126,7 +218,7 @@ def decompose_initial(field: FockState, p: TwoModeParams) -> list[SectorState]:
     for N, amp in enumerate(field.amplitudes):
         if abs(amp) ** 2 < SECTOR_PRUNE_MASS:
             continue
-        eig = decompose(build_sector(N, p))
+        eig = decompose(*sector_diagonals(N, p))
         # expansion of e_0 over eigenvectors: row 0 of the eigenvector matrix
         coeffs = eig.eigenvectors[0, :].astype(np.complex128)
         sectors.append(SectorState(N, eig, coeffs, complex(amp)))

@@ -2,7 +2,8 @@
 
 Subcommands: ``simulate`` (write a series file), ``analyze`` (run one
 analysis task on a series file), ``preset`` (run a catalogued
-experiment), ``list-presets``.  The ``analyze`` option flags are
+experiment), ``verify`` (check a preset's outputs against its
+manifest), ``list-presets``.  The ``analyze`` option flags are
 generated from ``lab.OPTIONS``.
 
 ``--config FILE`` reads flat ``key = value`` lines (``#`` starts a
@@ -16,7 +17,9 @@ while a flag the task does not own is an error.
 
 Exit status: 0 success, 1 runtime error, 2 usage error (a bad flag,
 config value, analysis option, preset id, model parameter, ``dt`` or
-``steps``, found before any file is read or written).
+``steps``, found before any file is read or written).  ``verify`` exits
+0 when every output matches its manifest, 1 naming the first missing or
+changed one, and 2 when the manifest cannot be read.
 """
 
 from __future__ import annotations
@@ -134,6 +137,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     flag(pre, "--full-scale", action="store_true", help="1e7-sample series")
     flag(pre, "--svg", action="store_true")
 
+    ver = sub.add_parser("verify", help="check a preset's outputs against its manifest")
+    ver.add_argument("manifest", help="<preset>_manifest.json; outputs lie beside it")
+
     sub.add_parser("list-presets", help="list preset ids")
     for key, value in (config or {}).items():
         if key not in flags:
@@ -202,6 +208,17 @@ def main(argv=None) -> int:
                   f"{manifest.wall_time_s:.1f}s")
             for rec in manifest.outputs:
                 print(f"  {rec['path']}  {rec['sha256'][:12]}")
+        elif args.command == "verify":
+            try:
+                manifest = lab.RunManifest.load(args.manifest)
+            except (OSError, ValueError) as exc:
+                print(f"wplab: unreadable manifest: {exc}", file=sys.stderr)
+                return 2
+            problem = manifest.mismatch(Path(args.manifest).parent)
+            if problem is not None:
+                print(f"wplab: {problem}", file=sys.stderr)
+                return 1
+            print(f"{manifest.preset}: {len(manifest.outputs)} outputs verified")
     except lab.OptionError as exc:
         print(f"wplab: usage error: {exc}", file=sys.stderr)
         return 2

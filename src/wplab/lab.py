@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import json
 import math
 import numbers
 import os
@@ -24,8 +25,14 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from . import openblas
 from . import svg as svgmod
-from .bipartite import TwoModeParams, decompose_initial, occupancy_series
+from .bipartite import (
+    TwoModeParams,
+    decompose_initial,
+    occupancy_series,
+    sector_eigensolver,
+)
 from .embed import (
     EmbeddingSpec,
     classify,
@@ -71,13 +78,34 @@ class RunManifest:
     assumptions: tuple[str, ...] = ()
     blas: dict[str, Any] = field(default_factory=dict)  # blas_environment()
 
-    def verify(self, base: str | Path = ".") -> bool:
+    @classmethod
+    def load(cls, path: str | Path) -> "RunManifest":
+        """The manifest ``run_preset`` wrote to ``path``; ``OSError`` when it
+        cannot be read, ``ValueError`` when it is not such a manifest."""
+        try:
+            data = json.loads(Path(path).read_text())
+            manifest = cls(**data)
+            for rec in manifest.outputs:
+                if not all(isinstance(rec[key], str) for key in ("path", "sha256")):
+                    raise TypeError(f"output record {rec!r} has no path or sha256 text")
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"{path} is not a run manifest: {exc}") from None
+        return manifest
+
+    def mismatch(self, base: str | Path = ".") -> Optional[str]:
+        """The first output missing under ``base`` or differing from its
+        recorded digest, as a message, or None when all match."""
         base = Path(base)
         for rec in self.outputs:
             p = base / rec["path"]
-            if not p.exists() or _sha256(p) != rec["sha256"]:
-                return False
-        return True
+            if not p.is_file():
+                return f"{rec['path']} is missing"
+            if _sha256(p) != rec["sha256"]:
+                return f"{rec['path']} has changed"
+        return None
+
+    def verify(self, base: str | Path = ".") -> bool:
+        return self.mismatch(base) is None
 
 
 # environment variables that set OpenBLAS's thread count and CPU kernel
@@ -89,37 +117,22 @@ def _openblas_runtime() -> tuple[Optional[str], Optional[int]]:
     or None for each when numpy's BLAS is not OpenBLAS.
 
     numpy's ``show_config`` holds the configuration of the build host,
-    so the CPU kernel chosen at load time is asked of the library.  Other
-    OpenBLAS copies may be mapped too (scipy's wheels bring their own),
-    so the symbols are looked up through numpy's core extension, whose
-    handle searches only that module and the libraries it links.
+    so the CPU kernel chosen at load time is asked of the library.
     """
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as core
-    try:
-        lib = ctypes.CDLL(core.__file__)
-    except OSError:
+    get_config = openblas.symbol("openblas_get_config")
+    get_threads = openblas.symbol("openblas_get_num_threads")
+    if get_config is None or get_threads is None:
         return None, None
-    # symbol names of the scipy-openblas wheels and of plain OpenBLAS,
-    # each with 64-bit or 32-bit integers
-    variants = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
-    for prefix, suffix in variants:
-        try:
-            get_config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
-            get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
-        except AttributeError:
-            continue
-        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        return get_config().decode("ascii", "replace"), get_threads()
-    return None, None
+    get_config, get_threads = get_config[1], get_threads[1]
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_config().decode("ascii", "replace"), get_threads()
 
 
 def blas_environment() -> dict[str, Any]:
     """numpy's BLAS: name and version, the run-time OpenBLAS configuration
-    (it names the CPU kernel) and thread count, and ``BLAS_VARIABLES``."""
+    (it names the CPU kernel) and thread count, the routine that solves
+    the two-mode sectors, and ``BLAS_VARIABLES``."""
     try:
         info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 has no mode, and only prints
@@ -130,6 +143,7 @@ def blas_environment() -> dict[str, Any]:
         "version": info.get("version"),
         "openblas_config": config,
         "threads": threads,
+        "sector_eigensolver": sector_eigensolver(),
         **{var: os.environ.get(var) for var in BLAS_VARIABLES},
     }
 
@@ -691,7 +705,8 @@ def run_preset(
     _check_steps(preset, run_steps)
 
     t0 = time.perf_counter()
-    # filled as each file is written, so a failure removes what exists
+    # filled as each file is written, so a failure removes what exists,
+    # the manifest included: the outputs stay only with their manifest
     written: list[Path] = []
     try:
         if isinstance(preset, TablePreset):
@@ -711,22 +726,23 @@ def run_preset(
                 "dt": run_dt,
                 "steps": run_steps,
             }
+        wall = time.perf_counter() - t0
+        outputs = [
+            {
+                "path": str(Path(p).relative_to(out_dir)),
+                "sha256": _sha256(Path(p)),
+                "bytes": Path(p).stat().st_size,
+            }
+            for p in written
+        ]
+        blas = blas_environment()
+        manifest = RunManifest(
+            preset_id, parameters, outputs, wall, tuple(preset.notes), blas
+        )
+        written.append(out_dir / f"{preset_id}_manifest.json")
+        seriesio.write_json(asdict(manifest), written[-1])
     except BaseException:
         for p in written:
             Path(p).unlink(missing_ok=True)
         raise
-    wall = time.perf_counter() - t0
-
-    outputs = [
-        {
-            "path": str(Path(p).relative_to(out_dir)),
-            "sha256": _sha256(Path(p)),
-            "bytes": Path(p).stat().st_size,
-        }
-        for p in written
-    ]
-    manifest = RunManifest(
-        preset_id, parameters, outputs, wall, tuple(preset.notes), blas_environment()
-    )
-    seriesio.write_json(asdict(manifest), out_dir / f"{preset_id}_manifest.json")
     return manifest

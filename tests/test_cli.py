@@ -154,6 +154,45 @@ def test_analyze_reproduces_preset_lyapunov_run(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
 
 
+@pytest.fixture
+def fig5_run(tmp_path, monkeypatch):
+    """A fig5 run under the working directory, and its manifest's relative path."""
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(["preset", "fig5", "--out", "p"]) == 0
+    return Path("p") / "fig5_manifest.json"
+
+
+def test_verify_accepts_untouched_outputs(fig5_run, capsys):
+    # the outputs are looked up beside the manifest, not in the working directory
+    capsys.readouterr()
+    assert exit_code(["verify", fig5_run]) == 0
+    assert capsys.readouterr().out == "fig5: 3 outputs verified\n"
+
+
+def test_verify_names_first_bad_output(fig5_run, capsys):
+    rp = fig5_run.with_name("fig5_series_rp.txt")
+    rp.write_bytes(rp.read_bytes() + b"0 0\n")
+    capsys.readouterr()
+    assert exit_code(["verify", fig5_run]) == 1
+    assert "fig5_series_rp.txt has changed" in capsys.readouterr().err
+    fig5_run.with_name("fig5_series.wprs").unlink()
+    assert exit_code(["verify", fig5_run]) == 1
+    assert "fig5_series.wprs is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "{not json", '["fig5"]', '{"preset": "fig5"}', '{"preset": "fig5", '
+     '"parameters": {}, "outputs": [{"bytes": 3}], "wall_time_s": 0.1}'],
+)
+def test_verify_unreadable_manifest_exits_2(tmp_path, capsys, text):
+    manifest = tmp_path / "fig5_manifest.json"
+    if text is not None:
+        manifest.write_text(text)
+    assert exit_code(["verify", manifest]) == 2
+    assert "unreadable manifest" in capsys.readouterr().err
+
+
 def test_import_does_not_load_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wplab import lab, neighbors, seriesio
+from wplab import bipartite, lab, neighbors, seriesio
 from wplab.benchmarks import sine_series
 from wplab.presets import PRESETS
 from wplab.recur import Cell
@@ -81,6 +81,31 @@ def test_failed_preset_leaves_no_outputs(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="density failed"):
         lab.run_preset("fig7-10", out, steps=10_000)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("fails", ["manifest write", "digest"])
+def test_manifest_failure_leaves_no_outputs(tmp_path, monkeypatch, fails):
+    # the outputs are complete by then, but without a manifest they must go
+    write_json, sha256 = seriesio.write_json, lab._sha256
+
+    def failing_write(payload, path):
+        if Path(path).name == "fig5_manifest.json":
+            raise OSError("manifest write failed")
+        return write_json(payload, path)
+
+    def failing_digest(path):
+        if Path(path).name == "fig5_series_rp.txt":
+            raise OSError("digest failed")
+        return sha256(path)
+
+    if fails == "manifest write":
+        monkeypatch.setattr(seriesio, "write_json", failing_write)
+    else:
+        monkeypatch.setattr(lab, "_sha256", failing_digest)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match=f"{fails} failed"):
+        lab.run_preset("fig5", out)
     assert list(out.iterdir()) == []
 
 
@@ -212,6 +237,10 @@ def test_manifest_records_blas(tmp_path):
         # the kernel in use, not the build host's in numpy's show_config
         assert " Haswell " in blas["openblas_config"]
         assert blas["threads"] == 1
+        # numpy's own LAPACK solves the two-mode sectors
+        solver = blas["sector_eigensolver"]
+        assert solver in ("scipy_dstevd_64_", "scipy_dstevd_", "dstevd_64_", "dstevd_")
+    assert blas["sector_eigensolver"] == bipartite.sector_eigensolver()
     # the five positional fields, as the benchmark's checks pass them
     manifest = lab.RunManifest(
         m["preset"], m["parameters"], m["outputs"], m["wall_time_s"],
@@ -219,6 +248,11 @@ def test_manifest_records_blas(tmp_path):
     )
     assert manifest.blas == {}
     assert manifest.verify(tmp_path / "fig5")
+
+
+def test_blas_names_the_fallback_solver(monkeypatch):
+    monkeypatch.setattr(bipartite, "_dstevd", lambda: None)
+    assert lab.blas_environment()["sector_eigensolver"] == "numpy.linalg.eigh"
 
 
 BLAS_WITH_SCIPY = """
