@@ -16,8 +16,8 @@ so ``analyze`` passes on only the config values its ``--task`` owns,
 while a flag the task does not own is an error.
 
 Exit status: 0 success, 1 runtime error, 2 usage error (a bad flag,
-config value, analysis option, preset id, model parameter, ``dt`` or
-``steps``, found before any file is read or written).  ``verify`` exits
+config value, analysis option, preset id, model parameter, ``nu``,
+``m``, ``dt`` or ``steps``, found before any file is read or written).  ``verify`` exits
 0 when every output matches its manifest, 1 naming the first missing or
 changed one, and 2 when the manifest cannot be read.
 """

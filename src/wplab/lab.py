@@ -2,8 +2,12 @@
 
 ``simulate`` writes binary series files, ``analyze`` runs one analysis
 task against a series file and writes its text export, ``run_preset``
-chains both for the preset catalogue and returns a manifest with
-content digests.  Reruns of a preset produce byte-identical data files
+simulates a preset's series, writes it and runs the preset's tasks on
+the series still in memory (each task's options resolved once, before
+the simulation), and returns a manifest with content digests.  Both
+paths run a task through ``_run_task``, so an ``analyze`` of a preset's
+series file reproduces the preset's exports byte for byte.  Reruns of a
+preset produce byte-identical data files
 as long as the BLAS thread count and OpenBLAS's CPU kernel stay the
 same: the spectral kernel's GEMM rounds differently under either.  The
 manifest additionally records wall time, assumptions and the BLAS
@@ -19,6 +23,7 @@ import math
 import numbers
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -174,8 +179,8 @@ def simulate_series(
 ) -> TimeSeries:
     """Generate the observable series for one model configuration.
 
-    The parameter keys, ``dt`` and ``steps`` are checked before any state
-    is prepared; bad input raises ``OptionError``.
+    The parameters, ``nu``, ``m``, ``dt`` and ``steps`` are checked before
+    any state is prepared; bad input raises ``OptionError``.
     """
     if model == "kerr":
         known = ("chi", "chi_prime")
@@ -193,11 +198,26 @@ def simulate_series(
         raise OptionError(f"dt must be finite and positive, got {dt!r}")
     if steps < 1:
         raise OptionError(f"steps must be at least 1, got {steps!r}")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise OptionError(f"nu must be finite and nonnegative, got {nu!r}")
+    if not (isinstance(m, numbers.Integral) and m >= 0):
+        raise OptionError(f"m must be a nonnegative integer, got {m!r}")
+    bad = [k for k in known if k in params and not math.isfinite(params[k])]
+    if model == "kerr":
+        bad += [k for k in known if k not in params]
+    if bad:
+        raise OptionError(
+            f"model {model!r} needs finite {', '.join(map(repr, bad))}, got {params!r}"
+        )
+    if model == "bipartite":
+        try:
+            p = TwoModeParams(**params)
+        except ValueError as exc:
+            raise OptionError(f"model 'bipartite': {exc}") from None
     state = initial_field_state(nu, m)
     if model == "kerr":
         spec = kerr_spectrum(params["chi"], params["chi_prime"], state.n_max)
         return generate_series_x(state, spec, dt, steps)
-    p = TwoModeParams(**params)
     return occupancy_series(decompose_initial(state, p), p, dt, steps).field
 
 
@@ -485,6 +505,17 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     return result, payload
 
 
+@contextmanager
+def _removed_on_failure(written: list[Path]):
+    """Remove every path in ``written``, each listed before its write, on a raise."""
+    try:
+        yield
+    except BaseException:
+        for p in written:
+            p.unlink(missing_ok=True)
+        raise
+
+
 def analyze(
     task: str,
     series_file: str | Path,
@@ -499,42 +530,41 @@ def analyze(
     options = resolve_options(task, options)
     series_file = Path(series_file)
     out_dir = Path(out_dir) if out_dir is not None else series_file.parent
-    stem = series_file.name.removesuffix(".wprs")
+    stem = out_dir / series_file.name.removesuffix(".wprs")
     ts = seriesio.read_series(series_file)
-    # listed before each write, so a failure removes what exists
     written: list[Path] = []
-
-    def out_path(suffix: str) -> Path:
-        written.append(out_dir / f"{stem}_{task}.{suffix}")
-        return written[-1]
-
-    try:
-        plot = _run_task(task, ts, options, out_path)
-        if svg and plot is not None:
-            plot(out_path("svg"))
-    except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
+    with _removed_on_failure(written):
+        _run_task(task, ts, options, stem, svg, written)
     return written
 
 
-def _run_task(task: str, ts: TimeSeries, options: dict[str, Any], out_path):
-    """Write the task's exports; returns its svg writer, or None."""
+def _run_task(
+    task: str, ts: TimeSeries, options: dict[str, Any], stem: Path, svg: bool,
+    written: list[Path],
+) -> None:
+    """Write the task's exports of ``ts``, and its svg when asked, as
+    ``<stem>_<task>.<suffix>``; ``options`` are resolved.
+
+    Each path joins ``written`` before its write, for the caller's cleanup.
+    """
+
+    def out_path(suffix: str) -> Path:
+        written.append(Path(f"{stem}_{task}.{suffix}"))
+        return written[-1]
+
+    plot = None  # (svg writer, x, y, title)
     if task in ("f1", "f2"):
         value_cell = _derived(options, "cell", ts)
         hist_fn = first_return_times if task == "f1" else second_return_times
         h = hist_fn(ts, value_cell, options["mode"])
         seriesio.write_histogram(h, out_path("txt"), cell=value_cell, kind=task)
-        return lambda path: svgmod.bars_svg(h.taus, h.counts, path, f"{task} histogram")
-    if task == "density":
+        plot = (svgmod.bars_svg, h.taus, h.counts, f"{task} histogram")
+    elif task == "density":
         d = invariant_density(ts, options["bin_width"])
         seriesio.write_density(d, out_path("txt"))
-        return lambda path: svgmod.curve_svg(
-            d.centers(), d.density(), path, "invariant density"
-        )
-    if task == "returnmap":
-        pairs = return_map(ts, use_maxima=True)
+        plot = (svgmod.curve_svg, d.centers(), d.density(), "invariant density")
+    elif task == "returnmap":
+        pairs = return_map(ts)
         seriesio.write_pairs(
             pairs,
             out_path("txt"),
@@ -542,10 +572,8 @@ def _run_task(task: str, ts: TimeSeries, options: dict[str, Any], out_path):
             "max_k max_k+1",
             {"use_maxima": True, "pairs": len(pairs)},
         )
-        return lambda path: svgmod.points_svg(
-            pairs[:, 0], pairs[:, 1], path, "return map"
-        )
-    if task == "rp":
+        plot = (svgmod.points_svg, pairs[:, 0], pairs[:, 1], "return map")
+    elif task == "rp":
         spec = None
         if options["delay"] is not None:
             spec = EmbeddingSpec(options["delay"], options["dimension"])
@@ -557,10 +585,8 @@ def _run_task(task: str, ts: TimeSeries, options: dict[str, Any], out_path):
             embed=spec,
         )
         seriesio.write_recurrence(rp, out_path("txt"))
-        return lambda path: svgmod.points_svg(
-            rp.pairs[:, 0], rp.pairs[:, 1], path, "recurrence plot"
-        )
-    if task == "mi":
+        plot = (svgmod.points_svg, rp.pairs[:, 0], rp.pairs[:, 1], "recurrence plot")
+    elif task == "mi":
         mi = _mutual_information(ts, options)
         seriesio.write_pairs(
             np.column_stack((np.arange(1, mi.curve.size + 1), mi.curve)),
@@ -569,8 +595,7 @@ def _run_task(task: str, ts: TimeSeries, options: dict[str, Any], out_path):
             "lag mi_nats",
             {"lag": mi.lag, "has_minimum": mi.has_minimum},
         )
-        return None
-    if task == "fnn":
+    elif task == "fnn":
         f = false_nearest_neighbors(ts, delay=options["delay"], d_max=FNN_D_MAX)
         seriesio.write_pairs(
             np.column_stack((np.arange(1, f.fnn_fractions.size + 1), f.fnn_fractions)),
@@ -579,44 +604,43 @@ def _run_task(task: str, ts: TimeSeries, options: dict[str, Any], out_path):
             "dimension fraction",
             {"dimension": f.dimension, "delay": options["delay"]},
         )
-        return None
-    result, payload = _lyapunov_report(task, ts, options)
-    if task == "classify":
+    else:
+        result, payload = _lyapunov_report(task, ts, options)
+        if task == "lyapunov":
+            curve = result.divergence_curve
+            seriesio.write_pairs(
+                curve,
+                out_path("txt"),
+                "divergence curve",
+                "delta_k mean_log_distance",
+                {
+                    "lambda_max": repr(float(result.lambda_max)),
+                    "fit_range": f"{result.fit_range[0]}:{result.fit_range[1]}",
+                    "fit_r2": repr(float(result.fit_r2)),
+                    "method": result.method,
+                    "delay": result.embedding.delay,
+                    "dimension": result.embedding.dimension,
+                },
+            )
+            plot = (svgmod.curve_svg, curve[:, 0], curve[:, 1], "divergence curve")
         seriesio.write_json(payload, out_path("json"))
-        return None
-    curve = result.divergence_curve
-    seriesio.write_pairs(
-        curve,
-        out_path("txt"),
-        "divergence curve",
-        "delta_k mean_log_distance",
-        {
-            "lambda_max": repr(float(result.lambda_max)),
-            "fit_range": f"{result.fit_range[0]}:{result.fit_range[1]}",
-            "fit_r2": repr(float(result.fit_r2)),
-            "method": result.method,
-            "delay": result.embedding.delay,
-            "dimension": result.embedding.dimension,
-        },
-    )
-    seriesio.write_json(payload, out_path("json"))
-    return lambda path: svgmod.curve_svg(
-        curve[:, 0], curve[:, 1], path, "divergence curve"
-    )
+    if svg and plot is not None:
+        draw, x, y, title = plot
+        draw(x, y, out_path("svg"), title)
 
 
 def list_presets() -> list[str]:
     return sorted(PRESETS)
 
 
-def _check_steps(preset, steps: int) -> None:
-    """Resolve the preset's options and reject a series length they cannot use.
+def _check_steps(preset, steps: int) -> list[dict[str, Any]]:
+    """Each analysis's resolved options; rejects a series length they cannot use.
 
     Runs before any simulation: a recurrence window must fit the series,
     and a Lyapunov fit needs more than 10 * horizon samples.
     """
-    for item in preset.analyses:
-        options = resolve_options(item.task, item.options)
+    resolved = [resolve_options(item.task, item.options) for item in preset.analyses]
+    for item, options in zip(preset.analyses, resolved):
         if item.task == "rp":
             end = options["window_start"] + _derived(options, "window_len", steps)
             if end > steps:
@@ -631,30 +655,26 @@ def _check_steps(preset, steps: int) -> None:
                     f"{preset.id}: Lyapunov horizon {horizon} needs more than "
                     f"{10 * horizon} steps, got {steps}"
                 )
+    return resolved
 
 
 def _preset_outputs(
-    preset: ExperimentPreset,
-    out_dir: Path,
-    steps: int,
-    dt: float,
-    svg: bool,
-    written: list[Path],
+    preset: ExperimentPreset, resolved: list[dict[str, Any]], out_dir: Path,
+    steps: int, dt: float, svg: bool, written: list[Path],
 ) -> None:
-    series_path = out_dir / f"{preset.id}_series.wprs"
     ts = simulate_series(preset.model, preset.params, preset.nu, preset.m, dt, steps)
-    written.append(series_path)
-    written.append(series_path.with_name(series_path.name + ".meta.json"))
-    seriesio.write_series(ts, series_path)
-    for item in preset.analyses:
-        written.extend(analyze(item.task, series_path, item.options, out_dir, svg=svg))
+    stem = out_dir / f"{preset.id}_series"
+    written += [Path(f"{stem}.wprs"), Path(f"{stem}.wprs.meta.json")]
+    seriesio.write_series(ts, written[-2])
+    for item, options in zip(preset.analyses, resolved):
+        _run_task(item.task, ts, options, stem, svg, written)
 
 
 def _table_outputs(
-    preset: TablePreset, out_dir: Path, steps: int, dt: float, written: list[Path]
+    preset: TablePreset, resolved: list[dict[str, Any]], out_dir: Path,
+    steps: int, dt: float, written: list[Path],
 ) -> None:
-    (item,) = preset.analyses
-    options = resolve_options(item.task, item.options)
+    (item,), (options,) = preset.analyses, resolved
     rows = []
     for entry in preset.entries:
         ts = simulate_series(entry.model, entry.params, entry.nu, entry.m, dt, steps)
@@ -702,36 +722,27 @@ def run_preset(
         steps = preset.full_steps if full_scale else preset.steps
     run_steps = int(steps)
     run_dt = float(dt) if dt is not None else preset.dt
-    _check_steps(preset, run_steps)
+    resolved = _check_steps(preset, run_steps)
 
     t0 = time.perf_counter()
-    # filled as each file is written, so a failure removes what exists,
-    # the manifest included: the outputs stay only with their manifest
+    # a failure removes what exists, the manifest included: the outputs
+    # stay only with their manifest
     written: list[Path] = []
-    try:
+    with _removed_on_failure(written):
         if isinstance(preset, TablePreset):
-            _table_outputs(preset, out_dir, run_steps, run_dt, written)
-            parameters: dict[str, Any] = {
-                "entries": [e.id for e in preset.entries],
-                "dt": run_dt,
-                "steps": run_steps,
-            }
+            _table_outputs(preset, resolved, out_dir, run_steps, run_dt, written)
+            parameters: dict[str, Any] = {"entries": [e.id for e in preset.entries]}
         else:
-            _preset_outputs(preset, out_dir, run_steps, run_dt, svg, written)
-            parameters = {
-                "model": preset.model,
-                "nu": preset.nu,
-                "m": preset.m,
-                **preset.params,
-                "dt": run_dt,
-                "steps": run_steps,
-            }
+            _preset_outputs(preset, resolved, out_dir, run_steps, run_dt, svg, written)
+            parameters = {"model": preset.model, "nu": preset.nu, "m": preset.m}
+            parameters.update(preset.params)
+        parameters.update(dt=run_dt, steps=run_steps)
         wall = time.perf_counter() - t0
         outputs = [
             {
-                "path": str(Path(p).relative_to(out_dir)),
-                "sha256": _sha256(Path(p)),
-                "bytes": Path(p).stat().st_size,
+                "path": str(p.relative_to(out_dir)),
+                "sha256": _sha256(p),
+                "bytes": p.stat().st_size,
             }
             for p in written
         ]
@@ -741,8 +752,4 @@ def run_preset(
         )
         written.append(out_dir / f"{preset_id}_manifest.json")
         seriesio.write_json(asdict(manifest), written[-1])
-    except BaseException:
-        for p in written:
-            Path(p).unlink(missing_ok=True)
-        raise
     return manifest

@@ -45,9 +45,6 @@ class Cell:
         if not self.lower < self.upper:
             raise ValueError(f"empty cell [{self.lower}, {self.upper})")
 
-    def shifted(self, offset: float) -> "Cell":
-        return Cell(self.lower + offset, self.upper + offset)
-
 
 @dataclass(frozen=True)
 class ReturnTimeHistogram:
@@ -207,23 +204,15 @@ def invariant_density(series: TimeSeries, bin_width: float) -> DensityHistogram:
     return DensityHistogram(bin_width, lo, counts.astype(np.int64), norm)
 
 
-def return_map(series: TimeSeries, use_maxima: bool = True) -> np.ndarray:
-    """Pairs of consecutive strict local maxima (M_k, M_{k+1}).
-
-    With ``use_maxima=False`` the detection step is bypassed and the raw
-    successive-value pairs (x_k, x_{k+1}) are returned, for series that
-    are already discrete-time maps.
-    """
+def return_map(series: TimeSeries) -> np.ndarray:
+    """Pairs of consecutive strict local maxima (M_k, M_{k+1})."""
     v = series.values
     if v.size < 3:
         raise ValueError("series must have at least 3 samples")
-    if use_maxima:
-        peaks = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
-        heights = v[peaks]
-        if heights.size < 2:
-            raise ValueError("fewer than 2 local maxima in the series")
-    else:
-        heights = v
+    peaks = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
+    heights = v[peaks]
+    if heights.size < 2:
+        raise ValueError("fewer than 2 local maxima in the series")
     return np.column_stack((heights[:-1], heights[1:]))
 
 

@@ -72,6 +72,13 @@ def test_exit_codes(tmp_path, series_file):
         ["simulate", "--model", "kerr", "--steps", 0],
         ["preset", "nosuch"],
         ["preset", "fig11-14", "--steps", 2000],  # the rp window does not fit
+        ["simulate", "--model", "kerr", "--nu", -1],
+        ["simulate", "--model", "kerr", "--nu", "nan"],
+        ["simulate", "--model", "bipartite", "--nu", "inf"],
+        ["simulate", "--model", "kerr", "--m", -1],
+        ["simulate", "--model", "kerr", "--chi", "nan"],
+        ["simulate", "--model", "bipartite", "--g", -1],
+        ["simulate", "--model", "bipartite", "--omega", "nan"],
     ],
 )
 def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
@@ -140,18 +147,30 @@ def test_svg_output_is_xml(tmp_path, series_file, task, flags):
     assert len(list(root.iter())) > 3
 
 
+def option_flags(options):
+    """The ``analyze`` flags that give ``options``; a cell pair as LO:HI."""
+    flags = []
+    for key, value in options.items():
+        if isinstance(value, tuple):
+            value = ":".join(map(repr, value))
+        flags += ["--" + key.replace("_", "-"), value]
+    return flags
+
+
 def test_analyze_reproduces_preset_lyapunov_run(tmp_path):
-    # the fig4 Lyapunov options are all flags
-    lab.run_preset("fig4", tmp_path / "preset", steps=41_000)
-    analyses = get_preset("fig4").analyses
-    (options,) = [a.options for a in analyses if a.task == "lyapunov"]
-    flags = [x for k, v in options.items() for x in ("--" + k.replace("_", "-"), v)]
-    series = tmp_path / "preset" / "fig4_series.wprs"
-    out = tmp_path / "cli"
-    argv = ["analyze", "--task", "lyapunov", "--series", series, "--out", out]
-    assert exit_code(argv + flags) == 0
-    for name in ("fig4_series_lyapunov.txt", "fig4_series_lyapunov.json"):
-        assert (out / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
+    # every export of a preset, the Lyapunov run included, is what analyze
+    # writes from the preset's series file with the task's options as flags
+    for preset_id, steps in (("fig4", 41_000), ("fig7-10", 20_000), ("fig11-14", 41_000)):
+        preset, out = tmp_path / preset_id / "preset", tmp_path / preset_id / "cli"
+        lab.run_preset(preset_id, preset, steps=steps)
+        series = preset / f"{preset_id}_series.wprs"
+        for item in get_preset(preset_id).analyses:
+            argv = ["analyze", "--task", item.task, "--series", series, "--out", out]
+            assert exit_code(argv + option_flags(item.options)) == 0
+        exports = sorted(p.name for p in out.iterdir())
+        assert exports == sorted(p.name for p in preset.glob(f"{preset_id}_series_*"))
+        for name in exports:
+            assert (out / name).read_bytes() == (preset / name).read_bytes(), name
 
 
 @pytest.fixture

@@ -145,6 +145,17 @@ def test_series_sidecar_records_pruning(tmp_path):
         ("bipartite", {"gamma": 5.0}, float("inf"), "dt"),
         ("bipartite", {"gamma": 5.0}, 0.0, "dt"),
         ("kerr", {"chi": 1.0, "chi_prime": 0.0}, -1e-3, "dt"),
+        # nu and m, where a case sets them, ride in the parameter dict
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0, "nu": -1.0}, 1e-3, "nu"),
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0, "nu": float("nan")}, 1e-3, "nu"),
+        ("bipartite", {"gamma": 5.0, "nu": float("inf")}, 1e-3, "nu"),
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0, "m": -1}, 1e-3, "m must"),
+        ("bipartite", {"gamma": 5.0, "m": 2.5}, 1e-3, "m must"),
+        ("kerr", {"chi": float("nan"), "chi_prime": 0.0}, 1e-3, "'chi'"),
+        ("kerr", {"chi": 1.0}, 1e-3, "'chi_prime'"),
+        ("bipartite", {"gamma": 5.0, "g": -1.0}, 1e-3, "coupling g"),
+        ("bipartite", {"omega": float("nan"), "gamma": 5.0}, 1e-3, "'omega'"),
+        ("bipartite", {"gamma": float("inf")}, 1e-3, "'gamma'"),
     ],
 )
 def test_bad_model_input_fails_before_any_state(
@@ -154,8 +165,10 @@ def test_bad_model_input_fails_before_any_state(
         raise AssertionError("a field state was prepared")
 
     monkeypatch.setattr(lab, "initial_field_state", no_state)
-    with pytest.raises(ValueError, match=named):
-        lab.simulate(model, params, (5.0, 5), dt, 50, tmp_path / "s.wprs")
+    params = dict(params)
+    initial = (params.pop("nu", 5.0), params.pop("m", 5))
+    with pytest.raises(lab.OptionError, match=named):
+        lab.simulate(model, params, initial, dt, 50, tmp_path / "s.wprs")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -210,6 +223,27 @@ def test_presets_match_pinned_digests(tmp_path):
     assert runs[0] == runs[1]
     pinned = json.loads(Path(__file__).with_name("preset_digests.json").read_text())
     assert runs[0] == pinned
+
+
+@pytest.mark.parametrize("preset_id", sorted(PRESETS))
+def test_preset_runs_tasks_on_the_series_in_memory(tmp_path, monkeypatch, preset_id):
+    # no series file is read back, and each task's options resolve once;
+    # svg=True runs the plots through the same path
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    resolve, resolved = lab.resolve_options, []
+
+    def resolve_options(task, options):
+        resolved.append(task)
+        return resolve(task, options)
+
+    monkeypatch.setattr(seriesio, "read_series", no_read)
+    monkeypatch.setattr(lab, "resolve_options", resolve_options)
+    steps = SMOKE_STEPS[preset_id]
+    manifest = lab.run_preset(preset_id, tmp_path, steps=steps, svg=True)
+    assert resolved == [item.task for item in PRESETS[preset_id].analyses]
+    assert manifest.verify(tmp_path)
 
 
 def test_manifest_records_blas(tmp_path):
@@ -387,3 +421,26 @@ def test_two_mode_run_does_not_import_masked_arrays(tmp_path):
         timeout=120,
     )
     assert len(list(tmp_path.glob("s_*.txt"))) == 5
+
+
+REGULAR_CONTROLS = {
+    "cos2": lambda t: np.cos(t) ** 2,  # periodic
+    "cos-plus-cos-sqrt2": lambda t: np.cos(t) + np.cos(np.sqrt(2.0) * t),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="verdict defect, ROADMAP direction 1: known-regular signals come out "
+    "chaotic (cos2: lambda 0.048 on fit [1520, 1600], R2 0.9992; "
+    "cos-plus-cos-sqrt2: lambda 0.349)",
+)
+@pytest.mark.parametrize("control", sorted(REGULAR_CONTROLS))
+def test_regular_control_is_not_chaotic(control):
+    # the table presets' classify options, on 60 000 samples at dt = 1e-3
+    (item,) = PRESETS["table1"].analyses
+    t = np.arange(60_000) * 1e-3
+    series = TimeSeries(1e-3, REGULAR_CONTROLS[control](t))
+    options = lab.resolve_options(item.task, item.options)
+    _, payload = lab._lyapunov_report(item.task, series, options)
+    assert payload["label"] != "chaotic", payload

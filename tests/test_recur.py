@@ -103,7 +103,8 @@ class TestFirstReturn:
         vals = rng.normal(size=20_000)
         cell = Cell(-0.1, 0.1)
         h1 = first_return_times(series_of(vals), cell)
-        h2 = first_return_times(series_of(vals + 3.5), cell.shifted(3.5))
+        shifted = Cell(cell.lower + 3.5, cell.upper + 3.5)
+        h2 = first_return_times(series_of(vals + 3.5), shifted)
         assert counts_of(h1) == counts_of(h2)
 
     def test_dt_relabeling(self):
@@ -291,14 +292,6 @@ class TestReturnMap:
         pairs = return_map(ts)
         for a, b in pairs:
             assert {round(a, 3), round(b, 3)} == {1.0, 0.5}
-
-    def test_raw_pairs_on_logistic(self):
-        from wplab.benchmarks import logistic_series
-
-        ts = logistic_series(2000)
-        pairs = return_map(ts, use_maxima=False)
-        x, y = pairs[:, 0], pairs[:, 1]
-        assert np.abs(y - 4.0 * x * (1.0 - x)).max() < 1e-12
 
     def test_too_few_maxima(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ def chunking(request, monkeypatch):
 class TestTextExports:
     def test_pairs_round_trip(self, tmp_path):
         # rows of a float64 array iterate as numpy scalars
-        pairs = return_map(sine_series(5000, period=37.3), use_maxima=True)
+        pairs = return_map(sine_series(5000, period=37.3))
         assert isinstance(pairs[0, 0], np.float64)
         path = seriesio.write_pairs(
             pairs,
@@ -79,6 +79,9 @@ class TestTextExports:
         assert np.array_equal([float(r[2]) for r in rows], d.density())
 
 
+HENON = henon_series(3000).values
+
+
 class TestRowWriterMatchesLoop:
     def test_recurrence(self, tmp_path, chunking):
         # more pairs than one default chunk of rows
@@ -93,7 +96,8 @@ class TestRowWriterMatchesLoop:
     @pytest.mark.parametrize(
         "pairs",
         [
-            return_map(henon_series(3000), use_maxima=False),
+            # successive Henon values (x_k, x_k+1): full-precision floats of both signs
+            np.column_stack((HENON[:-1], HENON[1:])),
             # an integer column, written as floats
             np.column_stack((np.arange(1, 8), np.linspace(-1.0, 1e300, 7))),
             np.array([[0.1, -0.0], [np.pi, 5e-324]]),
