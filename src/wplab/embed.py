@@ -13,11 +13,16 @@ ends per window start.  Nearest neighbors of all reference points come
 from one batched, exact query (``BoxGrid.nearest_many``), whose first
 k does not grow with the Theiler window (Rosenstein uses theiler =
 2 * delay); epsilon-neighborhoods are queried per reference point.
-The mutual information curve bins the series once and keeps each lag's
-joint histogram as integer counts: a lag's counts follow from the
-previous lag's by moving only the pairs whose second point crosses a
-change of bin, or are recounted from all pairs where the series changes
-bin so often that this is cheaper.
+The divergence curve is computed for a chunk of delta_k at a time, as
+(delta_k, pairs) arrays gathered with ``np.take`` and kept under
+``_CURVE_CHUNK_BYTES`` per side, bitwise equal to a loop over single
+delta_k: on fig11-14 at 2e5 steps (2 014 pairs, 201 delta_k) the loop's
+201 rounds of fancy indexing took 0.082 s and 26 chunks take 0.020 s
+(one BLAS thread, 2-vCPU Xeon).  The mutual information curve bins the
+series once and keeps each lag's joint histogram as integer counts: a
+lag's counts follow from the previous lag's by moving only the pairs
+whose second point crosses a change of bin, or are recounted from all
+pairs where the series changes bin so often that this is cheaper.
 
 Each scan stops at its answer.  The delay search can end at the first
 minimum of the mutual information, once the lags that confirm it are
@@ -43,6 +48,9 @@ from .series import TimeSeries
 # deviation of local slopes from the window's least-squares slope
 FIT_MIN_POINTS = 4
 FIT_SLOPE_TOL = 0.10
+# cap on the bytes of each side's gathered pair rows in one chunk of the
+# divergence curve's delta_k; a chunk holds at least one delta_k
+_CURVE_CHUNK_BYTES = 1 << 19
 
 
 class EmptyNeighborhoodError(RuntimeError):
@@ -344,6 +352,40 @@ def _select_fit_window(ks: np.ndarray, svals: np.ndarray):
     return slope, r2, (int(kk[0]), int(kk[-1])), True
 
 
+def _divergence_curve(
+    pts: np.ndarray, ai: np.ndarray, aj: np.ndarray, sizes: np.ndarray, ks: np.ndarray
+) -> np.ndarray:
+    """Mean log of the group-averaged pair distances at each delta_k in ``ks``.
+
+    The pairs (ai, aj) come in consecutive groups of ``sizes``.  The
+    curve is computed for a chunk of delta_k at a time: each side of the
+    pairs is gathered for the whole chunk with one ``np.take``, and the
+    chunk's distances, group means and logs are (delta_k, pairs) arrays
+    whose rows are reduced along the last axis, in the same order and
+    with the same pairwise sums as a loop over single delta_k.  A row
+    with a non-positive group mean drops those groups, and a row with
+    none left is NaN.
+    """
+    starts = np.cumsum(sizes) - sizes
+    counts = sizes.astype(np.float64)
+    pairs = ai.size
+    per_chunk = max(1, _CURVE_CHUNK_BYTES // (8 * pairs * pts.shape[1]))
+    svals = np.empty(ks.size)
+    for c0 in range(0, ks.size, per_chunk):
+        kc = ks[c0 : c0 + per_chunk, None]
+        diff = np.take(pts, (kc + ai).ravel(), axis=0)
+        diff -= np.take(pts, (kc + aj).ravel(), axis=0)
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(kc.size, pairs)
+        means = np.add.reduceat(d, starts, axis=1) / counts
+        pos = means > 0
+        full = pos.all(axis=1)
+        out = svals[c0 : c0 + kc.size]  # a view: writes land in svals
+        out[full] = np.log(means if full.all() else means[full]).mean(axis=1)
+        for r in np.flatnonzero(~full):
+            out[r] = np.mean(np.log(means[r, pos[r]])) if pos[r].any() else np.nan
+    return svals
+
+
 def _lyapunov(
     series: TimeSeries,
     spec: EmbeddingSpec,
@@ -361,39 +403,32 @@ def _lyapunov(
     ``horizon`` steps ahead exist), in consecutive groups of ``sizes``
     > 0 pairs, one per reference.  At each delta_k a group's distances
     are averaged, and the mean is over the logs of the positive
-    averages.  One-pair groups give Rosenstein's estimator, epsilon-balls
-    Kantz's.  ``grid`` is a tree over ``delay_embed(series, spec)``, such
-    as ``FnnResult.grid``; without one, the embedding and its tree are
-    built here.
+    averages (``_divergence_curve``, a chunk of delta_k at a time).
+    One-pair groups give Rosenstein's estimator, epsilon-balls Kantz's.
+    ``grid`` is a tree over ``delay_embed(series, spec)``, such as
+    ``FnnResult.grid``; without one, the embedding and its tree are
+    built here, once the series is known to be long enough.
     """
+    count = len(series) - (spec.dimension - 1) * spec.delay
+    if count <= 10 * horizon:
+        raise ValueError("embedded series must be longer than 10 * horizon")
     if grid is None:
         grid = BoxGrid(delay_embed(series, spec))
     pts = grid.points
-    count = len(series) - (spec.dimension - 1) * spec.delay
     if pts.shape != (count, spec.dimension):
         raise ValueError(
             f"tree over {pts.shape} points does not hold the ({count}, "
             f"{spec.dimension}) embedding of the series"
         )
-    if count <= 10 * horizon:
-        raise ValueError("embedded series must be longer than 10 * horizon")
     limit = count - 1 - horizon
     stride = max(1, (limit + 1) // max_reference)
     refs = np.arange(0, limit + 1, stride)
     ai, aj, sizes = neighbors(grid, refs, limit)
-    starts = np.cumsum(sizes) - sizes
-    counts = sizes.astype(np.float64)
 
     ks = np.arange(0, horizon + 1, curve_stride, dtype=np.int64)
     if ks[-1] != horizon:
         ks = np.append(ks, horizon)
-    svals = np.empty(ks.size)
-    for n, dk in enumerate(ks):
-        diff = pts[ai + dk] - pts[aj + dk]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        means = np.add.reduceat(d, starts) / counts
-        pos = means > 0
-        svals[n] = float(np.mean(np.log(means[pos]))) if pos.any() else np.nan
+    svals = _divergence_curve(pts, ai, aj, sizes, ks)
     slope, r2, fit_range, fallback = _select_fit_window(ks, svals)
     return LyapunovResult(
         divergence_curve=np.column_stack((ks, svals)),

@@ -486,6 +486,7 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     ``lyapunov`` and ``classify`` json exports and the rows of a table
     preset are this payload.
     """
+    _check_horizon(options, len(series))
     result, info = _run_lyapunov(series, options)
     payload = {
         "lambda_max": result.lambda_max,
@@ -633,6 +634,21 @@ def list_presets() -> list[str]:
     return sorted(PRESETS)
 
 
+def _check_horizon(options: dict[str, Any], samples: int, where: str = "") -> None:
+    """Reject an explicit Lyapunov ``horizon`` that ``samples`` cannot fit.
+
+    A divergence curve needs more than 10 * horizon embedded samples, so
+    more than 10 * horizon samples is necessary; checking it first spares
+    the delay and dimension searches of a run that would fail after them.
+    """
+    horizon = options["horizon"]
+    if horizon is not None and samples <= 10 * horizon:
+        raise OptionError(
+            f"{where}Lyapunov horizon {horizon} needs more than "
+            f"{10 * horizon} samples, got {samples}"
+        )
+
+
 def _check_steps(preset, steps: int) -> list[dict[str, Any]]:
     """Each analysis's resolved options; rejects a series length they cannot use.
 
@@ -648,13 +664,8 @@ def _check_steps(preset, steps: int) -> list[dict[str, Any]]:
                     f"{preset.id}: recurrence window ending at {end} does not "
                     f"fit {steps} steps"
                 )
-        elif item.task in _LYAPUNOV and options["horizon"] is not None:
-            horizon = options["horizon"]
-            if steps <= 10 * horizon:
-                raise OptionError(
-                    f"{preset.id}: Lyapunov horizon {horizon} needs more than "
-                    f"{10 * horizon} steps, got {steps}"
-                )
+        elif item.task in _LYAPUNOV:
+            _check_horizon(options, steps, f"{preset.id}: ")
     return resolved
 
 

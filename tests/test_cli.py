@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wplab import cli, lab, seriesio
+from wplab import cli, lab, neighbors, seriesio
 from wplab.presets import get_preset
 
 
@@ -145,6 +145,28 @@ def test_svg_output_is_xml(tmp_path, series_file, task, flags):
     root = ET.parse(svg).getroot()
     assert root.tag == "{http://www.w3.org/2000/svg}svg"
     assert len(list(root.iter())) > 3
+
+
+@pytest.mark.parametrize("task", ["lyapunov", "classify"])
+def test_horizon_too_long_exits_2_before_any_search(
+    tmp_path, monkeypatch, series_file, task
+):
+    # 3 000 samples cannot fit horizon 300 (more than 3 000 needed): no
+    # mutual information, no FNN or divergence tree, no export
+    builds = []
+
+    def no_mi(*args, **kwargs):
+        raise AssertionError("the mutual information ran")
+
+    def spy(self, points):
+        builds.append(points.shape)
+
+    monkeypatch.setattr(lab, "mutual_information_delay", no_mi)
+    monkeypatch.setattr(neighbors.BoxGrid, "__init__", spy)
+    argv = ["analyze", "--task", task, "--series", series_file, "--out", tmp_path]
+    assert exit_code(argv + ["--horizon", 300]) == 2
+    assert builds == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def option_flags(options):

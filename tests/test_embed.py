@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -681,11 +682,114 @@ class TestLyapunov:
         with pytest.raises(ValueError, match="embedding"):
             lyapunov_rosenstein(ts, EmbeddingSpec(2, 3), 5, 20, grid=grid)
 
-    def test_horizon_precondition(self):
-        with pytest.raises(ValueError):
+    def test_horizon_precondition(self, monkeypatch):
+        # checked before the estimator builds its own tree
+        builds = []
+        init = BoxGrid.__init__
+
+        def spy(self, points):
+            builds.append(points.shape)
+            init(self, points)
+
+        monkeypatch.setattr(BoxGrid, "__init__", spy)
+        with pytest.raises(ValueError, match="horizon"):
             lyapunov_rosenstein(
                 logistic_series(100), EmbeddingSpec(1, 2), theiler=1, horizon=50
             )
+        # 1 000 samples embed to 999 rows: horizon 100 needs more than 1 000
+        with pytest.raises(ValueError, match="horizon"):
+            lyapunov_rosenstein(
+                logistic_series(1000), EmbeddingSpec(1, 2), theiler=1, horizon=100
+            )
+        assert builds == []
+
+
+def per_dk_curve(pts, ai, aj, sizes, ks):
+    """The divergence curve one delta_k at a time: the loop the chunked
+    ``embed._divergence_curve`` replaced, kept as its oracle."""
+    starts = np.cumsum(sizes) - sizes
+    counts = sizes.astype(np.float64)
+    svals = np.empty(ks.size)
+    for n, dk in enumerate(ks):
+        diff = pts[ai + dk] - pts[aj + dk]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        means = np.add.reduceat(d, starts) / counts
+        pos = means > 0
+        svals[n] = float(np.mean(np.log(means[pos]))) if pos.any() else np.nan
+    return svals
+
+
+def chunks_of(monkeypatch, per_chunk, pairs, dim):
+    """Set the curve's chunk budget to ``per_chunk`` delta_k."""
+    monkeypatch.setattr(embed, "_CURVE_CHUNK_BYTES", per_chunk * 8 * pairs * dim)
+
+
+class TestDivergenceCurve:
+    """The chunked curve is bitwise the per-delta_k loop's, NaNs included."""
+
+    def test_rosenstein_in_several_chunks(self, monkeypatch):
+        ts = henon_series(3000)
+        spec, theiler, horizon = EmbeddingSpec(1, 2), 5, 40
+        pts = delay_embed(ts, spec)
+        limit = pts.shape[0] - 1 - horizon
+        refs = np.arange(limit + 1)
+        j, _ = BoxGrid(pts).nearest_many(refs, theiler, limit)
+        ai, aj = refs[j >= 0], j[j >= 0]
+        # 41 delta_k in chunks of 6: six full chunks and a last one of 5
+        chunks_of(monkeypatch, 6, ai.size, spec.dimension)
+        r = lyapunov_rosenstein(ts, spec, theiler, horizon, max_reference=limit + 1)
+        ks = np.arange(horizon + 1)
+        expect = per_dk_curve(pts, ai, aj, np.ones(ai.size, dtype=np.int64), ks)
+        assert np.array_equal(r.divergence_curve[:, 0], ks)
+        assert r.divergence_curve[:, 1].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("per_chunk", [1, 3, 7, 1000])
+    def test_groups_of_mixed_size(self, monkeypatch, per_chunk):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(4000, 3))
+        sizes = rng.integers(1, 9, size=300)
+        ai = np.repeat(rng.integers(0, 3900, size=sizes.size), sizes)
+        aj = rng.integers(0, 3900, size=ai.size)
+        ks = np.arange(0, 100, 3)
+        chunks_of(monkeypatch, per_chunk, ai.size, 3)
+        got = embed._divergence_curve(pts, ai, aj, sizes, ks)
+        assert got.tobytes() == per_dk_curve(pts, ai, aj, sizes, ks).tobytes()
+
+    @pytest.mark.parametrize("sizes", [[1, 1, 1, 1], [2, 1, 1], [1, 3]])
+    def test_zero_group_means(self, monkeypatch, sizes):
+        # rows 40..59 repeat rows 0..19, so the pair (i, i + 40) is at
+        # distance zero while i + dk < 20: at delta_k < 5 every group
+        # mean is zero (NaN), up to 14 some are, from 15 none
+        pts = np.random.default_rng(2).normal(size=(200, 2))
+        pts[40:60] = pts[0:20]
+        ai = np.array([5, 10, 15, 0])
+        sizes = np.array(sizes)
+        aj = ai + 40
+        ks = np.arange(30)
+        chunks_of(monkeypatch, 4, ai.size, 2)
+        got = embed._divergence_curve(pts, ai, aj, sizes, ks)
+        assert np.isnan(got[:5]).all()
+        assert np.isfinite(got[5:]).all()
+        assert got.tobytes() == per_dk_curve(pts, ai, aj, sizes, ks).tobytes()
+
+    def test_memory_stays_chunked(self):
+        # the fig11-14 shape: 2 014 pairs, 201 delta_k, dimension 4; the
+        # whole curve gathered at once would be 13 MB per side
+        rng = np.random.default_rng(0)
+        n, dim, pairs, horizon = 200_000, 4, 2014, 200
+        pts = np.cumsum(rng.normal(size=(n, dim)), axis=0)
+        ai = np.sort(rng.choice(n - horizon, pairs, replace=False))
+        aj = rng.integers(0, n - horizon, size=pairs)
+        sizes = np.ones(pairs, dtype=np.int64)
+        ks = np.arange(horizon + 1)
+        tracemalloc.start()
+        try:
+            got = embed._divergence_curve(pts, ai, aj, sizes, ks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * embed._CURVE_CHUNK_BYTES
+        assert got.tobytes() == per_dk_curve(pts, ai, aj, sizes, ks).tobytes()
 
 
 class TestClassify:
