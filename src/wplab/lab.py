@@ -10,8 +10,9 @@ series file reproduces the preset's exports byte for byte.  Reruns of a
 preset produce byte-identical data files
 as long as the BLAS thread count and OpenBLAS's CPU kernel stay the
 same: the spectral kernel's GEMM rounds differently under either.  The
-manifest additionally records wall time, assumptions and the BLAS
-(``blas_environment``), which names the kernel and thread count.
+manifest additionally records wall time, each task's wall time and the
+peak RSS after it, assumptions and the BLAS (``blas_environment``),
+which names the kernel and thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import numbers
 import os
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -82,6 +84,9 @@ class RunManifest:
     wall_time_s: float
     assumptions: tuple[str, ...] = ()
     blas: dict[str, Any] = field(default_factory=dict)  # blas_environment()
+    # one record per task in run order: task (and entry, in a table
+    # preset), wall_s, and the process's peak_rss_mb once it ended
+    stages: list[dict[str, Any]] = field(default_factory=list)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
@@ -429,7 +434,9 @@ def choose_embedding(
 
     ``options`` are resolved Lyapunov options; an explicit ``delay`` or
     ``dimension`` short-circuits the automatic choice.  The delay search
-    ends at the first minimum.  When FNN never drops below 1%, the
+    ends at the first minimum; a horizon, explicit or derived from the
+    delay, that the series cannot fit is rejected there, before FNN
+    (``_check_horizon``).  When FNN never drops below 1%, the
     smallest dimension under 5% is used (flagged), else ``FNN_D_MAX``.
     ``fnn_fractions`` runs up to the dimension where FNN stopped: the
     chosen one, or ``FNN_D_MAX`` when the choice was relaxed.
@@ -445,6 +452,7 @@ def choose_embedding(
         delay = mi.lag
         info["mi_lag"] = mi.lag
         info["mi_has_minimum"] = mi.has_minimum
+    _check_horizon(options, len(series), delay=delay)
     dimension = options["dimension"]
     grid = None
     if dimension is None:
@@ -464,6 +472,7 @@ def choose_embedding(
 
 def _run_lyapunov(series: TimeSeries, options: dict[str, Any]):
     spec, info, grid = choose_embedding(series, options)
+    _check_horizon(options, len(series), delay=spec.delay, dimension=spec.dimension)
     theiler = _derived(options, "theiler", spec.delay)
     horizon = _derived(options, "horizon", spec.delay)
     stride = _derived(options, "curve_stride", horizon)
@@ -634,18 +643,31 @@ def list_presets() -> list[str]:
     return sorted(PRESETS)
 
 
-def _check_horizon(options: dict[str, Any], samples: int, where: str = "") -> None:
-    """Reject an explicit Lyapunov ``horizon`` that ``samples`` cannot fit.
+def _check_horizon(
+    options: dict[str, Any], samples: int, where: str = "",
+    delay: Optional[int] = None, dimension: int = 1,
+) -> None:
+    """Reject a Lyapunov ``horizon`` that ``samples`` cannot fit.
 
-    A divergence curve needs more than 10 * horizon embedded samples, so
-    more than 10 * horizon samples is necessary; checking it first spares
-    the delay and dimension searches of a run that would fail after them.
+    A divergence curve needs more than 10 * horizon embedded samples, and
+    ``samples`` embed into samples - (dimension - 1) * delay.  Without a
+    delay only an explicit horizon is checked, against the bare series;
+    with one, the default derived from it too.  Each check comes before
+    the work a doomed run would waste: the bare one before the delay
+    search, the delay's before FNN, the dimension's before the estimate.
     """
     horizon = options["horizon"]
-    if horizon is not None and samples <= 10 * horizon:
+    name = f"horizon {horizon}"
+    if horizon is None:
+        if delay is None:
+            return
+        horizon = _derived(options, "horizon", delay)
+        name = f"default horizon {horizon} (delay {delay})"
+    embedded = samples - (dimension - 1) * (delay or 0)
+    if embedded <= 10 * horizon:
         raise OptionError(
-            f"{where}Lyapunov horizon {horizon} needs more than "
-            f"{10 * horizon} samples, got {samples}"
+            f"{where}Lyapunov {name} needs more than "
+            f"{10 * horizon} embedded samples, got {embedded}"
         )
 
 
@@ -669,33 +691,67 @@ def _check_steps(preset, steps: int) -> list[dict[str, Any]]:
     return resolved
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MB.
+
+    ``VmHWM`` belongs to the address space exec created.  ``ru_maxrss``
+    (KiB on Linux), the fallback where there is no ``/proc``, also counts
+    the parent's resident set of a process started by fork or vfork and
+    exec: under a 300 MB parent a fig5 run reads 328 MB there, 68 MB in
+    ``VmHWM``.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _stage(task: str, since: float, **labels) -> dict[str, Any]:
+    """The ``RunManifest.stages`` record of ``task``, begun at ``since``
+    (``time.perf_counter``)."""
+    return {
+        "task": task, **labels,
+        "wall_s": time.perf_counter() - since, "peak_rss_mb": _peak_rss_mb(),
+    }
+
+
 def _preset_outputs(
     preset: ExperimentPreset, resolved: list[dict[str, Any]], out_dir: Path,
     steps: int, dt: float, svg: bool, written: list[Path],
+    stages: list[dict[str, Any]],
 ) -> None:
     ts = simulate_series(preset.model, preset.params, preset.nu, preset.m, dt, steps)
     stem = out_dir / f"{preset.id}_series"
     written += [Path(f"{stem}.wprs"), Path(f"{stem}.wprs.meta.json")]
     seriesio.write_series(ts, written[-2])
     for item, options in zip(preset.analyses, resolved):
+        t0 = time.perf_counter()
         _run_task(item.task, ts, options, stem, svg, written)
+        stages.append(_stage(item.task, t0))
 
 
 def _table_outputs(
     preset: TablePreset, resolved: list[dict[str, Any]], out_dir: Path,
-    steps: int, dt: float, written: list[Path],
+    steps: int, dt: float, written: list[Path], stages: list[dict[str, Any]],
 ) -> None:
     (item,), (options,) = preset.analyses, resolved
     rows = []
     for entry in preset.entries:
         ts = simulate_series(entry.model, entry.params, entry.nu, entry.m, dt, steps)
+        t0 = time.perf_counter()
+        payload = _lyapunov_report(item.task, ts, options)[1]
+        stages.append(_stage(item.task, t0, entry=entry.id))
         rows.append(
             {
                 "entry": entry.id,
                 "gamma_over_g": entry.params["gamma"] / entry.params["g"],
                 "nu": entry.nu,
                 "m": entry.m,
-                **_lyapunov_report(item.task, ts, options)[1],
+                **payload,
             }
         )
     json_path = out_dir / "table1.json"
@@ -739,12 +795,15 @@ def run_preset(
     # a failure removes what exists, the manifest included: the outputs
     # stay only with their manifest
     written: list[Path] = []
+    stages: list[dict[str, Any]] = []
     with _removed_on_failure(written):
         if isinstance(preset, TablePreset):
-            _table_outputs(preset, resolved, out_dir, run_steps, run_dt, written)
+            _table_outputs(preset, resolved, out_dir, run_steps, run_dt, written, stages)
             parameters: dict[str, Any] = {"entries": [e.id for e in preset.entries]}
         else:
-            _preset_outputs(preset, resolved, out_dir, run_steps, run_dt, svg, written)
+            _preset_outputs(
+                preset, resolved, out_dir, run_steps, run_dt, svg, written, stages
+            )
             parameters = {"model": preset.model, "nu": preset.nu, "m": preset.m}
             parameters.update(preset.params)
         parameters.update(dt=run_dt, steps=run_steps)
@@ -759,7 +818,7 @@ def run_preset(
         ]
         blas = blas_environment()
         manifest = RunManifest(
-            preset_id, parameters, outputs, wall, tuple(preset.notes), blas
+            preset_id, parameters, outputs, wall, tuple(preset.notes), blas, stages
         )
         written.append(out_dir / f"{preset_id}_manifest.json")
         seriesio.write_json(asdict(manifest), written[-1])

@@ -21,13 +21,16 @@ relative margin that covers the rounding gap between the tree's
 arithmetic and the recomputed one; then no unseen point can beat it or
 tie with it.  Unsettled references are asked again with four times k,
 until k covers every point.  Candidate arrays are built in chunks of
-at most ``_CHUNK_BYTES``.  Each chunk gathers its candidate rows with
-``np.take(points, cand, axis=0)``, which copies whole rows and is 4-6x
-faster than the fancy index ``points[cand]`` (16 000 rows of a
-200 000 x 4 array: 45 against 296 us, one BLAS thread, 2-vCPU Xeon), and
-subtracts the reference rows in place, so it holds one (refs, k, dim)
-array, not the gathered rows and their difference; the differences are
-the same numbers either way.
+references: a chunk's (refs, k, dim) float64 array holds at most
+``_CHUNK_BYTES`` (1 MB), and its (refs, k) distance and index arrays
+1 / dim of that each, unless one reference's k rows alone are larger
+(a chunk holds at least one reference).  Each chunk gathers its
+candidate rows with ``np.take(points, cand, axis=0)``, which copies
+whole rows and is 4-6x faster than the fancy index ``points[cand]``
+(16 000 rows of a 200 000 x 4 array: 45 against 296 us, one BLAS
+thread, 2-vCPU Xeon), and subtracts the reference rows in place, so it
+holds one (refs, k, dim) array, not the gathered rows and their
+difference; the differences are the same numbers either way.
 
 k starts at the constant ``_FIRST_K`` whatever the Theiler window: the
 settle rule makes any first k exact, and on smoothly sampled
@@ -66,7 +69,7 @@ import numpy as np
 # recomputed ones (far above the ~1e-16 that actually occurs)
 _MARGIN = 1e-12
 # cap on the bytes of one chunk's (refs, k, dim) candidate array
-_CHUNK_BYTES = 1 << 22
+_CHUNK_BYTES = 1 << 20
 # first k of every query; unsettled references ask for four times more
 _FIRST_K = 4
 # points per KD-tree leaf

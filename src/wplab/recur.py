@@ -21,7 +21,7 @@ from .series import TimeSeries
 Mode = Literal["entry", "visit"]
 
 # candidate point pairs times coordinates per chunk of ``recurrence_matrix``
-_RP_CANDIDATES = 1 << 18
+_RP_CANDIDATES = 1 << 16
 
 
 class NoEventsError(RuntimeError):
@@ -230,11 +230,14 @@ def recurrence_matrix(
     when an embedding is given.  Indices refer to the full series.
 
     The states are swept in order of their first coordinate, so only
-    pairs already within eps in that coordinate are tested; chunking the
-    sweep bounds the candidate arrays to a few MB.  A candidate is
-    tested one coordinate at a time, each a contiguous column, and only
-    the pairs within eps in every coordinate so far go on to the next:
-    no (pairs, dimension) difference array is formed.
+    pairs already within eps in that coordinate are tested.  The sweep
+    goes in chunks of fewer than ``_RP_CANDIDATES // dimension +
+    window_len`` candidate pairs, and each of a chunk's index, gather and
+    difference arrays holds at most 8 bytes per candidate: under 560 KB
+    for 4 000 scalar states.  A candidate is tested one coordinate at a time, each
+    a contiguous column, and only the pairs within eps in every
+    coordinate so far go on to the next: no (pairs, dimension) difference
+    array is formed.
     """
     if epsilon_frac <= 0:
         raise ValueError("epsilon_frac must be positive")

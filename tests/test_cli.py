@@ -169,6 +169,32 @@ def test_horizon_too_long_exits_2_before_any_search(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("task", ["lyapunov", "classify"])
+def test_default_horizon_too_long_exits_2_before_fnn(
+    tmp_path, monkeypatch, series_file, task
+):
+    # the delay search takes the largest lag, 30, on 3 000 samples: the
+    # default horizon 50 * 30 needs more than 15 000, so FNN builds no tree
+    builds = []
+
+    def spy(self, points):
+        builds.append(points.shape)
+
+    monkeypatch.setattr(neighbors.BoxGrid, "__init__", spy)
+    argv = ["analyze", "--task", task, "--series", series_file, "--out", tmp_path]
+    assert exit_code(argv) == 2
+    assert builds == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_horizon_the_embedding_cannot_fit_exits_2(tmp_path, series_file):
+    # 3 000 samples fit horizon 299 (more than 2 990 needed), but FNN picks
+    # d = 2 at delay 30, which leaves 2 970 embedded samples
+    argv = ["analyze", "--task", "lyapunov", "--series", series_file, "--out", tmp_path]
+    assert exit_code(argv + ["--horizon", 299]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def option_flags(options):
     """The ``analyze`` flags that give ``options``; a cell pair as LO:HI."""
     flags = []

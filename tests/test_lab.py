@@ -284,6 +284,50 @@ def test_manifest_records_blas(tmp_path):
     assert manifest.verify(tmp_path / "fig5")
 
 
+def test_manifest_records_stages(tmp_path):
+    # one record per task in run order: its wall time and the process's
+    # peak RSS once it ended
+    preset_id = "fig7-10"
+    manifest = lab.run_preset(preset_id, tmp_path, steps=SMOKE_STEPS[preset_id])
+    stages = manifest.stages
+    assert [s["task"] for s in stages] == [a.task for a in PRESETS[preset_id].analyses]
+    assert all(set(s) == {"task", "wall_s", "peak_rss_mb"} for s in stages)
+    walls = [s["wall_s"] for s in stages]
+    assert min(walls) > 0.0 and sum(walls) < manifest.wall_time_s
+    assert all(s["peak_rss_mb"] > 0.0 for s in stages)
+    path = tmp_path / f"{preset_id}_manifest.json"
+    assert lab.RunManifest.load(path).stages == stages
+    # a manifest written before the stages were recorded loads without them
+    data = json.loads(path.read_text())
+    del data["stages"]
+    path.write_text(json.dumps(data))
+    old = lab.RunManifest.load(path)
+    assert old.stages == []
+    assert old.verify(tmp_path)
+
+
+STAGES_SCRIPT = """
+import json, sys
+from wplab import lab
+print(json.dumps(lab.run_preset("fig5", sys.argv[1]).stages))
+"""
+
+
+def test_stage_peak_is_the_runs_own(tmp_path):
+    # a run started from a larger process reports its own peak RSS, not
+    # the parent's that ru_maxrss carries across fork and exec
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    ballast = np.ones(192 * 2**20 // 8)  # a 192 MB parent
+    out = subprocess.run(
+        [sys.executable, "-c", STAGES_SCRIPT, str(tmp_path)],
+        env=env, check=True, timeout=120, capture_output=True, text=True,
+    ).stdout
+    del ballast
+    (stage,) = json.loads(out)
+    assert 0.0 < stage["peak_rss_mb"] < 150.0
+
+
 def test_blas_names_the_fallback_solver(monkeypatch):
     monkeypatch.setattr(bipartite, "_dstevd", lambda: None)
     assert lab.blas_environment()["sector_eigensolver"] == "numpy.linalg.eigh"
@@ -339,7 +383,10 @@ def test_table_row_is_the_classify_export(tmp_path):
     (item,) = table.analyses
     entry = table.entries[4]  # gamma/g = 5, coherent state
     steps = 41_000
-    lab.run_preset("table1", tmp_path / "table", steps=steps)
+    manifest = lab.run_preset("table1", tmp_path / "table", steps=steps)
+    # one stage per entry's task
+    stages = [(s["task"], s["entry"]) for s in manifest.stages]
+    assert stages == [(item.task, e.id) for e in table.entries]
     rows = json.loads((tmp_path / "table" / "table1.json").read_text())["rows"]
     (row,) = [r for r in rows if r["entry"] == entry.id]
     columns = {"entry": entry.id, "gamma_over_g": 5.0, "nu": 1.0, "m": 0}

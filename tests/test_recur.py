@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplab import recur
+from wplab import lab, recur
 from wplab.benchmarks import henon_series, rotation_series, sine_series
 from wplab.embed import EmbeddingSpec, delay_embed
 from wplab.recur import (
@@ -408,6 +409,25 @@ class TestRecurrenceMatrix:
             i, j = holder[:-d], holder[d:]
             expect |= set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
         assert rp.pairs.tolist() == sorted(map(list, expect))
+
+    def test_memory_stays_chunked(self):
+        # the shape of the two-mode-wide benchmark's plot: 4 000 states of
+        # the nu = 50 two-mode series at the rp default epsilon_frac, about
+        # 636 000 pairs.  Beyond the returned pairs and their 32-bit keys,
+        # the sweep holds one chunk's index and gather arrays: 1.4 MB at
+        # 2**16 candidates, 16 MB when one chunk holds every candidate
+        params = {"omega": 1.0, "omega0": 1.0, "gamma": 5.0, "g": 1.0}
+        ts = lab.simulate_series("bipartite", params, 50.0, 5, 1e-3, 4000)
+        tracemalloc.start()
+        try:
+            rp = recurrence_matrix(ts, 0, 4000, epsilon_frac=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_pairs = rp.pairs.shape[0]
+        assert n_pairs > 600_000
+        kept = rp.pairs.nbytes + 4 * n_pairs
+        assert peak - kept < 4 * 8 * recur._RP_CANDIDATES
 
     def test_window_validation(self):
         ts = sine_series(100, period=10.0)
