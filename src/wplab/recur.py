@@ -83,7 +83,9 @@ class RecurrencePlotData:
     window_start: int
     window_len: int
     epsilon: float
-    pairs: np.ndarray  # (n_pairs, 2) int64, i < j, sorted by (i, j)
+    # (n_pairs, 2), i < j, sorted by (i, j); int32 when every index of
+    # the window fits, else int64
+    pairs: np.ndarray
     embedding: Optional[EmbeddingSpec] = None
 
 
@@ -238,6 +240,10 @@ def recurrence_matrix(
     a contiguous column, and only the pairs within eps in every
     coordinate so far go on to the next: no (pairs, dimension) difference
     array is formed.
+
+    ``pairs`` is int32, 8 bytes a pair, when ``window_start +
+    window_len`` is at most 2**31, so that every index fits, and int64
+    otherwise.
     """
     if epsilon_frac <= 0:
         raise ValueError("epsilon_frac must be positive")
@@ -296,7 +302,9 @@ def recurrence_matrix(
     key = np.concatenate(keys)
     del keys  # free the pieces before the sort and the pairs array
     key.sort()
-    pairs = np.empty((key.size, 2), dtype=np.int64)
+    # int32 pairs when the window's last index fits 31 bits
+    wide = window_start + window_len > np.iinfo(np.int32).max + 1
+    pairs = np.empty((key.size, 2), dtype=np.int64 if wide else np.int32)
     np.right_shift(key, shift, out=pairs[:, 0])
     np.bitwise_and(key, (1 << shift) - 1, out=pairs[:, 1])
     pairs += window_start

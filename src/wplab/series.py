@@ -36,8 +36,8 @@ import numpy as np
 
 TWO_PI_LD = np.longdouble("6.2831853071795864769252867665590057684")
 
-# largest in-block phase table (per chunk of terms) and largest product
-# slab, in bytes
+# largest in-block phase table (the one buffer every chunk of terms
+# reuses) and largest product slab, in bytes
 _TABLE_BYTES = 4 << 20
 
 # the smallest terms whose |a| sums to at most this share of sum |a| are
@@ -156,8 +156,10 @@ def spectral_series(
     in-block table carries no incremental-rotation drift.
     Re(P R^T) = P_re R_re^T - P_im R_im^T is computed as one real GEMM
     over the interleaved (re, im) pairs of P and conj(R).  Terms are
-    chunked so the in-block table stays within ``_TABLE_BYTES``; the
-    level tables take (blocks + 2*sqrt(B)) * 16 bytes per kept level.
+    chunked so the in-block table stays within about ``_TABLE_BYTES``,
+    and every chunk's table is written into one buffer allocated once
+    per call, so one table is alive at a time; the level tables take
+    (blocks + 2*sqrt(B)) * 16 bytes per kept level.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -192,13 +194,21 @@ def spectral_series(
     fine = phasors(1j, side, 1)
     chunk = max(1, _TABLE_BYTES // (16 * rows))
     slab = max(1, _TABLE_BYTES // (8 * rows))
+    # the in-block table of every chunk, written in place: the leading
+    # coarse * side * n entries are laid out as a fresh (coarse, side, n)
+    # product would be, so a partial chunk's GEMM reads the same layout
+    cells = coarse.shape[0] * side
+    buf = np.empty(cells * min(chunk, amp.size), dtype=np.complex128)
 
     out = np.zeros((blocks, rows))
     for j0 in range(0, amp.size, chunk):
         up = upper[j0 : j0 + chunk]
         lo = lower[j0 : j0 + chunk]
         p = (amp[j0 : j0 + chunk] * _pair_phasors(starts, up, lo)).view(np.float64)
-        table = _pair_phasors(coarse, up, lo)[:, None, :] * _pair_phasors(fine, up, lo)
+        table = buf[: cells * up.size].reshape(coarse.shape[0], side, up.size)
+        np.multiply(
+            _pair_phasors(coarse, up, lo)[:, None, :], _pair_phasors(fine, up, lo), out=table
+        )
         rt = table.reshape(-1, up.size)[:rows].view(np.float64).T
         for i0 in range(0, blocks, slab):
             out[i0 : i0 + slab] += p[i0 : i0 + slab] @ rt

@@ -110,13 +110,16 @@ def _write_int_rows(fh, rows: np.ndarray) -> None:
     each followed by its separator.  A number's leading group comes from
     the table that writes leading zeros as NUL bytes, and the groups
     above it are NUL, so one ``!= 0`` select drops every field's padding.
+    Narrower integers are widened to int64 one chunk at a time, so no
+    int64 copy of the whole array is made.
     """
-    rows = rows.astype(np.int64, casting="safe", copy=False)
+    if not np.can_cast(rows.dtype, np.int64, casting="safe"):
+        raise TypeError(f"integer export of {rows.dtype} values")
     if rows.size and rows.min() < 0:
         raise ValueError("integer export of a negative value")
     full, lead = _digit_groups()
     for r0 in range(0, len(rows), _ROWS_PER_CHUNK):
-        block = rows[r0 : r0 + _ROWS_PER_CHUNK]
+        block = rows[r0 : r0 + _ROWS_PER_CHUNK].astype(np.int64, copy=False)
         groups = (len(str(int(block.max()))) + 3) // 4
         # one packed field: the groups, most significant first, then the
         # separator

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -266,3 +268,40 @@ def test_import_does_not_load_the_cli():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     check = "import wplab, sys; assert not {'argparse', 'wplab.cli'} & set(sys.modules)"
     subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+
+# the two-mode-wide benchmark's path: a nu = 50 two-mode series through
+# ``wplab simulate``, then ``wplab analyze`` at each task's defaults
+WIDE_SCRIPT = """
+import sys
+from wplab import cli
+out = sys.argv[1]
+series = out + "/bipartite_series.wprs"
+argv = ["simulate", "--model", "bipartite", "--nu", "50", "--m", "5",
+        "--gamma-over-g", "5", "--steps", "4000", "--out", out]
+assert cli.main(argv) == 0
+for task in ("rp", "density", "returnmap", "f1", "f2"):
+    assert cli.main(["analyze", "--task", task, "--series", series, "--out", out]) == 0
+"""
+
+
+def test_two_mode_wide_matches_pinned_digests(tmp_path):
+    # one BLAS thread and the Haswell kernel, as the preset digests pin;
+    # no preset covers this series, the widest the kernel and the
+    # recurrence-plot sweep run in the benchmark
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        OPENBLAS_CORETYPE="Haswell",
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", WIDE_SCRIPT, str(tmp_path)], env=env, check=True, timeout=300
+    )
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
+    }
+    pinned = json.loads(Path(__file__).with_name("two_mode_wide_digests.json").read_text())
+    assert got == pinned

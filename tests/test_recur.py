@@ -392,7 +392,8 @@ class TestRecurrenceMatrix:
         ts = henon_series(900)
         spec = EmbeddingSpec(delay=3, dimension=4)
         rp = recurrence_matrix(ts, 100, 700, epsilon_frac=0.3, embed=spec)
-        assert rp.pairs.dtype == np.int64
+        # every index of the window [100, 800) fits 31 bits
+        assert rp.pairs.dtype == np.int32
         expect = brute_force_recurrences(ts, 100, 700, rp.epsilon, spec)
         assert np.array_equal(rp.pairs, expect)
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplab import lab, series
+from wplab import bipartite, kerr, lab, series
 from wplab.bipartite import TwoModeParams, decompose_initial, occupancy_series
 from wplab.fock import pacs_amplitudes, quadrature_expectation
 from wplab.kerr import evolve_diagonal, generate_series_x, kerr_spectrum
@@ -304,6 +305,111 @@ class TestPruning:
         meta = occupancy_series(sectors, p, preset.dt, 10).field.meta
         assert meta["spectral_terms"] == sum(s.N * (s.N + 1) // 2 for s in sectors)
         assert meta["spectral_terms_kept"] < 0.1 * meta["spectral_terms"]
+
+
+def fresh_table_series(amp, levels, upper, lower, dt, steps):
+    """``spectral_series`` with a fresh in-block table per chunk of terms:
+    the loop the one reused table buffer replaced, kept as its oracle."""
+    amp = np.asarray(amp, dtype=np.complex128)
+    keep = series._kept_terms(np.abs(amp))[0]
+    amp = amp[keep]
+    used, index = np.unique(np.concatenate((upper[keep], lower[keep])), return_inverse=True)
+    levels = np.asarray(levels, dtype=np.float64)[used]
+    upper, lower = index[: amp.size], index[amp.size :]
+    rows = block_rows(steps)
+    blocks = -(-steps // rows)
+    side = math.ceil(math.sqrt(rows))
+    dt_ld = np.longdouble(dt)
+
+    def phasors(sign, ticks, stride):
+        t = (np.arange(ticks, dtype=np.longdouble) * stride * dt_ld)[:, None]
+        return np.exp(sign * reduced_phases(levels, t))
+
+    starts = phasors(-1j, blocks, rows)
+    coarse = phasors(1j, -(-rows // side), side)
+    fine = phasors(1j, side, 1)
+    chunk = max(1, series._TABLE_BYTES // (16 * rows))
+    slab = max(1, series._TABLE_BYTES // (8 * rows))
+    out = np.zeros((blocks, rows))
+    for j0 in range(0, amp.size, chunk):
+        up = upper[j0 : j0 + chunk]
+        lo = lower[j0 : j0 + chunk]
+        p = (amp[j0 : j0 + chunk] * series._pair_phasors(starts, up, lo)).view(np.float64)
+        coarse_up = series._pair_phasors(coarse, up, lo)
+        table = coarse_up[:, None, :] * series._pair_phasors(fine, up, lo)
+        rt = table.reshape(-1, up.size)[:rows].view(np.float64).T
+        for i0 in range(0, blocks, slab):
+            out[i0 : i0 + slab] += p[i0 : i0 + slab] @ rt
+    return out.ravel()[:steps]
+
+
+def kernel_terms(monkeypatch, module, run):
+    """The (amp, levels, upper, lower, dt, steps) ``run()`` passes to the
+    kernel through ``module``."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return spectral_series(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "spectral_series", record)
+        run()
+    (args,) = seen
+    return args
+
+
+def kerr_terms(monkeypatch, steps):
+    p = get_preset("fig4")
+    return kernel_terms(
+        monkeypatch, kerr, lambda: lab.simulate_series(p.model, p.params, p.nu, p.m, p.dt, steps)
+    )
+
+
+def two_mode_wide_terms(monkeypatch, steps=4000):
+    # the two-mode-wide benchmark's series: nu = 50, m = 5, gamma/g = 5
+    params = {"omega": 1.0, "omega0": 1.0, "gamma": 5.0, "g": 1.0}
+    return kernel_terms(
+        monkeypatch,
+        bipartite,
+        lambda: lab.simulate_series("bipartite", params, 50.0, 5, 1e-3, steps),
+    )
+
+
+class TestTableBuffer:
+    """Every chunk's in-block table is written into one buffer, and the
+    series is bitwise the one a fresh table per chunk gives."""
+
+    @pytest.mark.parametrize("terms", [kerr_terms, two_mode_wide_terms])
+    def test_chunks_match_fresh_tables(self, monkeypatch, terms):
+        args = terms(monkeypatch, 4000)
+        kept = series._kept_terms(np.abs(args[0]))[0].size
+        # at least three full chunks and a partial last one
+        chunk = kept // 3 - 1
+        assert kept // chunk >= 3 and kept % chunk
+        monkeypatch.setattr(series, "_TABLE_BYTES", 16 * block_rows(args[-1]) * chunk)
+        got, _ = spectral_series(*args)
+        assert np.array_equal(got, fresh_table_series(*args))
+
+    def test_one_table_alive(self, monkeypatch):
+        args = two_mode_wide_terms(monkeypatch)
+        steps = args[-1]
+        rows = block_rows(steps)
+        side = math.ceil(math.sqrt(rows))
+        kept = series._kept_terms(np.abs(args[0]))[0].size
+        chunk = series._TABLE_BYTES // (16 * rows)
+        assert kept > 2 * chunk  # two full chunks, so two tables could be alive
+        table = 16 * -(-rows // side) * side * chunk
+        tracemalloc.start()
+        try:
+            spectral_series(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 4.2 MB table and about 2 MB of a chunk's block-start and
+        # factor arrays (6.3 MB); with a second table alive at once, as
+        # a fresh table per chunk holds, the peak was 10.1 MB
+        assert peak < 2 * table
 
 
 def test_exact_kerr_revival():

@@ -1,5 +1,6 @@
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -161,33 +162,67 @@ def percent_d(rows):
     return "".join(" ".join("%d" % v for v in row) + "\n" for row in rows)
 
 
-def written_int_rows(rows):
+def written_int_rows(rows, dtype=np.int64):
     fh = io.StringIO()
-    seriesio._write_int_rows(fh, np.array(rows, dtype=np.int64))
+    seriesio._write_int_rows(fh, np.array(rows, dtype=dtype))
     return fh.getvalue()
 
 
-# a non-negative int64 up to 2**62 with a drawn digit count, 1 ... 19, so
-# every count of 4-digit groups (1 ... 5) turns up
-any_digit_count = st.integers(1, 19).flatmap(
-    lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d - 1, 2**62))
-)
+def any_digit_count(dtype):
+    """A non-negative ``dtype`` value with a drawn digit count, 1 ... 19
+    up to 2**62 for int64 and 1 ... 10 for int32, so every count of
+    4-digit groups (1 ... 5, 1 ... 3) turns up."""
+    top = min(2**62, np.iinfo(dtype).max)
+    return st.integers(1, len(str(top))).flatmap(
+        lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d - 1, top))
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
+    dtype=st.sampled_from([np.int64, np.int32]),
     columns=st.integers(1, 3),
     chunk=st.integers(1, 4),
 )
-def test_int_rows_match_percent_d(data, columns, chunk):
+def test_int_rows_match_percent_d(data, dtype, columns, chunk):
     rows = data.draw(
-        st.lists(st.lists(any_digit_count, min_size=columns, max_size=columns),
+        st.lists(st.lists(any_digit_count(dtype), min_size=columns, max_size=columns),
                  min_size=1, max_size=12)
     )
     # small chunks, so one export mixes chunks of different field widths
     with mock.patch.object(seriesio, "_ROWS_PER_CHUNK", chunk):
-        assert written_int_rows(rows) == percent_d(rows)
+        assert written_int_rows(rows, dtype) == percent_d(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.float64])
+def test_int_rows_refuse_values_int64_cannot_hold(dtype):
+    fh = io.StringIO()
+    with pytest.raises(TypeError):
+        seriesio._write_int_rows(fh, np.array([[1, 2]], dtype=dtype))
+    assert fh.getvalue() == ""
+
+
+class Discard:
+    """A text file that keeps nothing written to it."""
+
+    def write(self, text):
+        pass
+
+
+def test_int32_rows_are_widened_one_chunk_at_a_time():
+    # 600 000 pairs of indices below 600 000, as a recurrence plot's;
+    # one chunk's int64 rows and text take 6.7 MB, and the int64 copy of
+    # the whole array the export once made took the peak to 15.9 MB
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 600_000, (600_000, 2), dtype=np.int32)
+    tracemalloc.start()
+    try:
+        seriesio._write_int_rows(Discard(), rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows.size
 
 
 def test_int_rows_longer_than_a_chunk_match_percent_d():
