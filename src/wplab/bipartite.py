@@ -21,19 +21,19 @@ second-mode occupancy of the block is
 
 with A = V^T diag(n) V: a constant plus a sum of phase-rotating terms,
 each unchanged when an eigenvector flips sign (so no sign convention is
-needed).  The pair terms of all blocks go through one
-``series.spectral_series`` call, which takes every block's eigenvalues,
-concatenated, as its levels and each term as a (s', s) index pair
-offset by its block's start, so the extended-precision phase work is
-per eigenvalue, not per pair.  There is no integration error.  A level
-whose w_s is exactly zero (more than half of them at nu = 50, gamma/g = 5)
-makes every pair term it is in exactly zero, so such pairs are counted
-in ``spectral_terms`` but never formed: the kernel would drop them
-first, adding nothing to the dropped mass, and sum the same terms in
-the same order.  The kernel drops the smallest pair terms whose
-|amplitude| sums to at most ``series.PRUNE_FRACTION`` of the total,
-which moves no sample by more than that dropped mass (``fig11-14``
-keeps 508 of its 9 860 pairs).
+needed).  ``occupancy_sum`` gathers the constants and the pair terms of
+all blocks into one ``series.SpectralSum``, which takes every block's
+eigenvalues, concatenated, as its levels and each term as a (s', s)
+index pair offset by its block's start, so the extended-precision phase
+work of ``SpectralSum.evaluate`` is per eigenvalue, not per pair.  There
+is no integration error.  A level whose w_s is exactly zero (more than
+half of them at nu = 50, gamma/g = 5) makes every pair term it is in
+exactly zero, so such pairs are counted in the sum's ``terms`` but never
+formed: ``evaluate`` would drop them first, adding nothing to the
+dropped mass, and sum the same terms in the same order.  It drops the
+smallest pair terms whose |amplitude| sums to at most
+``series.PRUNE_FRACTION`` of the total, which moves no sample by more
+than that dropped mass (``fig11-14`` keeps 508 of its 9 860 pairs).
 The series metadata records the terms kept, the dropped mass and its
 budget, and |norm - 1| over the kept sectors.
 """
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import openblas
 from .fock import FockState
-from .series import TimeSeries, spectral_series
+from .series import SpectralSum, TimeSeries
 
 # sectors fed by less field-state probability than this are dropped
 SECTOR_PRUNE_MASS = 1e-14
@@ -234,16 +234,12 @@ class OccupancySeries:
     norm: np.ndarray
 
 
-def occupancy_series(
-    sectors: list[SectorState],
-    p: TwoModeParams,
-    dt: float,
-    steps: int,
-) -> OccupancySeries:
-    """<a+a>(t), <b+b>(t) and the total squared norm at t = k*dt.
+def occupancy_sum(sectors: list[SectorState]) -> tuple[SpectralSum, float, float]:
+    """<b+b>(t) as a spectral sum over ``sectors``, the total number and
+    the total squared norm.
 
-    The norm and the total number are constants of the motion; ``norm``
-    is a read-only view repeating the former for every sample.
+    The sum's constant is the sectors' diagonal part and its terms their
+    pair terms; the number and the norm are constants of the motion.
     """
     if not sectors:
         raise ValueError("no sectors to evolve")
@@ -275,10 +271,24 @@ def occupancy_series(
         lower[j0:j1] = lo + offset
         j0 = j1
         offset += s.N + 1
-    atom_occ, pruning = spectral_series(amps, levels, upper, lower, dt, steps)
-    atom_occ += atom_const
-    # the unformed zero terms count as given, as the kernel would count them
-    pruning["spectral_terms"] = sum(s.N * (s.N + 1) // 2 for s in sectors)
+    # every pair of levels is a term of the model, formed or not
+    terms = sum(s.N * (s.N + 1) // 2 for s in sectors)
+    return SpectralSum(amps, levels, upper, lower, atom_const, terms), total_number, norm
+
+
+def occupancy_series(
+    sectors: list[SectorState],
+    p: TwoModeParams,
+    dt: float,
+    steps: int,
+) -> OccupancySeries:
+    """<a+a>(t), <b+b>(t) and the total squared norm at t = k*dt.
+
+    The norm and the total number are constants of the motion; ``norm``
+    is a read-only view repeating the former for every sample.
+    """
+    atom, total_number, norm = occupancy_sum(sectors)
+    atom_occ, pruning = atom.evaluate(dt, steps)
 
     meta = {
         "model": "bipartite",

@@ -130,13 +130,6 @@ def mean_photon_number(state: FockState) -> float:
     return float(np.dot(np.arange(p.size), p))
 
 
-def photon_number_variance(state: FockState) -> float:
-    p = np.abs(state.amplitudes) ** 2
-    ns = np.arange(p.size)
-    mean = float(np.dot(ns, p))
-    return float(np.dot(ns * ns, p)) - mean * mean
-
-
 def quadrature_expectation(state: FockState) -> float:
     """<x> with x = (a + a+)/sqrt(2)."""
     c = state.amplitudes

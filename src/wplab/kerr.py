@@ -7,9 +7,10 @@ phase-rotating terms,
 
     <x(t)> = Re sum_n sqrt(2(n+1)) conj(c_n) c_{n+1} exp(-i (E_{n+1} - E_n) t),
 
-which ``series.spectral_series`` evaluates on the sampling grid from the
-energies themselves (term n pairs level n+1 with level n), with every
-level's phase reduced modulo 2*pi in extended precision.
+a ``series.SpectralSum`` (``quadrature_sum``) whose term n pairs level
+n+1 with level n.  ``SpectralSum.evaluate`` samples it on the grid from
+the energies themselves, with every level's phase reduced modulo 2*pi in
+extended precision.  Its mass sum_n |a_n| bounds |<x(t)>| at every t.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState
-from .series import TimeSeries, reduced_phases, spectral_series
+from .series import SpectralSum, TimeSeries, reduced_phases
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,15 @@ def evolve_diagonal(state0: FockState, spec: SingleModeSpectrum, t: float) -> Fo
     return FockState(state0.amplitudes * np.exp(-1j * phases), state0.provenance)
 
 
-def quadrature_bound(state0: FockState) -> float:
-    """Time-independent bound on |<x(t)>| from the constant |c_n|."""
-    mags = np.abs(state0.amplitudes)
-    sqrt_n = np.sqrt(np.arange(1, mags.size))
-    return float(np.sqrt(2.0) * np.dot(mags[:-1] * mags[1:], sqrt_n))
+def quadrature_sum(state0: FockState, spec: SingleModeSpectrum) -> SpectralSum:
+    """<x(t)> as a spectral sum: term n is sqrt(2(n+1)) conj(c_n) c_{n+1}
+    on the level pair (n+1, n)."""
+    if state0.n_max != spec.n_max:
+        raise ValueError("state and spectrum dimensions differ")
+    c = state0.amplitudes
+    amp = np.sqrt(2.0 * np.arange(1.0, spec.n_max + 1)) * np.conj(c[:-1]) * c[1:]
+    n = np.arange(spec.n_max)
+    return SpectralSum(amp, spec.energies, n + 1, n)
 
 
 def generate_series_x(
@@ -73,12 +78,7 @@ def generate_series_x(
     steps: int,
 ) -> TimeSeries:
     """<x(t)> sampled at t = k*dt for k = 0..steps-1."""
-    if state0.n_max != spec.n_max:
-        raise ValueError("state and spectrum dimensions differ")
-    c = state0.amplitudes
-    amp = np.sqrt(2.0 * np.arange(1.0, spec.n_max + 1)) * np.conj(c[:-1]) * c[1:]
-    n = np.arange(spec.n_max)
-    out, pruning = spectral_series(amp, spec.energies, n + 1, n, dt, steps)
+    out, pruning = quadrature_sum(state0, spec).evaluate(dt, steps)
 
     meta = {
         "model": "kerr",

@@ -264,6 +264,28 @@ def number(value) -> float:
     return float(value)
 
 
+def integer_from(low: int) -> Callable[[Any], int]:
+    """``integer``, rejecting values below ``low``."""
+
+    def convert(value) -> int:
+        value = integer(value)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message
+    convert.__name__ = f"integer >= {low}"
+    return convert
+
+
+def positive(value) -> float:
+    """``number``, rejecting values that are not above zero (NaN too)."""
+    value = number(value)
+    if not value > 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return value
+
+
 def cell(value) -> Cell:
     """A ``Cell``, a ``(lo, hi)`` pair or ``"LO:HI"`` text."""
     if isinstance(value, Cell):
@@ -299,6 +321,10 @@ def _median_cell(series: TimeSeries) -> Cell:
 class Option:
     """One analysis option: conversion, default, owning tasks, help, choices.
 
+    ``type`` converts a given value and raises ``TypeError`` or
+    ``ValueError`` for one of the wrong kind or out of range, so that a
+    bad value is a usage error before any work.
+
     ``default`` is a value, a ``{task: value}`` map where the tasks
     differ, or a function: a default derived from the series, which the
     resolver leaves as None and ``_derived`` computes once its inputs
@@ -323,45 +349,49 @@ OPTIONS: dict[str, Option] = {
         str, "entry", ("f1", "f2"), "count cell entries or visiting samples",
         ("entry", "visit"),
     ),
-    "bin_width": Option(number, 0.01, ("density",), "value bin width"),
-    "window_start": Option(integer, 0, ("rp",), "first sample of the window"),
+    "bin_width": Option(positive, 0.01, ("density",), "value bin width"),
+    "window_start": Option(integer_from(0), 0, ("rp",), "first sample of the window"),
     "window_len": Option(
-        integer, lambda samples: min(4000, samples), ("rp",),
+        integer_from(2), lambda samples: min(4000, samples), ("rp",),
         "window length [min(4000, samples)]",
     ),
     "epsilon_frac": Option(
-        number, {"rp": 0.1, "lyapunov": 0.2, "classify": 0.2}, ("rp", *_LYAPUNOV),
+        positive, {"rp": 0.1, "lyapunov": 0.2, "classify": 0.2}, ("rp", *_LYAPUNOV),
         "recurrence (rp) or Kantz neighbourhood radius over the series std",
     ),
     "delay": Option(
-        integer, None, ("rp", "fnn", *_LYAPUNOV),
+        integer_from(1), None, ("rp", "fnn", *_LYAPUNOV),
         "embedding delay in samples [mutual-information minimum]",
     ),
     "dimension": Option(
-        integer, None, ("rp", *_LYAPUNOV),
+        integer_from(1), None, ("rp", *_LYAPUNOV),
         "embedding dimension [false nearest neighbours]",
     ),
     "max_lag": Option(
-        integer, lambda samples: min(1000, max(20, samples // 100)),
+        integer_from(1), lambda samples: min(1000, max(20, samples // 100)),
         ("mi", *_LYAPUNOV), "largest lag searched [min(1000, max(20, samples // 100))]",
     ),
-    "bins": Option(integer, 16, ("mi", *_LYAPUNOV), "mutual-information bins per axis"),
+    "bins": Option(
+        integer_from(2), 16, ("mi", *_LYAPUNOV), "mutual-information bins per axis"
+    ),
     "theiler": Option(
-        integer, lambda delay: 2 * delay, _LYAPUNOV, "Theiler window [2 * delay]"
+        integer_from(0), lambda delay: 2 * delay, _LYAPUNOV, "Theiler window [2 * delay]"
     ),
     "horizon": Option(
-        integer, lambda delay: 50 * delay, _LYAPUNOV,
+        integer_from(2), lambda delay: 50 * delay, _LYAPUNOV,
         "divergence horizon in samples [50 * delay]",
     ),
     "method": Option(
         str, "rosenstein", _LYAPUNOV, "divergence estimator", ("rosenstein", "kantz")
     ),
     "curve_stride": Option(
-        integer, lambda horizon: max(1, horizon // 200), _LYAPUNOV,
+        integer_from(1), lambda horizon: max(1, horizon // 200), _LYAPUNOV,
         "samples between divergence-curve points [max(1, horizon // 200)]",
     ),
-    "max_reference": Option(integer, 4000, _LYAPUNOV, "most reference points used"),
-    "threshold": Option(number, 0.01, ("classify",), "smallest chaotic lambda_max"),
+    "max_reference": Option(
+        integer_from(1), 4000, _LYAPUNOV, "most reference points used"
+    ),
+    "threshold": Option(positive, 0.01, ("classify",), "smallest chaotic lambda_max"),
 }
 
 

@@ -1,10 +1,11 @@
-"""Uniformly sampled scalar time series, and the spectral-series kernel.
+"""Uniformly sampled scalar time series, and the spectral sum both models are.
 
-Both model observables are sums of phase-rotating terms,
-Re sum_j a_j exp(-i w_j t), sampled on the grid t = k*dt, and every
+Both model observables are a constant plus a sum of phase-rotating terms,
+c + Re sum_j a_j exp(-i w_j t), sampled on the grid t = k*dt, and every
 frequency is a difference of two energy levels, w_j = E[u_j] - E[l_j].
-``spectral_series`` evaluates such a sum for k = 0..steps-1 with dense
-matrix products: writing k = k0 + b with k0 a block start and b < B,
+A ``SpectralSum`` holds such a sum, and ``SpectralSum.evaluate`` samples
+it for k = 0..steps-1 with dense matrix products: writing k = k0 + b
+with k0 a block start and b < B,
 
     Re sum_j P[k0, j] R[b, j],  P[k0, j] = a_j exp(-i w_j k0 dt),
                                 R[b, j] = exp(-i w_j b dt),
@@ -15,10 +16,10 @@ starts and on the two exact factor grids of R is reduced modulo 2*pi in
 long double and exponentiated, and a term's phasor is the product of
 its two levels' entries.  No error accumulates along the series.
 
-Before any of that work the kernel prunes.  Since |exp(-i w t)| = 1,
+Before any of that work ``evaluate`` prunes.  Since |exp(-i w t)| = 1,
 |Re sum_{j in D} a_j exp(-i w_j t)| <= sum_{j in D} |a_j| at every t, so
 dropping a set D of terms moves no sample by more than its mass
-sum_D |a_j|.  The kernel drops the smallest terms (stable sort by |a_j|,
+sum_D |a_j|.  It drops the smallest terms (stable sort by |a_j|,
 so ties go in index order) whose cumulative |a_j| is at most
 ``PRUNE_FRACTION * sum_j |a_j|``, and tabulates phases only for the
 levels the kept terms use.  A term larger than that budget is never
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
@@ -82,7 +83,7 @@ def reduced_phases(freq: np.ndarray, t) -> np.ndarray:
 
 
 def block_rows(steps: int) -> int:
-    """In-block length B of ``spectral_series``: about 4*sqrt(steps).
+    """In-block length B of ``SpectralSum.evaluate``: about 4*sqrt(steps).
 
     The extended-precision phase tables cost per level, not per term.
     Per term, the block-start coefficients cost a gather and a complex
@@ -133,83 +134,104 @@ def _kept_terms(mag: np.ndarray) -> tuple[np.ndarray, float, float]:
     return np.sort(order[drop:]), dropped, budget
 
 
-def spectral_series(
-    amp, levels, upper, lower, dt: float, steps: int
-) -> tuple[np.ndarray, dict[str, Any]]:
-    """Re sum_j amp_j exp(-i (E[upper_j] - E[lower_j]) k dt), k = 0..steps-1.
+@dataclass(frozen=True)
+class SpectralSum:
+    """const + Re sum_j amp_j exp(-i (E[upper_j] - E[lower_j]) t).
 
     ``levels`` holds the energies E; ``upper`` and ``lower`` index into
-    it, one pair per term (``lower`` may exceed ``upper``).  Returns the
-    samples and a pruning report for the series metadata:
-    ``spectral_terms`` (given), ``spectral_terms_kept`` (summed),
-    ``spectral_dropped_mass`` (sum |amp_j| over the dropped terms, a
-    bound on every sample's change) and ``spectral_prune_budget``
-    (``PRUNE_FRACTION * sum_j |amp_j|``, which the dropped mass never
-    exceeds).  The dropped terms are the smallest by |amp_j|, ties in
-    index order, and no phase is tabulated for a level only they use.
-
-    The phase tables exp(-+i E t) are built once per level on the three
-    grids (block starts, and the coarse and fine factors b = h*L + l of
-    the in-block offset, L = ceil(sqrt(B))), each phase reduced modulo
-    2*pi in extended precision; a term's phasors are the product of its
-    upper level's entry and the conjugate of its lower level's, so the
-    in-block table carries no incremental-rotation drift.
-    Re(P R^T) = P_re R_re^T - P_im R_im^T is computed as one real GEMM
-    over the interleaved (re, im) pairs of P and conj(R).  Terms are
-    chunked so the in-block table stays within about ``_TABLE_BYTES``,
-    and every chunk's table is written into one buffer allocated once
-    per call, so one table is alive at a time; the level tables take
-    (blocks + 2*sqrt(B)) * 16 bytes per kept level.
+    it, one pair per term (``lower`` may exceed ``upper``).  ``terms`` is
+    the model's term count, which may include terms never formed because
+    they are exactly zero; None counts the given ones.  The arrays are
+    kept as the caller gave them, and checked and converted by
+    ``evaluate``.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    amp = np.asarray(amp, dtype=np.complex128).ravel()
-    levels = np.asarray(levels, dtype=np.float64).ravel()
-    upper = _level_index(upper, amp.size, levels.size, "upper")
-    lower = _level_index(lower, amp.size, levels.size, "lower")
-    keep, dropped, budget = _kept_terms(np.abs(amp))
-    report = {
-        "spectral_terms": amp.size,
-        "spectral_terms_kept": keep.size,
-        "spectral_dropped_mass": dropped,
-        "spectral_prune_budget": budget,
-    }
-    amp = amp[keep]
-    pairs = np.concatenate((upper[keep], lower[keep]))
-    used, index = np.unique(pairs, return_inverse=True)
-    levels = levels[used]
-    upper, lower = index[: amp.size], index[amp.size :]
 
-    rows = block_rows(steps)
-    blocks = -(-steps // rows)
-    side = math.ceil(math.sqrt(rows))
-    dt_ld = np.longdouble(dt)
+    amp: Any
+    levels: Any
+    upper: Any
+    lower: Any
+    const: float = 0.0
+    terms: Optional[int] = None
 
-    def phasors(sign: complex, ticks: int, stride: int) -> np.ndarray:
-        t = (np.arange(ticks, dtype=np.longdouble) * stride * dt_ld)[:, None]
-        return np.exp(sign * reduced_phases(levels, t))
+    def evaluate(self, dt: float, steps: int) -> tuple[np.ndarray, dict[str, Any]]:
+        """The sum at t = k*dt for k = 0..steps-1, and a pruning report.
 
-    starts = phasors(-1j, blocks, rows)
-    coarse = phasors(1j, -(-rows // side), side)
-    fine = phasors(1j, side, 1)
-    chunk = max(1, _TABLE_BYTES // (16 * rows))
-    slab = max(1, _TABLE_BYTES // (8 * rows))
-    # the in-block table of every chunk, written in place: the leading
-    # coarse * side * n entries are laid out as a fresh (coarse, side, n)
-    # product would be, so a partial chunk's GEMM reads the same layout
-    cells = coarse.shape[0] * side
-    buf = np.empty(cells * min(chunk, amp.size), dtype=np.complex128)
+        The report, for the series metadata, holds ``spectral_terms``
+        (``terms``), ``spectral_terms_kept`` (summed),
+        ``spectral_dropped_mass`` (sum |amp_j| over the dropped terms, a
+        bound on every sample's change) and ``spectral_prune_budget``
+        (``PRUNE_FRACTION * sum_j |amp_j|``, which the dropped mass never
+        exceeds).  The dropped terms are the smallest by |amp_j|, ties in
+        index order, and no phase is tabulated for a level only they use.
+        ``const`` is added only when it is non-zero, so a zero constant
+        leaves every sample's bits as the terms give them.
 
-    out = np.zeros((blocks, rows))
-    for j0 in range(0, amp.size, chunk):
-        up = upper[j0 : j0 + chunk]
-        lo = lower[j0 : j0 + chunk]
-        p = (amp[j0 : j0 + chunk] * _pair_phasors(starts, up, lo)).view(np.float64)
-        table = buf[: cells * up.size].reshape(coarse.shape[0], side, up.size)
-        np.multiply(
-            _pair_phasors(coarse, up, lo)[:, None, :], _pair_phasors(fine, up, lo), out=table
-        )
-        rt = table.reshape(-1, up.size)[:rows].view(np.float64).T
-        for i0 in range(0, blocks, slab):
-            out[i0 : i0 + slab] += p[i0 : i0 + slab] @ rt
-    return out.ravel()[:steps], report
+        The phase tables exp(-+i E t) are built once per level on the three
+        grids (block starts, and the coarse and fine factors b = h*L + l of
+        the in-block offset, L = ceil(sqrt(B))), each phase reduced modulo
+        2*pi in extended precision; a term's phasors are the product of its
+        upper level's entry and the conjugate of its lower level's, so the
+        in-block table carries no incremental-rotation drift.
+        Re(P R^T) = P_re R_re^T - P_im R_im^T is computed as one real GEMM
+        over the interleaved (re, im) pairs of P and conj(R).  Terms are
+        chunked so the in-block table stays within about ``_TABLE_BYTES``,
+        and every chunk's table is written into one buffer allocated once
+        per call, so one table is alive at a time; the level tables take
+        (blocks + 2*sqrt(B)) * 16 bytes per kept level.
+        """
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
+        amp = np.asarray(self.amp, dtype=np.complex128).ravel()
+        levels = np.asarray(self.levels, dtype=np.float64).ravel()
+        upper = _level_index(self.upper, amp.size, levels.size, "upper")
+        lower = _level_index(self.lower, amp.size, levels.size, "lower")
+        keep, dropped, budget = _kept_terms(np.abs(amp))
+        report = {
+            "spectral_terms": amp.size if self.terms is None else self.terms,
+            "spectral_terms_kept": keep.size,
+            "spectral_dropped_mass": dropped,
+            "spectral_prune_budget": budget,
+        }
+        amp = amp[keep]
+        pairs = np.concatenate((upper[keep], lower[keep]))
+        used, index = np.unique(pairs, return_inverse=True)
+        levels = levels[used]
+        upper, lower = index[: amp.size], index[amp.size :]
+
+        rows = block_rows(steps)
+        blocks = -(-steps // rows)
+        side = math.ceil(math.sqrt(rows))
+        dt_ld = np.longdouble(dt)
+
+        def phasors(sign: complex, ticks: int, stride: int) -> np.ndarray:
+            t = (np.arange(ticks, dtype=np.longdouble) * stride * dt_ld)[:, None]
+            return np.exp(sign * reduced_phases(levels, t))
+
+        starts = phasors(-1j, blocks, rows)
+        coarse = phasors(1j, -(-rows // side), side)
+        fine = phasors(1j, side, 1)
+        chunk = max(1, _TABLE_BYTES // (16 * rows))
+        slab = max(1, _TABLE_BYTES // (8 * rows))
+        # the in-block table of every chunk, written in place: the leading
+        # coarse * side * n entries are laid out as a fresh (coarse, side, n)
+        # product would be, so a partial chunk's GEMM reads the same layout
+        cells = coarse.shape[0] * side
+        buf = np.empty(cells * min(chunk, amp.size), dtype=np.complex128)
+
+        out = np.zeros((blocks, rows))
+        for j0 in range(0, amp.size, chunk):
+            up = upper[j0 : j0 + chunk]
+            lo = lower[j0 : j0 + chunk]
+            p = (amp[j0 : j0 + chunk] * _pair_phasors(starts, up, lo)).view(np.float64)
+            table = buf[: cells * up.size].reshape(coarse.shape[0], side, up.size)
+            np.multiply(
+                _pair_phasors(coarse, up, lo)[:, None, :], _pair_phasors(fine, up, lo),
+                out=table,
+            )
+            rt = table.reshape(-1, up.size)[:rows].view(np.float64).T
+            for i0 in range(0, blocks, slab):
+                out[i0 : i0 + slab] += p[i0 : i0 + slab] @ rt
+        samples = out.ravel()[:steps]
+        if self.const:
+            samples += self.const
+        return samples, report

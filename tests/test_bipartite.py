@@ -12,7 +12,7 @@ from wplab.bipartite import (
 )
 from wplab.fock import FockState, mean_photon_number, pacs_amplitudes
 from wplab.lab import initial_field_state
-from wplab.series import spectral_series
+from wplab.series import SpectralSum
 
 
 class TestBuildSector:
@@ -227,7 +227,7 @@ def occupancy_every_pair(sectors, p, dt, steps):
         lower[j0:j1] = lo + offset
         j0 = j1
         offset += s.N + 1
-    atom, pruning = spectral_series(amps, levels, upper, lower, dt, steps)
+    atom, pruning = SpectralSum(amps, levels, upper, lower).evaluate(dt, steps)
     atom += atom_const
     meta = {
         "model": "bipartite",

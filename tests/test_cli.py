@@ -105,6 +105,19 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
         ("", ["--task", "density", "--horizon", "5"]),
         ("", ["--task", "rp", "--delay", "3"]),
         ("", ["--task", "fnn"]),
+        # values out of their option's range
+        ("", ["--task", "lyapunov", "--horizon", "100", "--curve-stride", "0"]),
+        ("", ["--task", "lyapunov", "--max-reference", "0"]),
+        ("", ["--task", "classify", "--threshold", "0"]),
+        ("", ["--task", "lyapunov", "--horizon", "-5"]),
+        ("", ["--task", "lyapunov", "--horizon", "400", "--max-lag", "0"]),
+        ("", ["--task", "lyapunov", "--theiler", "-3"]),
+        ("", ["--task", "rp", "--epsilon-frac", "0"]),
+        ("", ["--task", "density", "--bin-width", "-1"]),
+        ("", ["--task", "mi", "--bins", "1"]),
+        ("", ["--task", "rp", "--window-len", "1"]),
+        ("", ["--task", "fnn", "--delay", "0"]),
+        ("curve-stride = 0\n", ["--task", "lyapunov"]),
     ],
 )
 def test_bad_options_exit_2_before_reading(tmp_path, config_text, flags):

@@ -12,9 +12,15 @@ from wplab.fock import (
     mean_photon_number,
     overlap,
     pacs_amplitudes,
-    photon_number_variance,
     quadrature_expectation,
 )
+
+
+def photon_number_variance(state: FockState) -> float:
+    p = np.abs(state.amplitudes) ** 2
+    ns = np.arange(p.size)
+    mean = float(np.dot(ns, p))
+    return float(np.dot(ns * ns, p)) - mean * mean
 
 
 def poisson_weights(nu, n_max):

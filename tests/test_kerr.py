@@ -8,7 +8,7 @@ from wplab.kerr import (
     evolve_diagonal,
     generate_series_x,
     kerr_spectrum,
-    quadrature_bound,
+    quadrature_sum,
 )
 
 
@@ -117,7 +117,9 @@ class TestSeries:
         s = pacs_amplitudes(1.0, 5, 40)
         spec = kerr_spectrum(1.0, 0.01, 40)
         ts = generate_series_x(s, spec, 2e-3, 20_000)
-        assert np.abs(ts.values).max() <= quadrature_bound(s) + 1e-12
+        # the sum's mass, sqrt(2) sum_n |c_n| |c_{n+1}| sqrt(n+1), bounds every sample
+        mass = np.abs(quadrature_sum(s, spec).amp).sum()
+        assert np.abs(ts.values).max() <= mass + 1e-12
 
     def test_metadata(self):
         s = pacs_amplitudes(2.0, 0, 40)

@@ -412,6 +412,22 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("lyapunov", {"horizon": 2.5}, "horizon"),
         ("f2", {"cell": "0.5"}, "cell"),
         ("classify", {"d_max": 8}, "d_max"),
+        # values out of their option's range
+        ("lyapunov", {"curve_stride": 0}, "curve_stride"),
+        ("lyapunov", {"max_reference": 0}, "max_reference"),
+        ("classify", {"threshold": 0.0}, "threshold"),
+        ("classify", {"threshold": float("nan")}, "threshold"),
+        ("lyapunov", {"horizon": -5}, "horizon"),
+        ("lyapunov", {"horizon": 1}, "horizon"),
+        ("mi", {"max_lag": 0}, "max_lag"),
+        ("lyapunov", {"theiler": -3}, "theiler"),
+        ("rp", {"epsilon_frac": 0}, "epsilon_frac"),
+        ("density", {"bin_width": -1}, "bin_width"),
+        ("mi", {"bins": 1}, "bins"),
+        ("rp", {"window_start": -1}, "window_start"),
+        ("rp", {"window_len": 1}, "window_len"),
+        ("fnn", {"delay": 0}, "delay"),
+        ("rp", {"delay": 2, "dimension": 0}, "dimension"),
     ],
 )
 def test_bad_options_fail_before_reading(tmp_path, task, options, named):

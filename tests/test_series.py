@@ -10,12 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplab import bipartite, kerr, lab, series
-from wplab.bipartite import TwoModeParams, decompose_initial, occupancy_series
+from wplab import lab, series
+from wplab.bipartite import (
+    TwoModeParams,
+    decompose_initial,
+    occupancy_series,
+    occupancy_sum,
+)
 from wplab.fock import pacs_amplitudes, quadrature_expectation
-from wplab.kerr import evolve_diagonal, generate_series_x, kerr_spectrum
+from wplab.kerr import evolve_diagonal, generate_series_x, kerr_spectrum, quadrature_sum
 from wplab.presets import get_preset
-from wplab.series import block_rows, reduced_phases, spectral_series
+from wplab.series import SpectralSum, block_rows, reduced_phases
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,7 +43,7 @@ def random_terms(seed, terms, max_freq=300.0):
 def freq_series(amp, freq, dt, steps):
     """The kernel on frequencies freq_j = E[j+1] - E[0] with levels [0, *freq]."""
     upper = np.arange(1, len(freq) + 1)
-    return spectral_series(amp, [0.0, *freq], upper, 0 * upper, dt, steps)[0]
+    return SpectralSum(amp, [0.0, *freq], upper, 0 * upper).evaluate(dt, steps)[0]
 
 
 def level_freqs(levels, upper, lower):
@@ -95,7 +100,7 @@ class TestSpectralSeries:
         lower = np.concatenate(([1, 9, 23, 3, 2, 7, 5, 4], rng.integers(0, 24, 30)))
         amp = rng.normal(size=upper.size) + 1j * rng.normal(size=upper.size)
         dt = 1.3e-3
-        x, _ = spectral_series(amp, levels, upper, lower, dt, steps)
+        x, _ = SpectralSum(amp, levels, upper, lower).evaluate(dt, steps)
         ks = boundary_indices(steps)
         expect = direct_sum(amp, level_freqs(levels, upper, lower), dt, ks)
         assert np.abs(x[ks] - expect).max() <= 1e-13 * np.abs(amp).sum()
@@ -105,13 +110,23 @@ class TestSpectralSeries:
         amp, levels = random_terms(11, 9)
         upper = np.arange(9)
         lower = np.roll(upper, 4)
-        x, _ = spectral_series(amp, levels, lower, upper, 1e-2, 500)
-        y, _ = spectral_series(np.conj(amp), levels, upper, lower, 1e-2, 500)
+        x, _ = SpectralSum(amp, levels, lower, upper).evaluate(1e-2, 500)
+        y, _ = SpectralSum(np.conj(amp), levels, upper, lower).evaluate(1e-2, 500)
         assert np.abs(x - y).max() <= 1e-13 * np.abs(amp).sum()
+
+    def test_constant_and_term_count(self):
+        # the constant is added to every sample; ``terms`` is reported as given
+        amp, levels = random_terms(4, 6)
+        upper, lower = np.arange(6), np.roll(np.arange(6), 2)
+        x, report = SpectralSum(amp, levels, upper, lower).evaluate(1e-2, 300)
+        y, counted = SpectralSum(amp, levels, upper, lower, 2.5, 40).evaluate(1e-2, 300)
+        assert np.array_equal(y, x + 2.5)
+        assert report["spectral_terms"] == 6
+        assert counted == {**report, "spectral_terms": 40}
 
     def test_no_terms_is_zero(self):
         for levels in ([], [1.0]):
-            x, _ = spectral_series([], levels, [], [], 0.1, 7)
+            x, _ = SpectralSum([], levels, [], []).evaluate(0.1, 7)
             assert np.array_equal(x, np.zeros(7))
 
     @pytest.mark.parametrize(
@@ -131,11 +146,11 @@ class TestSpectralSeries:
 
         monkeypatch.setattr(series, "reduced_phases", no_work)
         with pytest.raises(ValueError):
-            spectral_series([1.0, 2.0], [0.0, 1.0, 2.0], upper, lower, 0.1, 5)
+            SpectralSum([1.0, 2.0], [0.0, 1.0, 2.0], upper, lower).evaluate(0.1, 5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            spectral_series([1.0], [0.0, 1.0], [1], [0], 0.1, 0)
+            SpectralSum([1.0], [0.0, 1.0], [1], [0]).evaluate(0.1, 0)
 
 
 def pruning_reference(mag, fraction):
@@ -203,9 +218,9 @@ class TestPruning:
         dt = 1.3e-3
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series, "PRUNE_FRACTION", fraction)
-            x, report = spectral_series(amp, levels, upper, lower, dt, steps)
+            x, report = SpectralSum(amp, levels, upper, lower).evaluate(dt, steps)
             mp.setattr(series, "PRUNE_FRACTION", 0.0)
-            y, _ = spectral_series(amp, levels, upper, lower, dt, steps)
+            y, _ = SpectralSum(amp, levels, upper, lower).evaluate(dt, steps)
         keep, dropped = pruning_reference(np.abs(amp), fraction)
         assert report["spectral_terms"] == len(terms)
         assert report["spectral_terms_kept"] == len(keep)
@@ -226,7 +241,8 @@ class TestPruning:
     def test_all_zero_amplitudes(self, monkeypatch):
         calls = tabulated_levels(monkeypatch)
         upper, lower = [1, 2, 2, 0], [0, 0, 1, 2]
-        x, report = spectral_series(np.zeros(4), [0.0, 1.0, 2.5], upper, lower, 0.1, 50)
+        zeros = SpectralSum(np.zeros(4), [0.0, 1.0, 2.5], upper, lower)
+        x, report = zeros.evaluate(0.1, 50)
         assert np.array_equal(x, np.zeros(50))
         assert report["spectral_terms_kept"] == 0
         assert report["spectral_dropped_mass"] == 0.0
@@ -234,7 +250,7 @@ class TestPruning:
 
     def test_single_term_is_kept(self):
         amp, levels = [3e-12j], [0.0, 7.0]
-        x, report = spectral_series(amp, levels, [1], [0], 0.01, 200)
+        x, report = SpectralSum(amp, levels, [1], [0]).evaluate(0.01, 200)
         assert report["spectral_terms_kept"] == 1
         assert report["spectral_dropped_mass"] == 0.0
         expect = term_sum(amp, levels, [1], [0], 0.01, np.arange(200))
@@ -243,7 +259,7 @@ class TestPruning:
     def test_term_above_budget_is_kept(self):
         # 2e-14 exceeds the budget 1e-14 * (1 + 2e-14) by itself
         amp = [1.0, 2e-14]
-        _, report = spectral_series(amp, [0.0, 3.0, 5.0], [1, 2], [0, 0], 0.01, 100)
+        _, report = SpectralSum(amp, [0.0, 3.0, 5.0], [1, 2], [0, 0]).evaluate(0.01, 100)
         assert report["spectral_terms_kept"] == 2
         assert report["spectral_dropped_mass"] == 0.0
 
@@ -256,8 +272,8 @@ class TestPruning:
         levels = np.concatenate(([0.0], 10.0 + np.arange(amp.size)))
         upper, lower = np.arange(1, amp.size + 1), np.zeros(amp.size, int)
         calls = tabulated_levels(monkeypatch)
-        x, report = spectral_series(amp, levels, upper, lower, 0.01, 300)
-        again, _ = spectral_series(amp, levels, upper, lower, 0.01, 300)
+        x, report = SpectralSum(amp, levels, upper, lower).evaluate(0.01, 300)
+        again, _ = SpectralSum(amp, levels, upper, lower).evaluate(0.01, 300)
         assert np.array_equal(x, again)
         keep = np.arange(142, amp.size)
         assert report["spectral_terms_kept"] == keep.size
@@ -276,7 +292,7 @@ class TestPruning:
         lower = np.concatenate((rng.integers(0, 15, 40), np.arange(25, 30)))
         amp = np.concatenate((rng.normal(size=40) + 1j, np.full(5, 1e-18)))
         calls = tabulated_levels(monkeypatch)
-        _, report = spectral_series(amp, levels, upper, lower, 1e-3, 5000)
+        _, report = SpectralSum(amp, levels, upper, lower).evaluate(1e-3, 5000)
         assert report["spectral_terms_kept"] == 40
         used = np.sort(levels[np.unique(np.concatenate((upper[:40], lower[:40])))])
         assert len(calls) == 3
@@ -290,7 +306,7 @@ class TestPruning:
         amp = 10.0 ** rng.uniform(-20.0, 0.0, 60) * np.exp(2j * np.pi * rng.random(60))
         freq = rng.uniform(-2000.0, 2000.0, 60)
         upper = np.arange(1, 61)
-        x, report = spectral_series(amp, [0.0, *freq], upper, 0 * upper, 1e-3, steps)
+        x, report = SpectralSum(amp, [0.0, *freq], upper, 0 * upper).evaluate(1e-3, steps)
         assert report["spectral_terms_kept"] < 60
         ks = boundary_indices(steps)
         err = np.abs(x[ks] - direct_sum(amp, freq, 1e-3, ks)).max()
@@ -307,14 +323,16 @@ class TestPruning:
         assert meta["spectral_terms_kept"] < 0.1 * meta["spectral_terms"]
 
 
-def fresh_table_series(amp, levels, upper, lower, dt, steps):
-    """``spectral_series`` with a fresh in-block table per chunk of terms:
-    the loop the one reused table buffer replaced, kept as its oracle."""
-    amp = np.asarray(amp, dtype=np.complex128)
+def fresh_table_series(s, dt, steps):
+    """``SpectralSum.evaluate``'s samples with a fresh in-block table per
+    chunk of terms: the loop the one reused table buffer replaced, kept
+    as its oracle."""
+    amp = np.asarray(s.amp, dtype=np.complex128)
     keep = series._kept_terms(np.abs(amp))[0]
     amp = amp[keep]
-    used, index = np.unique(np.concatenate((upper[keep], lower[keep])), return_inverse=True)
-    levels = np.asarray(levels, dtype=np.float64)[used]
+    pairs = np.concatenate((s.upper[keep], s.lower[keep]))
+    used, index = np.unique(pairs, return_inverse=True)
+    levels = np.asarray(s.levels, dtype=np.float64)[used]
     upper, lower = index[: amp.size], index[amp.size :]
     rows = block_rows(steps)
     blocks = -(-steps // rows)
@@ -340,69 +358,55 @@ def fresh_table_series(amp, levels, upper, lower, dt, steps):
         rt = table.reshape(-1, up.size)[:rows].view(np.float64).T
         for i0 in range(0, blocks, slab):
             out[i0 : i0 + slab] += p[i0 : i0 + slab] @ rt
-    return out.ravel()[:steps]
+    return out.ravel()[:steps] + s.const
 
 
-def kernel_terms(monkeypatch, module, run):
-    """The (amp, levels, upper, lower, dt, steps) ``run()`` passes to the
-    kernel through ``module``."""
-    seen = []
-
-    def record(*args):
-        seen.append(args)
-        return spectral_series(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(module, "spectral_series", record)
-        run()
-    (args,) = seen
-    return args
-
-
-def kerr_terms(monkeypatch, steps):
+def kerr_sum():
+    """``fig4``'s quadrature sum and time step."""
     p = get_preset("fig4")
-    return kernel_terms(
-        monkeypatch, kerr, lambda: lab.simulate_series(p.model, p.params, p.nu, p.m, p.dt, steps)
-    )
+    state = lab.initial_field_state(p.nu, p.m)
+    spec = kerr_spectrum(p.params["chi"], p.params["chi_prime"], state.n_max)
+    return quadrature_sum(state, spec), p.dt
 
 
-def two_mode_wide_terms(monkeypatch, steps=4000):
-    # the two-mode-wide benchmark's series: nu = 50, m = 5, gamma/g = 5
-    params = {"omega": 1.0, "omega0": 1.0, "gamma": 5.0, "g": 1.0}
-    return kernel_terms(
-        monkeypatch,
-        bipartite,
-        lambda: lab.simulate_series("bipartite", params, 50.0, 5, 1e-3, steps),
-    )
+def two_mode_wide_sum():
+    """The two-mode-wide benchmark's sum (nu = 50, m = 5, gamma/g = 5)
+    and time step."""
+    p = TwoModeParams(omega=1.0, omega0=1.0, gamma=5.0, g=1.0)
+    sectors = decompose_initial(lab.initial_field_state(50.0, 5), p)
+    return occupancy_sum(sectors)[0], 1e-3
 
 
 class TestTableBuffer:
     """Every chunk's in-block table is written into one buffer, and the
     series is bitwise the one a fresh table per chunk gives."""
 
-    @pytest.mark.parametrize("terms", [kerr_terms, two_mode_wide_terms])
-    def test_chunks_match_fresh_tables(self, monkeypatch, terms):
-        args = terms(monkeypatch, 4000)
-        kept = series._kept_terms(np.abs(args[0]))[0].size
+    @pytest.mark.parametrize(
+        "make", [kerr_sum, two_mode_wide_sum], ids=["kerr_terms", "two_mode_wide_terms"]
+    )
+    def test_chunks_match_fresh_tables(self, monkeypatch, make):
+        s, dt = make()
+        steps = 4000
+        kept = series._kept_terms(np.abs(s.amp))[0].size
         # at least three full chunks and a partial last one
         chunk = kept // 3 - 1
         assert kept // chunk >= 3 and kept % chunk
-        monkeypatch.setattr(series, "_TABLE_BYTES", 16 * block_rows(args[-1]) * chunk)
-        got, _ = spectral_series(*args)
-        assert np.array_equal(got, fresh_table_series(*args))
+        monkeypatch.setattr(series, "_TABLE_BYTES", 16 * block_rows(steps) * chunk)
+        got, _ = s.evaluate(dt, steps)
+        assert np.array_equal(got, fresh_table_series(s, dt, steps))
 
-    def test_one_table_alive(self, monkeypatch):
-        args = two_mode_wide_terms(monkeypatch)
-        steps = args[-1]
+    def test_one_table_alive(self):
+        s, dt = two_mode_wide_sum()
+        steps = 4000
         rows = block_rows(steps)
         side = math.ceil(math.sqrt(rows))
-        kept = series._kept_terms(np.abs(args[0]))[0].size
+        kept = series._kept_terms(np.abs(s.amp))[0].size
         chunk = series._TABLE_BYTES // (16 * rows)
         assert kept > 2 * chunk  # two full chunks, so two tables could be alive
         table = 16 * -(-rows // side) * side * chunk
         tracemalloc.start()
         try:
-            spectral_series(*args)
+            s.evaluate(dt, steps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -426,16 +430,26 @@ def test_exact_kerr_revival():
         assert abs(x[k] - exact) <= 1e-10
 
 
+@pytest.mark.parametrize("chi", [1.0, 0.25, 3.0])
+def test_exact_kerr_revival_of_the_sum(chi):
+    # chi' = 0: term n's frequency E_{n+1} - E_n = 2 chi n is an exact
+    # integer multiple of 2 chi, so at t = pi/chi every phase is 2 pi n
+    s = pacs_amplitudes(math.sqrt(5.0), 2, 60)
+    q = quadrature_sum(s, kerr_spectrum(chi, 0.0, s.n_max))
+    freq = q.levels[q.upper] - q.levels[q.lower]
+    assert np.array_equal(freq / (2.0 * chi), np.arange(s.n_max))
+
+
 AGREEMENT_SCRIPT = """
 import json, sys
 import numpy as np
-from wplab.series import spectral_series
+from wplab.series import SpectralSum
 rng = np.random.default_rng(3)
 amp = rng.normal(size=3000) + 1j * rng.normal(size=3000)
 freq = rng.uniform(-500.0, 500.0, 3000)
 levels = np.concatenate(([0.0], freq))
 upper = np.arange(1, 3001)
-x, _ = spectral_series(amp, levels, upper, np.zeros(3000, int), 1e-3, 200_000)
+x, _ = SpectralSum(amp, levels, upper, np.zeros(3000, int)).evaluate(1e-3, 200_000)
 np.save(sys.argv[1], x)
 """
 
