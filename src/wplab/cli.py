@@ -134,7 +134,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     flag(pre, "--out", default=".", help="output directory")
     flag(pre, "--steps", type=int, default=None)
     flag(pre, "--dt", type=float, default=None)
-    flag(pre, "--full-scale", action="store_true", help="1e7-sample series")
+    flag(
+        pre, "--full-scale", action="store_true",
+        help="1e7-sample series (fig5 and fig6 keep their 4000)",
+    )
     flag(pre, "--svg", action="store_true")
 
     ver = sub.add_parser("verify", help="check a preset's outputs against its manifest")

@@ -242,6 +242,7 @@ def simulate(
 
 # fixed analysis settings: no caller needs another value
 CELL_WIDTH = 0.01  # width of the default median-centred return-time cell
+MI_BINS = 16  # mutual-information bins per axis
 MI_MIN_WINDOW = 5  # smoothing window of the mutual-information minimum
 FNN_D_MAX = 8  # largest embedding dimension FNN tries
 
@@ -371,12 +372,6 @@ OPTIONS: dict[str, Option] = {
         integer_from(1), lambda samples: min(1000, max(20, samples // 100)),
         ("mi", *_LYAPUNOV), "largest lag searched [min(1000, max(20, samples // 100))]",
     ),
-    "bins": Option(
-        integer_from(2), 16, ("mi", *_LYAPUNOV), "mutual-information bins per axis"
-    ),
-    "theiler": Option(
-        integer_from(0), lambda delay: 2 * delay, _LYAPUNOV, "Theiler window [2 * delay]"
-    ),
     "horizon": Option(
         integer_from(2), lambda delay: 50 * delay, _LYAPUNOV,
         "divergence horizon in samples [50 * delay]",
@@ -384,14 +379,9 @@ OPTIONS: dict[str, Option] = {
     "method": Option(
         str, "rosenstein", _LYAPUNOV, "divergence estimator", ("rosenstein", "kantz")
     ),
-    "curve_stride": Option(
-        integer_from(1), lambda horizon: max(1, horizon // 200), _LYAPUNOV,
-        "samples between divergence-curve points [max(1, horizon // 200)]",
-    ),
     "max_reference": Option(
         integer_from(1), 4000, _LYAPUNOV, "most reference points used"
     ),
-    "threshold": Option(positive, 0.01, ("classify",), "smallest chaotic lambda_max"),
 }
 
 
@@ -451,7 +441,7 @@ def _mutual_information(
     return mutual_information_delay(
         series,
         max_lag=_derived(options, "max_lag", len(series)),
-        bins=options["bins"],
+        bins=MI_BINS,
         min_window=MI_MIN_WINDOW,
         stop_at_minimum=stop_at_minimum,
     )
@@ -466,7 +456,7 @@ def choose_embedding(
     ``dimension`` short-circuits the automatic choice.  The delay search
     ends at the first minimum; a horizon, explicit or derived from the
     delay, that the series cannot fit is rejected there, before FNN
-    (``_check_horizon``).  When FNN never drops below 1%, the
+    (``_check_lengths``).  When FNN never drops below 1%, the
     smallest dimension under 5% is used (flagged), else ``FNN_D_MAX``.
     ``fnn_fractions`` runs up to the dimension where FNN stopped: the
     chosen one, or ``FNN_D_MAX`` when the choice was relaxed.
@@ -482,7 +472,7 @@ def choose_embedding(
         delay = mi.lag
         info["mi_lag"] = mi.lag
         info["mi_has_minimum"] = mi.has_minimum
-    _check_horizon(options, len(series), delay=delay)
+    _check_lengths(options, len(series), delay=delay)
     dimension = options["dimension"]
     grid = None
     if dimension is None:
@@ -502,10 +492,11 @@ def choose_embedding(
 
 def _run_lyapunov(series: TimeSeries, options: dict[str, Any]):
     spec, info, grid = choose_embedding(series, options)
-    _check_horizon(options, len(series), delay=spec.delay, dimension=spec.dimension)
-    theiler = _derived(options, "theiler", spec.delay)
+    _check_lengths(options, len(series), delay=spec.delay, dimension=spec.dimension)
+    theiler = 2 * spec.delay
     horizon = _derived(options, "horizon", spec.delay)
-    stride = _derived(options, "curve_stride", horizon)
+    # 2 * stride <= horizon: two curve points at delta_k >= 1 for any horizon >= 2
+    stride = max(1, horizon // 200)
     method = options["method"]
     limits = {"max_reference": options["max_reference"], "curve_stride": stride}
     if method == "rosenstein":
@@ -525,7 +516,7 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     ``lyapunov`` and ``classify`` json exports and the rows of a table
     preset are this payload.
     """
-    _check_horizon(options, len(series))
+    _check_lengths(options, len(series))
     result, info = _run_lyapunov(series, options)
     payload = {
         "lambda_max": result.lambda_max,
@@ -540,7 +531,7 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
         "selection": info,
     }
     if task == "classify":
-        verdict = classify(result, options["threshold"])
+        verdict = classify(result)
         payload.update(label=verdict.label, ambiguous=verdict.ambiguous)
     return result, payload
 
@@ -627,6 +618,7 @@ def _run_task(
         seriesio.write_recurrence(rp, out_path("txt"))
         plot = (svgmod.points_svg, rp.pairs[:, 0], rp.pairs[:, 1], "recurrence plot")
     elif task == "mi":
+        _check_lengths(options, len(ts))
         mi = _mutual_information(ts, options)
         seriesio.write_pairs(
             np.column_stack((np.arange(1, mi.curve.size + 1), mi.curve)),
@@ -673,19 +665,31 @@ def list_presets() -> list[str]:
     return sorted(PRESETS)
 
 
-def _check_horizon(
+def _check_lengths(
     options: dict[str, Any], samples: int, where: str = "",
     delay: Optional[int] = None, dimension: int = 1,
 ) -> None:
-    """Reject a Lyapunov ``horizon`` that ``samples`` cannot fit.
+    """Reject a ``max_lag`` or Lyapunov ``horizon`` that ``samples`` cannot fit.
 
-    A divergence curve needs more than 10 * horizon embedded samples, and
-    ``samples`` embed into samples - (dimension - 1) * delay.  Without a
-    delay only an explicit horizon is checked, against the bare series;
-    with one, the default derived from it too.  Each check comes before
-    the work a doomed run would waste: the bare one before the delay
-    search, the delay's before FNN, the dimension's before the estimate.
+    The mutual information needs more than 10 * max_lag samples; its
+    ``max_lag``, explicit or derived, is checked while the delay is still
+    to be searched (no delay given here or in ``options``).  A divergence
+    curve needs more than 10 * horizon embedded samples, and ``samples``
+    embed into samples - (dimension - 1) * delay.  Without a delay only an
+    explicit horizon is checked, against the bare series; with one, the
+    default derived from it too.  Each check comes before the work a
+    doomed run would waste: the bare ones before the delay search, the
+    delay's before FNN, the dimension's before the estimate.
     """
+    if delay is None and options.get("delay") is None and "max_lag" in options:
+        max_lag = _derived(options, "max_lag", samples)
+        if samples <= 10 * max_lag:
+            raise OptionError(
+                f"{where}mutual-information max_lag {max_lag} needs more than "
+                f"{10 * max_lag} samples, got {samples}"
+            )
+    if "horizon" not in options:
+        return
     horizon = options["horizon"]
     name = f"horizon {horizon}"
     if horizon is None:
@@ -705,7 +709,8 @@ def _check_steps(preset, steps: int) -> list[dict[str, Any]]:
     """Each analysis's resolved options; rejects a series length they cannot use.
 
     Runs before any simulation: a recurrence window must fit the series,
-    and a Lyapunov fit needs more than 10 * horizon samples.
+    and a delay search and a Lyapunov fit need more than 10 * max_lag and
+    10 * horizon samples (``_check_lengths``).
     """
     resolved = [resolve_options(item.task, item.options) for item in preset.analyses]
     for item, options in zip(preset.analyses, resolved):
@@ -716,8 +721,8 @@ def _check_steps(preset, steps: int) -> list[dict[str, Any]]:
                     f"{preset.id}: recurrence window ending at {end} does not "
                     f"fit {steps} steps"
                 )
-        elif item.task in _LYAPUNOV:
-            _check_horizon(options, steps, f"{preset.id}: ")
+        else:
+            _check_lengths(options, steps, f"{preset.id}: ")
     return resolved
 
 

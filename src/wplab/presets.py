@@ -54,21 +54,17 @@ _BIP_DT_NOTE = (
     "neither is pinned down for this model by the source material"
 )
 
+# analysis options state only values that differ from lab.OPTIONS' defaults
+
 # embedding/divergence settings for the long model series; the embedding
 # itself is still chosen per series from mutual information + FNN
-_MODEL_LYAP = {
-    "max_lag": 400,
-    "bins": 16,
-    "horizon": 4000,
-    "curve_stride": 20,
-    "max_reference": 2000,
-}
+_MODEL_LYAP = {"max_lag": 400, "horizon": 4000, "max_reference": 2000}
 
-_F1 = AnalysisTask("f1", {"mode": "entry"})
-_F2 = AnalysisTask("f2", {"mode": "entry"})
-_RP = AnalysisTask("rp", {"window_start": 0, "window_len": 4000, "epsilon_frac": 0.1})
+_F1 = AnalysisTask("f1")
+_F2 = AnalysisTask("f2")
+_RP = AnalysisTask("rp", {"window_len": 4000})
 _RP_NOTE = "series length equals the recurrence-plot window"
-_CLASSIFY = AnalysisTask("classify", dict(_MODEL_LYAP, threshold=0.01))
+_CLASSIFY = AnalysisTask("classify", dict(_MODEL_LYAP))
 
 
 def _kerr(id: str, nu: float, m: int, *analyses: AnalysisTask, steps=DESK_STEPS, **kw):
@@ -92,17 +88,17 @@ PRESETS: dict[str, ExperimentPreset | TablePreset] = {
         _kerr("fig5", 1.0, 0, _RP, steps=4000, full_steps=4000, notes=(_RP_NOTE,)),
         _kerr("fig6", 100.0, 5, _RP, steps=4000, full_steps=4000, notes=(_RP_NOTE,)),
         _two_mode("fig7-10", 1.0, 0, gamma=0.01, analyses=(
-            AnalysisTask("returnmap", {}),
+            AnalysisTask("returnmap"),
             _RP,
-            AnalysisTask("f1", {"cell": (0.596, 0.604), "mode": "entry"}),
+            AnalysisTask("f1", {"cell": (0.596, 0.604)}),
             AnalysisTask("density", {"bin_width": 0.001}),
         )),
         _two_mode("fig11-14", 5.0, 5, gamma=5.0, analyses=(
-            AnalysisTask("returnmap", {}),
+            AnalysisTask("returnmap"),
             _RP,
-            AnalysisTask("f1", {"cell": (12.455, 12.465), "mode": "entry"}),
-            AnalysisTask("f2", {"cell": (12.455, 12.465), "mode": "entry"}),
-            AnalysisTask("density", {"bin_width": 0.01}),
+            AnalysisTask("f1", {"cell": (12.455, 12.465)}),
+            AnalysisTask("f2", {"cell": (12.455, 12.465)}),
+            AnalysisTask("density"),
             _CLASSIFY,
         )),
         TablePreset(

@@ -60,9 +60,6 @@ class ReturnTimeHistogram:
     dt: float
     mode: Mode
 
-    def mean_tau(self) -> float:
-        return float(np.dot(self.taus, self.counts) / self.counts.sum())
-
 
 @dataclass(frozen=True)
 class DensityHistogram:

@@ -7,7 +7,7 @@ are written byte-identically for identical inputs.  A JSON sidecar
 Analysis exports are plain text with ``# key = value`` headers echoing
 the resolved options.  Floats are written as ``repr(float(x))``: the
 repr of a numpy scalar reads ``np.float64(...)`` under numpy 2, which
-the readers here cannot parse.  Integer columns (recurrence pairs,
+``float`` cannot parse.  Integer columns (recurrence pairs,
 return-time histograms) are non-negative and formatted by numpy, as
 ``%d`` would, from tables of 4-digit groups rather than Python ints:
 the leading zeros are NUL bytes, dropped by one select per chunk.
@@ -178,18 +178,6 @@ def _write_header(fh, kind: str, options: dict[str, Any]) -> None:
         fh.write(f"# {key} = {options[key]}\n")
 
 
-def _parse_header(lines) -> dict[str, str]:
-    out = {}
-    for line in lines:
-        if not line.startswith("#"):
-            break
-        body = line[1:].strip()
-        if "=" in body:
-            key, _, val = body.partition("=")
-            out[key.strip()] = val.strip()
-    return out
-
-
 def write_histogram(
     h: ReturnTimeHistogram,
     path: str | Path,
@@ -210,18 +198,6 @@ def write_histogram(
         fh.write("# columns: tau count\n")
         _write_int_rows(fh, np.column_stack((h.taus, h.counts)))
     return path
-
-
-def read_histogram(path: str | Path) -> ReturnTimeHistogram:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    header = _parse_header(lines)
-    rows = [line.split() for line in lines if line.strip() and not line.startswith("#")]
-    taus, counts = np.array(rows, dtype=np.int64).reshape(-1, 2).T
-    total = int(header.get("total_events", counts.sum()))
-    mode = header.get("mode", "entry")
-    dt = float(header.get("dt", "1.0"))
-    return ReturnTimeHistogram(taus, counts, total, dt, mode)  # type: ignore[arg-type]
 
 
 def write_density(d: DensityHistogram, path: str | Path) -> Path:
@@ -274,16 +250,6 @@ def write_pairs(
         fh.write(f"# columns: {columns}\n")
         _write_rows(fh, "%r %r\n", np.asarray(pairs, dtype=np.float64))
     return path
-
-
-def read_pairs(path: str | Path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        a, b = line.split()
-        rows.append((float(a), float(b)))
-    return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
 def write_text(text: str, path: str | Path) -> Path:

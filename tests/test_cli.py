@@ -105,19 +105,23 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
         ("", ["--task", "density", "--horizon", "5"]),
         ("", ["--task", "rp", "--delay", "3"]),
         ("", ["--task", "fnn"]),
+        # no such flag: the Theiler window is a fixed rule (2 * delay)
+        ("", ["--task", "lyapunov", "--theiler", "5"]),
         # values out of their option's range
-        ("", ["--task", "lyapunov", "--horizon", "100", "--curve-stride", "0"]),
         ("", ["--task", "lyapunov", "--max-reference", "0"]),
-        ("", ["--task", "classify", "--threshold", "0"]),
+        ("", ["--task", "classify", "--epsilon-frac", "nan"]),
         ("", ["--task", "lyapunov", "--horizon", "-5"]),
         ("", ["--task", "lyapunov", "--horizon", "400", "--max-lag", "0"]),
-        ("", ["--task", "lyapunov", "--theiler", "-3"]),
+        ("", ["--task", "rp", "--window-start", "-1"]),
         ("", ["--task", "rp", "--epsilon-frac", "0"]),
         ("", ["--task", "density", "--bin-width", "-1"]),
-        ("", ["--task", "mi", "--bins", "1"]),
+        ("", ["--task", "lyapunov", "--horizon", "1"]),
         ("", ["--task", "rp", "--window-len", "1"]),
         ("", ["--task", "fnn", "--delay", "0"]),
-        ("curve-stride = 0\n", ["--task", "lyapunov"]),
+        # no such config key: the curve stride is max(1, horizon // 200)
+        ("curve-stride = 20\n", ["--task", "lyapunov"]),
+        # a config value out of its option's range
+        ("max-reference = 0\n", ["--task", "lyapunov"]),
     ],
 )
 def test_bad_options_exit_2_before_reading(tmp_path, config_text, flags):
@@ -162,12 +166,23 @@ def test_svg_output_is_xml(tmp_path, series_file, task, flags):
     assert len(list(root.iter())) > 3
 
 
-@pytest.mark.parametrize("task", ["lyapunov", "classify"])
+@pytest.mark.parametrize(
+    "task, flags",
+    [
+        ("lyapunov", ["--horizon", 300]),
+        ("classify", ["--horizon", 300]),
+        ("mi", ["--max-lag", 1000]),
+        ("lyapunov", ["--max-lag", 1000, "--horizon", 100]),
+        ("classify", ["--max-lag", 1000, "--horizon", 100]),
+    ],
+    ids=["lyapunov", "classify", "mi-max-lag", "lyapunov-max-lag", "classify-max-lag"],
+)
 def test_horizon_too_long_exits_2_before_any_search(
-    tmp_path, monkeypatch, series_file, task
+    tmp_path, monkeypatch, series_file, task, flags
 ):
-    # 3 000 samples cannot fit horizon 300 (more than 3 000 needed): no
-    # mutual information, no FNN or divergence tree, no export
+    # 3 000 samples cannot fit horizon 300 (more than 3 000 needed), nor a
+    # delay search up to lag 1000 (more than 10 000): no mutual
+    # information, no FNN or divergence tree, no export
     builds = []
 
     def no_mi(*args, **kwargs):
@@ -179,7 +194,7 @@ def test_horizon_too_long_exits_2_before_any_search(
     monkeypatch.setattr(lab, "mutual_information_delay", no_mi)
     monkeypatch.setattr(neighbors.BoxGrid, "__init__", spy)
     argv = ["analyze", "--task", task, "--series", series_file, "--out", tmp_path]
-    assert exit_code(argv + ["--horizon", 300]) == 2
+    assert exit_code(argv + flags) == 2
     assert builds == []
     assert list(tmp_path.iterdir()) == []
 

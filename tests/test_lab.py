@@ -21,13 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_classify_json_for_regular_verdict(tmp_path):
     series = seriesio.write_series(sine_series(20_000, period=100.0), tmp_path / "s.wprs")
-    options = {
-        "delay": 25,
-        "dimension": 2,
-        "theiler": 50,
-        "horizon": 300,
-        "curve_stride": 3,
-    }
+    options = {"delay": 25, "dimension": 2, "horizon": 300}
     (path,) = lab.analyze("classify", series, options)
     payload = json.loads(path.read_text())
     assert payload["label"] == "regular"
@@ -111,7 +105,12 @@ def test_manifest_failure_leaves_no_outputs(tmp_path, monkeypatch, fails):
 
 @pytest.mark.parametrize(
     "preset_id, steps, reason",
-    [("fig11-14", 2000, "does not fit"), ("table1", 20_000, "horizon")],
+    [
+        ("fig11-14", 2000, "does not fit"),
+        ("table1", 20_000, "horizon"),
+        # its delay search, up to lag 400, needs more than 4 000 samples
+        ("table1", 4000, "max_lag"),
+    ],
 )
 def test_bad_steps_fail_before_simulating(
     tmp_path, monkeypatch, preset_id, steps, reason
@@ -368,6 +367,18 @@ def test_blas_is_numpys_with_scipy_loaded():
 
 
 @pytest.mark.parametrize("preset_id", sorted(PRESETS))
+def test_presets_restate_no_default(preset_id):
+    # a preset states only what differs; a derived default has no value
+    # to restate
+    for item in PRESETS[preset_id].analyses:
+        for name, value in item.options.items():
+            default = lab.OPTIONS[name].default
+            if isinstance(default, dict):
+                default = default[item.task]
+            assert callable(default) or value != default, (item.task, name)
+
+
+@pytest.mark.parametrize("preset_id", sorted(PRESETS))
 def test_preset_options_resolve(preset_id):
     for item in PRESETS[preset_id].analyses:
         resolved = lab.resolve_options(item.task, item.options)
@@ -412,18 +423,20 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("lyapunov", {"horizon": 2.5}, "horizon"),
         ("f2", {"cell": "0.5"}, "cell"),
         ("classify", {"d_max": 8}, "d_max"),
-        # values out of their option's range
-        ("lyapunov", {"curve_stride": 0}, "curve_stride"),
+        # values out of their option's range; marked "rule", settings
+        # that are fixed rules and no options (2 * delay,
+        # max(1, horizon // 200), 16 bins, 0.01)
+        ("lyapunov", {"curve_stride": 20}, "curve_stride"),  # rule
         ("lyapunov", {"max_reference": 0}, "max_reference"),
-        ("classify", {"threshold": 0.0}, "threshold"),
-        ("classify", {"threshold": float("nan")}, "threshold"),
+        ("classify", {"threshold": 0.01}, "threshold"),  # rule
+        ("classify", {"epsilon_frac": float("nan")}, "epsilon_frac"),
         ("lyapunov", {"horizon": -5}, "horizon"),
         ("lyapunov", {"horizon": 1}, "horizon"),
         ("mi", {"max_lag": 0}, "max_lag"),
-        ("lyapunov", {"theiler": -3}, "theiler"),
+        ("lyapunov", {"theiler": 4}, "theiler"),  # rule
         ("rp", {"epsilon_frac": 0}, "epsilon_frac"),
         ("density", {"bin_width": -1}, "bin_width"),
-        ("mi", {"bins": 1}, "bins"),
+        ("mi", {"bins": 16}, "bins"),  # rule
         ("rp", {"window_start": -1}, "window_start"),
         ("rp", {"window_len": 1}, "window_len"),
         ("fnn", {"delay": 0}, "delay"),
