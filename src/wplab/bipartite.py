@@ -21,19 +21,25 @@ second-mode occupancy of the block is
 
 with A = V^T diag(n) V: a constant plus a sum of phase-rotating terms,
 each unchanged when an eigenvector flips sign (so no sign convention is
-needed).  ``occupancy_sum`` gathers the constants and the pair terms of
-all blocks into one ``series.SpectralSum``, which takes every block's
+needed).  A level whose w_s is exactly zero (more than half of them at
+nu = 50, gamma/g = 5) makes every pair term it is in exactly zero, so
+only the fed pairs, both of whose levels have w_s != 0, are formed.
+``decompose_initial`` forms A right after each block's solve and keeps
+of it only what the sum reads: the constant and A_ss' over the fed
+pairs.  A ``SectorState`` holds those, the block's eigenvalues and w.
+Neither V nor A outlives its block, so the blocks' (N+1)^2 matrices
+(4.7 MB at nu = 50, 83 MB at nu = 200) are never held together.
+``occupancy_sum`` gathers the constants and the pair terms of all
+blocks into one ``series.SpectralSum``, which takes every block's
 eigenvalues, concatenated, as its levels and each term as a (s', s)
 index pair offset by its block's start, so the extended-precision phase
 work of ``SpectralSum.evaluate`` is per eigenvalue, not per pair.  There
-is no integration error.  A level whose w_s is exactly zero (more than
-half of them at nu = 50, gamma/g = 5) makes every pair term it is in
-exactly zero, so such pairs are counted in the sum's ``terms`` but never
-formed: ``evaluate`` would drop them first, adding nothing to the
-dropped mass, and sum the same terms in the same order.  It drops the
-smallest pair terms whose |amplitude| sums to at most
-``series.PRUNE_FRACTION`` of the total, which moves no sample by more
-than that dropped mass (``fig11-14`` keeps 508 of its 9 860 pairs).
+is no integration error.  The pairs that are not fed are counted in the
+sum's ``terms`` but never formed: ``evaluate`` would drop them first,
+adding nothing to the dropped mass, and sum the same terms in the same
+order.  It drops the smallest pair terms whose |amplitude| sums to at
+most ``series.PRUNE_FRACTION`` of the total, which moves no sample by
+more than that dropped mass (``fig11-14`` keeps 508 of its 9 860 pairs).
 The series metadata records the terms kept, the dropped mass and its
 budget, and |norm - 1| over the kept sectors.
 """
@@ -93,17 +99,34 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class SectorState:
-    """One conserved-N block: spectrum plus the initial data feeding it."""
+    """One conserved-N block: its eigenvalues, the initial data feeding
+    it, and the entries of A = V^T diag(n) V that the occupancy reads."""
 
     N: int
-    eig: EigenDecomposition
+    levels: np.ndarray  # ascending eigenvalues
     initial_coeffs: np.ndarray  # eigenbasis expansion of the starting vector
     initial_amp: complex  # field amplitude c_N routed into this block
+    atom_diag: float  # sum_s |w_s|^2 A_ss
+    atom_pairs: np.ndarray  # A_ss' over the fed pairs, in ``_fed_pairs`` order
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.initial_coeffs, dtype=np.complex128)
-        w.setflags(write=False)
-        object.__setattr__(self, "initial_coeffs", w)
+        for name, dtype in (
+            ("levels", np.float64),
+            ("initial_coeffs", np.complex128),
+            ("atom_pairs", np.float64),
+        ):
+            v = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+
+def _fed_pairs(coeffs: np.ndarray) -> np.ndarray:
+    """The level pairs (s, s'), s < s', whose coefficients are both
+    non-zero, as a (2, pairs) array in ``np.triu_indices`` order."""
+    fed = np.flatnonzero(coeffs)
+    # the strict upper triangle's row-major nonzeros, as triu_indices
+    # finds them but without its per-call overhead
+    return fed[np.asarray(np.nonzero(~np.tri(fed.size, dtype=bool)))]
 
 
 def sector_diagonals(N: int, p: TwoModeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -212,16 +235,26 @@ def decompose_initial(field: FockState, p: TwoModeParams) -> list[SectorState]:
 
     With the second mode empty, sector N starts in basis vector n = 0 and
     receives the field amplitude c_N.  Sectors carrying squared amplitude
-    below ``SECTOR_PRUNE_MASS`` are skipped.
+    below ``SECTOR_PRUNE_MASS`` are skipped.  Each sector's A is formed
+    right after its solve, and only the entries the occupancy reads
+    outlive it.
     """
     sectors = []
     for N, amp in enumerate(field.amplitudes):
         if abs(amp) ** 2 < SECTOR_PRUNE_MASS:
             continue
         eig = decompose(*sector_diagonals(N, p))
+        v = eig.eigenvectors
         # expansion of e_0 over eigenvectors: row 0 of the eigenvector matrix
-        coeffs = eig.eigenvectors[0, :].astype(np.complex128)
-        sectors.append(SectorState(N, eig, coeffs, complex(amp)))
+        coeffs = v[0, :].astype(np.complex128)
+        a = v.T @ (np.arange(N + 1.0)[:, None] * v)
+        # np.diag's strided view, not a contiguous copy: the copy's dot
+        # product rounds differently, and the preset digests pin these bits
+        diag = float(np.abs(coeffs) ** 2 @ np.diag(a))
+        lo, hi = _fed_pairs(coeffs)
+        sectors.append(
+            SectorState(N, eig.eigenvalues, coeffs, complex(amp), diag, a[lo, hi])
+        )
     return sectors
 
 
@@ -243,30 +276,26 @@ def occupancy_sum(sectors: list[SectorState]) -> tuple[SpectralSum, float, float
     """
     if not sectors:
         raise ValueError("no sectors to evolve")
-    # a level with w_s = 0 gives exactly zero pair terms: only the levels
-    # with w_s != 0 are paired, and the terms are filled in place, so they
-    # are held in memory once
-    fed = [np.flatnonzero(s.initial_coeffs) for s in sectors]
-    pairs = sum(f.size * (f.size - 1) // 2 for f in fed)
+    # a level with w_s = 0 gives exactly zero pair terms: only the fed
+    # pairs are formed, and the terms are filled in place, so they are
+    # held in memory once
+    pairs = sum(s.atom_pairs.size for s in sectors)
     amps = np.empty(pairs, dtype=np.complex128)
     upper = np.empty(pairs, dtype=np.intp)
     lower = np.empty(pairs, dtype=np.intp)
-    levels = np.concatenate([s.eig.eigenvalues for s in sectors])
+    levels = np.concatenate([s.levels for s in sectors])
     atom_const = total_number = norm = 0.0
     j0 = offset = 0
-    for s, f in zip(sectors, fed):
-        v = s.eig.eigenvectors
+    for s in sectors:
         w = s.initial_coeffs
         weight = abs(s.initial_amp) ** 2
-        a = v.T @ (np.arange(s.N + 1.0)[:, None] * v)
-        prob = np.abs(w) ** 2
-        mass = float(prob.sum())
-        atom_const += weight * float(prob @ np.diag(a))
+        mass = float((np.abs(w) ** 2).sum())
+        atom_const += weight * s.atom_diag
         total_number += weight * s.N * mass
         norm += weight * mass
-        lo, hi = f[np.asarray(np.triu_indices(f.size, 1))]
+        lo, hi = _fed_pairs(w)
         j1 = j0 + lo.size
-        amps[j0:j1] = 2.0 * weight * np.conj(w[lo]) * w[hi] * a[lo, hi]
+        amps[j0:j1] = 2.0 * weight * np.conj(w[lo]) * w[hi] * s.atom_pairs
         upper[j0:j1] = hi + offset
         lower[j0:j1] = lo + offset
         j0 = j1

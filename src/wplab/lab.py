@@ -280,10 +280,11 @@ def integer_from(low: int) -> Callable[[Any], int]:
 
 
 def positive(value) -> float:
-    """``number``, rejecting values that are not above zero (NaN too)."""
+    """``number``, rejecting values that are not above zero or not
+    finite (NaN and infinity)."""
     value = number(value)
-    if not value > 0:
-        raise ValueError(f"expected a positive number, got {value!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"expected a finite positive number, got {value!r}")
     return value
 
 

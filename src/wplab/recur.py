@@ -80,8 +80,8 @@ class RecurrencePlotData:
     window_start: int
     window_len: int
     epsilon: float
-    # (n_pairs, 2), i < j, sorted by (i, j); int32 when every index of
-    # the window fits, else int64
+    # (n_pairs, 2), i < j, sorted by (i, j); the narrowest of uint16,
+    # int32 and int64 that holds every index of the window
     pairs: np.ndarray
     embedding: Optional[EmbeddingSpec] = None
 
@@ -238,9 +238,18 @@ def recurrence_matrix(
     coordinate so far go on to the next: no (pairs, dimension) difference
     array is formed.
 
-    ``pairs`` is int32, 8 bytes a pair, when ``window_start +
-    window_len`` is at most 2**31, so that every index fits, and int64
-    otherwise.
+    Each chunk writes its pairs' keys straight into one array sized by
+    the candidate count, which is then sorted in place: no list of
+    pieces and no concatenated copy.  On a scalar window nearly every
+    candidate is a pair, so the array is about the pairs' size.  On an
+    embedded window it is larger, by a factor that grows with delay and
+    dimension: the candidates were 1.0 to 4.5 times the pairs on the
+    4 000-sample ``fig5``, ``fig6`` and ``fig11-14`` series embedded at
+    delays 5 and 25, d = 2-6.
+
+    ``pairs`` is uint16, 4 bytes a pair, when ``window_start +
+    window_len`` is at most 2**16, so that every index fits; int32 when
+    it is at most 2**31; and int64 otherwise.
     """
     if epsilon_frac <= 0:
         raise ValueError("epsilon_frac must be positive")
@@ -281,7 +290,8 @@ def recurrence_matrix(
     # the window does, and 32-bit keys sort in half the time
     shift = (count - 1).bit_length()
     order = order.astype(np.uint32 if shift <= 16 else np.int64)
-    keys = []
+    key = np.empty(int(cum[-1]), dtype=order.dtype)
+    filled = 0
     for a0, a1 in zip(np.r_[0, bounds + 1], np.r_[bounds + 1, count]):
         run = later[a0:a1]
         a = np.repeat(starts[a0:a1], run)
@@ -295,13 +305,15 @@ def recurrence_matrix(
             b = b[hit]
         i = order[a]
         j = order[b]
-        keys.append(np.minimum(i, j) << shift | np.maximum(i, j))
-    key = np.concatenate(keys)
-    del keys  # free the pieces before the sort and the pairs array
+        piece = key[filled : filled + a.size]
+        np.left_shift(np.minimum(i, j), shift, out=piece)
+        piece |= np.maximum(i, j)
+        filled += a.size
+    key = key[:filled]
     key.sort()
-    # int32 pairs when the window's last index fits 31 bits
-    wide = window_start + window_len > np.iinfo(np.int32).max + 1
-    pairs = np.empty((key.size, 2), dtype=np.int64 if wide else np.int32)
+    end = window_start + window_len  # one past the window's last index
+    dtype = np.uint16 if end <= 1 << 16 else np.int32 if end <= 1 << 31 else np.int64
+    pairs = np.empty((key.size, 2), dtype=dtype)
     np.right_shift(key, shift, out=pairs[:, 0])
     np.bitwise_and(key, (1 << shift) - 1, out=pairs[:, 1])
     pairs += window_start

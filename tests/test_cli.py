@@ -122,6 +122,10 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
         ("curve-stride = 20\n", ["--task", "lyapunov"]),
         # a config value out of its option's range
         ("max-reference = 0\n", ["--task", "lyapunov"]),
+        # positive values are finite too
+        ("", ["--task", "density", "--bin-width", "inf"]),
+        ("", ["--task", "rp", "--epsilon-frac", "inf"]),
+        ("bin-width = inf\n", ["--task", "density"]),
     ],
 )
 def test_bad_options_exit_2_before_reading(tmp_path, config_text, flags):

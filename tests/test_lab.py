@@ -441,6 +441,10 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("rp", {"window_len": 1}, "window_len"),
         ("fnn", {"delay": 0}, "delay"),
         ("rp", {"delay": 2, "dimension": 0}, "dimension"),
+        # positive options are finite too
+        ("density", {"bin_width": float("inf")}, "bin_width"),
+        ("rp", {"epsilon_frac": "inf"}, "epsilon_frac"),
+        ("lyapunov", {"epsilon_frac": float("inf")}, "epsilon_frac"),
     ],
 )
 def test_bad_options_fail_before_reading(tmp_path, task, options, named):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplab import lab, recur
+from wplab import lab, recur, seriesio, svg
 from wplab.benchmarks import henon_series, rotation_series, sine_series
 from wplab.embed import EmbeddingSpec, delay_embed
 from wplab.recur import (
@@ -393,10 +393,33 @@ class TestRecurrenceMatrix:
         ts = henon_series(900)
         spec = EmbeddingSpec(delay=3, dimension=4)
         rp = recurrence_matrix(ts, 100, 700, epsilon_frac=0.3, embed=spec)
-        # every index of the window [100, 800) fits 31 bits
-        assert rp.pairs.dtype == np.int32
+        # every index of the window [100, 800) fits 16 bits
+        assert rp.pairs.dtype == np.uint16
         expect = brute_force_recurrences(ts, 100, 700, rp.epsilon, spec)
         assert np.array_equal(rp.pairs, expect)
+
+    @pytest.mark.parametrize(
+        "end, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)]
+    )
+    def test_pair_dtype_at_16_bit_boundary(self, tmp_path, end, dtype):
+        # the window's last index is end - 1: 65 535 is the largest that
+        # uint16 holds.  The text export and the plot read the same
+        # numbers whatever the dtype
+        ts = sine_series(end, period=10.0)
+        rp = recurrence_matrix(ts, end - 300, 300, epsilon_frac=0.1)
+        assert rp.pairs.dtype == dtype
+        assert rp.pairs.max() == end - 1
+        expect = brute_force_recurrences(ts, end - 300, 300, rp.epsilon)
+        assert np.array_equal(rp.pairs, expect)
+        text = seriesio.write_recurrence(rp, tmp_path / "rp.txt").read_text()
+        rows = "".join("%d %d\n" % (i, j) for i, j in expect.tolist())
+        assert text.endswith("# columns: i j\n" + rows)
+
+        def drawn(pairs, name):
+            path = svg.points_svg(pairs[:, 0], pairs[:, 1], tmp_path / name, "rp")
+            return path.read_bytes()
+
+        assert drawn(rp.pairs, "a.svg") == drawn(rp.pairs.astype(np.int32), "b.svg")
 
     def test_window_too_wide_for_32_bit_keys(self):
         # a pair key (i << shift) | j of 70 001 states needs 34 bits; the
