@@ -52,3 +52,41 @@ def sine_series(length: int, period: float, dt: float = 1.0) -> TimeSeries:
     return TimeSeries(
         dt, np.sin(2.0 * np.pi * k / period), observable="sine", meta={"period": period}
     )
+
+
+
+def _rk4(field, dt: float, length: int, burn_in: int = 5000) -> np.ndarray:
+    """x of the fixed-step RK4 orbit of (x, y, z)' = field(x, y, z) from
+    (1, 1, 1), one sample a step after ``burn_in`` steps."""
+    v, out = (1.0, 1.0, 1.0), np.empty(burn_in + length)
+    for k in range(out.size):
+        out[k] = v[0]
+        a = field(*v)
+        b = field(*(s + 0.5 * dt * e for s, e in zip(v, a)))
+        c = field(*(s + 0.5 * dt * e for s, e in zip(v, b)))
+        d = field(*(s + dt * e for s, e in zip(v, c)))
+        v = tuple(
+            s + dt / 6.0 * (p + 2.0 * q + 2.0 * r + w)
+            for s, p, q, r, w in zip(v, a, b, c, d)
+        )
+    return out[burn_in:]
+
+
+def lorenz_series(length: int, dt: float = 0.01) -> TimeSeries:
+    """x of the Lorenz flow (sigma = 16, R = 45.92, b = 4) by RK4 after a
+    transient; lambda_1 = 1.50 (Rosenstein et al., Physica D 65 (1993) 117)."""
+
+    def field(x, y, z):
+        return 16.0 * (y - x), x * (45.92 - z) - y, x * y - 4.0 * z
+
+    return TimeSeries(dt, _rk4(field, dt, length), observable="lorenz_x")
+
+
+def rossler_series(length: int, dt: float = 0.1) -> TimeSeries:
+    """x of the Rossler flow (a = 0.15, b = 0.2, c = 10) by RK4 after a
+    transient; lambda_1 = 0.090 (Rosenstein et al. 1993)."""
+
+    def field(x, y, z):
+        return -y - z, x + 0.15 * y, 0.2 + z * (x - 10.0)
+
+    return TimeSeries(dt, _rk4(field, dt, length), observable="rossler_x")

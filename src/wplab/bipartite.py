@@ -16,19 +16,21 @@ solves.  The routine that ran is reported by ``sector_eigensolver``.
 Starting from e_0 with eigenbasis coefficients w = V[0, :], the
 second-mode occupancy of the block is
 
-    sum_s |w_s|^2 A_ss
-      + Re sum_{s<s'} 2 conj(w_s) w_s' A_ss' exp(-i (lambda_s' - lambda_s) t),
+    sum_s w_s^2 A_ss
+      + Re sum_{s<s'} 2 w_s w_s' A_ss' exp(-i (lambda_s' - lambda_s) t),
 
 with A = V^T diag(n) V: a constant plus a sum of phase-rotating terms,
 each unchanged when an eigenvector flips sign (so no sign convention is
-needed).  A level whose w_s is exactly zero (more than half of them at
-nu = 50, gamma/g = 5) makes every pair term it is in exactly zero, so
-only the fed pairs, both of whose levels have w_s != 0, are formed.
+needed).  V is real, and so is every amplitude.  A level whose w_s is
+exactly zero (more than half of them at nu = 50, gamma/g = 5) makes
+every pair term it is in exactly zero, so only the fed pairs, both of
+whose levels have w_s != 0, are formed.
 ``decompose_initial`` forms A right after each block's solve and keeps
 of it only what the sum reads: the constant and A_ss' over the fed
-pairs.  A ``SectorState`` holds those, the block's eigenvalues and w.
-Neither V nor A outlives its block, so the blocks' (N+1)^2 matrices
-(4.7 MB at nu = 50, 83 MB at nu = 200) are never held together.
+pairs.  A ``SectorState`` holds those, the block's eigenvalues, a copy
+of w and the field probability |c_N|^2 fed to it.  Neither V nor A
+outlives its block, so the blocks' (N+1)^2 matrices (4.7 MB at nu = 50,
+83 MB at nu = 200) are never held together.
 ``occupancy_sum`` gathers the constants and the pair terms of all
 blocks into one ``series.SpectralSum``, which takes every block's
 eigenvalues, concatenated, as its levels and each term as a (s', s)
@@ -104,18 +106,14 @@ class SectorState:
 
     N: int
     levels: np.ndarray  # ascending eigenvalues
-    initial_coeffs: np.ndarray  # eigenbasis expansion of the starting vector
-    initial_amp: complex  # field amplitude c_N routed into this block
-    atom_diag: float  # sum_s |w_s|^2 A_ss
+    initial_coeffs: np.ndarray  # eigenbasis expansion w of the starting vector
+    weight: float  # |c_N|^2, the field probability routed into this block
+    atom_diag: float  # sum_s w_s^2 A_ss
     atom_pairs: np.ndarray  # A_ss' over the fed pairs, in ``_fed_pairs`` order
 
     def __post_init__(self):
-        for name, dtype in (
-            ("levels", np.float64),
-            ("initial_coeffs", np.complex128),
-            ("atom_pairs", np.float64),
-        ):
-            v = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+        for name in ("levels", "initial_coeffs", "atom_pairs"):
+            v = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
@@ -240,21 +238,21 @@ def decompose_initial(field: FockState, p: TwoModeParams) -> list[SectorState]:
     outlive it.
     """
     sectors = []
-    for N, amp in enumerate(field.amplitudes):
-        if abs(amp) ** 2 < SECTOR_PRUNE_MASS:
+    for N, amp in enumerate(field.amplitudes.tolist()):
+        weight = abs(amp) ** 2
+        if weight < SECTOR_PRUNE_MASS:
             continue
         eig = decompose(*sector_diagonals(N, p))
         v = eig.eigenvectors
-        # expansion of e_0 over eigenvectors: row 0 of the eigenvector matrix
-        coeffs = v[0, :].astype(np.complex128)
+        # expansion of e_0 over eigenvectors: row 0 of the eigenvector
+        # matrix, copied, since a view of it would keep all of v alive
+        coeffs = v[0].copy()
         a = v.T @ (np.arange(N + 1.0)[:, None] * v)
         # np.diag's strided view, not a contiguous copy: the copy's dot
         # product rounds differently, and the preset digests pin these bits
-        diag = float(np.abs(coeffs) ** 2 @ np.diag(a))
+        diag = float(coeffs**2 @ np.diag(a))
         lo, hi = _fed_pairs(coeffs)
-        sectors.append(
-            SectorState(N, eig.eigenvalues, coeffs, complex(amp), diag, a[lo, hi])
-        )
+        sectors.append(SectorState(N, eig.eigenvalues, coeffs, weight, diag, a[lo, hi]))
     return sectors
 
 
@@ -280,7 +278,7 @@ def occupancy_sum(sectors: list[SectorState]) -> tuple[SpectralSum, float, float
     # pairs are formed, and the terms are filled in place, so they are
     # held in memory once
     pairs = sum(s.atom_pairs.size for s in sectors)
-    amps = np.empty(pairs, dtype=np.complex128)
+    amps = np.empty(pairs)
     upper = np.empty(pairs, dtype=np.intp)
     lower = np.empty(pairs, dtype=np.intp)
     levels = np.concatenate([s.levels for s in sectors])
@@ -288,14 +286,13 @@ def occupancy_sum(sectors: list[SectorState]) -> tuple[SpectralSum, float, float
     j0 = offset = 0
     for s in sectors:
         w = s.initial_coeffs
-        weight = abs(s.initial_amp) ** 2
-        mass = float((np.abs(w) ** 2).sum())
-        atom_const += weight * s.atom_diag
-        total_number += weight * s.N * mass
-        norm += weight * mass
+        mass = float((w**2).sum())
+        atom_const += s.weight * s.atom_diag
+        total_number += s.weight * s.N * mass
+        norm += s.weight * mass
         lo, hi = _fed_pairs(w)
         j1 = j0 + lo.size
-        amps[j0:j1] = 2.0 * weight * np.conj(w[lo]) * w[hi] * s.atom_pairs
+        amps[j0:j1] = 2.0 * s.weight * w[lo] * w[hi] * s.atom_pairs
         upper[j0:j1] = hi + offset
         lower[j0:j1] = lo + offset
         j0 = j1

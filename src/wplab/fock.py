@@ -3,6 +3,8 @@
 Coherent states and photon-added coherent states are built from
 log-domain amplitude recursions, so photon numbers of a few hundred
 never overflow, then renormalized on the truncated basis.
+``choose_truncation`` picks that basis from one summation of the
+analytically normalized probabilities over the capped basis.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ def laguerre(m: int, x: float) -> float:
 def _log_factorials(n: int) -> np.ndarray:
     """ln(k!) for k = 0..n, accumulated term by term."""
     out = np.zeros(n + 1)
-    if n >= 1:
-        out[1:] = np.cumsum(np.log(np.arange(1, n + 1, dtype=np.float64)))
+    out[1:] = np.cumsum(np.log(np.arange(1, n + 1, dtype=np.float64)))
     return out
 
 
@@ -146,35 +147,21 @@ def overlap(s1: FockState, s2: FockState) -> complex:
 
 
 def choose_truncation(alpha: complex, m: int) -> int:
-    """Smallest n_max <= N_MAX_CAP whose truncation loses < EPSILON_TRUNC.
+    """Smallest n_max >= m + 1 whose truncation loses < EPSILON_TRUNC.
 
-    Starts from a heuristic guess, then verifies by explicit summation of the
-    analytically normalized amplitudes; both the out-of-basis mass and the
-    mass in the last two kept states must be below the tolerance.
+    One summation of the analytically normalized amplitudes over the
+    capped basis 0..N_MAX_CAP: the first n_max at which both the
+    out-of-basis mass and the mass in the last two kept states are below
+    the tolerance.  Each is a prefix of that summation, so it does not
+    depend on the basis size summed over.
     """
-    nu = abs(alpha) ** 2
-    guess = int(math.ceil(nu + m + 8.0 * math.sqrt(nu + 1.0) + 20.0))
-    probe = min(N_MAX_CAP, max(guess, m + 2))
-
-    def tail_ok(upto: int) -> np.ndarray:
-        # per candidate n: out-of-basis and last-two mass both < EPSILON_TRUNC
-        raw = _pacs_raw_amplitudes(alpha, m, upto)
-        p = np.abs(raw) ** 2
-        cum = np.cumsum(p)
-        out_mass = 1.0 - cum
-        last_two = p.copy()
-        last_two[1:] += p[:-1]
-        return (out_mass < EPSILON_TRUNC) & (last_two < EPSILON_TRUNC)
-
-    lo = max(1, m + 1)
-    while True:
-        ok = tail_ok(probe)
-        hits = np.flatnonzero(ok[lo:]) + lo
-        if hits.size:
-            return int(hits[0])
-        if probe >= N_MAX_CAP:
-            raise CapExceededError(
-                f"no n_max <= {N_MAX_CAP} reaches tail mass < {EPSILON_TRUNC:g} "
-                f"for nu={nu:g}, m={m}"
-            )
-        probe = min(N_MAX_CAP, probe * 2)
+    p = np.abs(_pacs_raw_amplitudes(alpha, m, N_MAX_CAP)) ** 2
+    last_two = p + np.append(0.0, p[:-1])
+    ok = (1.0 - np.cumsum(p) < EPSILON_TRUNC) & (last_two < EPSILON_TRUNC)
+    hits = np.flatnonzero(ok[m + 1 :])
+    if not hits.size:
+        raise CapExceededError(
+            f"no n_max <= {N_MAX_CAP} reaches tail mass < {EPSILON_TRUNC:g} "
+            f"for nu={abs(alpha) ** 2:g}, m={m}"
+        )
+    return int(hits[0]) + m + 1

@@ -18,7 +18,6 @@ which names the kernel and thread count.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import json
 import math
 import numbers
@@ -159,13 +158,27 @@ def blas_environment() -> dict[str, Any]:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    import hashlib  # maps OpenSSL (3.6 MB of RSS), which only manifests need
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class OptionError(ValueError):
     """Bad input found before any work: a preset id, model input or option."""
+
+
+def _is(value, kind: type) -> bool:
+    """``value`` is an instance of the ``numbers`` class ``kind``, not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_grid(dt, steps) -> None:
+    """``OptionError`` unless dt is a finite positive real and steps an
+    integer >= 1 (bools are neither)."""
+    if not (_is(dt, numbers.Real) and math.isfinite(dt) and dt > 0):
+        raise OptionError(f"dt must be finite and positive, got {dt!r}")
+    if not (_is(steps, numbers.Integral) and steps >= 1):
+        raise OptionError(f"steps must be an integer >= 1, got {steps!r}")
 
 
 def initial_field_state(nu: float, m: int) -> FockState:
@@ -199,13 +212,10 @@ def simulate_series(
             f"model {model!r} takes no parameter {', '.join(map(repr, unknown))}; "
             f"its parameters are {', '.join(known)}"
         )
-    if not (math.isfinite(dt) and dt > 0):
-        raise OptionError(f"dt must be finite and positive, got {dt!r}")
-    if steps < 1:
-        raise OptionError(f"steps must be at least 1, got {steps!r}")
-    if not (math.isfinite(nu) and nu >= 0):
+    _check_grid(dt, steps)
+    if not (_is(nu, numbers.Real) and math.isfinite(nu) and nu >= 0):
         raise OptionError(f"nu must be finite and nonnegative, got {nu!r}")
-    if not (isinstance(m, numbers.Integral) and m >= 0):
+    if not (_is(m, numbers.Integral) and m >= 0):
         raise OptionError(f"m must be a nonnegative integer, got {m!r}")
     bad = [k for k in known if k in params and not math.isfinite(params[k])]
     if model == "kerr":
@@ -251,7 +261,7 @@ def integer(value) -> int:
     """An integer, or its decimal text."""
     if isinstance(value, str):
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is(value, numbers.Integral):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -260,7 +270,7 @@ def number(value) -> float:
     """A real number, or its text."""
     if isinstance(value, str):
         return float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -823,8 +833,9 @@ def run_preset(
     out_dir = Path(out_dir)
     if steps is None:
         steps = preset.full_steps if full_scale else preset.steps
-    run_steps = int(steps)
-    run_dt = float(dt) if dt is not None else preset.dt
+    dt = preset.dt if dt is None else dt
+    _check_grid(dt, steps)
+    run_steps, run_dt = int(steps), float(dt)
     resolved = _check_steps(preset, run_steps)
 
     t0 = time.perf_counter()

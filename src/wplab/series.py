@@ -143,7 +143,7 @@ class SpectralSum:
     the model's term count, which may include terms never formed because
     they are exactly zero; None counts the given ones.  The arrays are
     kept as the caller gave them, and checked and converted by
-    ``evaluate``.
+    ``evaluate``, which keeps real amplitudes real.
     """
 
     amp: Any
@@ -181,7 +181,9 @@ class SpectralSum:
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        amp = np.asarray(self.amp, dtype=np.complex128).ravel()
+        # real amplitudes stay real: numpy multiplies them as (a, 0) anyway
+        kind = np.complex128 if np.iscomplexobj(self.amp) else np.float64
+        amp = np.asarray(self.amp, dtype=kind).ravel()
         levels = np.asarray(self.levels, dtype=np.float64).ravel()
         upper = _level_index(self.upper, amp.size, levels.size, "upper")
         lower = _level_index(self.lower, amp.size, levels.size, "lower")

@@ -12,6 +12,7 @@ from wplab.bipartite import (
     decompose,
     decompose_initial,
     occupancy_series,
+    occupancy_sum,
     sector_diagonals,
 )
 from wplab.fock import FockState, mean_photon_number, pacs_amplitudes
@@ -48,7 +49,7 @@ class TestDecomposeInitial:
         sectors = decompose_initial(pacs_amplitudes(0.0, 0, 5), TwoModeParams())
         assert len(sectors) == 1
         assert sectors[0].N == 0
-        assert sectors[0].initial_amp == 1.0 + 0.0j
+        assert sectors[0].weight == 1.0
 
     def test_fock1_coeffs(self):
         # N=1 sector at omega=omega0: eigenvectors (1, -1)/sqrt2 and (1, 1)/sqrt2;
@@ -63,17 +64,27 @@ class TestDecomposeInitial:
     def test_total_weight(self):
         field = pacs_amplitudes(math.sqrt(5.0), 5, 60)
         sectors = decompose_initial(field, TwoModeParams(gamma=5.0))
-        total = sum(
-            abs(s.initial_amp) ** 2 * float(np.sum(np.abs(s.initial_coeffs) ** 2))
-            for s in sectors
-        )
+        total = sum(s.weight * float(np.sum(s.initial_coeffs**2)) for s in sectors)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_pruning(self):
         field = pacs_amplitudes(1.0, 0, 40)
         sectors = decompose_initial(field, TwoModeParams())
-        assert all(abs(s.initial_amp) ** 2 >= 1e-14 for s in sectors)
+        assert all(s.weight >= 1e-14 for s in sectors)
         assert len(sectors) < 41
+
+    def test_sector_data_are_real(self):
+        # the blocks are real symmetric, so nothing a sector holds or the
+        # sum forms is complex, and the coefficients are a copy of row 0:
+        # a view of it would keep the block's eigenvector matrix alive
+        field = pacs_amplitudes(math.sqrt(5.0), 5, 60)
+        sectors = decompose_initial(field, TwoModeParams(gamma=5.0))
+        for s in sectors:
+            assert isinstance(s.weight, float)
+            for data in (s.levels, s.initial_coeffs, s.atom_pairs):
+                assert data.dtype == np.float64
+            assert s.initial_coeffs.base is None
+        assert occupancy_sum(sectors)[0].amp.dtype == np.float64
 
 
 def dense_block_hamiltonian(n_cap, p):
@@ -206,7 +217,8 @@ class TestSeries:
 
 def occupancy_every_pair(sectors, p, dt, steps):
     """The series with a pair term formed for every pair of levels, zero
-    or not: the construction before zero terms were skipped."""
+    or not, in complex arithmetic: the construction before zero terms
+    were skipped and the sector data became real."""
     pairs = sum(s.N * (s.N + 1) // 2 for s in sectors)
     amps = np.empty(pairs, dtype=np.complex128)
     upper = np.empty(pairs, dtype=np.intp)
@@ -218,8 +230,8 @@ def occupancy_every_pair(sectors, p, dt, steps):
     j0 = offset = 0
     for s, eig in zip(sectors, eigs):
         v = eig.eigenvectors
-        w = s.initial_coeffs
-        weight = abs(s.initial_amp) ** 2
+        w = s.initial_coeffs.astype(np.complex128)
+        weight = s.weight
         a = v.T @ (np.arange(s.N + 1.0)[:, None] * v)
         prob = np.abs(w) ** 2
         mass = float(prob.sum())

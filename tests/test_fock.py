@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from wplab import fock
 from wplab.fock import (
+    EPSILON_TRUNC,
+    N_MAX_CAP,
     CapExceededError,
     FockState,
     TruncationInsufficientError,
@@ -199,6 +202,38 @@ class TestOverlap:
             overlap(pacs_amplitudes(1.0, 0, 30), pacs_amplitudes(1.0, 0, 31))
 
 
+def probed_truncation(alpha, m):
+    """The truncation from a guessed basis size, doubled until it holds a
+    hit: the search one scan over the capped basis replaced."""
+    nu = abs(alpha) ** 2
+    guess = int(math.ceil(nu + m + 8.0 * math.sqrt(nu + 1.0) + 20.0))
+    probe = min(N_MAX_CAP, max(guess, m + 2))
+    while True:
+        p = np.abs(fock._pacs_raw_amplitudes(alpha, m, probe)) ** 2
+        last_two = p.copy()
+        last_two[1:] += p[:-1]
+        ok = (1.0 - np.cumsum(p) < EPSILON_TRUNC) & (last_two < EPSILON_TRUNC)
+        hits = np.flatnonzero(ok[m + 1 :])
+        if hits.size:
+            return int(hits[0]) + m + 1
+        if probe >= N_MAX_CAP:
+            raise CapExceededError(probe)
+        probe = min(N_MAX_CAP, probe * 2)
+
+
+def scanned_truncation(alpha, m):
+    """The definition, one n at a time: the first n >= m + 1 at which the
+    mass beyond state n and the mass in states n - 1 and n are both below
+    EPSILON_TRUNC, summed in order over the capped basis."""
+    p = (np.abs(fock._pacs_raw_amplitudes(alpha, m, N_MAX_CAP)) ** 2).tolist()
+    total = 0.0
+    for n, pn in enumerate(p):
+        total += pn
+        if n > m and 1.0 - total < EPSILON_TRUNC and pn + p[n - 1] < EPSILON_TRUNC:
+            return n
+    raise CapExceededError(N_MAX_CAP)
+
+
 class TestChooseTruncation:
     def test_vacuum_small(self):
         n = choose_truncation(0.0, 0)
@@ -228,6 +263,26 @@ class TestChooseTruncation:
         # nu = 4900 needs n_max ~ 4900 + 8 * 70, beyond the cap of 4096
         with pytest.raises(CapExceededError, match="4096"):
             choose_truncation(70.0, 0)
+
+    @pytest.mark.parametrize(
+        "nu", [0.0, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
+               2000.0, 3000.0, 4000.0, 4900.0]
+    )
+    def test_one_scan_matches_probing_and_the_definition(self, nu):
+        # nu = 4000 and 4900 exceed the cap
+        alpha = math.sqrt(nu)
+        for m in (0, 1, 2, 5, 10, 20, 50):
+            expect = []
+            for oracle in (probed_truncation, scanned_truncation):
+                try:
+                    expect.append(oracle(alpha, m))
+                except CapExceededError:
+                    expect.append(None)
+            try:
+                got = choose_truncation(alpha, m)
+            except CapExceededError:
+                got = None
+            assert expect == [got, got], (nu, m)
 
 
 class TestFockState:

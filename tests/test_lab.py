@@ -110,6 +110,9 @@ def test_manifest_failure_leaves_no_outputs(tmp_path, monkeypatch, fails):
         ("table1", 20_000, "horizon"),
         # its delay search, up to lag 400, needs more than 4 000 samples
         ("table1", 4000, "max_lag"),
+        # not truncated to 100 steps, nor read as 1
+        ("fig5", 100.7, "steps must be an integer"),
+        ("fig5", True, "steps must be an integer"),
     ],
 )
 def test_bad_steps_fail_before_simulating(
@@ -144,7 +147,7 @@ def test_series_sidecar_records_pruning(tmp_path):
         ("bipartite", {"gamma": 5.0}, float("inf"), "dt"),
         ("bipartite", {"gamma": 5.0}, 0.0, "dt"),
         ("kerr", {"chi": 1.0, "chi_prime": 0.0}, -1e-3, "dt"),
-        # nu and m, where a case sets them, ride in the parameter dict
+        # nu, m and steps, where a case sets them, ride in the parameter dict
         ("kerr", {"chi": 1.0, "chi_prime": 0.0, "nu": -1.0}, 1e-3, "nu"),
         ("kerr", {"chi": 1.0, "chi_prime": 0.0, "nu": float("nan")}, 1e-3, "nu"),
         ("bipartite", {"gamma": 5.0, "nu": float("inf")}, 1e-3, "nu"),
@@ -155,6 +158,16 @@ def test_series_sidecar_records_pruning(tmp_path):
         ("bipartite", {"gamma": 5.0, "g": -1.0}, 1e-3, "coupling g"),
         ("bipartite", {"omega": float("nan"), "gamma": 5.0}, 1e-3, "'omega'"),
         ("bipartite", {"gamma": float("inf")}, 1e-3, "'gamma'"),
+        # a float count reached the kernel as a TypeError after the state
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0, "steps": 1e5}, 1e-3, "steps must"),
+        ("bipartite", {"gamma": 5.0, "steps": True}, 1e-3, "steps must"),
+        ("bipartite", {"gamma": 5.0, "steps": "50"}, 1e-3, "steps must"),
+        # True passed as an Integral and broke state preparation
+        ("bipartite", {"gamma": 5.0, "m": True}, 1e-3, "m must"),
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0, "nu": True}, 1e-3, "nu must"),
+        ("bipartite", {"gamma": 5.0, "nu": "5"}, 1e-3, "nu must"),
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0}, True, "dt must"),
+        ("bipartite", {"gamma": 5.0}, "0.001", "dt must"),
     ],
 )
 def test_bad_model_input_fails_before_any_state(
@@ -166,9 +179,22 @@ def test_bad_model_input_fails_before_any_state(
     monkeypatch.setattr(lab, "initial_field_state", no_state)
     params = dict(params)
     initial = (params.pop("nu", 5.0), params.pop("m", 5))
+    steps = params.pop("steps", 50)
     with pytest.raises(lab.OptionError, match=named):
-        lab.simulate(model, params, initial, dt, 50, tmp_path / "s.wprs")
+        lab.simulate(model, params, initial, dt, steps, tmp_path / "s.wprs")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("dt", [True, "0.001", 0.0])
+def test_bad_preset_dt_fails_before_simulating(tmp_path, monkeypatch, dt):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate_series ran")
+
+    monkeypatch.setattr(lab, "simulate_series", no_simulation)
+    out = tmp_path / "out"
+    with pytest.raises(lab.OptionError, match="dt must"):
+        lab.run_preset("fig5", out, dt=dt)
+    assert not out.exists()
 
 
 # every preset at small steps: long enough for its recurrence window and
@@ -486,6 +512,7 @@ series = lab.simulate("bipartite", params, (5.0, 5), 1e-3, 4000, out / "s.wprs")
 for task in ("rp", "density", "returnmap", "f1", "f2"):
     lab.analyze(task, series, {}, out)
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+assert "_hashlib" not in sys.modules, "OpenSSL was loaded"
 """
 
 
@@ -501,26 +528,3 @@ def test_two_mode_run_does_not_import_masked_arrays(tmp_path):
         timeout=120,
     )
     assert len(list(tmp_path.glob("s_*.txt"))) == 5
-
-
-REGULAR_CONTROLS = {
-    "cos2": lambda t: np.cos(t) ** 2,  # periodic
-    "cos-plus-cos-sqrt2": lambda t: np.cos(t) + np.cos(np.sqrt(2.0) * t),
-}
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="verdict defect, ROADMAP direction 1: known-regular signals come out "
-    "chaotic (cos2: lambda 0.048 on fit [1520, 1600], R2 0.9992; "
-    "cos-plus-cos-sqrt2: lambda 0.349)",
-)
-@pytest.mark.parametrize("control", sorted(REGULAR_CONTROLS))
-def test_regular_control_is_not_chaotic(control):
-    # the table presets' classify options, on 60 000 samples at dt = 1e-3
-    (item,) = PRESETS["table1"].analyses
-    t = np.arange(60_000) * 1e-3
-    series = TimeSeries(1e-3, REGULAR_CONTROLS[control](t))
-    options = lab.resolve_options(item.task, item.options)
-    _, payload = lab._lyapunov_report(item.task, series, options)
-    assert payload["label"] != "chaotic", payload

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,30 @@ class TestTableBuffer:
         # factor arrays (6.3 MB); with a second table alive at once, as
         # a fresh table per chunk holds, the peak was 10.1 MB
         assert peak < 2 * table
+
+
+@pytest.mark.parametrize("steps", [7, 4000])
+@pytest.mark.parametrize("make", ["two-mode-wide", "random"])
+def test_real_amplitudes_keep_their_bits(monkeypatch, steps, make):
+    # real amplitudes are evaluated as given, not copied to complex128:
+    # samples and report are the bits of the same amplitudes cast
+    if make == "random":
+        # signed magnitudes over 20 decades, so pruning drops some; a
+        # small table budget splits the terms into chunks
+        rng = np.random.default_rng(8)
+        amp = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-20.0, 0.0, 200)
+        upper = np.arange(1, 201)
+        s = SpectralSum(amp, [0.0, *rng.uniform(-500.0, 500.0, 200)], upper, 0 * upper)
+        monkeypatch.setattr(series, "_TABLE_BYTES", 16 * block_rows(steps) * 30)
+        dt = 1e-3
+    else:
+        s, dt = two_mode_wide_sum()
+    assert s.amp.dtype == np.float64
+    x, report = s.evaluate(dt, steps)
+    y, expect = replace(s, amp=s.amp.astype(np.complex128)).evaluate(dt, steps)
+    assert x.tobytes() == y.tobytes()
+    assert report == expect
+    assert 0 < report["spectral_terms_kept"] < report["spectral_terms"]
 
 
 def test_exact_kerr_revival():
