@@ -1,8 +1,6 @@
 """Numerical laboratory for wave-packet dynamics of nonlinear
 quantum-optical models and recurrence-based time-series analysis."""
 
-import types
-
 from .bipartite import (
     EigenDecomposition,
     TwoModeParams,
@@ -50,9 +48,48 @@ from .series import TimeSeries
 
 __version__ = "0.1.0"
 
-# every name imported above: the submodules stay out of ``import *``
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not (name.startswith("_") or isinstance(value, types.ModuleType))
-)
+__all__ = [
+    "Cell",
+    "Classification",
+    "DensityHistogram",
+    "EigenDecomposition",
+    "EmbeddingSpec",
+    "FockState",
+    "LyapunovResult",
+    "RecurrencePlotData",
+    "ReturnTimeHistogram",
+    "RunManifest",
+    "SingleModeSpectrum",
+    "TimeSeries",
+    "TwoModeParams",
+    "analyze",
+    "build_sector",
+    "choose_truncation",
+    "classify",
+    "decompose",
+    "decompose_initial",
+    "delay_embed",
+    "evolve_diagonal",
+    "false_nearest_neighbors",
+    "first_return_times",
+    "fit_exponential",
+    "generate_series_x",
+    "invariant_density",
+    "kerr_spectrum",
+    "laguerre",
+    "lyapunov_kantz",
+    "lyapunov_rosenstein",
+    "mean_photon_number",
+    "mutual_information_delay",
+    "overlap",
+    "pacs_amplitudes",
+    "quadrature_expectation",
+    "recurrence_matrix",
+    "return_map",
+    "run_preset",
+    "second_return_times",
+    "sector_diagonals",
+    "simulate",
+    "simulate_series",
+    "support_sparsity",
+]

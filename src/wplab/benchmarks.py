@@ -54,11 +54,10 @@ def sine_series(length: int, period: float, dt: float = 1.0) -> TimeSeries:
     )
 
 
-
-def _rk4(field, dt: float, length: int, burn_in: int = 5000) -> np.ndarray:
+def _rk4(field, dt: float, length: int) -> np.ndarray:
     """x of the fixed-step RK4 orbit of (x, y, z)' = field(x, y, z) from
-    (1, 1, 1), one sample a step after ``burn_in`` steps."""
-    v, out = (1.0, 1.0, 1.0), np.empty(burn_in + length)
+    (1, 1, 1), one sample a step after 5 000 transient steps."""
+    v, out = (1.0, 1.0, 1.0), np.empty(5000 + length)
     for k in range(out.size):
         out[k] = v[0]
         a = field(*v)
@@ -69,24 +68,25 @@ def _rk4(field, dt: float, length: int, burn_in: int = 5000) -> np.ndarray:
             s + dt / 6.0 * (p + 2.0 * q + 2.0 * r + w)
             for s, p, q, r, w in zip(v, a, b, c, d)
         )
-    return out[burn_in:]
+    return out[5000:]
 
 
-def lorenz_series(length: int, dt: float = 0.01) -> TimeSeries:
-    """x of the Lorenz flow (sigma = 16, R = 45.92, b = 4) by RK4 after a
-    transient; lambda_1 = 1.50 (Rosenstein et al., Physica D 65 (1993) 117)."""
+def lorenz_series(length: int) -> TimeSeries:
+    """x of the Lorenz flow (sigma = 16, R = 45.92, b = 4) by RK4 at
+    dt = 0.01 after a transient; lambda_1 = 1.50 (Rosenstein et al.,
+    Physica D 65 (1993) 117)."""
 
     def field(x, y, z):
         return 16.0 * (y - x), x * (45.92 - z) - y, x * y - 4.0 * z
 
-    return TimeSeries(dt, _rk4(field, dt, length), observable="lorenz_x")
+    return TimeSeries(0.01, _rk4(field, 0.01, length), observable="lorenz_x")
 
 
-def rossler_series(length: int, dt: float = 0.1) -> TimeSeries:
-    """x of the Rossler flow (a = 0.15, b = 0.2, c = 10) by RK4 after a
-    transient; lambda_1 = 0.090 (Rosenstein et al. 1993)."""
+def rossler_series(length: int) -> TimeSeries:
+    """x of the Rossler flow (a = 0.15, b = 0.2, c = 10) by RK4 at dt = 0.1
+    after a transient; lambda_1 = 0.090 (Rosenstein et al. 1993)."""
 
     def field(x, y, z):
         return -y - z, x + 0.15 * y, 0.2 + z * (x - 10.0)
 
-    return TimeSeries(dt, _rk4(field, dt, length), observable="rossler_x")
+    return TimeSeries(0.1, _rk4(field, 0.1, length), observable="rossler_x")

@@ -155,6 +155,8 @@ def choose_truncation(alpha: complex, m: int) -> int:
     the tolerance.  Each is a prefix of that summation, so it does not
     depend on the basis size summed over.
     """
+    if m >= N_MAX_CAP:
+        raise CapExceededError(f"m={m} leaves no n_max >= m + 1 within {N_MAX_CAP}")
     p = np.abs(_pacs_raw_amplitudes(alpha, m, N_MAX_CAP)) ** 2
     last_two = p + np.append(0.0, p[:-1])
     ok = (1.0 - np.cumsum(p) < EPSILON_TRUNC) & (last_two < EPSILON_TRUNC)

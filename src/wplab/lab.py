@@ -47,7 +47,7 @@ from .embed import (
     lyapunov_rosenstein,
     mutual_information_delay,
 )
-from .fock import FockState, choose_truncation, pacs_amplitudes
+from .fock import N_MAX_CAP, FockState, choose_truncation, pacs_amplitudes
 from .kerr import generate_series_x, kerr_spectrum
 from .neighbors import BoxGrid
 from .presets import PRESETS, ExperimentPreset, TablePreset, get_preset
@@ -215,8 +215,9 @@ def simulate_series(
     _check_grid(dt, steps)
     if not (_is(nu, numbers.Real) and math.isfinite(nu) and nu >= 0):
         raise OptionError(f"nu must be finite and nonnegative, got {nu!r}")
-    if not (_is(m, numbers.Integral) and m >= 0):
-        raise OptionError(f"m must be a nonnegative integer, got {m!r}")
+    # n_max >= m + 1 cannot fit under the basis cap once m reaches it
+    if not (_is(m, numbers.Integral) and 0 <= m < N_MAX_CAP):
+        raise OptionError(f"m must be an integer in [0, {N_MAX_CAP}), got {m!r}")
     bad = [k for k in known if k in params and not math.isfinite(params[k])]
     if model == "kerr":
         bad += [k for k in known if k not in params]

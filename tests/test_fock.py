@@ -264,6 +264,11 @@ class TestChooseTruncation:
         with pytest.raises(CapExceededError, match="4096"):
             choose_truncation(70.0, 0)
 
+    @pytest.mark.parametrize("m", [4096, 5000])
+    def test_cap_exceeded_by_photons_added(self, m):
+        with pytest.raises(CapExceededError, match="4096"):
+            choose_truncation(1.0, m)
+
     @pytest.mark.parametrize(
         "nu", [0.0, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
                2000.0, 3000.0, 4000.0, 4900.0]

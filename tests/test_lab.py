@@ -164,6 +164,8 @@ def test_series_sidecar_records_pruning(tmp_path):
         ("bipartite", {"gamma": 5.0, "steps": "50"}, 1e-3, "steps must"),
         # True passed as an Integral and broke state preparation
         ("bipartite", {"gamma": 5.0, "m": True}, 1e-3, "m must"),
+        # no basis under the cap holds m + 1 states
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0, "m": 4096}, 1e-3, "m must"),
         ("kerr", {"chi": 1.0, "chi_prime": 0.0, "nu": True}, 1e-3, "nu must"),
         ("bipartite", {"gamma": 5.0, "nu": "5"}, 1e-3, "nu must"),
         ("kerr", {"chi": 1.0, "chi_prime": 0.0}, True, "dt must"),
