@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,7 +57,7 @@ import numpy as np
 
 from . import openblas
 from .fock import FockState
-from .series import SpectralSum, TimeSeries
+from .series import SpectralSum, TimeSeries, check_real_fields
 
 # sectors fed by less field-state probability than this are dropped
 SECTOR_PRUNE_MASS = 1e-14
@@ -72,9 +71,7 @@ class TwoModeParams:
     g: float = 1.0
 
     def __post_init__(self):
-        vals = (self.omega, self.omega0, self.gamma, self.g)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("parameters must be finite")
+        check_real_fields(self)
         if self.g < 0:
             raise ValueError("coupling g must be nonnegative")
 

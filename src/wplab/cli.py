@@ -15,11 +15,13 @@ defaults; explicit flags win.  One config file may serve several tasks,
 so ``analyze`` passes on only the config values its ``--task`` owns,
 while a flag the task does not own is an error.
 
-Exit status: 0 success, 1 runtime error, 2 usage error (a bad flag,
+Exit status: 0 success, 1 runtime error, 2 usage error: a bad flag,
 config value, analysis option, preset id, model parameter, ``nu``,
-``m``, ``dt`` or ``steps``, found before any file is read or written).  ``verify`` exits
-0 when every output matches its manifest, 1 naming the first missing or
-changed one, and 2 when the manifest cannot be read.
+``m``, ``dt`` or ``steps``, found before any file is read or written, or
+a series length the options cannot use, found once the series is read
+(``preset``: before simulating it) and before any output.  ``verify``
+exits 0 when every output matches its manifest, 1 naming the first
+missing or changed one, and 2 when the manifest cannot be read.
 """
 
 from __future__ import annotations
@@ -71,10 +73,7 @@ def _config_value(action: argparse.Action, value):
 
 def _option_help(opt: lab.Option) -> str:
     default = opt.default
-    if isinstance(default, dict):
-        shown = ", ".join(f"{value:g} for {task}" for task, value in default.items())
-        default = f" [{shown}]"
-    elif default is None or callable(default):
+    if default is None or callable(default):
         default = ""  # the help names a derived default
     else:
         default = f" [{default}]"

@@ -1,18 +1,17 @@
 """Phase-space reconstruction and maximal-Lyapunov estimation.
 
 Delay coordinates are chosen from the first minimum of the mutual
-information and the false-nearest-neighbor fraction.  The divergence of
-initially close trajectory pairs is tracked either from the single
-nearest neighbor of each reference point or from the average over an
-epsilon-neighborhood (one loop serves both: a single neighbor is a
-one-point neighborhood); the exponent is the slope of the mean log
+information and the false-nearest-neighbor fraction.  Divergence is
+tracked from each reference point's nearest neighbor (Rosenstein, which
+every run path uses) or epsilon-neighborhood (Kantz, a library estimator
+no run path uses) in one loop; the exponent is the slope of the mean log
 distance over a deterministically selected linear region: the longest
 window of the curve whose local slopes stay within FIT_SLOPE_TOL of its
-least-squares slope, found with one vectorised pass over all window
-ends per window start.  Nearest neighbors of all reference points come
-from one batched, exact query (``BoxGrid.nearest_many``), whose first
-k does not grow with the Theiler window (Rosenstein uses theiler =
-2 * delay); epsilon-neighborhoods are queried per reference point.
+least-squares slope, found with one vectorised pass over all window ends
+per window start.  Nearest neighbors of all reference points come from
+one batched, exact query (``BoxGrid.nearest_many``), whose first k does
+not grow with the Theiler window (Rosenstein uses theiler = 2 * delay);
+epsilon-neighborhoods are queried per reference point.
 The divergence curve is computed for a chunk of delta_k at a time, as
 (delta_k, pairs) arrays gathered with ``np.take`` and kept under
 ``_CURVE_CHUNK_BYTES`` per side, bitwise equal to a loop over single

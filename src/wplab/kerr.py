@@ -20,7 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState
-from .series import SpectralSum, TimeSeries, reduced_phases
+from .series import SpectralSum, TimeSeries, check_real_fields, reduced_phases
+
+
+@dataclass(frozen=True)
+class KerrParams:
+    """The Kerr coefficients; each a finite real, not a bool."""
+
+    chi: float
+    chi_prime: float
+
+    def __post_init__(self):
+        check_real_fields(self)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import os
 import resource
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -43,12 +43,12 @@ from .embed import (
     EmbeddingSpec,
     classify,
     false_nearest_neighbors,
-    lyapunov_kantz,
+    lyapunov_kantz,  # no run path calls it; perfbench/spans.py patches it by name
     lyapunov_rosenstein,
     mutual_information_delay,
 )
 from .fock import N_MAX_CAP, FockState, choose_truncation, pacs_amplitudes
-from .kerr import generate_series_x, kerr_spectrum
+from .kerr import KerrParams, generate_series_x, kerr_spectrum
 from .neighbors import BoxGrid
 from .presets import PRESETS, ExperimentPreset, TablePreset, get_preset
 from .recur import (
@@ -200,39 +200,23 @@ def simulate_series(
     The parameters, ``nu``, ``m``, ``dt`` and ``steps`` are checked before
     any state is prepared; bad input raises ``OptionError``.
     """
-    if model == "kerr":
-        known = ("chi", "chi_prime")
-    elif model == "bipartite":
-        known = tuple(f.name for f in fields(TwoModeParams))
-    else:
+    # the model's parameter class rejects a missing, unknown or bad field
+    model_params = {"kerr": KerrParams, "bipartite": TwoModeParams}.get(model)
+    if model_params is None:
         raise OptionError(f"unknown model {model!r} (expected 'kerr' or 'bipartite')")
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        raise OptionError(
-            f"model {model!r} takes no parameter {', '.join(map(repr, unknown))}; "
-            f"its parameters are {', '.join(known)}"
-        )
+    try:
+        p = model_params(**params)
+    except (TypeError, ValueError) as exc:
+        raise OptionError(f"model {model!r}: {exc}") from None
     _check_grid(dt, steps)
     if not (_is(nu, numbers.Real) and math.isfinite(nu) and nu >= 0):
         raise OptionError(f"nu must be finite and nonnegative, got {nu!r}")
     # n_max >= m + 1 cannot fit under the basis cap once m reaches it
     if not (_is(m, numbers.Integral) and 0 <= m < N_MAX_CAP):
         raise OptionError(f"m must be an integer in [0, {N_MAX_CAP}), got {m!r}")
-    bad = [k for k in known if k in params and not math.isfinite(params[k])]
-    if model == "kerr":
-        bad += [k for k in known if k not in params]
-    if bad:
-        raise OptionError(
-            f"model {model!r} needs finite {', '.join(map(repr, bad))}, got {params!r}"
-        )
-    if model == "bipartite":
-        try:
-            p = TwoModeParams(**params)
-        except ValueError as exc:
-            raise OptionError(f"model 'bipartite': {exc}") from None
     state = initial_field_state(nu, m)
     if model == "kerr":
-        spec = kerr_spectrum(params["chi"], params["chi_prime"], state.n_max)
+        spec = kerr_spectrum(p.chi, p.chi_prime, state.n_max)
         return generate_series_x(state, spec, dt, steps)
     return occupancy_series(decompose_initial(state, p), p, dt, steps).field
 
@@ -338,10 +322,9 @@ class Option:
     ``ValueError`` for one of the wrong kind or out of range, so that a
     bad value is a usage error before any work.
 
-    ``default`` is a value, a ``{task: value}`` map where the tasks
-    differ, or a function: a default derived from the series, which the
-    resolver leaves as None and ``_derived`` computes once its inputs
-    (named in the help) are known.
+    ``default`` is a value, or a function: a default derived from the
+    series, which the resolver leaves as None and ``_derived`` computes
+    once its inputs (named in the help) are known.
     """
 
     type: Callable[[Any], Any]
@@ -369,8 +352,7 @@ OPTIONS: dict[str, Option] = {
         "window length [min(4000, samples)]",
     ),
     "epsilon_frac": Option(
-        positive, {"rp": 0.1, "lyapunov": 0.2, "classify": 0.2}, ("rp", *_LYAPUNOV),
-        "recurrence (rp) or Kantz neighbourhood radius over the series std",
+        positive, 0.1, ("rp",), "recurrence radius over the window's std"
     ),
     "delay": Option(
         integer_from(1), None, ("rp", "fnn", *_LYAPUNOV),
@@ -387,9 +369,6 @@ OPTIONS: dict[str, Option] = {
     "horizon": Option(
         integer_from(2), lambda delay: 50 * delay, _LYAPUNOV,
         "divergence horizon in samples [50 * delay]",
-    ),
-    "method": Option(
-        str, "rosenstein", _LYAPUNOV, "divergence estimator", ("rosenstein", "kantz")
     ),
     "max_reference": Option(
         integer_from(1), 4000, _LYAPUNOV, "most reference points used"
@@ -419,10 +398,7 @@ def resolve_options(task: str, options: Optional[dict[str, Any]]) -> dict[str, A
         if task not in opt.tasks:
             continue
         if name not in given:
-            default = opt.default
-            if isinstance(default, dict):
-                default = default[task]
-            resolved[name] = None if callable(default) else default
+            resolved[name] = None if callable(opt.default) else opt.default
             continue
         try:
             value = opt.type(given[name])
@@ -509,14 +485,11 @@ def _run_lyapunov(series: TimeSeries, options: dict[str, Any]):
     horizon = _derived(options, "horizon", spec.delay)
     # 2 * stride <= horizon: two curve points at delta_k >= 1 for any horizon >= 2
     stride = max(1, horizon // 200)
-    method = options["method"]
-    limits = {"max_reference": options["max_reference"], "curve_stride": stride}
-    if method == "rosenstein":
-        result = lyapunov_rosenstein(series, spec, theiler, horizon, grid=grid, **limits)
-    else:
-        eps = options["epsilon_frac"]
-        result = lyapunov_kantz(series, spec, theiler, eps, horizon, grid=grid, **limits)
-    info.update(theiler=theiler, horizon=horizon, method=method)
+    result = lyapunov_rosenstein(
+        series, spec, theiler, horizon, grid=grid,
+        max_reference=options["max_reference"], curve_stride=stride,
+    )
+    info.update(theiler=theiler, horizon=horizon, method="rosenstein")
     return result, info
 
 
@@ -528,7 +501,6 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     ``lyapunov`` and ``classify`` json exports and the rows of a table
     preset are this payload.
     """
-    _check_lengths(options, len(series))
     result, info = _run_lyapunov(series, options)
     payload = {
         "lambda_max": result.lambda_max,
@@ -568,13 +540,16 @@ def analyze(
 ) -> list[Path]:
     """Run one analysis task against a series file; returns written paths.
 
-    The options are resolved (``resolve_options``) before the series is read.
+    The options are resolved (``resolve_options``) before the series is
+    read, and checked against its length (``_check_lengths``) before any
+    work.
     """
     options = resolve_options(task, options)
     series_file = Path(series_file)
     out_dir = Path(out_dir) if out_dir is not None else series_file.parent
     stem = out_dir / series_file.name.removesuffix(".wprs")
     ts = seriesio.read_series(series_file)
+    _check_lengths(options, len(ts))
     written: list[Path] = []
     with _removed_on_failure(written):
         _run_task(task, ts, options, stem, svg, written)
@@ -630,7 +605,6 @@ def _run_task(
         seriesio.write_recurrence(rp, out_path("txt"))
         plot = (svgmod.points_svg, rp.pairs[:, 0], rp.pairs[:, 1], "recurrence plot")
     elif task == "mi":
-        _check_lengths(options, len(ts))
         mi = _mutual_information(ts, options)
         seriesio.write_pairs(
             np.column_stack((np.arange(1, mi.curve.size + 1), mi.curve)),
@@ -681,18 +655,38 @@ def _check_lengths(
     options: dict[str, Any], samples: int, where: str = "",
     delay: Optional[int] = None, dimension: int = 1,
 ) -> None:
-    """Reject a ``max_lag`` or Lyapunov ``horizon`` that ``samples`` cannot fit.
+    """Reject a recurrence window, ``max_lag`` or Lyapunov ``horizon``
+    that ``samples`` cannot fit.
 
-    The mutual information needs more than 10 * max_lag samples; its
-    ``max_lag``, explicit or derived, is checked while the delay is still
-    to be searched (no delay given here or in ``options``).  A divergence
-    curve needs more than 10 * horizon embedded samples, and ``samples``
-    embed into samples - (dimension - 1) * delay.  Without a delay only an
-    explicit horizon is checked, against the bare series; with one, the
-    default derived from it too.  Each check comes before the work a
-    doomed run would waste: the bare ones before the delay search, the
-    delay's before FNN, the dimension's before the estimate.
+    Each run path calls it once on the bare length before any work:
+    ``analyze`` once the series is read, ``run_preset`` (``_check_steps``)
+    before simulating.  A recurrence window must end by the last sample
+    and leave an explicit embedding 2 points or more: window_len -
+    (dimension - 1) * delay >= 2.  A delay search needs more than
+    10 * max_lag samples (explicit or derived), checked only while the
+    delay is unknown.  A divergence curve needs more than 10 * horizon
+    embedded samples, samples - (dimension - 1) * delay: without a delay
+    only an explicit horizon is checked; with one, the default derived
+    from it too.  So the bare checks come before the delay search, the
+    delay's before FNN (``choose_embedding``) and the dimension's before
+    the estimate (``_run_lyapunov``).
     """
+    if "window_len" in options:
+        start = options["window_start"]
+        length = _derived(options, "window_len", samples)
+        if start + length > samples:
+            raise OptionError(
+                f"{where}recurrence window ending at {start + length} does not "
+                f"fit {samples} samples"
+            )
+        if options["delay"] is not None:
+            points = length - (options["dimension"] - 1) * options["delay"]
+            if points < 2:
+                raise OptionError(
+                    f"{where}recurrence window of {length} samples holds {points} "
+                    f"embedded points, fewer than 2"
+                )
+        return
     if delay is None and options.get("delay") is None and "max_lag" in options:
         max_lag = _derived(options, "max_lag", samples)
         if samples <= 10 * max_lag:
@@ -718,23 +712,11 @@ def _check_lengths(
 
 
 def _check_steps(preset, steps: int) -> list[dict[str, Any]]:
-    """Each analysis's resolved options; rejects a series length they cannot use.
-
-    Runs before any simulation: a recurrence window must fit the series,
-    and a delay search and a Lyapunov fit need more than 10 * max_lag and
-    10 * horizon samples (``_check_lengths``).
-    """
+    """Each analysis's resolved options; rejects a series length they
+    cannot use (``_check_lengths``), before any simulation."""
     resolved = [resolve_options(item.task, item.options) for item in preset.analyses]
-    for item, options in zip(preset.analyses, resolved):
-        if item.task == "rp":
-            end = options["window_start"] + _derived(options, "window_len", steps)
-            if end > steps:
-                raise OptionError(
-                    f"{preset.id}: recurrence window ending at {end} does not "
-                    f"fit {steps} steps"
-                )
-        else:
-            _check_lengths(options, steps, f"{preset.id}: ")
+    for options in resolved:
+        _check_lengths(options, steps, f"{preset.id}: ")
     return resolved
 
 

@@ -30,7 +30,8 @@ the bound on every sample's change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -45,6 +46,16 @@ _TABLE_BYTES = 4 << 20
 # dropped: a tenth of the 1e-13 * sum |a| the kernel is tested to against
 # a long-double direct sum
 PRUNE_FRACTION = 1e-14
+
+
+def check_real_fields(params) -> None:
+    """``ValueError`` naming the first field of the dataclass ``params``
+    that is not a finite real number (a bool is not one)."""
+    for f in fields(params):
+        v = getattr(params, f.name)
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not (real and math.isfinite(v)):
+            raise ValueError(f"parameter {f.name!r} must be a finite real, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,19 @@ class TestBuildSector:
 
 
 @pytest.mark.parametrize(
-    "params", [{"gamma": math.nan}, {"omega": math.inf}, {"g": -1.0}]
+    "params",
+    [
+        {"gamma": math.nan},
+        {"omega": math.inf},
+        {"g": -1.0},
+        {"omega0": "1"},
+        {"gamma": True},
+        {"g": None},
+    ],
 )
 def test_bad_params_rejected(params):
-    with pytest.raises(ValueError):
+    # the message names the field
+    with pytest.raises(ValueError, match=next(iter(params))):
         TwoModeParams(**params)
 
 

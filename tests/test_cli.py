@@ -95,6 +95,7 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize(
     "config_text, flags",
     [
+        # no such config key: Rosenstein is the one estimator of a run
         ("method = kantzz\n", ["--task", "lyapunov"]),
         ("mode = visits\n", ["--task", "f1"]),
         ("svg = maybe\n", ["--task", "f1"]),
@@ -109,6 +110,7 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
         ("", ["--task", "lyapunov", "--theiler", "5"]),
         # values out of their option's range
         ("", ["--task", "lyapunov", "--max-reference", "0"]),
+        # classify takes no --epsilon-frac (rp only); nan is out of range too
         ("", ["--task", "classify", "--epsilon-frac", "nan"]),
         ("", ["--task", "lyapunov", "--horizon", "-5"]),
         ("", ["--task", "lyapunov", "--horizon", "400", "--max-lag", "0"]),
@@ -226,6 +228,20 @@ def test_horizon_the_embedding_cannot_fit_exits_2(tmp_path, series_file):
     # d = 2 at delay 30, which leaves 2 970 embedded samples
     argv = ["analyze", "--task", "lyapunov", "--series", series_file, "--out", tmp_path]
     assert exit_code(argv + ["--horizon", 299]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--window-len", 5000],  # past the end of the 3 000-sample series
+        ["--window-start", 2000, "--window-len", 1001],
+        ["--delay", 500, "--dimension", 8],  # 3 000 - 7 * 500 < 2 points
+    ],
+)
+def test_rp_window_the_series_cannot_fit_exits_2(tmp_path, series_file, flags):
+    argv = ["analyze", "--task", "rp", "--series", series_file, "--out", tmp_path]
+    assert exit_code(argv + flags) == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,11 +5,27 @@ import pytest
 
 from wplab.fock import overlap, pacs_amplitudes
 from wplab.kerr import (
+    KerrParams,
     evolve_diagonal,
     generate_series_x,
     kerr_spectrum,
     quadrature_sum,
 )
+
+
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        ({"chi": math.nan, "chi_prime": 0.0}, "'chi'"),
+        ({"chi": 1.0, "chi_prime": math.inf}, "'chi_prime'"),
+        ({"chi": "1", "chi_prime": 0.0}, "'chi'"),
+        ({"chi": 1.0, "chi_prime": None}, "'chi_prime'"),
+        ({"chi": True, "chi_prime": 0.0}, "'chi'"),
+    ],
+)
+def test_bad_params_rejected(params, named):
+    with pytest.raises(ValueError, match=named):
+        KerrParams(**params)
 
 
 class TestSpectrum:

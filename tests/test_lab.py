@@ -170,6 +170,10 @@ def test_series_sidecar_records_pruning(tmp_path):
         ("bipartite", {"gamma": 5.0, "nu": "5"}, 1e-3, "nu must"),
         ("kerr", {"chi": 1.0, "chi_prime": 0.0}, True, "dt must"),
         ("bipartite", {"gamma": 5.0}, "0.001", "dt must"),
+        # a text or None parameter raised a bare TypeError, and True ran as 1
+        ("bipartite", {"gamma": "5"}, 1e-3, "'gamma'"),
+        ("kerr", {"chi": 1.0, "chi_prime": None}, 1e-3, "'chi_prime'"),
+        ("bipartite", {"gamma": True}, 1e-3, "'gamma'"),
     ],
 )
 def test_bad_model_input_fails_before_any_state(
@@ -401,8 +405,6 @@ def test_presets_restate_no_default(preset_id):
     for item in PRESETS[preset_id].analyses:
         for name, value in item.options.items():
             default = lab.OPTIONS[name].default
-            if isinstance(default, dict):
-                default = default[item.task]
             assert callable(default) or value != default, (item.task, name)
 
 
@@ -447,6 +449,7 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("rp", {"delay": 3}, "dimension"),
         ("fnn", {}, "delay"),
         ("f1", {"mode": "visits"}, "mode"),
+        # no such option: Rosenstein is the one estimator of a run
         ("lyapunov", {"method": "kantzz"}, "method"),
         ("lyapunov", {"horizon": 2.5}, "horizon"),
         ("f2", {"cell": "0.5"}, "cell"),
@@ -457,6 +460,7 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("lyapunov", {"curve_stride": 20}, "curve_stride"),  # rule
         ("lyapunov", {"max_reference": 0}, "max_reference"),
         ("classify", {"threshold": 0.01}, "threshold"),  # rule
+        # no such option: epsilon_frac belongs to rp only
         ("classify", {"epsilon_frac": float("nan")}, "epsilon_frac"),
         ("lyapunov", {"horizon": -5}, "horizon"),
         ("lyapunov", {"horizon": 1}, "horizon"),
@@ -472,13 +476,36 @@ def test_table_row_is_the_classify_export(tmp_path):
         # positive options are finite too
         ("density", {"bin_width": float("inf")}, "bin_width"),
         ("rp", {"epsilon_frac": "inf"}, "epsilon_frac"),
-        ("lyapunov", {"epsilon_frac": float("inf")}, "epsilon_frac"),
+        ("lyapunov", {"epsilon_frac": float("inf")}, "epsilon_frac"),  # rp only
     ],
 )
 def test_bad_options_fail_before_reading(tmp_path, task, options, named):
     # the series file does not exist: reading it would raise OSError
     with pytest.raises(ValueError, match=f"'{task}'.*'{named}'"):
         lab.analyze(task, tmp_path / "missing.wprs", options)
+
+
+@pytest.mark.parametrize(
+    "options, reason",
+    [
+        # the window runs past the 300-sample series
+        ({"window_start": 100, "window_len": 250}, "does not fit"),
+        # 300 - 7 * 50 leaves no delay vector in the window
+        ({"delay": 50, "dimension": 8}, "embedded points"),
+        # one delay vector, and a recurrence needs two
+        ({"delay": 100, "dimension": 3, "window_len": 201}, "embedded points"),
+    ],
+)
+def test_rp_window_the_series_cannot_fit_fails_before_any_output(
+    tmp_path, options, reason
+):
+    params = {"chi": 1.0, "chi_prime": 0.01}
+    series = lab.simulate("kerr", params, (1.0, 0), 1e-3, 300, tmp_path / "s.wprs")
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(lab.OptionError, match=reason):
+        lab.analyze("rp", series, options, out)
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
