@@ -1,4 +1,8 @@
-"""Deterministic synthetic series used for estimator validation."""
+"""Deterministic synthetic series used for estimator validation.
+
+Each generator's start, parameters, transient and sampling step are fixed
+values, named in its docstring: the length (and a sine's period) is all
+a caller chooses."""
 
 from __future__ import annotations
 
@@ -6,51 +10,46 @@ import numpy as np
 
 from .series import TimeSeries
 
-GOLDEN_ROTATION = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ROTATION = float((np.sqrt(5.0) - 1.0) / 2.0)
 
 
-def logistic_series(length: int, x0: float = 0.2, burn_in: int = 1000) -> TimeSeries:
-    """Orbit of x -> 4x(1-x) after a transient, sampled at dt = 1."""
-    x = x0
-    for _ in range(burn_in):
+def logistic_series(length: int) -> TimeSeries:
+    """Orbit of x -> 4x(1-x) from x0 = 0.2 after 1 000 transient steps."""
+    x = 0.2
+    for _ in range(1000):
         x = 4.0 * x * (1.0 - x)
     out = np.empty(length)
     for k in range(length):
         out[k] = x
         x = 4.0 * x * (1.0 - x)
-    return TimeSeries(1.0, out, observable="logistic", meta={"a": 4.0, "x0": x0})
+    return TimeSeries(1.0, out, observable="logistic", meta={"a": 4.0, "x0": 0.2})
 
 
-def henon_series(
-    length: int,
-    a: float = 1.4,
-    b: float = 0.3,
-    x0: float = 0.1,
-    y0: float = 0.1,
-    burn_in: int = 1000,
-) -> TimeSeries:
-    """x-coordinate orbit of the Henon map after a transient."""
-    x, y = x0, y0
-    for _ in range(burn_in):
-        x, y = 1.0 - a * x * x + y, b * x
+def henon_series(length: int) -> TimeSeries:
+    """x-coordinate orbit of the Henon map (a = 1.4, b = 0.3) from
+    (0.1, 0.1) after 1 000 transient steps."""
+    x, y = 0.1, 0.1
+    for _ in range(1000):
+        x, y = 1.0 - 1.4 * x * x + y, 0.3 * x
     out = np.empty(length)
     for k in range(length):
         out[k] = x
-        x, y = 1.0 - a * x * x + y, b * x
-    return TimeSeries(1.0, out, observable="henon_x", meta={"a": a, "b": b})
+        x, y = 1.0 - 1.4 * x * x + y, 0.3 * x
+    return TimeSeries(1.0, out, observable="henon_x", meta={"a": 1.4, "b": 0.3})
 
 
-def rotation_series(length: int, angle: float = GOLDEN_ROTATION) -> TimeSeries:
-    """Circle rotation frac(k * angle), evaluated in extended precision."""
+def rotation_series(length: int) -> TimeSeries:
+    """Circle rotation frac(k * GOLDEN_ROTATION), in extended precision."""
     k = np.arange(length, dtype=np.longdouble)
-    vals = np.mod(k * np.longdouble(angle), np.longdouble(1.0)).astype(np.float64)
-    return TimeSeries(1.0, vals, observable="rotation", meta={"angle": float(angle)})
+    vals = np.mod(k * np.longdouble(GOLDEN_ROTATION), np.longdouble(1.0)).astype(float)
+    return TimeSeries(1.0, vals, observable="rotation", meta={"angle": GOLDEN_ROTATION})
 
 
-def sine_series(length: int, period: float, dt: float = 1.0) -> TimeSeries:
+def sine_series(length: int, period: float) -> TimeSeries:
+    """sin(2 pi k / period), sampled at dt = 1."""
     k = np.arange(length)
     return TimeSeries(
-        dt, np.sin(2.0 * np.pi * k / period), observable="sine", meta={"period": period}
+        1.0, np.sin(2.0 * np.pi * k / period), observable="sine", meta={"period": period}
     )
 
 

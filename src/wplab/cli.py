@@ -9,16 +9,18 @@ generated from ``lab.OPTIONS``.
 ``--config FILE`` reads flat ``key = value`` lines (``#`` starts a
 comment).  The keys are the subcommands' optional flags without the
 leading dashes (``max-lag`` or ``max_lag``); a value goes through the
-same conversion and choices as its flag, and a switch such as ``svg``
-takes yes/no, true/false, on/off or 1/0.  Config values become the
-defaults; explicit flags win.  One config file may serve several tasks,
-so ``analyze`` passes on only the config values its ``--task`` owns,
-while a flag the task does not own is an error.
+same conversion as its flag, and a switch such as ``svg`` takes yes/no,
+true/false, on/off or 1/0.  Config values become the defaults; explicit
+flags win.  One config file may serve several tasks, so ``analyze``
+passes on only the config values its ``--task`` owns, while a flag the
+task does not own is an error.
 
 Exit status: 0 success, 1 runtime error, 2 usage error: a bad flag,
 config value, analysis option, preset id, model parameter, ``nu``,
 ``m``, ``dt`` or ``steps``, found before any file is read or written, or
-a series length the options cannot use, found once the series is read
+a series length the options cannot use, such as a recurrence window
+past its end or an FNN delay that leaves fewer than
+``embed.FNN_MIN_POINTS`` samples, found once the series is read
 (``preset``: before simulating it) and before any output.  ``verify``
 exits 0 when every output matches its manifest, 1 naming the first
 missing or changed one, and 2 when the manifest cannot be read.
@@ -54,7 +56,7 @@ def read_config(path: str | Path) -> dict[str, str]:
 
 
 def _config_value(action: argparse.Action, value):
-    """A config value through the same conversion and choices as its flag."""
+    """A config value through the same conversion as its flag."""
     if isinstance(value, str):
         try:
             if action.nargs == 0:  # an on/off switch
@@ -63,11 +65,6 @@ def _config_value(action: argparse.Action, value):
                 value = action.type(value)
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"invalid {action.dest} value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(
-            f"invalid {action.dest} value {value!r}; expected one of "
-            f"{', '.join(action.choices)}"
-        )
     return value
 
 
@@ -119,13 +116,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     ana.add_argument("--series", required=True, help="input .wprs file")
     flag(ana, "--out", default=None, help="output directory")
     for name, opt in lab.OPTIONS.items():
-        flag(
-            ana,
-            "--" + name.replace("_", "-"),
-            type=opt.type,
-            choices=opt.choices or None,
-            help=_option_help(opt),
-        )
+        flag(ana, "--" + name.replace("_", "-"), type=opt.type, help=_option_help(opt))
     flag(ana, "--svg", action="store_true")
 
     pre = sub.add_parser("preset", help="run a catalogued experiment")

@@ -47,6 +47,12 @@ from .series import TimeSeries
 # deviation of local slopes from the window's least-squares slope
 FIT_MIN_POINTS = 4
 FIT_SLOPE_TOL = 0.10
+CHAOS_THRESHOLD = 0.01  # ``classify``: chaos needs an exponent above this
+# FNN (Kennel, Brown & Abarbanel 1992): the distance and spread ratios
+# R_tol and A_tol, and the fewest extended points a dimension needs
+FNN_R_TOL = 15.0
+FNN_A_TOL = 2.0
+FNN_MIN_POINTS = 20
 # cap on the bytes of each side's gathered pair rows in one chunk of the
 # divergence curve's delta_k; a chunk holds at least one delta_k
 _CURVE_CHUNK_BYTES = 1 << 19
@@ -233,22 +239,21 @@ def false_nearest_neighbors(
     series: TimeSeries,
     delay: int,
     d_max: int,
-    r_tol: float = 15.0,
-    a_tol: float = 2.0,
     max_reference: int = 2000,
 ) -> FnnResult:
     """Fraction of nearest neighbors that separate when the dimension grows.
 
-    A neighbor is false if the extra coordinate jumps by more than r_tol
-    times the current distance, or by more than a_tol times the series
-    spread (the usual catch for stochastic data).  The reported dimension
-    is the smallest d with a false fraction below 1%, and the scan stops
-    there: ``fnn_fractions`` ends at that d, or runs to ``d_max`` when no
-    fraction drops below 1%.  Each dimension finds the neighbors of all
-    (up to ``max_reference``) reference points in one batched query, on
-    a tree over the whole d-embedding limited to the rows whose next
-    coordinate exists, and applies the test to them as arrays.  The last
-    dimension's tree is returned as ``grid``.
+    A neighbor is false if the extra coordinate jumps by more than
+    FNN_R_TOL (15) times the current distance, or by more than FNN_A_TOL
+    (2) times the series spread (the usual catch for stochastic data).
+    The reported dimension is the smallest d with a false fraction below
+    1%, and the scan stops there: ``fnn_fractions`` ends at that d, or
+    runs to ``d_max`` when no fraction drops below 1%.  Dimension d needs
+    FNN_MIN_POINTS (20) extended points, len(series) - d * delay.  Each
+    finds the neighbors of all (up to ``max_reference``) reference points
+    in one batched query, on a tree over the whole d-embedding limited to
+    the rows whose next coordinate exists, and applies the test to them
+    as arrays.  The last dimension's tree is returned as ``grid``.
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
@@ -262,7 +267,7 @@ def false_nearest_neighbors(
     grid = None
     for d in range(1, d_max + 1):
         n_ext = x.size - d * delay
-        if n_ext < 20:
+        if n_ext < FNN_MIN_POINTS:
             raise ValueError(
                 f"series too short for FNN at dimension {d} with delay {delay}"
             )
@@ -274,8 +279,8 @@ def false_nearest_neighbors(
         found = j >= 0
         growth = np.abs(x[refs[found] + d * delay] - x[j[found] + d * delay])
         false = np.count_nonzero(
-            ((growth > r_tol * dist[found]) & (growth > noise_floor))
-            | (growth > a_tol * sigma)
+            ((growth > FNN_R_TOL * dist[found]) & (growth > noise_floor))
+            | (growth > FNN_A_TOL * sigma)
         )
         used = np.count_nonzero(found)
         if used == 0:
@@ -500,13 +505,11 @@ def lyapunov_kantz(
     )
 
 
-def classify(r: LyapunovResult, threshold: float = 0.01) -> Classification:
-    """Chaotic iff the exponent clears the threshold on a believable
-    linear region (fit R^2 >= 0.95); otherwise regular."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+def classify(r: LyapunovResult) -> Classification:
+    """Chaotic iff the exponent clears CHAOS_THRESHOLD (0.01) on a
+    believable linear region (fit R^2 >= 0.95); otherwise regular."""
     # plain bools: numpy.bool_ is not JSON serializable
-    exceeds = bool(r.lambda_max > threshold)
+    exceeds = bool(r.lambda_max > CHAOS_THRESHOLD)
     good_fit = bool(r.fit_r2 >= 0.95)
     if exceeds and good_fit:
         return Classification("chaotic", False)

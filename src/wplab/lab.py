@@ -40,6 +40,7 @@ from .bipartite import (
     sector_eigensolver,
 )
 from .embed import (
+    FNN_MIN_POINTS,
     EmbeddingSpec,
     classify,
     false_nearest_neighbors,
@@ -283,6 +284,13 @@ def positive(value) -> float:
     return value
 
 
+def mode(value) -> str:
+    """``"entry"`` or ``"visit"``: count cell entries or visiting samples."""
+    if value not in ("entry", "visit"):
+        raise ValueError(f"expected 'entry' or 'visit', got {value!r}")
+    return value
+
+
 def cell(value) -> Cell:
     """A ``Cell``, a ``(lo, hi)`` pair or ``"LO:HI"`` text."""
     if isinstance(value, Cell):
@@ -316,7 +324,7 @@ def _median_cell(series: TimeSeries) -> Cell:
 
 @dataclass(frozen=True)
 class Option:
-    """One analysis option: conversion, default, owning tasks, help, choices.
+    """One analysis option: conversion, default, owning tasks, help.
 
     ``type`` converts a given value and raises ``TypeError`` or
     ``ValueError`` for one of the wrong kind or out of range, so that a
@@ -331,7 +339,6 @@ class Option:
     default: Any
     tasks: tuple[str, ...]
     help: str
-    choices: tuple[str, ...] = ()
 
 
 _LYAPUNOV = ("lyapunov", "classify")
@@ -342,8 +349,7 @@ OPTIONS: dict[str, Option] = {
         f"LO:HI value cell [median-centred, width {CELL_WIDTH:g}]",
     ),
     "mode": Option(
-        str, "entry", ("f1", "f2"), "count cell entries or visiting samples",
-        ("entry", "visit"),
+        mode, "entry", ("f1", "f2"), "entry: count cell entries; visit: samples in it"
     ),
     "bin_width": Option(positive, 0.01, ("density",), "value bin width"),
     "window_start": Option(integer_from(0), 0, ("rp",), "first sample of the window"),
@@ -404,11 +410,6 @@ def resolve_options(task: str, options: Optional[dict[str, Any]]) -> dict[str, A
             value = opt.type(given[name])
         except (TypeError, ValueError) as exc:
             raise OptionError(f"task {task!r}, option {name!r}: {exc}") from None
-        if opt.choices and value not in opt.choices:
-            raise OptionError(
-                f"task {task!r}, option {name!r}: {value!r} is not one of "
-                f"{', '.join(opt.choices)}"
-            )
         resolved[name] = value
     if task == "fnn" and resolved["delay"] is None:
         raise OptionError("task 'fnn' requires option 'delay'")
@@ -655,21 +656,25 @@ def _check_lengths(
     options: dict[str, Any], samples: int, where: str = "",
     delay: Optional[int] = None, dimension: int = 1,
 ) -> None:
-    """Reject a recurrence window, ``max_lag`` or Lyapunov ``horizon``
-    that ``samples`` cannot fit.
+    """Reject a recurrence window, FNN delay, ``max_lag`` or Lyapunov
+    ``horizon`` that ``samples`` cannot fit.
 
     Each run path calls it once on the bare length before any work:
     ``analyze`` once the series is read, ``run_preset`` (``_check_steps``)
     before simulating.  A recurrence window must end by the last sample
     and leave an explicit embedding 2 points or more: window_len -
-    (dimension - 1) * delay >= 2.  A delay search needs more than
-    10 * max_lag samples (explicit or derived), checked only while the
-    delay is unknown.  A divergence curve needs more than 10 * horizon
-    embedded samples, samples - (dimension - 1) * delay: without a delay
-    only an explicit horizon is checked; with one, the default derived
-    from it too.  So the bare checks come before the delay search, the
-    delay's before FNN (``choose_embedding``) and the dimension's before
-    the estimate (``_run_lyapunov``).
+    (dimension - 1) * delay >= 2.  Where FNN will run (``fnn``, and
+    ``lyapunov`` or ``classify`` without a dimension) its first
+    dimension needs samples - delay >= FNN_MIN_POINTS; the higher ones
+    stay checked inside the scan, whose stopping dimension depends on
+    the data.  A delay search needs more than 10 * max_lag samples
+    (explicit or derived), checked only while the delay is unknown.  A
+    divergence curve needs more than 10 * horizon embedded samples,
+    samples - (dimension - 1) * delay: without a delay only an explicit
+    horizon is checked; with one, the default derived from it too.  So
+    the bare checks come before the delay search, the delay's before FNN
+    (``choose_embedding``) and the dimension's before the estimate
+    (``_run_lyapunov``).
     """
     if "window_len" in options:
         start = options["window_start"]
@@ -687,7 +692,14 @@ def _check_lengths(
                     f"embedded points, fewer than 2"
                 )
         return
-    if delay is None and options.get("delay") is None and "max_lag" in options:
+    known = options.get("delay") if delay is None else delay
+    fnn = known is not None and options.get("dimension") is None  # FNN will run
+    if fnn and samples - known < FNN_MIN_POINTS:
+        raise OptionError(
+            f"{where}FNN at delay {known} needs {known + FNN_MIN_POINTS} samples "
+            f"or more, got {samples}"
+        )
+    if known is None and "max_lag" in options:
         max_lag = _derived(options, "max_lag", samples)
         if samples <= 10 * max_lag:
             raise OptionError(

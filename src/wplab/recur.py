@@ -22,6 +22,8 @@ Mode = Literal["entry", "visit"]
 
 # candidate point pairs times coordinates per chunk of ``recurrence_matrix``
 _RP_CANDIDATES = 1 << 16
+# fewest events in a histogram bin that ``fit_exponential``'s line uses
+FIT_MIN_BIN_COUNT = 10
 
 
 class NoEventsError(RuntimeError):
@@ -137,13 +139,13 @@ class ExponentialFit:
     loglin_r2: float
 
 
-def fit_exponential(h: ReturnTimeHistogram, min_bin_count: int = 10) -> ExponentialFit:
+def fit_exponential(h: ReturnTimeHistogram) -> ExponentialFit:
     """Maximum-likelihood exponential fit with two goodness diagnostics.
 
     ks_stat is the Kolmogorov-Smirnov distance between the empirical
     return-time distribution and Exp(rate); loglin_r2 is the R^2 of a
     least-squares line through (tau, log count) over bins holding at
-    least ``min_bin_count`` events.
+    least FIT_MIN_BIN_COUNT (10) events.
     """
     if h.total_events < 100:
         raise InsufficientEventsError(
@@ -162,7 +164,7 @@ def fit_exponential(h: ReturnTimeHistogram, min_bin_count: int = 10) -> Exponent
     lower_cdf = np.concatenate(([0.0], cum[:-1]))
     ks = float(np.max(np.maximum(np.abs(cum - model), np.abs(lower_cdf - model))))
 
-    good = cnts >= min_bin_count
+    good = cnts >= FIT_MIN_BIN_COUNT
     if np.count_nonzero(good) < 2:
         raise DegenerateSupportError(
             "fewer than 2 histogram bins with enough counts for a log-linear fit"

@@ -72,8 +72,8 @@ class TimeSeries:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if not np.all(np.isfinite(v)):
             raise ValueError("series values must be finite")

@@ -161,6 +161,8 @@ def read_series(path: str | Path) -> TimeSeries:
     expect = _HEADER.size + 8 * count
     if len(raw) != expect:
         raise FormatError(f"{path}: expected {expect} bytes, found {len(raw)}")
+    if not 0.0 < dt < float("inf"):  # NaN fails both comparisons
+        raise FormatError(f"{path}: time step {dt!r} is not finite and positive")
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size, count=count)
     observable = ""
     meta: dict[str, Any] = {}

@@ -6,6 +6,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wplab import cli, lab, neighbors, seriesio
@@ -243,6 +244,33 @@ def test_rp_window_the_series_cannot_fit_exits_2(tmp_path, series_file, flags):
     argv = ["analyze", "--task", "rp", "--series", series_file, "--out", tmp_path]
     assert exit_code(argv + flags) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--task", "fnn", "--delay", 5000],  # past the end of the 3 000 samples
+        ["--task", "fnn", "--delay", 2990],  # 10 points at d = 1, fewer than 20
+        ["--task", "lyapunov", "--delay", 2990, "--horizon", 2],
+        ["--task", "classify", "--delay", 2990, "--horizon", 2],
+    ],
+)
+def test_fnn_delay_the_series_cannot_hold_exits_2(tmp_path, series_file, flags):
+    argv = ["analyze", "--series", series_file, "--out", tmp_path]
+    assert exit_code(argv + flags) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "-0.0"])
+def test_series_file_with_a_bad_time_step_exits_1(tmp_path, dt):
+    # the header of a 3 000-sample series file, with the time step ``dt``
+    header = seriesio._HEADER.pack(seriesio.MAGIC, seriesio.VERSION, 0, 3000, float(dt))
+    path = tmp_path / "s.wprs"
+    path.write_bytes(header + np.sin(np.arange(3000) / 7.0).astype("<f8").tobytes())
+    out = tmp_path / "out"
+    argv = ["analyze", "--task", "lyapunov", "--series", path, "--out", out]
+    assert exit_code(argv) == 1
+    assert not out.exists()
 
 
 def option_flags(options):

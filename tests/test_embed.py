@@ -277,16 +277,16 @@ class TestMutualInformationStop:
 class TestFnn:
     def test_sine_dimension_two(self):
         f = false_nearest_neighbors(
-            sine_series(10_000, period=100.0), delay=25, d_max=4, r_tol=15.0
+            sine_series(10_000, period=100.0), delay=25, d_max=4
         )
         assert f.dimension == 2
 
     def test_henon_dimension_two(self):
-        f = false_nearest_neighbors(henon_series(10_000), delay=1, d_max=4, r_tol=15.0)
+        f = false_nearest_neighbors(henon_series(10_000), delay=1, d_max=4)
         assert f.dimension == 2
 
     def test_white_noise_no_dimension(self):
-        f = false_nearest_neighbors(white_noise(10_000), delay=1, d_max=5, r_tol=15.0)
+        f = false_nearest_neighbors(white_noise(10_000), delay=1, d_max=5)
         assert f.dimension is None
         assert np.all(f.fnn_fractions >= 0.01)
 
@@ -311,7 +311,7 @@ class TestFnn:
                 if (growth > r_tol * dist[j] and growth > floor) or growth > a_tol * sigma:
                     false += 1
             fracs.append(false / n_ext)
-        f = false_nearest_neighbors(ts, delay=1, d_max=3, r_tol=15.0, max_reference=10**9)
+        f = false_nearest_neighbors(ts, delay=1, d_max=3, max_reference=10**9)
         # the scan ends at the oracle's first dimension under 1%
         assert f.dimension == first_under_one_percent(fracs)
         assert f.fnn_fractions.size == (f.dimension or len(fracs))
@@ -339,9 +339,7 @@ class TestFnn:
                 if (growth > r_tol * dist and growth > 1e-10 * sigma) or growth > a_tol * sigma:
                     false += 1
             fracs.append(false / used)
-        f = false_nearest_neighbors(
-            ts, delay=delay, d_max=d_max, r_tol=r_tol, a_tol=a_tol, max_reference=max_ref
-        )
+        f = false_nearest_neighbors(ts, delay=delay, d_max=d_max, max_reference=max_ref)
         assert f.dimension == first_under_one_percent(fracs)
         assert f.fnn_fractions.tolist() == fracs[: f.dimension or d_max]
 
@@ -805,27 +803,27 @@ class TestClassify:
         )
 
     def test_chaotic(self):
-        c = classify(self.make_result(0.69, 0.999), threshold=0.01)
+        c = classify(self.make_result(0.69, 0.999))
         assert c == Classification("chaotic", False)
 
     def test_regular_small_lambda(self):
-        c = classify(self.make_result(np.float64(0.001), np.float64(0.99)), threshold=0.01)
+        c = classify(self.make_result(np.float64(0.001), np.float64(0.99)))
         assert c.label == "regular"
         assert c.ambiguous is False
 
     def test_regular_no_linear_region(self):
-        c = classify(self.make_result(0.2, 0.5), threshold=0.01)
+        c = classify(self.make_result(0.2, 0.5))
         assert c.label == "regular"
         assert c.ambiguous
 
     def test_logistic_end_to_end(self):
         ts = logistic_series(20_000)
         r = lyapunov_rosenstein(ts, EmbeddingSpec(1, 2), theiler=5, horizon=12)
-        assert classify(r, threshold=0.01).label == "chaotic"
+        assert classify(r).label == "chaotic"
 
     def test_periodic_end_to_end(self):
         ts = sine_series(20_000, period=100.0)
         r = lyapunov_rosenstein(
             ts, EmbeddingSpec(25, 2), theiler=50, horizon=300, curve_stride=3
         )
-        assert classify(r, threshold=0.01).label == "regular"
+        assert classify(r).label == "regular"

@@ -12,6 +12,7 @@ import pytest
 
 from wplab import bipartite, lab, neighbors, seriesio
 from wplab.benchmarks import sine_series
+from wplab.embed import FNN_MIN_POINTS
 from wplab.presets import PRESETS
 from wplab.recur import Cell
 from wplab.series import TimeSeries
@@ -459,7 +460,7 @@ def test_table_row_is_the_classify_export(tmp_path):
         # max(1, horizon // 200), 16 bins, 0.01)
         ("lyapunov", {"curve_stride": 20}, "curve_stride"),  # rule
         ("lyapunov", {"max_reference": 0}, "max_reference"),
-        ("classify", {"threshold": 0.01}, "threshold"),  # rule
+        ("classify", {"threshold": 0.01}, "threshold"),  # rule: embed.CHAOS_THRESHOLD
         # no such option: epsilon_frac belongs to rp only
         ("classify", {"epsilon_frac": float("nan")}, "epsilon_frac"),
         ("lyapunov", {"horizon": -5}, "horizon"),
@@ -506,6 +507,39 @@ def test_rp_window_the_series_cannot_fit_fails_before_any_output(
     with pytest.raises(lab.OptionError, match=reason):
         lab.analyze("rp", series, options, out)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "task, options",
+    [
+        ("fnn", {"delay": 290}),  # 300 - 290 leaves 10 points, fewer than 20
+        ("fnn", {"delay": 500}),  # past the end of the series
+        # FNN runs when no dimension is given; the horizon fits
+        ("lyapunov", {"delay": 290, "horizon": 2}),
+        ("classify", {"delay": 290, "horizon": 2}),
+    ],
+)
+def test_fnn_delay_the_series_cannot_hold_fails_before_any_output(
+    tmp_path, task, options
+):
+    params = {"chi": 1.0, "chi_prime": 0.01}
+    series = lab.simulate("kerr", params, (1.0, 0), 1e-3, 300, tmp_path / "s.wprs")
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(lab.OptionError, match="FNN at delay"):
+        lab.analyze(task, series, options, out)
+    assert list(out.iterdir()) == []
+
+
+def test_fnn_delay_rule_is_the_first_dimensions():
+    # FNN_MIN_POINTS extended points at dimension 1 pass, one fewer fails
+    fnn = lab.resolve_options("fnn", {"delay": 280})
+    lab._check_lengths(fnn, 280 + FNN_MIN_POINTS)
+    with pytest.raises(lab.OptionError, match="FNN at delay 280"):
+        lab._check_lengths(fnn, 279 + FNN_MIN_POINTS)
+    # with a dimension given, no FNN runs and the rule does not apply
+    given = lab.resolve_options("lyapunov", {"delay": 290, "dimension": 1, "horizon": 2})
+    lab._check_lengths(given, 300)
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,12 @@ def boundary_indices(steps):
     return sorted(k for k in ks if k < steps)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.0, 0.0, -1.0])
+def test_time_series_step_must_be_finite_and_positive(dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        series.TimeSeries(dt, np.zeros(3))
+
+
 class TestSpectralSeries:
     @pytest.mark.parametrize("steps", [1, 2, 10, 16, 1009, 20_011])
     def test_against_direct_sum(self, steps):

@@ -328,3 +328,12 @@ def test_series_round_trip(dt, values, observable, meta):
     assert back.dt == dt
     assert back.values.tobytes() == ts.values.tobytes()
     assert (back.observable, back.meta) == (observable, meta)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.0])
+def test_series_file_with_a_bad_time_step_is_rejected(tmp_path, dt):
+    path = tmp_path / "s.wprs"
+    header = seriesio._HEADER.pack(seriesio.MAGIC, seriesio.VERSION, 0, 3, dt)
+    path.write_bytes(header + np.array([0.0, 1.0, 0.5], dtype="<f8").tobytes())
+    with pytest.raises(seriesio.FormatError, match=r"s\.wprs: time step"):
+        seriesio.read_series(path)
