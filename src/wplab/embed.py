@@ -26,11 +26,11 @@ pairs where the series changes bin so often that this is cheaper.
 Each scan stops at its answer.  The delay search can end at the first
 minimum of the mutual information, once the lags that confirm it are
 counted.  FNN ends at the first dimension whose false fraction drops
-below 1%, so ``fnn_fractions`` runs up to the chosen dimension (all
-``d_max`` when none does), and it hands on the KD-tree of that last
-dimension's embedding: the tree covers every embedded row, and queries
-keep to the rows they may use through ``limit``, so the divergence
-estimate of the same embedding reuses it instead of building another.
+below 1%, chooses the dimension an estimate embeds in (the caller only
+records it), and hands on the KD-tree of that embedding when it was the
+last scanned: the tree covers every embedded row, and queries keep to
+the rows they may use through ``limit``, so the divergence estimate of
+the same embedding reuses it instead of building another.
 """
 
 from __future__ import annotations
@@ -48,11 +48,16 @@ from .series import TimeSeries
 FIT_MIN_POINTS = 4
 FIT_SLOPE_TOL = 0.10
 CHAOS_THRESHOLD = 0.01  # ``classify``: chaos needs an exponent above this
+MI_BINS = 16  # mutual-information bins per axis
+MI_MIN_WINDOW = 5  # smoothing window of the mutual-information minimum
 # FNN (Kennel, Brown & Abarbanel 1992): the distance and spread ratios
 # R_tol and A_tol, and the fewest extended points a dimension needs
 FNN_R_TOL = 15.0
 FNN_A_TOL = 2.0
 FNN_MIN_POINTS = 20
+FNN_D_MAX = 8  # the largest dimension tried
+FNN_STOP_FRACTION = 0.01  # the scan stops at the first false fraction under this
+FNN_RELAXED_FRACTION = 0.05  # the estimate's fallback when none is under 1%
 # cap on the bytes of each side's gathered pair rows in one chunk of the
 # divergence curve's delta_k; a chunk holds at least one delta_k
 _CURVE_CHUNK_BYTES = 1 << 19
@@ -85,11 +90,12 @@ class MutualInformationResult:
 
 @dataclass(frozen=True)
 class FnnResult:
-    dimension: Optional[int]
+    dimension: Optional[int]  # first d under 1% false, None when none is
+    chosen: int  # an estimate's: ``dimension``, else first d under 5%, else d_max
     # fraction of false neighbors for d = 1..dimension, or 1..d_max
     # when no fraction drops below 1%
     fnn_fractions: np.ndarray
-    # KD-tree over the full embedding of the last dimension scanned
+    # KD-tree over the full embedding of ``chosen`` if it was scanned last
     grid: Optional[BoxGrid] = field(default=None, repr=False, compare=False)
 
 
@@ -241,19 +247,20 @@ def false_nearest_neighbors(
     d_max: int,
     max_reference: int = 2000,
 ) -> FnnResult:
-    """Fraction of nearest neighbors that separate when the dimension grows.
+    """False-neighbor fractions as the dimension grows, and the dimension
+    an estimate embeds in.
 
     A neighbor is false if the extra coordinate jumps by more than
     FNN_R_TOL (15) times the current distance, or by more than FNN_A_TOL
     (2) times the series spread (the usual catch for stochastic data).
-    The reported dimension is the smallest d with a false fraction below
-    1%, and the scan stops there: ``fnn_fractions`` ends at that d, or
-    runs to ``d_max`` when no fraction drops below 1%.  Dimension d needs
-    FNN_MIN_POINTS (20) extended points, len(series) - d * delay.  Each
-    finds the neighbors of all (up to ``max_reference``) reference points
-    in one batched query, on a tree over the whole d-embedding limited to
-    the rows whose next coordinate exists, and applies the test to them
-    as arrays.  The last dimension's tree is returned as ``grid``.
+    ``dimension`` is the smallest d with a false fraction under 1%, where
+    the scan stops (``fnn_fractions`` ends there, or at ``d_max``); the
+    caller embeds in ``chosen``: that d, else the smallest under 5%, else
+    ``d_max``.  Dimension d needs FNN_MIN_POINTS (20) extended points,
+    len(series) - d * delay.  Each finds the neighbors of all (up to
+    ``max_reference``) reference points in one batched query, on a tree
+    over the whole d-embedding limited to the rows whose next coordinate
+    exists.  The last tree is handed on as ``grid`` if it is ``chosen``'s.
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
@@ -286,9 +293,11 @@ def false_nearest_neighbors(
         if used == 0:
             raise ValueError("no neighbor pairs available for FNN")
         fractions.append(false / used)
-        if fractions[-1] < 0.01:
-            return FnnResult(d, np.array(fractions), grid)
-    return FnnResult(None, np.array(fractions), grid)
+        if fractions[-1] < FNN_STOP_FRACTION:
+            return FnnResult(d, d, np.array(fractions), grid)
+    under = [d for d, f in enumerate(fractions, 1) if f < FNN_RELAXED_FRACTION]
+    chosen = under[0] if under else d_max
+    return FnnResult(None, chosen, np.array(fractions), grid if chosen == d_max else None)
 
 
 def _select_fit_window(ks: np.ndarray, svals: np.ndarray):

@@ -40,7 +40,10 @@ from .bipartite import (
     sector_eigensolver,
 )
 from .embed import (
+    FNN_D_MAX,
     FNN_MIN_POINTS,
+    MI_BINS,
+    MI_MIN_WINDOW,
     EmbeddingSpec,
     classify,
     false_nearest_neighbors,
@@ -238,9 +241,6 @@ def simulate(
 
 # fixed analysis settings: no caller needs another value
 CELL_WIDTH = 0.01  # width of the default median-centred return-time cell
-MI_BINS = 16  # mutual-information bins per axis
-MI_MIN_WINDOW = 5  # smoothing window of the mutual-information minimum
-FNN_D_MAX = 8  # largest embedding dimension FNN tries
 
 
 def integer(value) -> int:
@@ -445,14 +445,12 @@ def choose_embedding(
     ``dimension`` short-circuits the automatic choice.  The delay search
     ends at the first minimum; a horizon, explicit or derived from the
     delay, that the series cannot fit is rejected there, before FNN
-    (``_check_lengths``).  When FNN never drops below 1%, the
-    smallest dimension under 5% is used (flagged), else ``FNN_D_MAX``.
-    ``fnn_fractions`` runs up to the dimension where FNN stopped: the
-    chosen one, or ``FNN_D_MAX`` when the choice was relaxed.
-
-    The third value is FNN's KD-tree over the chosen embedding, for the
-    divergence estimate, when FNN's last dimension is the chosen one;
-    otherwise None.
+    (``_check_lengths``).  FNN decides the dimension
+    (``FnnResult.chosen``) and this records it: ``fnn_fractions`` as far
+    as FNN scanned, ``fnn_relaxed`` when no fraction is under 1%, and
+    ``fnn_dimension``.  The third value is ``FnnResult.grid``, FNN's
+    KD-tree over the chosen embedding for the divergence estimate, or
+    None.
     """
     info: dict[str, Any] = {}
     delay = options["delay"]
@@ -462,24 +460,25 @@ def choose_embedding(
         info["mi_lag"] = mi.lag
         info["mi_has_minimum"] = mi.has_minimum
     _check_lengths(options, len(series), delay=delay)
-    dimension = options["dimension"]
-    grid = None
+    dimension, grid = options["dimension"], None
     if dimension is None:
         fnn = false_nearest_neighbors(series, delay=int(delay), d_max=FNN_D_MAX)
         info["fnn_fractions"] = [round(float(f), 6) for f in fnn.fnn_fractions]
-        if fnn.dimension is not None:
-            dimension = fnn.dimension
-        else:
-            under = np.flatnonzero(fnn.fnn_fractions < 0.05)
-            dimension = int(under[0]) + 1 if under.size else FNN_D_MAX
+        if fnn.dimension is None:
             info["fnn_relaxed"] = True
-        info["fnn_dimension"] = int(dimension)
-        if fnn.fnn_fractions.size == dimension:
-            grid = fnn.grid
+        dimension, grid = fnn.chosen, fnn.grid
+        info["fnn_dimension"] = dimension
     return EmbeddingSpec(int(delay), int(dimension)), info, grid
 
 
-def _run_lyapunov(series: TimeSeries, options: dict[str, Any]):
+def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
+    """The Lyapunov estimate of ``series`` and its json payload.
+
+    ``options`` are the resolved options of ``task``, "lyapunov" or
+    "classify"; for "classify" the payload adds the verdict.  The
+    ``lyapunov`` and ``classify`` json exports and the rows of a table
+    preset are this payload.
+    """
     spec, info, grid = choose_embedding(series, options)
     _check_lengths(options, len(series), delay=spec.delay, dimension=spec.dimension)
     theiler = 2 * spec.delay
@@ -491,18 +490,6 @@ def _run_lyapunov(series: TimeSeries, options: dict[str, Any]):
         max_reference=options["max_reference"], curve_stride=stride,
     )
     info.update(theiler=theiler, horizon=horizon, method="rosenstein")
-    return result, info
-
-
-def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
-    """The Lyapunov estimate of ``series`` and its json payload.
-
-    ``options`` are the resolved options of ``task``, "lyapunov" or
-    "classify"; for "classify" the payload adds the verdict.  The
-    ``lyapunov`` and ``classify`` json exports and the rows of a table
-    preset are this payload.
-    """
-    result, info = _run_lyapunov(series, options)
     payload = {
         "lambda_max": result.lambda_max,
         "fit_range": list(result.fit_range),
@@ -674,7 +661,7 @@ def _check_lengths(
     horizon is checked; with one, the default derived from it too.  So
     the bare checks come before the delay search, the delay's before FNN
     (``choose_embedding``) and the dimension's before the estimate
-    (``_run_lyapunov``).
+    (``_lyapunov_report``).
     """
     if "window_len" in options:
         start = options["window_start"]

@@ -3,7 +3,9 @@
 Series files carry a fixed 32-byte header (magic ``WPRS``, version,
 sample count, time step) followed by little-endian float64 samples, and
 are written byte-identically for identical inputs.  A JSON sidecar
-(``<file>.meta.json``) holds the observable label and model parameters.
+(``<file>.meta.json``) holds the observable label and model parameters;
+one that is not a JSON object with a string ``observable`` and an object
+``meta`` is a ``FormatError`` naming it, as a bad header is (CLI exit 1).
 Analysis exports are plain text with ``# key = value`` headers echoing
 the resolved options.  Floats are written as ``repr(float(x))``: the
 repr of a numpy scalar reads ``np.float64(...)`` under numpy 2, which
@@ -168,9 +170,16 @@ def read_series(path: str | Path) -> TimeSeries:
     meta: dict[str, Any] = {}
     meta_path = path.with_name(path.name + ".meta.json")
     if meta_path.exists():
-        sidecar = json.loads(meta_path.read_text())
+        try:
+            sidecar = json.loads(meta_path.read_text())
+        except ValueError as exc:  # malformed JSON or text
+            raise FormatError(f"{meta_path}: {exc}") from None
+        if not isinstance(sidecar, dict):
+            raise FormatError(f"{meta_path}: not a JSON object")
         observable = sidecar.get("observable", "")
         meta = sidecar.get("meta", {})
+        if not (isinstance(observable, str) and isinstance(meta, dict)):
+            raise FormatError(f"{meta_path}: observable must be a string, meta an object")
     return TimeSeries(dt, values.copy(), observable=observable, meta=meta)
 
 

@@ -273,6 +273,22 @@ def test_series_file_with_a_bad_time_step_exits_1(tmp_path, dt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text", ["{bad", "[1,2]", '{"observable": 5, "meta": [1]}'],
+    ids=["not-json", "a-list", "bad-fields"],
+)
+def test_malformed_sidecar_exits_1(tmp_path, series_file, text, capsys):
+    # a copy of the valid Kerr series whose sidecar is ``text``
+    path = tmp_path / "s.wprs"
+    path.write_bytes(series_file.read_bytes())
+    (tmp_path / "s.wprs.meta.json").write_text(text)
+    out = tmp_path / "out"
+    argv = ["analyze", "--task", "density", "--series", path, "--out", out]
+    assert exit_code(argv) == 1
+    assert "s.wprs.meta.json: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def option_flags(options):
     """The ``analyze`` flags that give ``options``; a cell pair as LO:HI."""
     flags = []

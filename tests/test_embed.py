@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wplab.benchmarks import henon_series, logistic_series, sine_series
-from wplab import embed, neighbors
+from wplab import embed, lab, neighbors
 from wplab.embed import (
     FIT_MIN_POINTS,
     FIT_SLOPE_TOL,
@@ -24,12 +24,18 @@ from wplab.embed import (
     _select_fit_window,
 )
 from wplab.neighbors import BoxGrid, brute_force_nearest
+from wplab.presets import PRESETS
 from wplab.series import TimeSeries
 
 
 def white_noise(n, seed=123):
     rng = np.random.default_rng(seed)
     return TimeSeries(1.0, rng.normal(size=n))
+
+
+def fig4_series(steps):
+    p = PRESETS["fig4"]
+    return lab.simulate_series(p.model, p.params, p.nu, p.m, p.dt, steps)
 
 
 def brute_force_mi_curve(x, max_lag, bins):
@@ -344,23 +350,34 @@ class TestFnn:
         assert f.fnn_fractions.tolist() == fracs[: f.dimension or d_max]
 
     @pytest.mark.parametrize(
-        "make, delay, d_max, dimension",
+        "make, delay, d_max, dimension, chosen",
         [
-            (lambda: sine_series(10_000, period=100.0), 25, 6, 2),
-            (lambda: henon_series(10_000), 1, 6, 2),
-            (lambda: white_noise(10_000), 1, 5, None),
+            (lambda: sine_series(10_000, period=100.0), 25, 6, 2, 2),
+            (lambda: henon_series(10_000), 1, 6, 2, 2),
+            # no fraction under 5%: d_max, whose tree is the last one built
+            (lambda: white_noise(10_000), 1, 5, None, 5),
+            # relaxed: none under 1%, the first under 5% is d = 6, and the
+            # d = 8 tree the scan ended on is not its tree
+            (lambda: fig4_series(20_000), 8, 8, None, 6),
         ],
-        ids=["sine", "henon", "noise"],
+        ids=["sine", "henon", "noise", "fig4-relaxed"],
     )
-    def test_stops_where_the_full_scan_answers(self, make, delay, d_max, dimension):
+    def test_stops_where_the_full_scan_answers(self, make, delay, d_max, dimension, chosen):
         ts = make()
         full = full_fnn_scan(ts, delay, d_max)
         f = false_nearest_neighbors(ts, delay=delay, d_max=d_max)
         assert f.dimension == first_under_one_percent(full.tolist()) == dimension
-        stop = dimension or d_max  # noise never drops below 1%: all d_max
+        stop = dimension or d_max  # none under 1%: all d_max
         assert np.array_equal(f.fnn_fractions, full[:stop])
-        # the tree handed on covers the whole embedding of the last d
-        assert np.array_equal(f.grid.points, delay_embed(ts, EmbeddingSpec(delay, stop)))
+        # the chosen dimension: the 1% one, else the first under 5%, else d_max
+        under = np.flatnonzero(full < 0.05)
+        assert f.chosen == (dimension or (under[0] + 1 if under.size else d_max)) == chosen
+        # the tree handed on covers the whole embedding of the chosen d, and
+        # is kept only when that d is the last one scanned
+        if chosen == stop:
+            assert np.array_equal(f.grid.points, delay_embed(ts, EmbeddingSpec(delay, chosen)))
+        else:
+            assert f.grid is None
 
 
 def select_fit_window_loop(ks, svals):

@@ -41,7 +41,7 @@ def fig4_series(steps):
         (lambda: sine_series(20_000, period=100.0), {}, True),
         # an explicit dimension: no FNN, the estimator builds its tree
         (lambda: sine_series(20_000, period=100.0), {"dimension": 3}, False),
-        # relaxed: FNN scans all FNN_D_MAX and the estimator uses d = 6
+        # relaxed: FNN scans all FNN_D_MAX, chooses d = 6 and keeps no tree
         (lambda: fig4_series(20_000), {"horizon": 100}, False),
     ],
     ids=["fnn-stops", "explicit-dimension", "fnn-relaxed"],
@@ -56,12 +56,13 @@ def test_no_tree_outlives_the_estimate(monkeypatch, make, options, shared):
 
     monkeypatch.setattr(neighbors.BoxGrid, "__init__", record)
     series = make()
-    result, info = lab._run_lyapunov(series, lab.resolve_options("lyapunov", options))
-    scanned = len(info.get("fnn_fractions", ()))
+    options = lab.resolve_options("lyapunov", options)
+    result, payload = lab._lyapunov_report("lyapunov", series, options)
+    scanned = len(payload["selection"].get("fnn_fractions", ()))
     assert (result.embedding.dimension == scanned) == shared
     # one tree per FNN dimension, and one more unless FNN's last is shared
     assert len(built) == scanned + (not shared)
-    # the result and info are still held: neither may keep a tree alive
+    # the result and payload are still held: neither may keep a tree alive
     gc.collect()
     assert [ref() for ref in built] == [None] * len(built)
 

@@ -337,3 +337,18 @@ def test_series_file_with_a_bad_time_step_is_rejected(tmp_path, dt):
     path.write_bytes(header + np.array([0.0, 1.0, 0.5], dtype="<f8").tobytes())
     with pytest.raises(seriesio.FormatError, match=r"s\.wprs: time step"):
         seriesio.read_series(path)
+
+
+BAD_SIDECARS = {
+    "not-json": ("{bad", "Expecting property name"),
+    "a-list": ("[1,2]", "not a JSON object"),
+    "bad-fields": ('{"observable": 5, "meta": [1]}', "observable must be a string"),
+}
+
+
+@pytest.mark.parametrize("text, reason", BAD_SIDECARS.values(), ids=BAD_SIDECARS)
+def test_malformed_sidecar_is_rejected(tmp_path, text, reason):
+    path = seriesio.write_series(sine_series(50, period=10.0), tmp_path / "s.wprs")
+    (tmp_path / "s.wprs.meta.json").write_text(text)
+    with pytest.raises(seriesio.FormatError, match=rf"s\.wprs\.meta\.json: {reason}"):
+        seriesio.read_series(path)
