@@ -15,14 +15,15 @@ flags win.  One config file may serve several tasks, so ``analyze``
 passes on only the config values its ``--task`` owns, while a flag the
 task does not own is an error.
 
-Exit status: 0 success, 1 runtime error, such as a malformed series
-file or ``.meta.json`` sidecar (nothing is written), 2 usage error: a
-bad flag, config value, analysis option, preset id, model parameter,
-``nu``, ``m``, ``dt`` or ``steps``, found before any file is read or
-written, or a series length the options cannot use, such as a
-recurrence window past its end or an FNN delay that leaves fewer than
-``embed.FNN_MIN_POINTS`` samples, found once the series is read
-(``preset``: before simulating it) and before any output.  ``verify``
+Exit status: 0 success, 1 runtime error, such as a malformed or empty
+series file or ``.meta.json`` sidecar (nothing is written), 2 usage
+error: a bad flag, config value, analysis option, preset id, model
+parameter, ``nu``, ``m``, ``dt`` or ``steps``, found before any file is
+read or written, or a series too short for the task and its options by
+a length rule of ``embed`` or ``recur`` (their ``check_*`` functions),
+found once the series is read (``preset``: before simulating it), or
+once the delay or dimension the rule needs is chosen, and before any
+output.  ``verify``
 exits 0 when every output matches its manifest, 1 naming the first
 missing or changed one, and 2 when the manifest cannot be read.
 """

@@ -132,6 +132,44 @@ def delay_embed(series: TimeSeries, spec: EmbeddingSpec) -> np.ndarray:
     )
 
 
+def _at_least(low: int, **counts: int) -> None:
+    """``ValueError`` naming the first of ``counts`` below ``low``."""
+    for name, value in counts.items():
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_delay_search(samples: int, max_lag: int) -> None:
+    """The delay search over lags 1..max_lag needs more than 10 * max_lag samples."""
+    if samples <= 10 * max_lag:
+        raise ValueError(
+            f"mutual-information max_lag {max_lag} needs more than "
+            f"{10 * max_lag} samples, got {samples}"
+        )
+
+
+def check_fnn(samples: int, delay: int, dimension: int) -> None:
+    """FNN at ``dimension`` needs FNN_MIN_POINTS extended points,
+    samples - dimension * delay."""
+    if samples - dimension * delay < FNN_MIN_POINTS:
+        raise ValueError(
+            f"FNN at delay {delay}, dimension {dimension} needs "
+            f"{dimension * delay + FNN_MIN_POINTS} samples or more, got {samples}"
+        )
+
+
+def check_divergence(samples: int, spec: Optional[EmbeddingSpec], horizon: int) -> None:
+    """The divergence curve needs more than 10 * horizon embedded samples,
+    samples - (dimension - 1) * delay; with ``spec`` None (not yet
+    chosen), more than 10 * horizon samples, which no embedding lengthens."""
+    embedded = samples if spec is None else samples - (spec.dimension - 1) * spec.delay
+    if embedded <= 10 * horizon:
+        raise ValueError(
+            f"Lyapunov horizon {horizon} needs more than {10 * horizon} "
+            f"embedded samples, got {embedded}"
+        )
+
+
 def _mi_counts(counts: np.ndarray, bins: int) -> float:
     """Mutual information of the (bins * bins) joint counts, flattened."""
     joint = counts.astype(np.float64)
@@ -187,10 +225,9 @@ def mutual_information_delay(
     counts are exact, and the curve does not depend on the path taken.
     """
     x = series.values
-    if x.size <= 10 * max_lag:
-        raise ValueError("series must be longer than 10 * max_lag")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    _at_least(1, max_lag=max_lag, stride=1 if stride is None else stride)
+    _at_least(2, bins=bins)
+    check_delay_search(x.size, max_lag)
     lo, hi = float(x.min()), float(x.max())
     if hi <= lo:
         raise ValueError("mutual information undefined for a constant series")
@@ -256,14 +293,14 @@ def false_nearest_neighbors(
     ``dimension`` is the smallest d with a false fraction under 1%, where
     the scan stops (``fnn_fractions`` ends there, or at ``d_max``); the
     caller embeds in ``chosen``: that d, else the smallest under 5%, else
-    ``d_max``.  Dimension d needs FNN_MIN_POINTS (20) extended points,
-    len(series) - d * delay.  Each finds the neighbors of all (up to
+    ``d_max``.  Dimension d needs FNN_MIN_POINTS (20) extended points
+    (``check_fnn``).  Each finds the neighbors of all (up to
     ``max_reference``) reference points in one batched query, on a tree
     over the whole d-embedding limited to the rows whose next coordinate
     exists.  The last tree is handed on as ``grid`` if it is ``chosen``'s.
     """
-    if d_max < 2:
-        raise ValueError("d_max must be >= 2")
+    _at_least(2, d_max=d_max)
+    _at_least(1, max_reference=max_reference)
     x = series.values
     sigma = float(np.std(x))
     # growth below this is indistinguishable from rounding noise; without
@@ -273,11 +310,8 @@ def false_nearest_neighbors(
     fractions = []
     grid = None
     for d in range(1, d_max + 1):
+        check_fnn(x.size, delay, d)
         n_ext = x.size - d * delay
-        if n_ext < FNN_MIN_POINTS:
-            raise ValueError(
-                f"series too short for FNN at dimension {d} with delay {delay}"
-            )
         grid = None  # the previous dimension's tree goes before this one is built
         grid = BoxGrid(delay_embed(series, EmbeddingSpec(delay, d)))
         stride = max(1, n_ext // max_reference)
@@ -402,32 +436,37 @@ def _divergence_curve(
 def _lyapunov(
     series: TimeSeries,
     spec: EmbeddingSpec,
+    theiler: int,
     horizon: int,
     max_reference: int,
     curve_stride: int,
     method: str,
-    neighbors: Callable[[BoxGrid, np.ndarray, int], tuple],
+    neighbors: Callable[[BoxGrid, np.ndarray, int, int], tuple],
     grid: Optional[BoxGrid],
 ) -> LyapunovResult:
     """Mean log divergence of neighbor groups, and its fitted slope.
 
-    ``neighbors(grid, refs, limit)`` returns (ai, aj, sizes): the pairs
-    of reference points ``refs`` and their neighbors j <= limit (so that
-    ``horizon`` steps ahead exist), in consecutive groups of ``sizes``
-    > 0 pairs, one per reference.  At each delta_k a group's distances
-    are averaged, and the mean is over the logs of the positive
-    averages (``_divergence_curve``, a chunk of delta_k at a time).
-    One-pair groups give Rosenstein's estimator, epsilon-balls Kantz's.
-    ``grid`` is a tree over ``delay_embed(series, spec)``, such as
-    ``FnnResult.grid``; without one, the embedding and its tree are
-    built here, once the series is known to be long enough.
+    ``neighbors(grid, refs, theiler, limit)`` returns (ai, aj, sizes): the
+    pairs of reference points ``refs`` and their neighbors j <= limit (so
+    that ``horizon`` steps ahead exist) outside the Theiler window, in
+    consecutive groups of ``sizes`` > 0 pairs, one per reference.  At
+    each delta_k a group's distances are averaged, and the mean is over
+    the logs of the positive averages (``_divergence_curve``, a chunk of
+    delta_k at a time).  One-pair groups give Rosenstein's estimator,
+    epsilon-balls Kantz's.  ``grid`` is a tree over ``delay_embed(series,
+    spec)``, such as ``FnnResult.grid``; without one, the embedding and
+    its tree are built here, once the series is known to be long enough
+    (``check_divergence``).
     """
-    count = len(series) - (spec.dimension - 1) * spec.delay
-    if count <= 10 * horizon:
-        raise ValueError("embedded series must be longer than 10 * horizon")
+    _at_least(0, theiler=theiler)
+    _at_least(
+        1, horizon=horizon, max_reference=max_reference, curve_stride=curve_stride
+    )
+    check_divergence(len(series), spec, horizon)
     if grid is None:
         grid = BoxGrid(delay_embed(series, spec))
     pts = grid.points
+    count = len(series) - (spec.dimension - 1) * spec.delay
     if pts.shape != (count, spec.dimension):
         raise ValueError(
             f"tree over {pts.shape} points does not hold the ({count}, "
@@ -436,7 +475,7 @@ def _lyapunov(
     limit = count - 1 - horizon
     stride = max(1, (limit + 1) // max_reference)
     refs = np.arange(0, limit + 1, stride)
-    ai, aj, sizes = neighbors(grid, refs, limit)
+    ai, aj, sizes = neighbors(grid, refs, theiler, limit)
 
     ks = np.arange(0, horizon + 1, curve_stride, dtype=np.int64)
     if ks[-1] != horizon:
@@ -471,7 +510,7 @@ def lyapunov_rosenstein(
     as ``FnnResult.grid``.
     """
 
-    def nearest(grid, refs, limit):
+    def nearest(grid, refs, theiler, limit):
         j, _ = grid.nearest_many(refs, theiler=theiler, limit=limit, exclude_zero=True)
         found = j >= 0
         if not found.any():
@@ -479,7 +518,8 @@ def lyapunov_rosenstein(
         return refs[found], j[found], np.ones(np.count_nonzero(found), dtype=np.int64)
 
     return _lyapunov(
-        series, spec, horizon, max_reference, curve_stride, "rosenstein", nearest, grid
+        series, spec, theiler, horizon, max_reference, curve_stride, "rosenstein",
+        nearest, grid,
     )
 
 
@@ -496,11 +536,13 @@ def lyapunov_kantz(
     """Mean log of neighborhood-averaged divergence (all neighbors within
     epsilon = epsilon_frac * series standard deviation); ``grid`` as in
     ``lyapunov_rosenstein``."""
-    if epsilon_frac <= 0:
-        raise ValueError("epsilon_frac must be positive")
+    if not (epsilon_frac > 0 and np.isfinite(epsilon_frac)):
+        raise ValueError(
+            f"epsilon_frac must be finite and positive, got {epsilon_frac!r}"
+        )
     eps = float(epsilon_frac * np.std(series.values))
 
-    def balls(grid, refs, limit):
+    def balls(grid, refs, theiler, limit):
         nbs = [grid.within(int(i), eps, theiler=theiler, limit=limit) for i in refs]
         sizes = np.array([nb.size for nb in nbs], dtype=np.int64)
         if not sizes.any():
@@ -510,7 +552,8 @@ def lyapunov_kantz(
         return np.repeat(refs, sizes), np.concatenate(nbs), sizes[sizes > 0]
 
     return _lyapunov(
-        series, spec, horizon, max_reference, curve_stride, "kantz", balls, grid
+        series, spec, theiler, horizon, max_reference, curve_stride, "kantz", balls,
+        grid,
     )
 
 

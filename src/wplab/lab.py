@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from . import openblas
+from . import embed, openblas, recur
 from . import svg as svgmod
 from .bipartite import (
     TwoModeParams,
@@ -41,7 +41,6 @@ from .bipartite import (
 )
 from .embed import (
     FNN_D_MAX,
-    FNN_MIN_POINTS,
     MI_BINS,
     MI_MIN_WINDOW,
     EmbeddingSpec,
@@ -459,7 +458,7 @@ def choose_embedding(
         delay = mi.lag
         info["mi_lag"] = mi.lag
         info["mi_has_minimum"] = mi.has_minimum
-    _check_lengths(options, len(series), delay=delay)
+    _check_lengths("lyapunov", options, len(series), delay=delay)  # classify's too
     dimension, grid = options["dimension"], None
     if dimension is None:
         fnn = false_nearest_neighbors(series, delay=int(delay), d_max=FNN_D_MAX)
@@ -480,7 +479,9 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     preset are this payload.
     """
     spec, info, grid = choose_embedding(series, options)
-    _check_lengths(options, len(series), delay=spec.delay, dimension=spec.dimension)
+    _check_lengths(
+        task, options, len(series), delay=spec.delay, dimension=spec.dimension
+    )
     theiler = 2 * spec.delay
     horizon = _derived(options, "horizon", spec.delay)
     # 2 * stride <= horizon: two curve points at delta_k >= 1 for any horizon >= 2
@@ -537,7 +538,7 @@ def analyze(
     out_dir = Path(out_dir) if out_dir is not None else series_file.parent
     stem = out_dir / series_file.name.removesuffix(".wprs")
     ts = seriesio.read_series(series_file)
-    _check_lengths(options, len(ts))
+    _check_lengths(task, options, len(ts))
     written: list[Path] = []
     with _removed_on_failure(written):
         _run_task(task, ts, options, stem, svg, written)
@@ -640,83 +641,43 @@ def list_presets() -> list[str]:
 
 
 def _check_lengths(
-    options: dict[str, Any], samples: int, where: str = "",
+    task: str, options: dict[str, Any], samples: int, where: str = "",
     delay: Optional[int] = None, dimension: int = 1,
 ) -> None:
-    """Reject a recurrence window, FNN delay, ``max_lag`` or Lyapunov
-    ``horizon`` that ``samples`` cannot fit.
+    """Reject a series length that ``task`` cannot use with ``options``:
+    the ``ValueError`` of the rule's owner (``embed.check_*``,
+    ``recur.check_*``) becomes an ``OptionError`` prefixed by ``where``.
 
-    Each run path calls it once on the bare length before any work:
-    ``analyze`` once the series is read, ``run_preset`` (``_check_steps``)
-    before simulating.  A recurrence window must end by the last sample
-    and leave an explicit embedding 2 points or more: window_len -
-    (dimension - 1) * delay >= 2.  Where FNN will run (``fnn``, and
-    ``lyapunov`` or ``classify`` without a dimension) its first
-    dimension needs samples - delay >= FNN_MIN_POINTS; the higher ones
-    stay checked inside the scan, whose stopping dimension depends on
-    the data.  A delay search needs more than 10 * max_lag samples
-    (explicit or derived), checked only while the delay is unknown.  A
-    divergence curve needs more than 10 * horizon embedded samples,
-    samples - (dimension - 1) * delay: without a delay only an explicit
-    horizon is checked; with one, the default derived from it too.  So
-    the bare checks come before the delay search, the delay's before FNN
-    (``choose_embedding``) and the dimension's before the estimate
-    (``_lyapunov_report``).
+    Called at three points, each before the work its rules guard: on the
+    bare length (``analyze`` once the series is read, ``run_preset``
+    before simulating), once the delay search has chosen ``delay``
+    (``choose_embedding``, before FNN), and once FNN has chosen
+    ``dimension`` (``_lyapunov_report``).  FNN's higher dimensions stay
+    checked in its scan, whose stopping dimension depends on the data.
     """
-    if "window_len" in options:
-        start = options["window_start"]
-        length = _derived(options, "window_len", samples)
-        if start + length > samples:
-            raise OptionError(
-                f"{where}recurrence window ending at {start + length} does not "
-                f"fit {samples} samples"
-            )
-        if options["delay"] is not None:
-            points = length - (options["dimension"] - 1) * options["delay"]
-            if points < 2:
-                raise OptionError(
-                    f"{where}recurrence window of {length} samples holds {points} "
-                    f"embedded points, fewer than 2"
-                )
-        return
     known = options.get("delay") if delay is None else delay
-    fnn = known is not None and options.get("dimension") is None  # FNN will run
-    if fnn and samples - known < FNN_MIN_POINTS:
-        raise OptionError(
-            f"{where}FNN at delay {known} needs {known + FNN_MIN_POINTS} samples "
-            f"or more, got {samples}"
-        )
-    if known is None and "max_lag" in options:
-        max_lag = _derived(options, "max_lag", samples)
-        if samples <= 10 * max_lag:
-            raise OptionError(
-                f"{where}mutual-information max_lag {max_lag} needs more than "
-                f"{10 * max_lag} samples, got {samples}"
-            )
-    if "horizon" not in options:
-        return
-    horizon = options["horizon"]
-    name = f"horizon {horizon}"
-    if horizon is None:
-        if delay is None:
-            return
-        horizon = _derived(options, "horizon", delay)
-        name = f"default horizon {horizon} (delay {delay})"
-    embedded = samples - (dimension - 1) * (delay or 0)
-    if embedded <= 10 * horizon:
-        raise OptionError(
-            f"{where}Lyapunov {name} needs more than "
-            f"{10 * horizon} embedded samples, got {embedded}"
-        )
-
-
-def _check_steps(preset, steps: int) -> list[dict[str, Any]]:
-    """Each analysis's resolved options; rejects a series length they
-    cannot use (``_check_lengths``), before any simulation."""
-    resolved = [resolve_options(item.task, item.options) for item in preset.analyses]
-    for options in resolved:
-        _check_lengths(options, steps, f"{preset.id}: ")
-    return resolved
+    try:
+        if task in ("f1", "f2"):
+            recur.check_return_times(samples)
+        elif task == "returnmap":
+            recur.check_return_map(samples)
+        elif task == "rp":
+            length = _derived(options, "window_len", samples)
+            recur.check_window(samples, options["window_start"], length)
+            if options["delay"] is not None:
+                spec = EmbeddingSpec(options["delay"], options["dimension"])
+                recur.check_window_embedding(length, spec)
+        elif task == "mi" or (task in _LYAPUNOV and known is None):
+            embed.check_delay_search(samples, _derived(options, "max_lag", samples))
+        elif task == "fnn" or (task in _LYAPUNOV and options["dimension"] is None):
+            embed.check_fnn(samples, known, 1)
+        # an explicit horizon is checked at every point, a default one once
+        # the delay it derives from is known
+        if task in _LYAPUNOV and (options["horizon"] is not None or delay is not None):
+            spec = None if delay is None else EmbeddingSpec(delay, dimension)
+            embed.check_divergence(samples, spec, _derived(options, "horizon", delay))
+    except ValueError as exc:
+        raise OptionError(f"{where}{exc}") from None
 
 
 def _peak_rss_mb() -> float:
@@ -818,7 +779,10 @@ def run_preset(
     dt = preset.dt if dt is None else dt
     _check_grid(dt, steps)
     run_steps, run_dt = int(steps), float(dt)
-    resolved = _check_steps(preset, run_steps)
+    # each analysis's options, resolved and checked against the length
+    resolved = [resolve_options(item.task, item.options) for item in preset.analyses]
+    for item, options in zip(preset.analyses, resolved):
+        _check_lengths(item.task, options, run_steps, f"{preset.id}: ")
 
     t0 = time.perf_counter()
     # a failure removes what exists, the manifest included: the outputs

@@ -88,6 +88,37 @@ class RecurrencePlotData:
     embedding: Optional[EmbeddingSpec] = None
 
 
+def check_return_times(samples: int) -> None:
+    """Return times need at least 2 samples."""
+    if samples < 2:
+        raise ValueError(f"return times need at least 2 samples, got {samples}")
+
+
+def check_return_map(samples: int) -> None:
+    """A return map needs at least 3 samples."""
+    if samples < 3:
+        raise ValueError(f"return map needs at least 3 samples, got {samples}")
+
+
+def check_window(samples: int, window_start: int, window_len: int) -> None:
+    """A recurrence window lies inside the series and spans at least 2 samples."""
+    if window_start < 0 or window_len < 2 or window_start + window_len > samples:
+        raise ValueError(
+            f"recurrence window [{window_start}, {window_start + window_len}) does "
+            f"not fit a series of length {samples} (need length >= 2)"
+        )
+
+
+def check_window_embedding(window_len: int, spec: EmbeddingSpec) -> None:
+    """An embedding leaves at least 2 delay vectors in the recurrence window."""
+    points = window_len - (spec.dimension - 1) * spec.delay
+    if points < 2:
+        raise ValueError(
+            f"recurrence window of {window_len} samples holds {points} embedded "
+            f"points, fewer than 2"
+        )
+
+
 def _event_indices(series: TimeSeries, cell: Cell, mode: Mode) -> np.ndarray:
     v = series.values
     inside = (v >= cell.lower) & (v < cell.upper)
@@ -105,8 +136,7 @@ def _return_times(
     series: TimeSeries, cell: Cell, mode: Mode, apart: int
 ) -> ReturnTimeHistogram:
     """Histogram of gaps between events ``apart`` apart (event k to k+apart)."""
-    if len(series) < 2:
-        raise ValueError("series must have at least 2 samples")
+    check_return_times(len(series))
     events = _event_indices(series, cell, mode)
     if events.size <= apart:
         raise NoEventsError(
@@ -191,8 +221,8 @@ def support_sparsity(h: ReturnTimeHistogram, mass: float) -> int:
 
 def invariant_density(series: TimeSeries, bin_width: float) -> DensityHistogram:
     """Normalized histogram of the series values on [min, max]."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
     v = series.values
     lo = float(v.min())
     hi = float(v.max())
@@ -208,8 +238,7 @@ def invariant_density(series: TimeSeries, bin_width: float) -> DensityHistogram:
 def return_map(series: TimeSeries) -> np.ndarray:
     """Pairs of consecutive strict local maxima (M_k, M_{k+1})."""
     v = series.values
-    if v.size < 3:
-        raise ValueError("series must have at least 3 samples")
+    check_return_map(v.size)
     peaks = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
     heights = v[peaks]
     if heights.size < 2:
@@ -253,22 +282,19 @@ def recurrence_matrix(
     window_len`` is at most 2**16, so that every index fits; int32 when
     it is at most 2**31; and int64 otherwise.
     """
-    if epsilon_frac <= 0:
-        raise ValueError("epsilon_frac must be positive")
-    n = len(series)
-    if window_start < 0 or window_len < 2 or window_start + window_len > n:
+    if not (epsilon_frac > 0 and math.isfinite(epsilon_frac)):
         raise ValueError(
-            f"window [{window_start}, {window_start + window_len}) does not fit "
-            f"a series of length {n} (need length >= 2)"
+            f"epsilon_frac must be finite and positive, got {epsilon_frac!r}"
         )
+    check_window(len(series), window_start, window_len)
+    if embed is not None:
+        check_window_embedding(window_len, embed)
     w = series.values[window_start : window_start + window_len]
     eps = float(epsilon_frac * np.std(w))
     if embed is None:
         pts = w[:, None]
     else:
         pts = delay_embed(TimeSeries(series.dt, w), embed)
-        if pts.shape[0] < 2:
-            raise ValueError("window too small for the requested embedding")
 
     # sort by the first coordinate: the partners j of a point within eps
     # lie in a short run after it, found by searchsorted with a slack

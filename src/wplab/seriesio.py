@@ -1,8 +1,9 @@
 """File formats: binary series, text exports for analysis artifacts.
 
 Series files carry a fixed 32-byte header (magic ``WPRS``, version,
-sample count, time step) followed by little-endian float64 samples, and
-are written byte-identically for identical inputs.  A JSON sidecar
+sample count, time step) followed by little-endian float64 samples, at
+least one, and are written byte-identically for identical inputs; a
+header that counts no samples is a ``FormatError``.  A JSON sidecar
 (``<file>.meta.json``) holds the observable label and model parameters;
 one that is not a JSON object with a string ``observable`` and an object
 ``meta`` is a ``FormatError`` naming it, as a bad header is (CLI exit 1).
@@ -140,6 +141,8 @@ def _write_int_rows(fh, rows: np.ndarray) -> None:
 
 
 def write_series(ts: TimeSeries, path: str | Path) -> Path:
+    if len(ts) == 0:  # ``read_series`` rejects a file of no samples
+        raise ValueError("cannot write a series of no samples")
     path = Path(path)
     payload = np.ascontiguousarray(ts.values, dtype="<f8")
     with _replacing(path, "wb") as fh:
@@ -160,6 +163,8 @@ def read_series(path: str | Path) -> TimeSeries:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if count == 0:
+        raise FormatError(f"{path}: header counts 0 samples")
     expect = _HEADER.size + 8 * count
     if len(raw) != expect:
         raise FormatError(f"{path}: expected {expect} bytes, found {len(raw)}")

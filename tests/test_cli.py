@@ -273,6 +273,29 @@ def test_series_file_with_a_bad_time_step_exits_1(tmp_path, dt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task", ["f1", "density"])
+def test_series_file_of_no_samples_exits_1(tmp_path, task, capsys):
+    path = tmp_path / "s.wprs"
+    # a header that counts 0 samples, and no body
+    header = seriesio._HEADER.pack(seriesio.MAGIC, seriesio.VERSION, 0, 0, 1e-3)
+    path.write_bytes(header)
+    out = tmp_path / "out"
+    assert exit_code(["analyze", "--task", task, "--series", path, "--out", out]) == 1
+    assert "s.wprs: header counts 0 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["rp", "f1", "f2", "returnmap"])
+def test_one_sample_series_exits_2(tmp_path, task):
+    # each task's length rule rejects it once the series is read
+    argv = ["simulate", "--model", "kerr", "--steps", 1, "--out", tmp_path]
+    assert exit_code(argv) == 0
+    out = tmp_path / "out"
+    series = tmp_path / "kerr_series.wprs"
+    assert exit_code(["analyze", "--task", task, "--series", series, "--out", out]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text", ["{bad", "[1,2]", '{"observable": 5, "meta": [1]}'],
     ids=["not-json", "a-list", "bad-fields"],

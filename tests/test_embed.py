@@ -844,3 +844,38 @@ class TestClassify:
             ts, EmbeddingSpec(25, 2), theiler=50, horizon=300, curve_stride=3
         )
         assert classify(r).label == "regular"
+
+
+
+# arguments each estimator accepts, and one bad count or scale at a time
+GOOD_ARGUMENTS = {
+    mutual_information_delay: {"max_lag": 10, "bins": 16},
+    false_nearest_neighbors: {"delay": 1, "d_max": 4},
+    lyapunov_rosenstein: {"spec": EmbeddingSpec(1, 2), "theiler": 2, "horizon": 20},
+    lyapunov_kantz: {
+        "spec": EmbeddingSpec(1, 2), "theiler": 2, "epsilon_frac": 0.1, "horizon": 20
+    },
+}
+BAD_COUNTS = [
+    (mutual_information_delay, "max_lag", 0),
+    (mutual_information_delay, "stride", 0),
+    (false_nearest_neighbors, "max_reference", 0),
+    (lyapunov_rosenstein, "max_reference", 0),
+    (lyapunov_rosenstein, "curve_stride", 0),
+    (lyapunov_rosenstein, "theiler", -1),
+    (lyapunov_rosenstein, "horizon", -5),
+    (lyapunov_kantz, "max_reference", 0),
+    (lyapunov_kantz, "curve_stride", 0),
+    (lyapunov_kantz, "theiler", -1),
+    (lyapunov_kantz, "epsilon_frac", math.nan),
+]
+
+
+@pytest.mark.parametrize(
+    "estimate, name, value", BAD_COUNTS,
+    ids=[f"{f.__name__}-{name}" for f, name, _ in BAD_COUNTS],
+)
+def test_bad_count_or_scale_is_a_value_error_naming_it(estimate, name, value):
+    arguments = {**GOOD_ARGUMENTS[estimate], name: value}
+    with pytest.raises(ValueError, match=name):
+        estimate(henon_series(2000), **arguments)

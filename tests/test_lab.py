@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -10,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wplab import bipartite, lab, neighbors, seriesio
+from wplab import bipartite, embed, lab, neighbors, recur, seriesio
 from wplab.benchmarks import sine_series
-from wplab.embed import FNN_MIN_POINTS
+from wplab.embed import FNN_MIN_POINTS, EmbeddingSpec
 from wplab.presets import PRESETS
 from wplab.recur import Cell
 from wplab.series import TimeSeries
@@ -535,12 +536,131 @@ def test_fnn_delay_the_series_cannot_hold_fails_before_any_output(
 def test_fnn_delay_rule_is_the_first_dimensions():
     # FNN_MIN_POINTS extended points at dimension 1 pass, one fewer fails
     fnn = lab.resolve_options("fnn", {"delay": 280})
-    lab._check_lengths(fnn, 280 + FNN_MIN_POINTS)
+    lab._check_lengths("fnn", fnn, 280 + FNN_MIN_POINTS)
     with pytest.raises(lab.OptionError, match="FNN at delay 280"):
-        lab._check_lengths(fnn, 279 + FNN_MIN_POINTS)
+        lab._check_lengths("fnn", fnn, 279 + FNN_MIN_POINTS)
     # with a dimension given, no FNN runs and the rule does not apply
     given = lab.resolve_options("lyapunov", {"delay": 290, "dimension": 1, "horizon": 2})
-    lab._check_lengths(given, 300)
+    lab._check_lengths("lyapunov", given, 300)
+
+
+def wave(samples):
+    k = np.arange(samples)
+    return TimeSeries(1.0, np.sin(0.7 * k) + 0.3 * np.sin(2.1 * k))
+
+
+def lab_check(task, options, samples, **chosen):
+    lab._check_lengths(task, lab.resolve_options(task, options), samples, **chosen)
+
+
+# each series-length rule: the message of its owner's check, the fewest
+# samples (a window's, for an embedded recurrence window) it accepts,
+# lab's check at the point that knows its lengths, and the estimator
+LENGTH_RULES = {
+    "mi-delay-search": (
+        "max_lag 20 needs", 201,
+        lambda n: lab_check("mi", {"max_lag": 20}, n),
+        lambda n: embed.mutual_information_delay(wave(n), 20, embed.MI_BINS),
+    ),
+    "lyapunov-delay-search": (
+        "max_lag 20 needs", 201,
+        lambda n: lab_check("lyapunov", {"max_lag": 20}, n),
+        lambda n: embed.mutual_information_delay(wave(n), 20, embed.MI_BINS),
+    ),
+    "fnn": (
+        "FNN at delay 5, dimension 1 ", 25,
+        lambda n: lab_check("fnn", {"delay": 5}, n),
+        lambda n: embed.false_nearest_neighbors(wave(n), 5, embed.FNN_D_MAX),
+    ),
+    "lyapunov-fnn-once-the-delay-is-chosen": (
+        "FNN at delay 5, dimension 1 ", 25,
+        lambda n: lab_check("lyapunov", {"horizon": 2}, n, delay=5),
+        lambda n: embed.false_nearest_neighbors(wave(n), 5, embed.FNN_D_MAX),
+    ),
+    "horizon-on-the-bare-series": (
+        "horizon 10 needs", 101,
+        lambda n: lab_check(
+            "lyapunov", {"delay": 3, "dimension": 1, "horizon": 10}, n
+        ),
+        lambda n: embed.lyapunov_rosenstein(wave(n), EmbeddingSpec(3, 1), 6, 10),
+    ),
+    "default-horizon-once-the-delay-is-chosen": (
+        "horizon 100 needs", 1001,
+        lambda n: lab_check("classify", {}, n, delay=2),
+        lambda n: embed.lyapunov_rosenstein(wave(n), EmbeddingSpec(2, 1), 4, 100),
+    ),
+    "horizon-once-the-dimension-is-chosen": (
+        "horizon 10 needs", 104,
+        lambda n: lab_check("lyapunov", {"horizon": 10}, n, delay=3, dimension=2),
+        lambda n: embed.lyapunov_rosenstein(wave(n), EmbeddingSpec(3, 2), 6, 10),
+    ),
+    "rp-window": (
+        "does not fit", 60,
+        lambda n: lab_check("rp", {"window_start": 10, "window_len": 50}, n),
+        lambda n: recur.recurrence_matrix(wave(n), 10, 50, 0.1),
+    ),
+    "rp-default-window": (
+        "does not fit", 2,
+        lambda n: lab_check("rp", {}, n),
+        lambda n: recur.recurrence_matrix(wave(n), 0, min(4000, n), 0.1),
+    ),
+    "rp-embedded-window": (
+        "embedded points", 22,
+        lambda k: lab_check("rp", {"window_len": k, "delay": 10, "dimension": 3}, 100),
+        lambda k: recur.recurrence_matrix(wave(100), 0, k, 0.1, EmbeddingSpec(10, 3)),
+    ),
+    "f1": (
+        "return times need", 2,
+        lambda n: lab_check("f1", {}, n),
+        lambda n: recur.first_return_times(wave(n), Cell(-2.0, 2.0)),
+    ),
+    "f2": (
+        "return times need", 2,
+        lambda n: lab_check("f2", {}, n),
+        lambda n: recur.second_return_times(wave(n), Cell(-2.0, 2.0)),
+    ),
+    "returnmap": (
+        "return map needs", 3,
+        lambda n: lab_check("returnmap", {}, n),
+        lambda n: recur.return_map(wave(n)),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, fewest, check, estimate", LENGTH_RULES.values(), ids=LENGTH_RULES
+)
+def test_lab_and_the_owner_accept_the_same_lengths(rule, fewest, check, estimate):
+    check(fewest)
+    with pytest.raises(lab.OptionError, match=rule):
+        check(fewest - 1)
+    with pytest.raises(ValueError, match=rule):
+        estimate(fewest - 1)
+    try:
+        estimate(fewest)
+    except (ValueError, RuntimeError) as exc:  # a later rule or the data's limit
+        assert not re.search(rule, str(exc))
+
+
+@pytest.mark.parametrize(
+    "preset_id, steps, reason",
+    [
+        ("fig1", 1, "return times need"),
+        ("fig3", 1, "return times need"),
+        ("fig7-10", 2, "return map needs"),
+    ],
+)
+def test_too_short_for_a_task_fails_before_simulating(
+    tmp_path, monkeypatch, preset_id, steps, reason
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate_series ran")
+
+    monkeypatch.setattr(lab, "simulate_series", no_simulation)
+    out = tmp_path / "out"
+    with pytest.raises(lab.OptionError, match=f"{preset_id}: {reason}"):
+        lab.run_preset(preset_id, out, steps=steps)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

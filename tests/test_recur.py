@@ -460,3 +460,18 @@ class TestRecurrenceMatrix:
             recurrence_matrix(ts, 50, 100, epsilon_frac=0.1)
         with pytest.raises(ValueError):
             recurrence_matrix(ts, 0, 100, epsilon_frac=-1.0)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda ts: recurrence_matrix(ts, 0, 100, math.nan), "epsilon_frac"),
+        (lambda ts: recurrence_matrix(ts, 0, 100, math.inf), "epsilon_frac"),
+        (lambda ts: invariant_density(ts, math.inf), "bin_width"),
+        (lambda ts: invariant_density(ts, math.nan), "bin_width"),
+    ],
+    ids=["rp-nan", "rp-inf", "density-inf", "density-nan"],
+)
+def test_bad_scale_is_a_value_error_naming_it(call, named):
+    with pytest.raises(ValueError, match=named):
+        call(sine_series(200, period=10.0))

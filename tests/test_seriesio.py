@@ -317,7 +317,7 @@ json_values = st.recursive(
 @settings(max_examples=60, deadline=None)
 @given(
     dt=st.floats(min_value=1e-300, max_value=1e300),
-    values=st.lists(finite, max_size=50),
+    values=st.lists(finite, min_size=1, max_size=50),
     observable=st.text(),
     meta=st.dictionaries(st.text(), json_values, max_size=5),
 )
@@ -336,6 +336,18 @@ def test_series_file_with_a_bad_time_step_is_rejected(tmp_path, dt):
     header = seriesio._HEADER.pack(seriesio.MAGIC, seriesio.VERSION, 0, 3, dt)
     path.write_bytes(header + np.array([0.0, 1.0, 0.5], dtype="<f8").tobytes())
     with pytest.raises(seriesio.FormatError, match=r"s\.wprs: time step"):
+        seriesio.read_series(path)
+
+
+def test_series_of_no_samples_is_neither_written_nor_read(tmp_path):
+    path = tmp_path / "s.wprs"
+    with pytest.raises(ValueError, match="no samples"):
+        seriesio.write_series(TimeSeries(1e-3, np.array([])), path)
+    assert not path.exists()
+    # a header that counts 0 samples, and no body
+    header = seriesio._HEADER.pack(seriesio.MAGIC, seriesio.VERSION, 0, 0, 1e-3)
+    path.write_bytes(header)
+    with pytest.raises(seriesio.FormatError, match=r"s\.wprs: header counts 0 samples"):
         seriesio.read_series(path)
 
 
