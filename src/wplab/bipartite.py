@@ -43,7 +43,8 @@ order.  It drops the smallest pair terms whose |amplitude| sums to at
 most ``series.PRUNE_FRACTION`` of the total, which moves no sample by
 more than that dropped mass (``fig11-14`` keeps 508 of its 9 860 pairs).
 The series metadata records the terms kept, the dropped mass and its
-budget, and |norm - 1| over the kept sectors.
+budget, and |norm - 1| over the kept sectors.  The series is the field's
+<a+a>, the total number less <b+b>, formed in place; no <b+b> series is kept.
 """
 
 from __future__ import annotations
@@ -255,10 +256,9 @@ def decompose_initial(field: FockState, p: TwoModeParams) -> list[SectorState]:
 
 @dataclass(frozen=True)
 class OccupancySeries:
-    """Field and second-mode occupation numbers plus the state norm."""
+    """The field's occupation number <a+a> plus the state norm."""
 
     field: TimeSeries
-    atom: TimeSeries
     norm: np.ndarray
 
 
@@ -305,14 +305,14 @@ def occupancy_series(
     dt: float,
     steps: int,
 ) -> OccupancySeries:
-    """<a+a>(t), <b+b>(t) and the total squared norm at t = k*dt.
+    """<a+a>(t) and the total squared norm at t = k*dt.
 
     The norm and the total number are constants of the motion; ``norm``
     is a read-only view repeating the former for every sample.
     """
     atom, total_number, norm = occupancy_sum(sectors)
-    atom_occ, pruning = atom.evaluate(dt, steps)
-
+    occ, pruning = atom.evaluate(dt, steps)
+    np.subtract(total_number, occ, out=occ)  # <a+a> = N - <b+b>, in place
     meta = {
         "model": "bipartite",
         "omega": p.omega,
@@ -324,9 +324,7 @@ def occupancy_series(
         "norm_error": abs(norm - 1.0),
         **pruning,
     }
-    field_occ = total_number - atom_occ
     return OccupancySeries(
-        field=TimeSeries(dt, field_occ, observable="photon_number", meta=meta),
-        atom=TimeSeries(dt, atom_occ, observable="atom_number", meta=dict(meta)),
+        field=TimeSeries(dt, occ, observable="photon_number", meta=meta),
         norm=np.broadcast_to(norm, steps),
     )

@@ -462,6 +462,12 @@ def _lyapunov(
     _at_least(
         1, horizon=horizon, max_reference=max_reference, curve_stride=curve_stride
     )
+    # ks below holds ceil(horizon / curve_stride) points at delta_k >= 1
+    if curve_stride >= horizon:
+        raise ValueError(
+            f"curve_stride {curve_stride} must be below horizon {horizon}: the "
+            f"divergence curve needs two points at delta_k >= 1"
+        )
     check_divergence(len(series), spec, horizon)
     if grid is None:
         grid = BoxGrid(delay_embed(series, spec))

@@ -484,7 +484,6 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     )
     theiler = 2 * spec.delay
     horizon = _derived(options, "horizon", spec.delay)
-    # 2 * stride <= horizon: two curve points at delta_k >= 1 for any horizon >= 2
     stride = max(1, horizon // 200)
     result = lyapunov_rosenstein(
         series, spec, theiler, horizon, grid=grid,

@@ -7,6 +7,8 @@ header that counts no samples is a ``FormatError``.  A JSON sidecar
 (``<file>.meta.json``) holds the observable label and model parameters;
 one that is not a JSON object with a string ``observable`` and an object
 ``meta`` is a ``FormatError`` naming it, as a bad header is (CLI exit 1).
+A write passes the samples' own buffer to the file, and a read keeps a
+read-only view of the bytes it read: neither copies the samples again.
 Analysis exports are plain text with ``# key = value`` headers echoing
 the resolved options.  Floats are written as ``repr(float(x))``: the
 repr of a numpy scalar reads ``np.float64(...)`` under numpy 2, which
@@ -144,10 +146,9 @@ def write_series(ts: TimeSeries, path: str | Path) -> Path:
     if len(ts) == 0:  # ``read_series`` rejects a file of no samples
         raise ValueError("cannot write a series of no samples")
     path = Path(path)
-    payload = np.ascontiguousarray(ts.values, dtype="<f8")
     with _replacing(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(ts), ts.dt))
-        fh.write(payload.tobytes())
+        fh.write(ts.values.astype("<f8", copy=False))
     sidecar = {"observable": ts.observable, "meta": ts.meta}
     _write_json(sidecar, path.with_name(path.name + ".meta.json"))
     return path
@@ -185,7 +186,7 @@ def read_series(path: str | Path) -> TimeSeries:
         meta = sidecar.get("meta", {})
         if not (isinstance(observable, str) and isinstance(meta, dict)):
             raise FormatError(f"{meta_path}: observable must be a string, meta an object")
-    return TimeSeries(dt, values.copy(), observable=observable, meta=meta)
+    return TimeSeries(dt, values, observable=observable, meta=meta)
 
 
 def _write_header(fh, kind: str, options: dict[str, Any]) -> None:

@@ -42,6 +42,13 @@ def test_parser_takes_config_defaults(command):
     assert (args.steps, args.out) == (50, "runs")
 
 
+def test_config_line_without_equals_rejected(tmp_path):
+    config = tmp_path / "wplab.cfg"
+    config.write_text("steps = 50\ndt 0.002\n")
+    with pytest.raises(ValueError, match="config line without '=': 'dt 0.002'"):
+        cli.read_config(config)
+
+
 def exit_code(argv):
     """``cli.main``'s status; argparse reports usage errors by SystemExit."""
     try:
@@ -282,6 +289,31 @@ def test_series_file_of_no_samples_exits_1(tmp_path, task, capsys):
     out = tmp_path / "out"
     assert exit_code(["analyze", "--task", task, "--series", path, "--out", out]) == 1
     assert "s.wprs: header counts 0 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def series_file_bytes(magic=seriesio.MAGIC, version=seriesio.VERSION, count=3):
+    """A series file of three samples whose header says ``magic``,
+    ``version`` and ``count``."""
+    header = seriesio._HEADER.pack(magic, version, 0, count, 1e-3)
+    return header + np.array([0.0, 1.0, 0.5], dtype="<f8").tobytes()
+
+
+BAD_HEADERS = {
+    "truncated": (series_file_bytes()[:20], "truncated header"),
+    "bad-magic": (series_file_bytes(magic=b"WPRX"), "bad magic"),
+    "version": (series_file_bytes(version=2), "unsupported version 2"),
+    "count": (series_file_bytes(count=4), "expected 64 bytes, found 56"),
+}
+
+
+@pytest.mark.parametrize("raw, reason", BAD_HEADERS.values(), ids=BAD_HEADERS)
+def test_series_file_with_a_bad_header_exits_1(tmp_path, raw, reason, capsys):
+    path = tmp_path / "s.wprs"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    assert exit_code(["analyze", "--task", "f1", "--series", path, "--out", out]) == 1
+    assert f"s.wprs: {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 

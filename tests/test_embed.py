@@ -177,6 +177,13 @@ class TestDelayEmbed:
         with pytest.raises(ValueError):
             delay_embed(ts, EmbeddingSpec(5, 4))
 
+    @pytest.mark.parametrize(
+        "delay, dimension, named", [(0, 2, "delay"), (1, 0, "dimension")]
+    )
+    def test_spec_below_one_rejected(self, delay, dimension, named):
+        with pytest.raises(ValueError, match=f"{named} must be >= 1"):
+            EmbeddingSpec(delay, dimension)
+
 
 class TestMutualInformation:
     def test_matches_brute_force_on_noise(self):
@@ -879,3 +886,31 @@ def test_bad_count_or_scale_is_a_value_error_naming_it(estimate, name, value):
     arguments = {**GOOD_ARGUMENTS[estimate], name: value}
     with pytest.raises(ValueError, match=name):
         estimate(henon_series(2000), **arguments)
+
+
+@pytest.mark.parametrize("horizon, curve_stride", [(1, 1), (10, 10), (10, 12)])
+@pytest.mark.parametrize("estimate", [lyapunov_rosenstein, lyapunov_kantz])
+def test_curve_with_no_fit_window_fails_before_any_tree(
+    monkeypatch, estimate, horizon, curve_stride
+):
+    # fewer than two divergence-curve points at delta_k >= 1 leave no
+    # window to fit, which the estimate knows before it builds a tree
+    built = []
+    monkeypatch.setattr(
+        embed, "BoxGrid", lambda points: built.append(points) or BoxGrid(points)
+    )
+    arguments = {
+        **GOOD_ARGUMENTS[estimate], "horizon": horizon, "curve_stride": curve_stride
+    }
+    with pytest.raises(
+        ValueError, match=f"curve_stride {curve_stride} must be below horizon {horizon}"
+    ):
+        estimate(henon_series(2000), **arguments)
+    assert built == []
+
+
+def test_curve_stride_just_below_horizon_fits():
+    # ks = 0, 10, 11: two points at delta_k >= 1
+    ts = henon_series(2000)
+    r = lyapunov_rosenstein(ts, EmbeddingSpec(1, 2), 2, 11, curve_stride=10)
+    assert r.divergence_curve[:, 0].tolist() == [0.0, 10.0, 11.0]

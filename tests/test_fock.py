@@ -111,6 +111,13 @@ class TestPacs:
         s = pacs_amplitudes(alpha, 0, 30)
         assert np.abs(s.amplitudes - coherent / np.linalg.norm(coherent)).max() < 1e-14
 
+    @pytest.mark.parametrize(
+        "m, n_max, reason", [(-1, 10, "m must be >= 0"), (3, 3, r"n_max must be >= m \+ 1")]
+    )
+    def test_bad_order_or_truncation_rejected(self, m, n_max, reason):
+        with pytest.raises(ValueError, match=reason):
+            pacs_amplitudes(1.0, m, n_max)
+
     def test_photon_added_vacuum(self):
         s = pacs_amplitudes(0.0, 5, 12)
         expect = np.zeros(13)

@@ -46,6 +46,10 @@ class TestSpectrum:
         spec = kerr_spectrum(0.5, 0.02, 300)
         assert np.all(np.diff(spec.energies) >= 0.0)
 
+    def test_n_max_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            kerr_spectrum(1.0, 0.0, 0)
+
 
 class TestEvolve:
     def test_identity_at_t0(self):

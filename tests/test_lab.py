@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wplab import bipartite, embed, lab, neighbors, recur, seriesio
-from wplab.benchmarks import sine_series
+from wplab.benchmarks import henon_series, sine_series
 from wplab.embed import FNN_MIN_POINTS, EmbeddingSpec
 from wplab.presets import PRESETS
 from wplab.recur import Cell
@@ -28,6 +28,40 @@ def test_classify_json_for_regular_verdict(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["label"] == "regular"
     assert payload["ambiguous"] is False
+
+
+def export_header(path):
+    """The ``# key = value`` lines of a text export, as text by key."""
+    lines = path.read_text().splitlines()
+    pairs = (ln[2:].split(" = ", 1) for ln in lines if ln.startswith("# "))
+    return dict(pair for pair in pairs if len(pair) == 2)
+
+
+def test_mi_export_is_the_delay_search(tmp_path):
+    ts = sine_series(20_000, period=100.0)
+    series = seriesio.write_series(ts, tmp_path / "s.wprs")
+    (path,) = lab.analyze("mi", series, {"max_lag": 200})
+    mi = embed.mutual_information_delay(
+        ts, max_lag=200, bins=embed.MI_BINS, min_window=embed.MI_MIN_WINDOW
+    )
+    assert mi.has_minimum
+    header = export_header(path)
+    assert (header["lag"], header["has_minimum"]) == (str(mi.lag), str(mi.has_minimum))
+    rows = np.loadtxt(path, ndmin=2)
+    assert np.array_equal(rows, np.column_stack((np.arange(1, 201), mi.curve)))
+
+
+def test_fnn_export_ends_at_the_chosen_dimension(tmp_path):
+    ts = henon_series(5000)
+    series = seriesio.write_series(ts, tmp_path / "s.wprs")
+    (path,) = lab.analyze("fnn", series, {"delay": 1})
+    fnn = embed.false_nearest_neighbors(ts, delay=1, d_max=embed.FNN_D_MAX)
+    assert fnn.dimension is not None
+    header = export_header(path)
+    assert (header["dimension"], header["delay"]) == (str(fnn.dimension), "1")
+    rows = np.loadtxt(path, ndmin=2)
+    assert rows[-1, 0] == fnn.dimension
+    assert np.array_equal(rows[:, 1], fnn.fnn_fractions)
 
 
 def fig4_series(steps):

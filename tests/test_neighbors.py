@@ -262,6 +262,14 @@ class TestWithin:
         assert got.max() <= 50
 
 
+@pytest.mark.parametrize(
+    "points", [np.empty((0, 2)), np.arange(4.0)], ids=["empty", "1-d"]
+)
+def test_grid_needs_a_nonempty_point_array(points):
+    with pytest.raises(ValueError, match="nonempty"):
+        BoxGrid(points)
+
+
 def test_import_does_not_load_scipy():
     # scipy loads on first neighbour search; runs without one skip its cost
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -67,6 +67,11 @@ class TestFirstReturn:
         h = first_return_times(ts, Cell(0.999, 1.001))
         assert h.taus.tolist() == [100]
 
+    def test_unknown_mode_rejected(self):
+        ts = sine_series(1000, period=100.0)
+        with pytest.raises(ValueError, match="unknown mode 'exit'"):
+            first_return_times(ts, Cell(0.9, 1.1), "exit")
+
     def test_rotation_three_gap(self):
         ts = rotation_series(1_000_000)
         h = first_return_times(ts, Cell(0.0, 0.05))

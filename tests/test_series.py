@@ -67,6 +67,12 @@ def test_time_series_step_must_be_finite_and_positive(dt):
         series.TimeSeries(dt, np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_time_series_samples_must_be_finite(bad):
+    with pytest.raises(ValueError, match="series values must be finite"):
+        series.TimeSeries(1.0, np.array([0.0, bad, 1.0]))
+
+
 class TestSpectralSeries:
     @pytest.mark.parametrize("steps", [1, 2, 10, 16, 1009, 20_011])
     def test_against_direct_sum(self, steps):

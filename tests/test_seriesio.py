@@ -364,3 +364,55 @@ def test_malformed_sidecar_is_rejected(tmp_path, text, reason):
     (tmp_path / "s.wprs.meta.json").write_text(text)
     with pytest.raises(seriesio.FormatError, match=rf"s\.wprs\.meta\.json: {reason}"):
         seriesio.read_series(path)
+
+
+def series_file_bytes(magic=seriesio.MAGIC, version=seriesio.VERSION, count=3):
+    """A series file of three samples whose header says ``magic``,
+    ``version`` and ``count``."""
+    header = seriesio._HEADER.pack(magic, version, 0, count, 1e-3)
+    return header + np.array([0.0, 1.0, 0.5], dtype="<f8").tobytes()
+
+
+BAD_HEADERS = {
+    "truncated": (series_file_bytes()[:20], "truncated header"),
+    "bad-magic": (series_file_bytes(magic=b"WPRX"), "bad magic b'WPRX'"),
+    "version": (series_file_bytes(version=2), "unsupported version 2"),
+    "count": (series_file_bytes(count=4), "expected 64 bytes, found 56"),
+}
+
+
+@pytest.mark.parametrize("raw, reason", BAD_HEADERS.values(), ids=BAD_HEADERS)
+def test_bad_header_is_a_format_error_naming_the_file(tmp_path, raw, reason):
+    path = tmp_path / "s.wprs"
+    path.write_bytes(raw)
+    with pytest.raises(seriesio.FormatError, match=rf"s\.wprs: {reason}"):
+        seriesio.read_series(path)
+
+
+def traced_peak(call):
+    """The peak of the memory traced while ``call()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def million_samples():
+    # 8 MB of samples
+    return TimeSeries(1e-3, np.sin(np.arange(1_000_000) / 7.0))
+
+
+def test_series_write_copies_no_samples(tmp_path, million_samples):
+    # a bytes copy of the samples took the traced peak to 8.0 MB
+    path = tmp_path / "s.wprs"
+    assert traced_peak(lambda: seriesio.write_series(million_samples, path)) < 1e6
+
+
+def test_series_read_holds_the_samples_once(tmp_path, million_samples):
+    # the bytes read and a copy of their samples peaked at 17.0 MB; the
+    # bytes alone at 9.0 MB
+    path = seriesio.write_series(million_samples, tmp_path / "s.wprs")
+    assert traced_peak(lambda: seriesio.read_series(path)) < 12e6
