@@ -170,6 +170,18 @@ def check_divergence(samples: int, spec: Optional[EmbeddingSpec], horizon: int) 
         )
 
 
+def check_theiler(samples: int, spec: EmbeddingSpec, horizon: int, theiler: int) -> None:
+    """A reference point has a neighbour outside the Theiler window: the
+    last point with ``horizon`` steps ahead, embedded - 1 - horizon, lies
+    more than ``theiler`` after the first."""
+    last = samples - (spec.dimension - 1) * spec.delay - 1 - horizon
+    if last <= theiler:
+        raise ValueError(
+            f"Theiler window {theiler} leaves no neighbour: the reference "
+            f"points end at embedded index {last} (horizon {horizon})"
+        )
+
+
 def _mi_counts(counts: np.ndarray, bins: int) -> float:
     """Mutual information of the (bins * bins) joint counts, flattened."""
     joint = counts.astype(np.float64)
@@ -469,6 +481,7 @@ def _lyapunov(
             f"divergence curve needs two points at delta_k >= 1"
         )
     check_divergence(len(series), spec, horizon)
+    check_theiler(len(series), spec, horizon, theiler)
     if grid is None:
         grid = BoxGrid(delay_embed(series, spec))
     pts = grid.points

@@ -240,6 +240,12 @@ def simulate(
 
 # fixed analysis settings: no caller needs another value
 CELL_WIDTH = 0.01  # width of the default median-centred return-time cell
+RP_EPSILON_FRAC = 0.1  # recurrence radius over the rp window's std
+
+
+def _theiler(delay: int) -> int:
+    """The Theiler window of a divergence estimate at ``delay``."""
+    return 2 * delay
 
 
 def integer(value) -> int:
@@ -280,13 +286,6 @@ def positive(value) -> float:
     value = number(value)
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"expected a finite positive number, got {value!r}")
-    return value
-
-
-def mode(value) -> str:
-    """``"entry"`` or ``"visit"``: count cell entries or visiting samples."""
-    if value not in ("entry", "visit"):
-        raise ValueError(f"expected 'entry' or 'visit', got {value!r}")
     return value
 
 
@@ -347,17 +346,10 @@ OPTIONS: dict[str, Option] = {
         cell, _median_cell, ("f1", "f2"),
         f"LO:HI value cell [median-centred, width {CELL_WIDTH:g}]",
     ),
-    "mode": Option(
-        mode, "entry", ("f1", "f2"), "entry: count cell entries; visit: samples in it"
-    ),
     "bin_width": Option(positive, 0.01, ("density",), "value bin width"),
-    "window_start": Option(integer_from(0), 0, ("rp",), "first sample of the window"),
     "window_len": Option(
         integer_from(2), lambda samples: min(4000, samples), ("rp",),
-        "window length [min(4000, samples)]",
-    ),
-    "epsilon_frac": Option(
-        positive, 0.1, ("rp",), "recurrence radius over the window's std"
+        "window length from sample 0 [min(4000, samples)]",
     ),
     "delay": Option(
         integer_from(1), None, ("rp", "fnn", *_LYAPUNOV),
@@ -482,7 +474,7 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     _check_lengths(
         task, options, len(series), delay=spec.delay, dimension=spec.dimension
     )
-    theiler = 2 * spec.delay
+    theiler = _theiler(spec.delay)
     horizon = _derived(options, "horizon", spec.delay)
     stride = max(1, horizon // 200)
     result = lyapunov_rosenstein(
@@ -562,7 +554,7 @@ def _run_task(
     if task in ("f1", "f2"):
         value_cell = _derived(options, "cell", ts)
         hist_fn = first_return_times if task == "f1" else second_return_times
-        h = hist_fn(ts, value_cell, options["mode"])
+        h = hist_fn(ts, value_cell)
         seriesio.write_histogram(h, out_path("txt"), cell=value_cell, kind=task)
         plot = (svgmod.bars_svg, h.taus, h.counts, f"{task} histogram")
     elif task == "density":
@@ -583,13 +575,8 @@ def _run_task(
         spec = None
         if options["delay"] is not None:
             spec = EmbeddingSpec(options["delay"], options["dimension"])
-        rp = recurrence_matrix(
-            ts,
-            options["window_start"],
-            _derived(options, "window_len", len(ts)),
-            options["epsilon_frac"],
-            embed=spec,
-        )
+        window_len = _derived(options, "window_len", len(ts))
+        rp = recurrence_matrix(ts, 0, window_len, RP_EPSILON_FRAC, embed=spec)
         seriesio.write_recurrence(rp, out_path("txt"))
         plot = (svgmod.points_svg, rp.pairs[:, 0], rp.pairs[:, 1], "recurrence plot")
     elif task == "mi":
@@ -662,7 +649,7 @@ def _check_lengths(
             recur.check_return_map(samples)
         elif task == "rp":
             length = _derived(options, "window_len", samples)
-            recur.check_window(samples, options["window_start"], length)
+            recur.check_window(samples, 0, length)
             if options["delay"] is not None:
                 spec = EmbeddingSpec(options["delay"], options["dimension"])
                 recur.check_window_embedding(length, spec)
@@ -671,10 +658,14 @@ def _check_lengths(
         elif task == "fnn" or (task in _LYAPUNOV and options["dimension"] is None):
             embed.check_fnn(samples, known, 1)
         # an explicit horizon is checked at every point, a default one once
-        # the delay it derives from is known
+        # the delay it derives from is known; the Theiler window once the
+        # delay is, at dimension 1 (the longest embedding) until FNN chooses
         if task in _LYAPUNOV and (options["horizon"] is not None or delay is not None):
             spec = None if delay is None else EmbeddingSpec(delay, dimension)
-            embed.check_divergence(samples, spec, _derived(options, "horizon", delay))
+            horizon = _derived(options, "horizon", delay)
+            embed.check_divergence(samples, spec, horizon)
+            if spec is not None:
+                embed.check_theiler(samples, spec, horizon, _theiler(delay))
     except ValueError as exc:
         raise OptionError(f"{where}{exc}") from None
 

@@ -1,24 +1,21 @@
 """Coarse-grained recurrence statistics of a scalar time series.
 
 Return-time histograms use half-open value cells [lower, upper) so a
-partition of the range is exact.  The default event convention is
-entry-triggered: a recurrence is counted when the series enters the
-cell, not on every sample spent inside it; every-visit counting is
-retained for sensitivity checks.
+partition of the range is exact.  Events are cell entries: a
+recurrence is counted when the series enters the cell, not on every
+sample spent inside it, as the paper's return-time figures count them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
 from .embed import EmbeddingSpec, delay_embed
 from .series import TimeSeries
-
-Mode = Literal["entry", "visit"]
 
 # candidate point pairs times coordinates per chunk of ``recurrence_matrix``
 _RP_CANDIDATES = 1 << 16
@@ -60,7 +57,6 @@ class ReturnTimeHistogram:
     counts: np.ndarray
     total_events: int
     dt: float
-    mode: Mode
 
 
 @dataclass(frozen=True)
@@ -119,25 +115,20 @@ def check_window_embedding(window_len: int, spec: EmbeddingSpec) -> None:
         )
 
 
-def _event_indices(series: TimeSeries, cell: Cell, mode: Mode) -> np.ndarray:
+def _entry_indices(series: TimeSeries, cell: Cell) -> np.ndarray:
+    """The samples at which the series enters ``cell``."""
     v = series.values
     inside = (v >= cell.lower) & (v < cell.upper)
-    if mode == "visit":
-        return np.flatnonzero(inside)
-    if mode != "entry":
-        raise ValueError(f"unknown mode {mode!r}")
     prev = np.empty_like(inside)
     prev[0] = False
     prev[1:] = inside[:-1]
     return np.flatnonzero(inside & ~prev)
 
 
-def _return_times(
-    series: TimeSeries, cell: Cell, mode: Mode, apart: int
-) -> ReturnTimeHistogram:
+def _return_times(series: TimeSeries, cell: Cell, apart: int) -> ReturnTimeHistogram:
     """Histogram of gaps between events ``apart`` apart (event k to k+apart)."""
     check_return_times(len(series))
-    events = _event_indices(series, cell, mode)
+    events = _entry_indices(series, cell)
     if events.size <= apart:
         raise NoEventsError(
             f"cell [{cell.lower}, {cell.upper}) visited {events.size} time(s); "
@@ -145,21 +136,17 @@ def _return_times(
         )
     gaps = events[apart:] - events[:-apart]
     taus, counts = np.unique(gaps, return_counts=True)
-    return ReturnTimeHistogram(taus, counts, int(gaps.size), series.dt, mode)
+    return ReturnTimeHistogram(taus, counts, int(gaps.size), series.dt)
 
 
-def first_return_times(
-    series: TimeSeries, cell: Cell, mode: Mode = "entry"
-) -> ReturnTimeHistogram:
-    """Histogram of gaps between successive recurrence events."""
-    return _return_times(series, cell, mode, 1)
+def first_return_times(series: TimeSeries, cell: Cell) -> ReturnTimeHistogram:
+    """Histogram of gaps between successive cell entries."""
+    return _return_times(series, cell, 1)
 
 
-def second_return_times(
-    series: TimeSeries, cell: Cell, mode: Mode = "entry"
-) -> ReturnTimeHistogram:
-    """Histogram of gaps between events two apart (event k to k+2)."""
-    return _return_times(series, cell, mode, 2)
+def second_return_times(series: TimeSeries, cell: Cell) -> ReturnTimeHistogram:
+    """Histogram of gaps between entries two apart (entry k to k+2)."""
+    return _return_times(series, cell, 2)
 
 
 @dataclass(frozen=True)

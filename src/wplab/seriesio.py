@@ -3,7 +3,8 @@
 Series files carry a fixed 32-byte header (magic ``WPRS``, version,
 sample count, time step) followed by little-endian float64 samples, at
 least one, and are written byte-identically for identical inputs; a
-header that counts no samples is a ``FormatError``.  A JSON sidecar
+header that counts no samples, or a NaN or infinite sample, is a
+``FormatError``.  A JSON sidecar
 (``<file>.meta.json``) holds the observable label and model parameters;
 one that is not a JSON object with a string ``observable`` and an object
 ``meta`` is a ``FormatError`` naming it, as a bad header is (CLI exit 1).
@@ -186,7 +187,10 @@ def read_series(path: str | Path) -> TimeSeries:
         meta = sidecar.get("meta", {})
         if not (isinstance(observable, str) and isinstance(meta, dict)):
             raise FormatError(f"{meta_path}: observable must be a string, meta an object")
-    return TimeSeries(dt, values, observable=observable, meta=meta)
+    try:
+        return TimeSeries(dt, values, observable=observable, meta=meta)
+    except ValueError as exc:  # a NaN or infinite sample: dt is checked above
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _write_header(fh, kind: str, options: dict[str, Any]) -> None:
@@ -205,7 +209,7 @@ def write_histogram(
     path = Path(path)
     options: dict[str, Any] = {
         "dt": repr(h.dt),
-        "mode": h.mode,
+        "mode": "entry",  # the convention: events are cell entries
         "total_events": h.total_events,
     }
     if cell is not None:

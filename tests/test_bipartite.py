@@ -53,6 +53,11 @@ def test_bad_params_rejected(params):
         TwoModeParams(**params)
 
 
+def test_negative_sector_rejected():
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        sector_diagonals(-1, TwoModeParams(gamma=5.0))
+
+
 class TestDecomposeInitial:
     def test_vacuum_field(self):
         sectors = decompose_initial(pacs_amplitudes(0.0, 0, 5), TwoModeParams())

@@ -42,6 +42,12 @@ def test_parser_takes_config_defaults(command):
     assert (args.steps, args.out) == (50, "runs")
 
 
+def test_config_skips_blank_and_comment_lines(tmp_path):
+    config = tmp_path / "wplab.cfg"
+    config.write_text("# a run\n\nsteps = 50\n   \n  # dt = 0.002\nmax-lag = 7\n")
+    assert cli.read_config(config) == {"steps": "50", "max_lag": "7"}
+
+
 def test_config_line_without_equals_rejected(tmp_path):
     config = tmp_path / "wplab.cfg"
     config.write_text("steps = 50\ndt 0.002\n")
@@ -105,6 +111,7 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
     [
         # no such config key: Rosenstein is the one estimator of a run
         ("method = kantzz\n", ["--task", "lyapunov"]),
+        # nor is mode: events are cell entries
         ("mode = visits\n", ["--task", "f1"]),
         ("svg = maybe\n", ["--task", "f1"]),
         ("max_lag = 2.5\n", ["--task", "mi"]),
@@ -118,12 +125,13 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
         ("", ["--task", "lyapunov", "--theiler", "5"]),
         # values out of their option's range
         ("", ["--task", "lyapunov", "--max-reference", "0"]),
-        # classify takes no --epsilon-frac (rp only); nan is out of range too
+        # no task takes --epsilon-frac: the radius is lab.RP_EPSILON_FRAC
         ("", ["--task", "classify", "--epsilon-frac", "nan"]),
         ("", ["--task", "lyapunov", "--horizon", "-5"]),
         ("", ["--task", "lyapunov", "--horizon", "400", "--max-lag", "0"]),
-        ("", ["--task", "rp", "--window-start", "-1"]),
-        ("", ["--task", "rp", "--epsilon-frac", "0"]),
+        # nor --window-start: the window starts at sample 0
+        ("", ["--task", "rp", "--window-start", "5"]),
+        ("", ["--task", "rp", "--epsilon-frac", "0.2"]),
         ("", ["--task", "density", "--bin-width", "-1"]),
         ("", ["--task", "lyapunov", "--horizon", "1"]),
         ("", ["--task", "rp", "--window-len", "1"]),
@@ -134,8 +142,11 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
         ("max-reference = 0\n", ["--task", "lyapunov"]),
         # positive values are finite too
         ("", ["--task", "density", "--bin-width", "inf"]),
-        ("", ["--task", "rp", "--epsilon-frac", "inf"]),
+        ("", ["--task", "rp", "--epsilon-frac", "inf"]),  # no such flag
         ("bin-width = inf\n", ["--task", "density"]),
+        # no task counts every visit
+        ("", ["--task", "f1", "--mode", "visit"]),
+        ("mode = visit\n", ["--task", "f1"]),
     ],
 )
 def test_bad_options_exit_2_before_reading(tmp_path, config_text, flags):
@@ -147,9 +158,9 @@ def test_bad_options_exit_2_before_reading(tmp_path, config_text, flags):
 
 
 def test_config_seeds_only_the_tasks_owning_it(tmp_path, series_file):
-    # one config for several tasks: density owns neither horizon nor mode
+    # one config for several tasks: density owns neither horizon nor cell
     config = tmp_path / "wplab.cfg"
-    config.write_text("horizon = 5\nmode = visit\nbin-width = 0.5\nsvg = yes\n")
+    config.write_text("horizon = 5\ncell = 0:1\nbin-width = 0.5\nsvg = yes\n")
     argv = ["--config", config, "analyze", "--task", "density", "--series",
             series_file, "--out", tmp_path]
     assert exit_code(argv) == 0
@@ -243,7 +254,7 @@ def test_horizon_the_embedding_cannot_fit_exits_2(tmp_path, series_file):
     "flags",
     [
         ["--window-len", 5000],  # past the end of the 3 000-sample series
-        ["--window-start", 2000, "--window-len", 1001],
+        ["--window-len", 3001],  # one sample past the end
         ["--delay", 500, "--dimension", 8],  # 3 000 - 7 * 500 < 2 points
     ],
 )
@@ -265,6 +276,25 @@ def test_rp_window_the_series_cannot_fit_exits_2(tmp_path, series_file, flags):
 def test_fnn_delay_the_series_cannot_hold_exits_2(tmp_path, series_file, flags):
     argv = ["analyze", "--series", series_file, "--out", tmp_path]
     assert exit_code(argv + flags) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("task", ["lyapunov", "classify"])
+def test_theiler_window_leaving_no_neighbour_exits_2_before_any_tree(
+    tmp_path, monkeypatch, series_file, task
+):
+    # at delay 1500 the Theiler window is 3 000 samples, and the reference
+    # points of the 3 000 end at index 2 997: none has an admissible
+    # neighbour, so no divergence tree is built and nothing is written
+    builds = []
+
+    def spy(self, points):
+        builds.append(points.shape)
+
+    monkeypatch.setattr(neighbors.BoxGrid, "__init__", spy)
+    argv = ["analyze", "--task", task, "--series", series_file, "--out", tmp_path]
+    assert exit_code(argv + ["--delay", 1500, "--dimension", 1, "--horizon", 2]) == 2
+    assert builds == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -344,6 +374,20 @@ def test_malformed_sidecar_exits_1(tmp_path, series_file, text, capsys):
     assert not out.exists()
 
 
+def test_series_file_with_a_nan_sample_exits_1(tmp_path, series_file, capsys):
+    # a copy of the valid Kerr series with a NaN at sample 100
+    raw = bytearray(series_file.read_bytes())
+    offset = seriesio._HEADER.size + 8 * 100
+    raw[offset : offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path = tmp_path / "s.wprs"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    argv = ["analyze", "--task", "density", "--series", path, "--out", out]
+    assert exit_code(argv) == 1
+    assert "s.wprs: series values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def option_flags(options):
     """The ``analyze`` flags that give ``options``; a cell pair as LO:HI."""
     flags = []
@@ -399,7 +443,10 @@ def test_verify_names_first_bad_output(fig5_run, capsys):
 @pytest.mark.parametrize(
     "text",
     [None, "{not json", '["fig5"]', '{"preset": "fig5"}', '{"preset": "fig5", '
-     '"parameters": {}, "outputs": [{"bytes": 3}], "wall_time_s": 0.1}'],
+     '"parameters": {}, "outputs": [{"bytes": 3}], "wall_time_s": 0.1}',
+     # an output record whose path is not text
+     '{"preset": "fig5", "parameters": {}, "outputs": [{"path": 5, "sha256": "ab"}], '
+     '"wall_time_s": 0.1}'],
 )
 def test_verify_unreadable_manifest_exits_2(tmp_path, capsys, text):
     manifest = tmp_path / "fig5_manifest.json"

@@ -46,6 +46,10 @@ class TestLaguerre:
         # L_2(x) = (x^2 - 4x + 2)/2
         assert laguerre(2, -1.0) == pytest.approx(3.5, abs=1e-14)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            laguerre(-1, 0.5)
+
     def test_against_polynomial_sum(self):
         # L_m(x) = sum_k C(m,k) (-x)^k / k!
         rng = np.random.default_rng(7)

@@ -141,6 +141,11 @@ class TestSeries:
         mass = np.abs(quadrature_sum(s, spec).amp).sum()
         assert np.abs(ts.values).max() <= mass + 1e-12
 
+    def test_state_and_spectrum_of_different_sizes_rejected(self):
+        s = pacs_amplitudes(1.0, 0, 30)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            quadrature_sum(s, kerr_spectrum(1.0, 0.01, 31))
+
     def test_metadata(self):
         s = pacs_amplitudes(2.0, 0, 40)
         spec = kerr_spectrum(1.0, 0.01, 40)

@@ -211,6 +211,7 @@ def test_series_sidecar_records_pruning(tmp_path):
         ("bipartite", {"gamma": "5"}, 1e-3, "'gamma'"),
         ("kerr", {"chi": 1.0, "chi_prime": None}, 1e-3, "'chi_prime'"),
         ("bipartite", {"gamma": True}, 1e-3, "'gamma'"),
+        ("spin", {"chi": 1.0}, 1e-3, "unknown model 'spin'"),
     ],
 )
 def test_bad_model_input_fails_before_any_state(
@@ -485,7 +486,8 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("density", {"horizon": 5}, "horizon"),
         ("rp", {"delay": 3}, "dimension"),
         ("fnn", {}, "delay"),
-        ("f1", {"mode": "visits"}, "mode"),
+        # no such option: events are cell entries
+        ("f1", {"mode": "visit"}, "mode"),
         # no such option: Rosenstein is the one estimator of a run
         ("lyapunov", {"method": "kantzz"}, "method"),
         ("lyapunov", {"horizon": 2.5}, "horizon"),
@@ -497,23 +499,26 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("lyapunov", {"curve_stride": 20}, "curve_stride"),  # rule
         ("lyapunov", {"max_reference": 0}, "max_reference"),
         ("classify", {"threshold": 0.01}, "threshold"),  # rule: embed.CHAOS_THRESHOLD
-        # no such option: epsilon_frac belongs to rp only
+        # no such option for any task: the recurrence radius is a fixed rule
         ("classify", {"epsilon_frac": float("nan")}, "epsilon_frac"),
         ("lyapunov", {"horizon": -5}, "horizon"),
         ("lyapunov", {"horizon": 1}, "horizon"),
         ("mi", {"max_lag": 0}, "max_lag"),
         ("lyapunov", {"theiler": 4}, "theiler"),  # rule
-        ("rp", {"epsilon_frac": 0}, "epsilon_frac"),
+        ("rp", {"epsilon_frac": 0.2}, "epsilon_frac"),  # rule: RP_EPSILON_FRAC
         ("density", {"bin_width": -1}, "bin_width"),
         ("mi", {"bins": 16}, "bins"),  # rule
-        ("rp", {"window_start": -1}, "window_start"),
+        ("rp", {"window_start": 5}, "window_start"),  # rule: the window starts at 0
         ("rp", {"window_len": 1}, "window_len"),
         ("fnn", {"delay": 0}, "delay"),
         ("rp", {"delay": 2, "dimension": 0}, "dimension"),
         # positive options are finite too
         ("density", {"bin_width": float("inf")}, "bin_width"),
+        # no such option, whatever the value
         ("rp", {"epsilon_frac": "inf"}, "epsilon_frac"),
-        ("lyapunov", {"epsilon_frac": float("inf")}, "epsilon_frac"),  # rp only
+        ("lyapunov", {"epsilon_frac": float("inf")}, "epsilon_frac"),
+        # neither a number nor its text
+        ("density", {"bin_width": [1]}, "bin_width"),
     ],
 )
 def test_bad_options_fail_before_reading(tmp_path, task, options, named):
@@ -522,11 +527,16 @@ def test_bad_options_fail_before_reading(tmp_path, task, options, named):
         lab.analyze(task, tmp_path / "missing.wprs", options)
 
 
+def test_unknown_task_is_an_option_error():
+    with pytest.raises(lab.OptionError, match="unknown task 'spectrum'; expected one"):
+        lab.resolve_options("spectrum", {})
+
+
 @pytest.mark.parametrize(
     "options, reason",
     [
         # the window runs past the 300-sample series
-        ({"window_start": 100, "window_len": 250}, "does not fit"),
+        ({"window_len": 350}, "does not fit"),
         # 300 - 7 * 50 leaves no delay vector in the window
         ({"delay": 50, "dimension": 8}, "embedded points"),
         # one delay vector, and a recurrence needs two
@@ -628,10 +638,15 @@ LENGTH_RULES = {
         lambda n: lab_check("lyapunov", {"horizon": 10}, n, delay=3, dimension=2),
         lambda n: embed.lyapunov_rosenstein(wave(n), EmbeddingSpec(3, 2), 6, 10),
     ),
+    "theiler-once-the-dimension-is-chosen": (
+        "Theiler window 40 leaves", 64,
+        lambda n: lab_check("lyapunov", {"horizon": 2}, n, delay=20, dimension=2),
+        lambda n: embed.lyapunov_rosenstein(wave(n), EmbeddingSpec(20, 2), 40, 2),
+    ),
     "rp-window": (
-        "does not fit", 60,
-        lambda n: lab_check("rp", {"window_start": 10, "window_len": 50}, n),
-        lambda n: recur.recurrence_matrix(wave(n), 10, 50, 0.1),
+        "does not fit", 50,
+        lambda n: lab_check("rp", {"window_len": 50}, n),
+        lambda n: recur.recurrence_matrix(wave(n), 0, 50, 0.1),
     ),
     "rp-default-window": (
         "does not fit", 2,

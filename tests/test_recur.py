@@ -38,7 +38,7 @@ def counts_of(h):
 def histogram_of(taus, dt=1.0):
     """The histogram of the return times ``taus``."""
     vals, cnts = np.unique(taus, return_counts=True)
-    return ReturnTimeHistogram(vals, cnts, len(taus), dt, "entry")
+    return ReturnTimeHistogram(vals, cnts, len(taus), dt)
 
 
 def brute_force_recurrences(ts, window_start, window_len, eps, embed=None):
@@ -67,11 +67,6 @@ class TestFirstReturn:
         h = first_return_times(ts, Cell(0.999, 1.001))
         assert h.taus.tolist() == [100]
 
-    def test_unknown_mode_rejected(self):
-        ts = sine_series(1000, period=100.0)
-        with pytest.raises(ValueError, match="unknown mode 'exit'"):
-            first_return_times(ts, Cell(0.9, 1.1), "exit")
-
     def test_rotation_three_gap(self):
         ts = rotation_series(1_000_000)
         h = first_return_times(ts, Cell(0.0, 0.05))
@@ -84,15 +79,12 @@ class TestFirstReturn:
         assert counts_of(h) == {2: 49}
         assert h.total_events == 49
 
-    def test_entry_vs_visit(self):
-        # two-sample residences: entry counting collapses them
+    def test_one_event_per_residence(self):
+        # two-sample residences: each counts once, at its entry
         ts = series_of([0, 1, 1, 0, 1, 1, 0, 1, 1, 0])
-        cell = Cell(0.5, 1.5)
-        entry = first_return_times(ts, cell, mode="entry")
-        visit = first_return_times(ts, cell, mode="visit")
-        assert counts_of(entry) == {3: 2}
-        assert counts_of(visit) == {1: 3, 2: 2}
-        assert entry.total_events <= visit.total_events
+        h = first_return_times(ts, Cell(0.5, 1.5))
+        assert counts_of(h) == {3: 2}
+        assert h.total_events == 2
 
     def test_index_zero_counts_as_event(self):
         ts = series_of([1.0, 0.0, 1.0, 0.0])
@@ -151,7 +143,7 @@ class TestSecondReturn:
         vals = np.zeros(int(events[-1]) + 1)
         vals[events] = 1.0
         ts = series_of(vals)
-        f2 = second_return_times(ts, Cell(0.5, 1.5), mode="visit")
+        f2 = second_return_times(ts, Cell(0.5, 1.5))
         t = np.repeat(f2.taus.astype(float), f2.counts)
         lam_exp = 1.0 / t.mean()
         ll_exp = np.sum(np.log(lam_exp) - lam_exp * t)
@@ -185,6 +177,12 @@ class TestFitExponential:
     def test_degenerate_support(self):
         h = histogram_of(np.full(500, 100))
         with pytest.raises(DegenerateSupportError):
+            fit_exponential(h)
+
+    def test_equal_counts_rejected(self):
+        # three bins of 100 events each: the log counts have no slope to fit
+        h = histogram_of(np.repeat([3, 5, 8], 100))
+        with pytest.raises(DegenerateSupportError, match="log counts are constant"):
             fit_exponential(h)
 
     def test_three_support_rejected(self):

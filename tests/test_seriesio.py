@@ -1,4 +1,5 @@
 import io
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -121,9 +122,9 @@ class TestRowWriterMatchesLoop:
         assert body(path, "tau count") == loop_histogram(h)
         back = np.loadtxt(path, dtype=np.int64, ndmin=2)
         assert np.array_equal(back, np.column_stack((h.taus, h.counts)))
-        header = f"# dt = {h.dt!r}\n# mode = {h.mode}\n"
+        header = f"# dt = {h.dt!r}\n# mode = entry\n"
         assert header + f"# total_events = {h.total_events}\n" in path.read_text()
-        empty = ReturnTimeHistogram(np.empty(0, int), np.empty(0, int), 0, 1.0, "entry")
+        empty = ReturnTimeHistogram(np.empty(0, int), np.empty(0, int), 0, 1.0)
         path = seriesio.write_histogram(empty, tmp_path / "empty.txt")
         assert body(path, "tau count") == ""
 
@@ -144,7 +145,7 @@ class TestIntegerRows:
         rp = RecurrencePlotData(0, 10, 0.1, pairs)
         path = seriesio.write_recurrence(rp, tmp_path / "rp.txt")
         assert body(path, "i j") == expect
-        h = ReturnTimeHistogram(pairs[:, 0], pairs[:, 1], 1, 1.0, "entry")
+        h = ReturnTimeHistogram(pairs[:, 0], pairs[:, 1], 1, 1.0)
         path = seriesio.write_histogram(h, tmp_path / "f1.txt")
         assert body(path, "tau count") == expect
         empty = RecurrencePlotData(0, 10, 0.1, np.empty((0, 2), dtype=np.int64))
@@ -348,6 +349,17 @@ def test_series_of_no_samples_is_neither_written_nor_read(tmp_path):
     header = seriesio._HEADER.pack(seriesio.MAGIC, seriesio.VERSION, 0, 0, 1e-3)
     path.write_bytes(header)
     with pytest.raises(seriesio.FormatError, match=r"s\.wprs: header counts 0 samples"):
+        seriesio.read_series(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_is_a_format_error_naming_the_file(tmp_path, bad):
+    path = seriesio.write_series(sine_series(200, period=10.0), tmp_path / "s.wprs")
+    raw = bytearray(path.read_bytes())
+    offset = seriesio._HEADER.size + 8 * 100  # sample 100
+    raw[offset : offset + 8] = np.array([bad], dtype="<f8").tobytes()
+    path.write_bytes(raw)
+    with pytest.raises(seriesio.FormatError, match=r"s\.wprs: series values must be"):
         seriesio.read_series(path)
 
 
