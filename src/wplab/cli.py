@@ -6,24 +6,15 @@ experiment), ``verify`` (check a preset's outputs against its
 manifest), ``list-presets``.  The ``analyze`` option flags are
 generated from ``lab.OPTIONS``.
 
-``--config FILE`` reads flat ``key = value`` lines (``#`` starts a
-comment).  The keys are the subcommands' optional flags without the
-leading dashes (``max-lag`` or ``max_lag``); a value goes through the
-same conversion as its flag, and a switch such as ``svg`` takes yes/no,
-true/false, on/off or 1/0.  Config values become the defaults; explicit
-flags win.  One config file may serve several tasks, so ``analyze``
-passes on only the config values its ``--task`` owns, while a flag the
-task does not own is an error.
-
 Exit status: 0 success, 1 runtime error, such as a malformed or empty
 series file or ``.meta.json`` sidecar (nothing is written), 2 usage
-error: a bad flag, config value, analysis option, preset id, model
-parameter, ``nu``, ``m``, ``dt`` or ``steps``, found before any file is
-read or written, or a series too short for the task and its options by
-a length rule of ``embed`` or ``recur`` (their ``check_*`` functions),
-found once the series is read (``preset``: before simulating it), or
-once the delay or dimension the rule needs is chosen, and before any
-output.  ``verify``
+error: a bad flag, analysis option, preset id, model parameter,
+``nu``, ``m``, ``dt`` or ``steps``, or an ``nu`` or ``m`` beyond the
+Fock basis cap, found before any file is read or written, or a series
+too short for the task and its options by a length rule of ``embed``
+or ``recur`` (their ``check_*`` functions), found once the series is
+read (``preset``: before simulating it), or once the delay or
+dimension the rule needs is chosen, and before any output.  ``verify``
 exits 0 when every output matches its manifest, 1 naming the first
 missing or changed one, and 2 when the manifest cannot be read.
 """
@@ -32,42 +23,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 from . import lab
-
-_SWITCH = {
-    **dict.fromkeys(("1", "true", "yes", "on"), True),
-    **dict.fromkeys(("0", "false", "no", "off"), False),
-}
-
-
-def read_config(path: str | Path) -> dict[str, str]:
-    """Flat key = value lines, values as text; # starts a comment."""
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line without '=': {raw!r}")
-        key, _, val = line.partition("=")
-        out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
-def _config_value(action: argparse.Action, value):
-    """A config value through the same conversion as its flag."""
-    if isinstance(value, str):
-        try:
-            if action.nargs == 0:  # an on/off switch
-                value = _SWITCH[value.lower()]
-            elif action.type is not None:
-                value = action.type(value)
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"invalid {action.dest} value {value!r}") from None
-    return value
 
 
 def _option_help(opt: lab.Option) -> str:
@@ -79,82 +37,62 @@ def _option_help(opt: lab.Option) -> str:
     return f"{opt.help}{default}; tasks: {', '.join(opt.tasks)}"
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``config`` values become the subcommands' defaults.
-
-    Raises ``ValueError`` for a config key that is no optional flag, or a
-    value its flag would reject.
-    """
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wplab",
         description="Wave-packet dynamics laboratory: simulate nonlinear "
         "quantum-optical models and analyze recurrence statistics.",
     )
-    parser.add_argument("--config", help="flat key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-    # dest -> (subparser, action) of each optional flag, which a config can seed
-    flags = defaultdict(list)
-
-    def flag(subparser, name, **kwargs):
-        action = subparser.add_argument(name, **kwargs)
-        flags[action.dest].append((subparser, action))
 
     sim = sub.add_parser("simulate", help="generate a series file")
     sim.add_argument("--model", choices=("kerr", "bipartite"), required=True)
-    flag(sim, "--nu", type=float, default=1.0, help="mean photon number")
-    flag(sim, "--m", type=int, default=0, help="photon additions")
-    flag(sim, "--chi", type=float, default=1.0)
-    flag(sim, "--chi-prime-ratio", type=float, default=0.01, help="chi'/chi (kerr)")
-    flag(sim, "--g", type=float, default=1.0)
-    flag(sim, "--omega", type=float, default=1.0)
-    flag(sim, "--omega0", type=float, default=1.0)
-    flag(sim, "--gamma-over-g", type=float, default=0.01, help="gamma/g (bipartite)")
-    flag(sim, "--dt", type=float, default=1e-3)
-    flag(sim, "--steps", type=int, default=100_000)
-    flag(sim, "--out", default=".", help="output directory")
+    sim.add_argument("--nu", type=float, default=1.0, help="mean photon number")
+    sim.add_argument("--m", type=int, default=0, help="photon additions")
+    sim.add_argument("--chi", type=float, default=1.0)
+    sim.add_argument(
+        "--chi-prime-ratio", type=float, default=0.01, help="chi'/chi (kerr)"
+    )
+    sim.add_argument("--g", type=float, default=1.0)
+    sim.add_argument("--omega", type=float, default=1.0)
+    sim.add_argument("--omega0", type=float, default=1.0)
+    sim.add_argument(
+        "--gamma-over-g", type=float, default=0.01, help="gamma/g (bipartite)"
+    )
+    sim.add_argument("--dt", type=float, default=1e-3)
+    sim.add_argument("--steps", type=int, default=100_000)
+    sim.add_argument("--out", default=".", help="output directory")
 
     ana = sub.add_parser("analyze", help="run one analysis task on a series file")
     ana.add_argument("--task", choices=lab.ANALYSIS_TASKS, required=True)
     ana.add_argument("--series", required=True, help="input .wprs file")
-    flag(ana, "--out", default=None, help="output directory")
+    ana.add_argument("--out", help="output directory")
     for name, opt in lab.OPTIONS.items():
-        flag(ana, "--" + name.replace("_", "-"), type=opt.type, help=_option_help(opt))
-    flag(ana, "--svg", action="store_true")
+        ana.add_argument(
+            "--" + name.replace("_", "-"), type=opt.type, help=_option_help(opt)
+        )
+    ana.add_argument("--svg", action="store_true")
 
     pre = sub.add_parser("preset", help="run a catalogued experiment")
     pre.add_argument("id", help="preset id (see list-presets)")
-    flag(pre, "--out", default=".", help="output directory")
-    flag(pre, "--steps", type=int, default=None)
-    flag(pre, "--dt", type=float, default=None)
-    flag(
-        pre, "--full-scale", action="store_true",
+    pre.add_argument("--out", default=".", help="output directory")
+    pre.add_argument("--steps", type=int, default=None)
+    pre.add_argument("--dt", type=float, default=None)
+    pre.add_argument(
+        "--full-scale", action="store_true",
         help="1e7-sample series (fig5 and fig6 keep their 4000)",
     )
-    flag(pre, "--svg", action="store_true")
+    pre.add_argument("--svg", action="store_true")
 
     ver = sub.add_parser("verify", help="check a preset's outputs against its manifest")
     ver.add_argument("manifest", help="<preset>_manifest.json; outputs lie beside it")
 
     sub.add_parser("list-presets", help="list preset ids")
-    for key, value in (config or {}).items():
-        if key not in flags:
-            raise ValueError(f"unknown config key {key!r}")
-        # a subcommand's own defaults win over the top-level parser's
-        for subparser, action in flags[key]:
-            subparser.set_defaults(**{key: _config_value(action, value)})
     return parser
 
 
 def main(argv=None) -> int:
-    args = given = build_parser().parse_args(argv)
-    if args.config:
-        try:
-            parser = build_parser(read_config(args.config))
-        except (OSError, ValueError) as exc:
-            print(f"wplab: config error: {exc}", file=sys.stderr)
-            return 2
-        args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "list-presets":
             for pid in lab.list_presets():
@@ -179,12 +117,7 @@ def main(argv=None) -> int:
             )
             print(path)
         elif args.command == "analyze":
-            # every flag given, and the config values the task owns
-            options = {
-                name: getattr(args, name)
-                for name, opt in lab.OPTIONS.items()
-                if getattr(given, name) is not None or args.task in opt.tasks
-            }
+            options = {name: getattr(args, name) for name in lab.OPTIONS}
             written = lab.analyze(
                 args.task, args.series, options, out_dir=args.out, svg=args.svg
             )

@@ -50,7 +50,13 @@ from .embed import (
     lyapunov_rosenstein,
     mutual_information_delay,
 )
-from .fock import N_MAX_CAP, FockState, choose_truncation, pacs_amplitudes
+from .fock import (
+    N_MAX_CAP,
+    CapExceededError,
+    FockState,
+    choose_truncation,
+    pacs_amplitudes,
+)
 from .kerr import KerrParams, generate_series_x, kerr_spectrum
 from .neighbors import BoxGrid
 from .presets import PRESETS, ExperimentPreset, TablePreset, get_preset
@@ -93,13 +99,17 @@ class RunManifest:
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         """The manifest ``run_preset`` wrote to ``path``; ``OSError`` when it
-        cannot be read, ``ValueError`` when it is not such a manifest."""
+        cannot be read, ``ValueError`` when it is not such a manifest or an
+        output path does not lie beside it (absolute, or with a ``..`` part)."""
         try:
             data = json.loads(Path(path).read_text())
             manifest = cls(**data)
             for rec in manifest.outputs:
                 if not all(isinstance(rec[key], str) for key in ("path", "sha256")):
                     raise TypeError(f"output record {rec!r} has no path or sha256 text")
+                out = Path(rec["path"])
+                if out.is_absolute() or ".." in out.parts:
+                    raise ValueError(f"output path {rec['path']!r} leaves its directory")
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"{path} is not a run manifest: {exc}") from None
         return manifest
@@ -185,9 +195,14 @@ def _check_grid(dt, steps) -> None:
 
 
 def initial_field_state(nu: float, m: int) -> FockState:
-    """Photon-added coherent state at real alpha = sqrt(nu), auto-truncated."""
+    """Photon-added coherent state at real alpha = sqrt(nu), auto-truncated;
+    ``OptionError`` when no basis within ``N_MAX_CAP`` holds it."""
     alpha = math.sqrt(nu)
-    return pacs_amplitudes(alpha, m, choose_truncation(alpha, m))
+    try:
+        n_max = choose_truncation(alpha, m)
+    except CapExceededError as exc:
+        raise OptionError(f"nu and m exceed the Fock basis cap: {exc}") from None
+    return pacs_amplitudes(alpha, m, n_max)
 
 
 def simulate_series(

@@ -62,8 +62,9 @@ def check_real_fields(params) -> None:
 class TimeSeries:
     """A real scalar sequence sampled every ``dt`` time units.
 
-    ``values`` is stored as a read-only float64 array; ``meta`` carries
-    the model parameters the series was generated with (free-form).
+    ``dt`` is stored as a Python float and ``values`` as a read-only
+    float64 array; ``meta`` carries the model parameters the series was
+    generated with (free-form).
     """
 
     dt: float
@@ -72,8 +73,9 @@ class TimeSeries:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if isinstance(self.dt, bool) or not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        object.__setattr__(self, "dt", float(self.dt))
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if not np.all(np.isfinite(v)):
             raise ValueError("series values must be finite")

@@ -208,7 +208,7 @@ def write_histogram(
     """Two-column (tau, count) text export."""
     path = Path(path)
     options: dict[str, Any] = {
-        "dt": repr(h.dt),
+        "dt": repr(float(h.dt)),
         "mode": "entry",  # the convention: events are cell entries
         "total_events": h.total_events,
     }
@@ -225,9 +225,9 @@ def write_density(d: DensityHistogram, path: str | Path) -> Path:
     """Three-column (bin_center, count, density) text export."""
     path = Path(path)
     options = {
-        "bin_width": repr(d.bin_width),
+        "bin_width": repr(float(d.bin_width)),
         "origin": repr(d.origin),
-        "normalization": repr(d.normalization),
+        "normalization": repr(float(d.normalization)),
     }
     # counts (< 2**53) are exact as float64, and %d prints them as integers
     rows = np.column_stack((d.centers(), d.counts, d.density()))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,48 +12,6 @@ import pytest
 
 from wplab import cli, lab, neighbors, seriesio
 from wplab.presets import get_preset
-
-
-def simulate_with_config(tmp_path, config_text, *flags):
-    config = tmp_path / "wplab.cfg"
-    config.write_text(config_text)
-    out = tmp_path / "out"
-    argv = ["--config", str(config), "simulate", "--model", "kerr", "--nu", "0.5"]
-    assert cli.main(argv + ["--out", str(out), *flags]) == 0
-    return seriesio.read_series(out / "kerr_series.wprs")
-
-
-def test_config_value_becomes_default(tmp_path):
-    ts = simulate_with_config(tmp_path, "steps = 50  # short run\ndt = 0.002\n")
-    assert len(ts) == 50
-    assert ts.dt == 0.002
-
-
-def test_explicit_flag_beats_config(tmp_path):
-    ts = simulate_with_config(tmp_path, "steps = 50\ndt = 0.002\n", "--steps", "7")
-    assert len(ts) == 7
-    assert ts.dt == 0.002
-
-
-@pytest.mark.parametrize(
-    "command", [["simulate", "--model", "kerr"], ["preset", "fig1"]]
-)
-def test_parser_takes_config_defaults(command):
-    args = cli.build_parser({"steps": 50, "out": "runs"}).parse_args(command)
-    assert (args.steps, args.out) == (50, "runs")
-
-
-def test_config_skips_blank_and_comment_lines(tmp_path):
-    config = tmp_path / "wplab.cfg"
-    config.write_text("# a run\n\nsteps = 50\n   \n  # dt = 0.002\nmax-lag = 7\n")
-    assert cli.read_config(config) == {"steps": "50", "max_lag": "7"}
-
-
-def test_config_line_without_equals_rejected(tmp_path):
-    config = tmp_path / "wplab.cfg"
-    config.write_text("steps = 50\ndt 0.002\n")
-    with pytest.raises(ValueError, match="config line without '=': 'dt 0.002'"):
-        cli.read_config(config)
 
 
 def exit_code(argv):
@@ -106,67 +65,77 @@ def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("nu, m", [(5000, 0), (3000, 4000)])
+def test_nu_or_m_beyond_the_basis_cap_exits_2_and_creates_nothing(
+    tmp_path, capsys, nu, m
+):
+    argv = ["simulate", "--model", "kerr", "--nu", nu, "--m", m, "--steps", 10]
+    assert exit_code(argv + ["--out", tmp_path / "d"]) == 2
+    assert "usage error: nu and m exceed the Fock basis cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# (id, flags): an id is a fixed case number, not a position in the list,
+# so that removing a case leaves the other cases' ids as they are
+BAD_OPTIONS = [
+    # no such flag: Rosenstein is the one estimator of a run
+    (0, ["--task", "lyapunov", "--method", "kantzz"]),
+    (2, ["--task", "f1", "--svg", "maybe"]),  # a switch takes no value
+    (3, ["--task", "mi", "--max-lag", "2.5"]),
+    (4, ["--task", "lyapunov", "--horizn", "5"]),
+    (5, ["--task", "f1", "--cell", "0.5"]),
+    (6, ["--task", "f1", "--cell", "0.6:0.5"]),
+    (7, ["--task", "density", "--horizon", "5"]),
+    (8, ["--task", "rp", "--delay", "3"]),
+    (9, ["--task", "fnn"]),
+    # no such flag: the Theiler window is a fixed rule (2 * delay)
+    (10, ["--task", "lyapunov", "--theiler", "5"]),
+    # values out of their option's range
+    (11, ["--task", "lyapunov", "--max-reference", "0"]),
+    # no task takes --epsilon-frac: the radius is lab.RP_EPSILON_FRAC
+    (12, ["--task", "classify", "--epsilon-frac", "nan"]),
+    (13, ["--task", "lyapunov", "--horizon", "-5"]),
+    (14, ["--task", "lyapunov", "--horizon", "400", "--max-lag", "0"]),
+    # nor --window-start: the window starts at sample 0
+    (15, ["--task", "rp", "--window-start", "5"]),
+    (16, ["--task", "rp", "--epsilon-frac", "0.2"]),
+    (17, ["--task", "density", "--bin-width", "-1"]),
+    (18, ["--task", "lyapunov", "--horizon", "1"]),
+    (19, ["--task", "rp", "--window-len", "1"]),
+    (20, ["--task", "fnn", "--delay", "0"]),
+    # no such flag: the curve stride is max(1, horizon // 200)
+    (21, ["--task", "lyapunov", "--curve-stride", "20"]),
+    # positive values are finite too
+    (23, ["--task", "density", "--bin-width", "inf"]),
+    (24, ["--task", "rp", "--epsilon-frac", "inf"]),  # no such flag
+    # no task counts every visit
+    (26, ["--task", "f1", "--mode", "visit"]),
+]
+
+
 @pytest.mark.parametrize(
-    "config_text, flags",
-    [
-        # no such config key: Rosenstein is the one estimator of a run
-        ("method = kantzz\n", ["--task", "lyapunov"]),
-        # nor is mode: events are cell entries
-        ("mode = visits\n", ["--task", "f1"]),
-        ("svg = maybe\n", ["--task", "f1"]),
-        ("max_lag = 2.5\n", ["--task", "mi"]),
-        ("horizn = 5\n", ["--task", "lyapunov"]),
-        ("", ["--task", "f1", "--cell", "0.5"]),
-        ("", ["--task", "f1", "--cell", "0.6:0.5"]),
-        ("", ["--task", "density", "--horizon", "5"]),
-        ("", ["--task", "rp", "--delay", "3"]),
-        ("", ["--task", "fnn"]),
-        # no such flag: the Theiler window is a fixed rule (2 * delay)
-        ("", ["--task", "lyapunov", "--theiler", "5"]),
-        # values out of their option's range
-        ("", ["--task", "lyapunov", "--max-reference", "0"]),
-        # no task takes --epsilon-frac: the radius is lab.RP_EPSILON_FRAC
-        ("", ["--task", "classify", "--epsilon-frac", "nan"]),
-        ("", ["--task", "lyapunov", "--horizon", "-5"]),
-        ("", ["--task", "lyapunov", "--horizon", "400", "--max-lag", "0"]),
-        # nor --window-start: the window starts at sample 0
-        ("", ["--task", "rp", "--window-start", "5"]),
-        ("", ["--task", "rp", "--epsilon-frac", "0.2"]),
-        ("", ["--task", "density", "--bin-width", "-1"]),
-        ("", ["--task", "lyapunov", "--horizon", "1"]),
-        ("", ["--task", "rp", "--window-len", "1"]),
-        ("", ["--task", "fnn", "--delay", "0"]),
-        # no such config key: the curve stride is max(1, horizon // 200)
-        ("curve-stride = 20\n", ["--task", "lyapunov"]),
-        # a config value out of its option's range
-        ("max-reference = 0\n", ["--task", "lyapunov"]),
-        # positive values are finite too
-        ("", ["--task", "density", "--bin-width", "inf"]),
-        ("", ["--task", "rp", "--epsilon-frac", "inf"]),  # no such flag
-        ("bin-width = inf\n", ["--task", "density"]),
-        # no task counts every visit
-        ("", ["--task", "f1", "--mode", "visit"]),
-        ("mode = visit\n", ["--task", "f1"]),
-    ],
+    "flags", [pytest.param(flags, id=f"-flags{n}") for n, flags in BAD_OPTIONS]
 )
-def test_bad_options_exit_2_before_reading(tmp_path, config_text, flags):
+def test_bad_options_exit_2_before_reading(tmp_path, flags):
     # the series file does not exist: reading it would exit 1
-    config = tmp_path / "wplab.cfg"
-    config.write_text(config_text)
-    argv = ["--config", config, "analyze", "--series", tmp_path / "missing.wprs"]
+    argv = ["analyze", "--series", tmp_path / "missing.wprs"]
     assert exit_code(argv + flags) == 2
 
 
-def test_config_seeds_only_the_tasks_owning_it(tmp_path, series_file):
-    # one config for several tasks: density owns neither horizon nor cell
-    config = tmp_path / "wplab.cfg"
-    config.write_text("horizon = 5\ncell = 0:1\nbin-width = 0.5\nsvg = yes\n")
-    argv = ["--config", config, "analyze", "--task", "density", "--series",
-            series_file, "--out", tmp_path]
-    assert exit_code(argv) == 0
-    text = (tmp_path / "kerr_series_density.txt").read_text()
-    assert "# bin_width = 0.5\n" in text
-    assert (tmp_path / "kerr_series_density.svg").exists()
+def test_config_is_no_flag():
+    # options are flags only: --config is no flag, a usage error
+    assert exit_code(["--config", "wplab.cfg", "list-presets"]) == 2
+
+
+def test_analyze_flags_are_the_lab_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {f: a for a in sub.choices["analyze"]._actions for f in a.option_strings}
+    del flags["-h"], flags["--help"]
+    names = {"--" + name.replace("_", "-"): name for name in lab.OPTIONS}
+    assert flags.keys() == {"--task", "--series", "--out", "--svg", *names}
+    for flag, name in names.items():
+        assert flags[flag].type is lab.OPTIONS[name].type, flag
 
 
 EMBEDDING = ["--delay", 10, "--dimension", 3]
@@ -446,12 +415,21 @@ def test_verify_names_first_bad_output(fig5_run, capsys):
      '"parameters": {}, "outputs": [{"bytes": 3}], "wall_time_s": 0.1}',
      # an output record whose path is not text
      '{"preset": "fig5", "parameters": {}, "outputs": [{"path": 5, "sha256": "ab"}], '
-     '"wall_time_s": 0.1}'],
+     '"wall_time_s": 0.1}',
+     # outputs with their right digests that do not lie beside the manifest
+     '{"preset": "fig5", "parameters": {}, "outputs": [{"path": "OUTSIDE", '
+     '"sha256": "SHA"}], "wall_time_s": 0.1}',
+     '{"preset": "fig5", "parameters": {}, "outputs": [{"path": "../outside.txt", '
+     '"sha256": "SHA"}], "wall_time_s": 0.1}'],
 )
 def test_verify_unreadable_manifest_exits_2(tmp_path, capsys, text):
-    manifest = tmp_path / "fig5_manifest.json"
+    outside = tmp_path / "outside.txt"
+    outside.write_text("x\n")
+    manifest = tmp_path / "run" / "fig5_manifest.json"
+    manifest.parent.mkdir()
     if text is not None:
-        manifest.write_text(text)
+        sha = hashlib.sha256(outside.read_bytes()).hexdigest()
+        manifest.write_text(text.replace("OUTSIDE", str(outside)).replace("SHA", sha))
     assert exit_code(["verify", manifest]) == 2
     assert "unreadable manifest" in capsys.readouterr().err
 

@@ -229,6 +229,20 @@ def test_bad_model_input_fails_before_any_state(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("nu, m", [(5000.0, 0), (3000.0, 4000)])
+def test_nu_or_m_beyond_the_basis_cap_fails_before_any_amplitudes(
+    tmp_path, monkeypatch, nu, m
+):
+    def no_amplitudes(*args, **kwargs):
+        raise AssertionError("amplitudes were computed")
+
+    monkeypatch.setattr(lab, "pacs_amplitudes", no_amplitudes)
+    params = {"chi": 1.0, "chi_prime": 0.0}
+    with pytest.raises(lab.OptionError, match="nu and m exceed the Fock basis cap"):
+        lab.simulate("kerr", params, (nu, m), 1e-3, 50, tmp_path / "s.wprs")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("dt", [True, "0.001", 0.0])
 def test_bad_preset_dt_fails_before_simulating(tmp_path, monkeypatch, dt):
     def no_simulation(*args, **kwargs):

@@ -61,7 +61,7 @@ def boundary_indices(steps):
     return sorted(k for k in ks if k < steps)
 
 
-@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.0, 0.0, -1.0])
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.0, 0.0, -1.0, True])
 def test_time_series_step_must_be_finite_and_positive(dt):
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         series.TimeSeries(dt, np.zeros(3))

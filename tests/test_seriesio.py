@@ -80,6 +80,18 @@ class TestTextExports:
         assert np.array_equal([int(r[1]) for r in rows], d.counts)
         assert np.array_equal([float(r[2]) for r in rows], d.density())
 
+    def test_numpy_scalar_inputs_export_as_python_floats(self, tmp_path):
+        ts = TimeSeries(np.float64(0.5), sine_series(500, period=37.3).values)
+        assert type(ts.dt) is float
+        h = first_return_times(ts, Cell(0.5, 1.5))
+        hist = seriesio.write_histogram(h, tmp_path / "f1.txt").read_text()
+        assert "# dt = 0.5\n" in hist
+        d = invariant_density(ts, np.float64(0.25))
+        density = seriesio.write_density(d, tmp_path / "density.txt").read_text()
+        assert "# bin_width = 0.25\n" in density
+        assert f"# normalization = {1 / (500 * 0.25)!r}\n" in density
+        assert "np." not in hist + density
+
 
 HENON = henon_series(3000).values
 
