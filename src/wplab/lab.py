@@ -256,6 +256,7 @@ def simulate(
 # fixed analysis settings: no caller needs another value
 CELL_WIDTH = 0.01  # width of the default median-centred return-time cell
 RP_EPSILON_FRAC = 0.1  # recurrence radius over the rp window's std
+RP_WINDOW_LEN = 4000  # rp window from sample 0: min(RP_WINDOW_LEN, samples)
 
 
 def _theiler(delay: int) -> int:
@@ -362,10 +363,6 @@ OPTIONS: dict[str, Option] = {
         f"LO:HI value cell [median-centred, width {CELL_WIDTH:g}]",
     ),
     "bin_width": Option(positive, 0.01, ("density",), "value bin width"),
-    "window_len": Option(
-        integer_from(2), lambda samples: min(4000, samples), ("rp",),
-        "window length from sample 0 [min(4000, samples)]",
-    ),
     "delay": Option(
         integer_from(1), None, ("rp", "fnn", *_LYAPUNOV),
         "embedding delay in samples [mutual-information minimum]",
@@ -590,8 +587,7 @@ def _run_task(
         spec = None
         if options["delay"] is not None:
             spec = EmbeddingSpec(options["delay"], options["dimension"])
-        window_len = _derived(options, "window_len", len(ts))
-        rp = recurrence_matrix(ts, 0, window_len, RP_EPSILON_FRAC, embed=spec)
+        rp = recurrence_matrix(ts, 0, min(RP_WINDOW_LEN, len(ts)), RP_EPSILON_FRAC, spec)
         seriesio.write_recurrence(rp, out_path("txt"))
         plot = (svgmod.points_svg, rp.pairs[:, 0], rp.pairs[:, 1], "recurrence plot")
     elif task == "mi":
@@ -663,11 +659,10 @@ def _check_lengths(
         elif task == "returnmap":
             recur.check_return_map(samples)
         elif task == "rp":
-            length = _derived(options, "window_len", samples)
-            recur.check_window(samples, 0, length)
+            spec = None
             if options["delay"] is not None:
                 spec = EmbeddingSpec(options["delay"], options["dimension"])
-                recur.check_window_embedding(length, spec)
+            recur.check_window(samples, 0, min(RP_WINDOW_LEN, samples), spec)
         elif task == "mi" or (task in _LYAPUNOV and known is None):
             embed.check_delay_search(samples, _derived(options, "max_lag", samples))
         elif task == "fnn" or (task in _LYAPUNOV and options["dimension"] is None):

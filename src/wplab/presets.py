@@ -62,7 +62,7 @@ _MODEL_LYAP = {"max_lag": 400, "horizon": 4000, "max_reference": 2000}
 
 _F1 = AnalysisTask("f1")
 _F2 = AnalysisTask("f2")
-_RP = AnalysisTask("rp", {"window_len": 4000})
+_RP = AnalysisTask("rp")
 _RP_NOTE = "series length equals the recurrence-plot window"
 _CLASSIFY = AnalysisTask("classify", dict(_MODEL_LYAP))
 

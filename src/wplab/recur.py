@@ -96,18 +96,17 @@ def check_return_map(samples: int) -> None:
         raise ValueError(f"return map needs at least 3 samples, got {samples}")
 
 
-def check_window(samples: int, window_start: int, window_len: int) -> None:
-    """A recurrence window lies inside the series and spans at least 2 samples."""
+def check_window(
+    samples: int, window_start: int, window_len: int, spec: Optional[EmbeddingSpec]
+) -> None:
+    """A recurrence window lies in the series, spans at least 2 samples and,
+    embedded by ``spec`` (None: scalar states), holds at least 2 delay vectors."""
     if window_start < 0 or window_len < 2 or window_start + window_len > samples:
         raise ValueError(
             f"recurrence window [{window_start}, {window_start + window_len}) does "
             f"not fit a series of length {samples} (need length >= 2)"
         )
-
-
-def check_window_embedding(window_len: int, spec: EmbeddingSpec) -> None:
-    """An embedding leaves at least 2 delay vectors in the recurrence window."""
-    points = window_len - (spec.dimension - 1) * spec.delay
+    points = window_len - (spec.dimension - 1) * spec.delay if spec else window_len
     if points < 2:
         raise ValueError(
             f"recurrence window of {window_len} samples holds {points} embedded "
@@ -223,11 +222,16 @@ def invariant_density(series: TimeSeries, bin_width: float) -> DensityHistogram:
 
 
 def return_map(series: TimeSeries) -> np.ndarray:
-    """Pairs of consecutive strict local maxima (M_k, M_{k+1})."""
+    """Pairs of consecutive strict local maxima (M_k, M_{k+1}).
+
+    A run of equal samples counts once, at its first sample: a maximum is
+    a run above the runs on both sides, so a flat step on the way up is
+    none, nor is a run that reaches either end of the series.
+    """
     v = series.values
     check_return_map(v.size)
-    peaks = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
-    heights = v[peaks]
+    runs = v[np.r_[True, v[1:] != v[:-1]]]  # each run of equal samples once
+    heights = runs[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])]
     if heights.size < 2:
         raise ValueError("fewer than 2 local maxima in the series")
     return np.column_stack((heights[:-1], heights[1:]))
@@ -273,9 +277,7 @@ def recurrence_matrix(
         raise ValueError(
             f"epsilon_frac must be finite and positive, got {epsilon_frac!r}"
         )
-    check_window(len(series), window_start, window_len)
-    if embed is not None:
-        check_window_embedding(window_len, embed)
+    check_window(len(series), window_start, window_len, embed)
     w = series.values[window_start : window_start + window_len]
     eps = float(epsilon_frac * np.std(w))
     if embed is None:

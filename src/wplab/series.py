@@ -77,6 +77,8 @@ class TimeSeries:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "dt", float(self.dt))
         v = np.ascontiguousarray(self.values, dtype=np.float64)
+        if v.ndim != 1:
+            raise ValueError(f"series values must be 1-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("series values must be finite")
         v.setflags(write=False)

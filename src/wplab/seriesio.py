@@ -46,8 +46,8 @@ assert _HEADER.size == 32
 
 
 # rows formatted per string operation by ``_write_rows`` and
-# ``_write_int_rows``: bounds their temporaries to a few MB
-_ROWS_PER_CHUNK = 1 << 16
+# ``_write_int_rows``: bounds their temporaries to about 2 MB
+_ROWS_PER_CHUNK = 1 << 14
 
 
 class FormatError(ValueError):

@@ -101,7 +101,8 @@ BAD_OPTIONS = [
     (16, ["--task", "rp", "--epsilon-frac", "0.2"]),
     (17, ["--task", "density", "--bin-width", "-1"]),
     (18, ["--task", "lyapunov", "--horizon", "1"]),
-    (19, ["--task", "rp", "--window-len", "1"]),
+    # no such flag: the window is min(lab.RP_WINDOW_LEN, samples)
+    (19, ["--task", "rp", "--window-len", "10"]),
     (20, ["--task", "fnn", "--delay", "0"]),
     # no such flag: the curve stride is max(1, horizon // 200)
     (21, ["--task", "lyapunov", "--curve-stride", "20"]),
@@ -222,8 +223,9 @@ def test_horizon_the_embedding_cannot_fit_exits_2(tmp_path, series_file):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--window-len", 5000],  # past the end of the 3 000-sample series
-        ["--window-len", 3001],  # one sample past the end
+        # the window is the whole 3 000-sample series
+        ["--delay", 1500, "--dimension", 3],  # 3 000 - 2 * 1500 = 0 points
+        ["--delay", 2999, "--dimension", 2],  # one point, and a pair needs two
         ["--delay", 500, "--dimension", 8],  # 3 000 - 7 * 500 < 2 points
     ],
 )
@@ -231,6 +233,18 @@ def test_rp_window_the_series_cannot_fit_exits_2(tmp_path, series_file, flags):
     argv = ["analyze", "--task", "rp", "--series", series_file, "--out", tmp_path]
     assert exit_code(argv + flags) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_rp_below_the_window_plots_the_whole_series(tmp_path):
+    # a 3 000-sample fig5 series is shorter than lab.RP_WINDOW_LEN: analyze
+    # and the preset both plot all of it, byte for byte alike
+    lab.run_preset("fig5", tmp_path / "p", steps=3000)
+    series = tmp_path / "p" / "fig5_series.wprs"
+    argv = ["analyze", "--task", "rp", "--series", series, "--out", tmp_path / "a"]
+    assert exit_code(argv) == 0
+    text = (tmp_path / "a" / "fig5_series_rp.txt").read_bytes()
+    assert b"\n# window_len = 3000\n" in text
+    assert text == (tmp_path / "p" / "fig5_series_rp.txt").read_bytes()
 
 
 @pytest.mark.parametrize(

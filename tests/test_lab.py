@@ -143,7 +143,9 @@ def test_manifest_failure_leaves_no_outputs(tmp_path, monkeypatch, fails):
 @pytest.mark.parametrize(
     "preset_id, steps, reason",
     [
-        ("fig11-14", 2000, "does not fit"),
+        # rp plots all 2 000 samples; classify's delay search, up to lag
+        # 400, needs more than 4 000
+        ("fig11-14", 2000, "max_lag 400"),
         ("table1", 20_000, "horizon"),
         # its delay search, up to lag 400, needs more than 4 000 samples
         ("table1", 4000, "max_lag"),
@@ -523,7 +525,7 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("density", {"bin_width": -1}, "bin_width"),
         ("mi", {"bins": 16}, "bins"),  # rule
         ("rp", {"window_start": 5}, "window_start"),  # rule: the window starts at 0
-        ("rp", {"window_len": 1}, "window_len"),
+        ("rp", {"window_len": 10}, "window_len"),  # rule: RP_WINDOW_LEN
         ("fnn", {"delay": 0}, "delay"),
         ("rp", {"delay": 2, "dimension": 0}, "dimension"),
         # positive options are finite too
@@ -547,21 +549,21 @@ def test_unknown_task_is_an_option_error():
 
 
 @pytest.mark.parametrize(
-    "options, reason",
+    "options, reason, steps",
     [
-        # the window runs past the 300-sample series
-        ({"window_len": 350}, "does not fit"),
+        # the window is the whole series, and one sample spans no pair
+        ({}, "does not fit", 1),
         # 300 - 7 * 50 leaves no delay vector in the window
-        ({"delay": 50, "dimension": 8}, "embedded points"),
+        ({"delay": 50, "dimension": 8}, "embedded points", 300),
         # one delay vector, and a recurrence needs two
-        ({"delay": 100, "dimension": 3, "window_len": 201}, "embedded points"),
+        ({"delay": 100, "dimension": 3}, "embedded points", 201),
     ],
 )
 def test_rp_window_the_series_cannot_fit_fails_before_any_output(
-    tmp_path, options, reason
+    tmp_path, options, reason, steps
 ):
     params = {"chi": 1.0, "chi_prime": 0.01}
-    series = lab.simulate("kerr", params, (1.0, 0), 1e-3, 300, tmp_path / "s.wprs")
+    series = lab.simulate("kerr", params, (1.0, 0), 1e-3, steps, tmp_path / "s.wprs")
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(lab.OptionError, match=reason):
@@ -612,8 +614,8 @@ def lab_check(task, options, samples, **chosen):
 
 
 # each series-length rule: the message of its owner's check, the fewest
-# samples (a window's, for an embedded recurrence window) it accepts,
-# lab's check at the point that knows its lengths, and the estimator
+# samples it accepts, lab's check at the point that knows its lengths,
+# and the estimator
 LENGTH_RULES = {
     "mi-delay-search": (
         "max_lag 20 needs", 201,
@@ -657,20 +659,15 @@ LENGTH_RULES = {
         lambda n: lab_check("lyapunov", {"horizon": 2}, n, delay=20, dimension=2),
         lambda n: embed.lyapunov_rosenstein(wave(n), EmbeddingSpec(20, 2), 40, 2),
     ),
-    "rp-window": (
-        "does not fit", 50,
-        lambda n: lab_check("rp", {"window_len": 50}, n),
-        lambda n: recur.recurrence_matrix(wave(n), 0, 50, 0.1),
-    ),
     "rp-default-window": (
         "does not fit", 2,
         lambda n: lab_check("rp", {}, n),
-        lambda n: recur.recurrence_matrix(wave(n), 0, min(4000, n), 0.1),
+        lambda n: recur.recurrence_matrix(wave(n), 0, min(lab.RP_WINDOW_LEN, n), 0.1),
     ),
     "rp-embedded-window": (
         "embedded points", 22,
-        lambda k: lab_check("rp", {"window_len": k, "delay": 10, "dimension": 3}, 100),
-        lambda k: recur.recurrence_matrix(wave(100), 0, k, 0.1, EmbeddingSpec(10, 3)),
+        lambda n: lab_check("rp", {"delay": 10, "dimension": 3}, n),
+        lambda n: recur.recurrence_matrix(wave(n), 0, n, 0.1, EmbeddingSpec(10, 3)),
     ),
     "f1": (
         "return times need", 2,
@@ -711,6 +708,7 @@ def test_lab_and_the_owner_accept_the_same_lengths(rule, fewest, check, estimate
         ("fig1", 1, "return times need"),
         ("fig3", 1, "return times need"),
         ("fig7-10", 2, "return map needs"),
+        ("fig5", 1, "recurrence window"),  # it spans no 2 samples
     ],
 )
 def test_too_short_for_a_task_fails_before_simulating(

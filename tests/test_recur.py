@@ -298,6 +298,21 @@ class TestReturnMap:
         for a, b in pairs:
             assert {round(a, 3), round(b, 3)} == {1.0, 0.5}
 
+    @pytest.mark.parametrize(
+        "values, heights",
+        [
+            # a flat step on the way up is no maximum
+            ([0, 1, 1, 2, 0, 3, 0], [2, 3]),
+            # a plateau is one maximum, and a run reaching the end none
+            ([0, 2, 2, 2, 1, 3, 3, 0, 1, 4, 4], [2, 3]),
+            # nor is a run reaching the start
+            ([5, 5, 1, 3, 1, 4, 4, 1], [3, 4]),
+        ],
+    )
+    def test_runs_of_equal_samples_count_once(self, values, heights):
+        pairs = return_map(series_of(np.array(values, dtype=float)))
+        assert pairs.tolist() == [heights]
+
     def test_too_few_maxima(self):
         with pytest.raises(ValueError):
             return_map(series_of([0.0, 1.0, 2.0, 3.0]))

@@ -73,6 +73,16 @@ def test_time_series_samples_must_be_finite(bad):
         series.TimeSeries(1.0, np.array([0.0, bad, 1.0]))
 
 
+@pytest.mark.parametrize("values", [np.zeros((5, 2)), np.zeros((1, 3)), [[1.0]]])
+def test_time_series_samples_are_one_dimensional(values):
+    with pytest.raises(ValueError, match=r"1-D, got shape \("):
+        series.TimeSeries(1.0, values)
+
+
+def test_time_series_scalar_is_one_sample():
+    assert series.TimeSeries(1.0, 2.5).values.tolist() == [2.5]
+
+
 class TestSpectralSeries:
     @pytest.mark.parametrize("steps", [1, 2, 10, 16, 1009, 20_011])
     def test_against_direct_sum(self, steps):

@@ -224,9 +224,10 @@ class Discard:
 
 
 def test_int32_rows_are_widened_one_chunk_at_a_time():
-    # 600 000 pairs of indices below 600 000, as a recurrence plot's;
-    # one chunk's int64 rows and text take 6.7 MB, and the int64 copy of
-    # the whole array the export once made took the peak to 15.9 MB
+    # 600 000 pairs of indices below 600 000, as a recurrence plot's; the
+    # int64 copy of the whole array the export once made took the peak to
+    # 15.9 MB, and chunks of 65 536 rows, whose int64 rows and text take
+    # about 100 bytes a row, to 6.7 MB
     rng = np.random.default_rng(3)
     rows = rng.integers(0, 600_000, (600_000, 2), dtype=np.int32)
     tracemalloc.start()
@@ -235,7 +236,7 @@ def test_int32_rows_are_widened_one_chunk_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * rows.size
+    assert peak < 2e6
 
 
 def test_int_rows_longer_than_a_chunk_match_percent_d():
