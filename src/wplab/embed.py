@@ -58,6 +58,7 @@ FNN_MIN_POINTS = 20
 FNN_D_MAX = 8  # the largest dimension tried
 FNN_STOP_FRACTION = 0.01  # the scan stops at the first false fraction under this
 FNN_RELAXED_FRACTION = 0.05  # the estimate's fallback when none is under 1%
+MAX_REFERENCE = 2000  # most reference points of FNN and of Rosenstein's estimate
 # cap on the bytes of each side's gathered pair rows in one chunk of the
 # divergence curve's delta_k; a chunk holds at least one delta_k
 _CURVE_CHUNK_BYTES = 1 << 19
@@ -294,7 +295,7 @@ def false_nearest_neighbors(
     series: TimeSeries,
     delay: int,
     d_max: int,
-    max_reference: int = 2000,
+    max_reference: int = MAX_REFERENCE,
 ) -> FnnResult:
     """False-neighbor fractions as the dimension grows, and the dimension
     an estimate embeds in.
@@ -517,8 +518,8 @@ def lyapunov_rosenstein(
     spec: EmbeddingSpec,
     theiler: int,
     horizon: int,
-    max_reference: int = 4000,
-    curve_stride: int = 1,
+    max_reference: int = MAX_REFERENCE,
+    curve_stride: Optional[int] = None,
     grid: Optional[BoxGrid] = None,
 ) -> LyapunovResult:
     """Mean log divergence from each reference point's nearest neighbor.
@@ -526,8 +527,11 @@ def lyapunov_rosenstein(
     The neighbors (outside the Theiler window, with room for ``horizon``
     steps ahead) of all reference points come from one batched query, on
     ``grid`` when given: a tree over ``delay_embed(series, spec)``, such
-    as ``FnnResult.grid``.
+    as ``FnnResult.grid``.  The curve is sampled every ``curve_stride``
+    delta_k, by default max(1, horizon // 200).
     """
+    if curve_stride is None:
+        curve_stride = max(1, horizon // 200)
 
     def nearest(grid, refs, theiler, limit):
         j, _ = grid.nearest_many(refs, theiler=theiler, limit=limit, exclude_zero=True)

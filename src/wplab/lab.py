@@ -379,9 +379,6 @@ OPTIONS: dict[str, Option] = {
         integer_from(2), lambda delay: 50 * delay, _LYAPUNOV,
         "divergence horizon in samples [50 * delay]",
     ),
-    "max_reference": Option(
-        integer_from(1), 4000, _LYAPUNOV, "most reference points used"
-    ),
 }
 
 
@@ -488,11 +485,7 @@ def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     )
     theiler = _theiler(spec.delay)
     horizon = _derived(options, "horizon", spec.delay)
-    stride = max(1, horizon // 200)
-    result = lyapunov_rosenstein(
-        series, spec, theiler, horizon, grid=grid,
-        max_reference=options["max_reference"], curve_stride=stride,
-    )
+    result = lyapunov_rosenstein(series, spec, theiler, horizon, grid=grid)
     info.update(theiler=theiler, horizon=horizon, method="rosenstein")
     payload = {
         "lambda_max": result.lambda_max,

@@ -58,7 +58,7 @@ _BIP_DT_NOTE = (
 
 # embedding/divergence settings for the long model series; the embedding
 # itself is still chosen per series from mutual information + FNN
-_MODEL_LYAP = {"max_lag": 400, "horizon": 4000, "max_reference": 2000}
+_MODEL_LYAP = {"max_lag": 400, "horizon": 4000}
 
 _F1 = AnalysisTask("f1")
 _F2 = AnalysisTask("f2")

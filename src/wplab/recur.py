@@ -230,7 +230,8 @@ def return_map(series: TimeSeries) -> np.ndarray:
     """
     v = series.values
     check_return_map(v.size)
-    runs = v[np.r_[True, v[1:] != v[:-1]]]  # each run of equal samples once
+    keep = np.r_[True, v[1:] != v[:-1]]
+    runs = v if keep.all() else v[keep]  # each run of equal samples once
     heights = runs[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])]
     if heights.size < 2:
         raise ValueError("fewer than 2 local maxima in the series")

@@ -90,10 +90,11 @@ BAD_OPTIONS = [
     (9, ["--task", "fnn"]),
     # no such flag: the Theiler window is a fixed rule (2 * delay)
     (10, ["--task", "lyapunov", "--theiler", "5"]),
-    # values out of their option's range
-    (11, ["--task", "lyapunov", "--max-reference", "0"]),
+    # no such flag: the reference points are embed.MAX_REFERENCE
+    (11, ["--task", "lyapunov", "--max-reference", "2000"]),
     # no task takes --epsilon-frac: the radius is lab.RP_EPSILON_FRAC
     (12, ["--task", "classify", "--epsilon-frac", "nan"]),
+    # values out of their option's range
     (13, ["--task", "lyapunov", "--horizon", "-5"]),
     (14, ["--task", "lyapunov", "--horizon", "400", "--max-lag", "0"]),
     # nor --window-start: the window starts at sample 0

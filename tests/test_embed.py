@@ -532,6 +532,17 @@ def henon_oracle(ts, a=1.4, b=0.3):
     return s / (x.size - 1)
 
 
+def assert_same_estimate(own, other):
+    """Every field of two LyapunovResults alike, arrays and floats bitwise."""
+    for name in LyapunovResult.__dataclass_fields__:
+        a, b = getattr(own, name), getattr(other, name)
+        if isinstance(a, (float, np.ndarray)):
+            # bitwise, signed zeros and NaNs included
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        else:
+            assert a == b, name
+
+
 class TestLyapunov:
     def test_logistic_rosenstein(self):
         ts = logistic_series(30_000)
@@ -677,6 +688,18 @@ class TestLyapunov:
         assert small.fit_range == wide.fit_range
         assert np.array_equal(small.divergence_curve, wide.divergence_curve)
 
+    def test_rosenstein_default_curve_stride_is_the_rule(self):
+        # horizon 400: the rule's stride, max(1, horizon // 200) = 2, is
+        # not a stride of 1
+        ts = henon_series(5000)
+        spec, theiler, horizon = EmbeddingSpec(1, 2), 5, 400
+        ruled = lyapunov_rosenstein(ts, spec, theiler, horizon)
+        assert ruled.divergence_curve[:3, 0].tolist() == [0.0, 2.0, 4.0]
+        stated = lyapunov_rosenstein(
+            ts, spec, theiler, horizon, curve_stride=max(1, horizon // 200)
+        )
+        assert_same_estimate(ruled, stated)
+
     @pytest.mark.parametrize("method", ["rosenstein", "kantz"])
     def test_handed_over_tree_gives_the_same_result(self, method):
         # FNN's tree of the chosen dimension against the estimator's own
@@ -687,14 +710,7 @@ class TestLyapunov:
             run = lambda **kw: lyapunov_rosenstein(ts, spec, 5, 20, **kw)
         else:
             run = lambda **kw: lyapunov_kantz(ts, spec, 5, 0.15, 20, **kw)
-        own, handed = run(), run(grid=f.grid)
-        for name in LyapunovResult.__dataclass_fields__:
-            a, b = getattr(own, name), getattr(handed, name)
-            if isinstance(a, (float, np.ndarray)):
-                # bitwise, signed zeros and NaNs included
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
-            else:
-                assert a == b, name
+        assert_same_estimate(run(), run(grid=f.grid))
 
     def test_tree_of_another_embedding_is_refused(self):
         ts = henon_series(2000)

@@ -495,6 +495,18 @@ def test_table_row_is_the_classify_export(tmp_path):
     assert json.loads(path.read_text()) == row
 
 
+@pytest.mark.parametrize("preset_id, task", [("fig4", "lyapunov"), ("fig11-14", "classify")])
+def test_analyze_samples_the_estimate_as_the_preset_does(tmp_path, preset_id, task):
+    # given only the series scale, max_lag and horizon, analyze uses the
+    # preset's reference points and curve stride: its exports are the preset's
+    preset = tmp_path / "preset"
+    lab.run_preset(preset_id, preset, steps=41_000)
+    series = preset / f"{preset_id}_series.wprs"
+    options = {"max_lag": 400, "horizon": 4000}
+    for path in lab.analyze(task, series, options, tmp_path / "a"):
+        assert path.read_bytes() == (preset / path.name).read_bytes(), path.name
+
+
 @pytest.mark.parametrize(
     "task, options, named",
     [
@@ -511,9 +523,9 @@ def test_table_row_is_the_classify_export(tmp_path):
         ("classify", {"d_max": 8}, "d_max"),
         # values out of their option's range; marked "rule", settings
         # that are fixed rules and no options (2 * delay,
-        # max(1, horizon // 200), 16 bins, 0.01)
+        # max(1, horizon // 200), embed.MAX_REFERENCE, 16 bins, 0.01)
         ("lyapunov", {"curve_stride": 20}, "curve_stride"),  # rule
-        ("lyapunov", {"max_reference": 0}, "max_reference"),
+        ("lyapunov", {"max_reference": 2000}, "max_reference"),  # rule
         ("classify", {"threshold": 0.01}, "threshold"),  # rule: embed.CHAOS_THRESHOLD
         # no such option for any task: the recurrence radius is a fixed rule
         ("classify", {"epsilon_frac": float("nan")}, "epsilon_frac"),

@@ -317,6 +317,19 @@ class TestReturnMap:
         with pytest.raises(ValueError):
             return_map(series_of([0.0, 1.0, 2.0, 3.0]))
 
+    def test_distinct_samples_are_not_copied(self):
+        # no two consecutive samples are equal, as in the model series:
+        # the 8 MB series is used as it is, and only 1-byte masks remain
+        ts = sine_series(1_000_000, period=97.3)
+        tracemalloc.start()
+        try:
+            pairs = return_map(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) > 10_000 and np.abs(pairs - 1.0).max() < 1e-3
+        assert peak < 4_000_000
+
 
 class TestRecurrenceMatrix:
     def test_constant_window_all_pairs(self):
