@@ -4,7 +4,6 @@ quantum-optical models and recurrence-based time-series analysis."""
 from .bipartite import (
     EigenDecomposition,
     TwoModeParams,
-    build_sector,
     decompose,
     decompose_initial,
     sector_diagonals,
@@ -24,8 +23,6 @@ from .fock import (
     FockState,
     choose_truncation,
     laguerre,
-    mean_photon_number,
-    overlap,
     pacs_amplitudes,
     quadrature_expectation,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "TimeSeries",
     "TwoModeParams",
     "analyze",
-    "build_sector",
     "choose_truncation",
     "classify",
     "decompose",
@@ -79,9 +75,7 @@ __all__ = [
     "laguerre",
     "lyapunov_kantz",
     "lyapunov_rosenstein",
-    "mean_photon_number",
     "mutual_information_delay",
-    "overlap",
     "pacs_amplitudes",
     "quadrature_expectation",
     "recurrence_matrix",

@@ -148,12 +148,6 @@ def tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return h
 
 
-def build_sector(N: int, p: TwoModeParams) -> np.ndarray:
-    """Dense tridiagonal block of the Hamiltonian at total number N (the
-    reference ``decompose`` is tested against)."""
-    return tridiagonal(*sector_diagonals(N, p))
-
-
 @functools.cache
 def _dstevd() -> Optional[tuple[str, Callable[..., EigenDecomposition]]]:
     """The exported name of LAPACK ``dstevd`` in numpy's OpenBLAS and a

@@ -53,9 +53,6 @@ class FockState:
     def n_max(self) -> int:
         return self.amplitudes.shape[0] - 1
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 def laguerre(m: int, x: float) -> float:
     """Laguerre polynomial L_m(x) by the three-term recurrence."""
@@ -126,24 +123,11 @@ def pacs_amplitudes(alpha: complex, m: int, n_max: int) -> FockState:
     return FockState(raw / math.sqrt(norm_sq), Provenance(complex(alpha), m))
 
 
-def mean_photon_number(state: FockState) -> float:
-    p = np.abs(state.amplitudes) ** 2
-    return float(np.dot(np.arange(p.size), p))
-
-
 def quadrature_expectation(state: FockState) -> float:
     """<x> with x = (a + a+)/sqrt(2)."""
     c = state.amplitudes
     sqrt_n = np.sqrt(np.arange(1, c.size))
     return float(math.sqrt(2.0) * np.real(np.dot(np.conj(c[:-1]) * c[1:], sqrt_n)))
-
-
-def overlap(s1: FockState, s2: FockState) -> complex:
-    if s1.n_max != s2.n_max:
-        raise ValueError(
-            f"dimension mismatch: n_max {s1.n_max} vs {s2.n_max}"
-        )
-    return complex(np.vdot(s1.amplitudes, s2.amplitudes))
 
 
 def choose_truncation(alpha: complex, m: int) -> int:

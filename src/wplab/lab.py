@@ -170,10 +170,19 @@ def blas_environment() -> dict[str, Any]:
     }
 
 
+# an output is hashed a block at a time, never held whole (Python 3.10,
+# which pyproject.toml supports, has no hashlib.file_digest)
+_HASH_BLOCK = 1 << 20
+
+
 def _sha256(path: Path) -> str:
     import hashlib  # maps OpenSSL (3.6 MB of RSS), which only manifests need
 
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        while block := f.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class OptionError(ValueError):

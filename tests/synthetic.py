@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import TimeSeries
+from wplab.series import TimeSeries
 
 GOLDEN_ROTATION = float((np.sqrt(5.0) - 1.0) / 2.0)
 

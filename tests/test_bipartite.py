@@ -8,16 +8,17 @@ from scipy.linalg import expm
 from wplab import lab
 from wplab.bipartite import (
     TwoModeParams,
-    build_sector,
     decompose,
     decompose_initial,
     occupancy_series,
     occupancy_sum,
     sector_diagonals,
 )
-from wplab.fock import FockState, mean_photon_number, pacs_amplitudes
+from wplab.fock import FockState, pacs_amplitudes
 from wplab.lab import initial_field_state
 from wplab.series import SpectralSum
+
+from oracles import build_sector, mean_photon_number
 
 
 class TestBuildSector:

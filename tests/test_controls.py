@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from wplab import lab
-from wplab.benchmarks import (
+from wplab.bipartite import TwoModeParams, decompose_initial, occupancy_sum
+from wplab.presets import PRESETS
+from wplab.series import SpectralSum, TimeSeries
+
+from synthetic import (
     henon_series,
     logistic_series,
     lorenz_series,
@@ -20,9 +24,6 @@ from wplab.benchmarks import (
     rotation_series,
     sine_series,
 )
-from wplab.bipartite import TwoModeParams, decompose_initial, occupancy_sum
-from wplab.presets import PRESETS
-from wplab.series import SpectralSum, TimeSeries
 
 SAMPLES = 60_000
 DT = 1e-3  # sample spacing of the signals written as functions of t

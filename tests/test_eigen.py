@@ -20,12 +20,13 @@ from wplab import bipartite, lab
 from wplab.bipartite import (
     EigenDecomposition,
     TwoModeParams,
-    build_sector,
     decompose,
     sector_diagonals,
     tridiagonal,
 )
 from wplab.presets import PRESETS, ExperimentPreset
+
+from oracles import build_sector
 
 
 def bisection_eigenvalues(diag, offdiag, tol=1e-12):

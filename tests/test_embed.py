@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wplab.benchmarks import henon_series, logistic_series, sine_series
 from wplab import embed, lab, neighbors
 from wplab.embed import (
     FIT_MIN_POINTS,
@@ -23,9 +22,12 @@ from wplab.embed import (
     mutual_information_delay,
     _select_fit_window,
 )
-from wplab.neighbors import BoxGrid, brute_force_nearest
+from wplab.neighbors import BoxGrid
 from wplab.presets import PRESETS
 from wplab.series import TimeSeries
+
+from oracles import brute_force_nearest
+from synthetic import henon_series, logistic_series, sine_series
 
 
 def white_noise(n, seed=123):

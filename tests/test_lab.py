@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 
 from wplab import bipartite, embed, lab, neighbors, recur, seriesio
-from wplab.benchmarks import henon_series, sine_series
 from wplab.embed import FNN_MIN_POINTS, EmbeddingSpec
 from wplab.presets import PRESETS
 from wplab.recur import Cell
 from wplab.series import TimeSeries
+
+from synthetic import henon_series, sine_series
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -138,6 +140,42 @@ def test_manifest_failure_leaves_no_outputs(tmp_path, monkeypatch, fails):
     with pytest.raises(OSError, match=f"{fails} failed"):
         lab.run_preset("fig5", out)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "size", [0, 1, lab._HASH_BLOCK - 1, lab._HASH_BLOCK, 3 * lab._HASH_BLOCK + 7]
+)
+def test_digest_equals_the_whole_file_digest(tmp_path, size):
+    path = tmp_path / "out.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert lab._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_digest_holds_no_output_whole(tmp_path):
+    # a 16 MB output is read a block at a time, not held whole
+    path = tmp_path / "out.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(16 << 20))
+    tracemalloc.start()
+    try:
+        lab._sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_mismatch_sees_a_byte_flipped_in_the_last_block(tmp_path):
+    data = np.random.default_rng(1).bytes(2 * lab._HASH_BLOCK + 5)
+    outputs = []
+    for name in ("a.bin", "b.bin"):
+        (tmp_path / name).write_bytes(data)
+        outputs.append({"path": name, "sha256": lab._sha256(tmp_path / name)})
+    manifest = lab.RunManifest("x", {}, outputs, 0.1)
+    assert manifest.mismatch(tmp_path) is None
+    flipped = bytearray(data)
+    flipped[-3] ^= 1
+    (tmp_path / "b.bin").write_bytes(flipped)
+    assert manifest.mismatch(tmp_path) == "b.bin has changed"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from wplab import neighbors
-from wplab.neighbors import BoxGrid, brute_force_nearest
+from wplab.neighbors import BoxGrid
+
+from oracles import brute_force_nearest
 
 
 def embedded_cloud(seed, n, dim):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wplab import lab, recur, seriesio, svg
-from wplab.benchmarks import henon_series, rotation_series, sine_series
 from wplab.embed import EmbeddingSpec, delay_embed
 from wplab.recur import (
     Cell,
@@ -24,6 +23,8 @@ from wplab.recur import (
     support_sparsity,
 )
 from wplab.series import TimeSeries
+
+from synthetic import henon_series, rotation_series, sine_series
 
 
 def series_of(values, dt=1.0):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wplab import seriesio, svg
-from wplab.benchmarks import henon_series, sine_series
 from wplab.recur import (
     Cell,
     RecurrencePlotData,
@@ -22,6 +21,8 @@ from wplab.recur import (
     return_map,
 )
 from wplab.series import TimeSeries
+
+from synthetic import henon_series, sine_series
 
 # reference copies of the per-line loops the text writers used to run
 
