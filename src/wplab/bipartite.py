@@ -42,9 +42,10 @@ adding nothing to the dropped mass, and sum the same terms in the same
 order.  It drops the smallest pair terms whose |amplitude| sums to at
 most ``series.PRUNE_FRACTION`` of the total, which moves no sample by
 more than that dropped mass (``fig11-14`` keeps 508 of its 9 860 pairs).
-The series metadata records the terms kept, the dropped mass and its
-budget, and |norm - 1| over the kept sectors.  The series is the field's
-<a+a>, the total number less <b+b>, formed in place; no <b+b> series is kept.
+The series adds to the run's metadata the sectors, the terms kept, the
+dropped mass and its budget, and |norm - 1| over the kept sectors.  The
+series is the field's <a+a>, the total number less <b+b>, formed in
+place; no <b+b> series is kept.
 """
 
 from __future__ import annotations
@@ -295,29 +296,20 @@ def occupancy_sum(sectors: list[SectorState]) -> tuple[SpectralSum, float, float
 
 def occupancy_series(
     sectors: list[SectorState],
-    p: TwoModeParams,
     dt: float,
     steps: int,
+    meta: dict,
 ) -> OccupancySeries:
     """<a+a>(t) and the total squared norm at t = k*dt.
 
     The norm and the total number are constants of the motion; ``norm``
-    is a read-only view repeating the former for every sample.
+    is a read-only view repeating the former for every sample.  The
+    series' metadata is the run's ``meta`` plus what this computed.
     """
     atom, total_number, norm = occupancy_sum(sectors)
     occ, pruning = atom.evaluate(dt, steps)
     np.subtract(total_number, occ, out=occ)  # <a+a> = N - <b+b>, in place
-    meta = {
-        "model": "bipartite",
-        "omega": p.omega,
-        "omega0": p.omega0,
-        "gamma": p.gamma,
-        "g": p.g,
-        "sectors": len(sectors),
-        "steps": steps,
-        "norm_error": abs(norm - 1.0),
-        **pruning,
-    }
+    meta = {**meta, "sectors": len(sectors), "norm_error": abs(norm - 1.0), **pruning}
     return OccupancySeries(
         field=TimeSeries(dt, occ, observable="photon_number", meta=meta),
         norm=np.broadcast_to(norm, steps),

@@ -4,14 +4,15 @@ Coherent states and photon-added coherent states are built from
 log-domain amplitude recursions, so photon numbers of a few hundred
 never overflow, then renormalized on the truncated basis.
 ``choose_truncation`` picks that basis from one summation of the
-analytically normalized probabilities over the capped basis.
+analytically normalized probabilities over the capped basis.  A
+``FockState`` is its amplitudes only: the (nu, m) it was built from is
+recorded by the run that chose them, in the series metadata.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,19 +31,10 @@ class CapExceededError(ValueError):
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Nominal (alpha, m) parameters a state was constructed from."""
-
-    alpha: complex
-    m: int
-
-
-@dataclass(frozen=True)
 class FockState:
     """Complex amplitudes c_0..c_{n_max} over photon numbers, unit norm."""
 
     amplitudes: np.ndarray
-    provenance: Optional[Provenance] = None
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
@@ -120,7 +112,7 @@ def pacs_amplitudes(alpha: complex, m: int, n_max: int) -> FockState:
             f"truncated basis captures squared norm {norm_sq:.15g} "
             f"< 1 - {EPSILON_TRUNC:g}; increase n_max"
         )
-    return FockState(raw / math.sqrt(norm_sq), Provenance(complex(alpha), m))
+    return FockState(raw / math.sqrt(norm_sq))
 
 
 def quadrature_expectation(state: FockState) -> float:

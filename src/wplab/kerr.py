@@ -11,6 +11,8 @@ a ``series.SpectralSum`` (``quadrature_sum``) whose term n pairs level
 n+1 with level n.  ``SpectralSum.evaluate`` samples it on the grid from
 the energies themselves, with every level's phase reduced modulo 2*pi in
 extended precision.  Its mass sum_n |a_n| bounds |<x(t)>| at every t.
+A ``SingleModeSpectrum`` holds only the energies; chi and chi_prime
+reach the series metadata from the run, which writes them once.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ class KerrParams:
 class SingleModeSpectrum:
     """Energies E_n of the diagonal single-mode Hamiltonian."""
 
-    chi: float
-    chi_prime: float
     energies: np.ndarray
 
     def __post_init__(self):
@@ -58,7 +58,7 @@ def kerr_spectrum(chi: float, chi_prime: float, n_max: int) -> SingleModeSpectru
         raise ValueError("n_max must be >= 1")
     n = np.arange(n_max + 1, dtype=np.float64)
     quad = n * (n - 1.0)
-    return SingleModeSpectrum(chi, chi_prime, chi * quad + chi_prime * quad * (n - 2.0))
+    return SingleModeSpectrum(chi * quad + chi_prime * quad * (n - 2.0))
 
 
 def evolve_diagonal(state0: FockState, spec: SingleModeSpectrum, t: float) -> FockState:
@@ -68,7 +68,7 @@ def evolve_diagonal(state0: FockState, spec: SingleModeSpectrum, t: float) -> Fo
             f"dimension mismatch: state n_max {state0.n_max} vs spectrum {spec.n_max}"
         )
     phases = reduced_phases(spec.energies, t)
-    return FockState(state0.amplitudes * np.exp(-1j * phases), state0.provenance)
+    return FockState(state0.amplitudes * np.exp(-1j * phases))
 
 
 def quadrature_sum(state0: FockState, spec: SingleModeSpectrum) -> SpectralSum:
@@ -87,19 +87,10 @@ def generate_series_x(
     spec: SingleModeSpectrum,
     dt: float,
     steps: int,
+    meta: dict,
 ) -> TimeSeries:
-    """<x(t)> sampled at t = k*dt for k = 0..steps-1."""
+    """<x(t)> sampled at t = k*dt for k = 0..steps-1; its metadata is the
+    run's ``meta`` plus what this computed, ``n_max`` and the pruning."""
     out, pruning = quadrature_sum(state0, spec).evaluate(dt, steps)
-
-    meta = {
-        "model": "kerr",
-        "chi": spec.chi,
-        "chi_prime": spec.chi_prime,
-        "n_max": spec.n_max,
-        "steps": steps,
-        **pruning,
-    }
-    if state0.provenance is not None:
-        meta["nu"] = abs(state0.provenance.alpha) ** 2
-        meta["m"] = state0.provenance.m
+    meta = {**meta, "n_max": spec.n_max, **pruning}
     return TimeSeries(dt, out, observable="quadrature_x", meta=meta)

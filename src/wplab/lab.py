@@ -225,7 +225,9 @@ def simulate_series(
     """Generate the observable series for one model configuration.
 
     The parameters, ``nu``, ``m``, ``dt`` and ``steps`` are checked before
-    any state is prepared; bad input raises ``OptionError``.
+    any state is prepared; bad input raises ``OptionError``.  The run's
+    inputs are the series metadata, written here once; the model adds
+    only what it computed.
     """
     # the model's parameter class rejects a missing, unknown or bad field
     model_params = {"kerr": KerrParams, "bipartite": TwoModeParams}.get(model)
@@ -241,11 +243,12 @@ def simulate_series(
     # n_max >= m + 1 cannot fit under the basis cap once m reaches it
     if not (_is(m, numbers.Integral) and 0 <= m < N_MAX_CAP):
         raise OptionError(f"m must be an integer in [0, {N_MAX_CAP}), got {m!r}")
+    meta = {"model": model, **asdict(p), "nu": float(nu), "m": int(m), "steps": steps}
     state = initial_field_state(nu, m)
     if model == "kerr":
         spec = kerr_spectrum(p.chi, p.chi_prime, state.n_max)
-        return generate_series_x(state, spec, dt, steps)
-    return occupancy_series(decompose_initial(state, p), p, dt, steps).field
+        return generate_series_x(state, spec, dt, steps, meta)
+    return occupancy_series(decompose_initial(state, p), dt, steps, meta).field
 
 
 def simulate(
@@ -572,7 +575,10 @@ def _run_task(
         seriesio.write_histogram(h, out_path("txt"), cell=value_cell, kind=task)
         plot = (svgmod.bars_svg, h.taus, h.counts, f"{task} histogram")
     elif task == "density":
-        d = invariant_density(ts, options["bin_width"])
+        try:  # the bin-count rule needs the series' range; nothing is written yet
+            d = invariant_density(ts, options["bin_width"])
+        except ValueError as exc:
+            raise OptionError(f"task 'density', option 'bin_width': {exc}") from None
         seriesio.write_density(d, out_path("txt"))
         plot = (svgmod.curve_svg, d.centers(), d.density(), "invariant density")
     elif task == "returnmap":

@@ -21,6 +21,8 @@ from .series import TimeSeries
 _RP_CANDIDATES = 1 << 16
 # fewest events in a histogram bin that ``fit_exponential``'s line uses
 FIT_MIN_BIN_COUNT = 10
+# most bins an invariant density may have (presets use at most 1 000)
+DENSITY_MAX_BINS = 1 << 20
 
 
 class NoEventsError(RuntimeError):
@@ -206,13 +208,20 @@ def support_sparsity(h: ReturnTimeHistogram, mass: float) -> int:
 
 
 def invariant_density(series: TimeSeries, bin_width: float) -> DensityHistogram:
-    """Normalized histogram of the series values on [min, max]."""
+    """Normalized histogram of the series values on [min, max]; a
+    ``bin_width`` needing more than ``DENSITY_MAX_BINS`` bins is refused."""
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
     v = series.values
     lo = float(v.min())
     hi = float(v.max())
-    nbins = max(1, int(math.ceil((hi - lo) / bin_width))) if hi > lo else 1
+    widths = (hi - lo) / bin_width  # before ceil, which overflows for tiny widths
+    if widths > DENSITY_MAX_BINS - 1:  # one bin more may follow, below
+        raise ValueError(
+            f"bin_width {bin_width!r} spans the range [{lo!r}, {hi!r}] in "
+            f"{widths:.4g} widths; a density has at most {DENSITY_MAX_BINS} bins"
+        )
+    nbins = max(1, int(math.ceil(widths))) if hi > lo else 1
     if lo + nbins * bin_width < hi:
         nbins += 1  # the rounded edges stop short of the maximum
     edges = lo + np.arange(nbins + 1) * bin_width

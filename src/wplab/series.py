@@ -63,8 +63,8 @@ class TimeSeries:
     """A real scalar sequence sampled every ``dt`` time units.
 
     ``dt`` is stored as a Python float and ``values`` as a read-only
-    float64 array; ``meta`` carries the model parameters the series was
-    generated with (free-form).
+    float64 array; ``meta`` carries the run's inputs and what the model
+    computed (free-form).
     """
 
     dt: float

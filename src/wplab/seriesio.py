@@ -5,9 +5,11 @@ sample count, time step) followed by little-endian float64 samples, at
 least one, and are written byte-identically for identical inputs; a
 header that counts no samples, or a NaN or infinite sample, is a
 ``FormatError``.  A JSON sidecar
-(``<file>.meta.json``) holds the observable label and model parameters;
-one that is not a JSON object with a string ``observable`` and an object
-``meta`` is a ``FormatError`` naming it, as a bad header is (CLI exit 1).
+(``<file>.meta.json``) holds the observable label and the metadata: the
+run's inputs (model, parameters, nu, m, steps) and what the model
+computed.  One that is not a JSON object with a string ``observable``
+and an object ``meta`` is a ``FormatError`` naming it, as a bad header
+is (CLI exit 1).
 A write passes the samples' own buffer to the file, and a read keeps a
 read-only view of the bytes it read: neither copies the samples again.
 Analysis exports are plain text with ``# key = value`` headers echoing

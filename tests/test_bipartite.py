@@ -128,7 +128,7 @@ class TestSeries:
         field = pacs_amplitudes(1.0, 2, 30)
         p = TwoModeParams(g=0.0, gamma=3.0)
         sectors = decompose_initial(field, p)
-        ts = occupancy_series(sectors, p, 1e-2, 2000).field
+        ts = occupancy_series(sectors, 1e-2, 2000, {}).field
         expect = mean_photon_number(field)
         assert np.abs(ts.values - expect).max() < 1e-10
 
@@ -139,7 +139,7 @@ class TestSeries:
         sectors = decompose_initial(field, p)
         steps = 100_000
         dt = 1e-3
-        ts = occupancy_series(sectors, p, dt, steps).field
+        ts = occupancy_series(sectors, dt, steps, {}).field
         t = np.arange(steps) * dt
         oracle = 1.0 * np.cos(t) ** 2
         assert np.abs(ts.values - oracle).max() < 1e-8
@@ -152,7 +152,7 @@ class TestSeries:
         sectors = decompose_initial(field, p)
         _, total_number, _ = occupancy_sum(sectors)
         assert abs(total_number - mean_photon_number(field)) < 1e-10
-        occ = occupancy_series(sectors, p, 1e-3, 50_000)
+        occ = occupancy_series(sectors, 1e-3, 50_000, {})
         atom = total_number - occ.field.values
         assert abs(atom[0]) < 1e-10
         assert atom.min() > -1e-10
@@ -162,7 +162,7 @@ class TestSeries:
         field = pacs_amplitudes(1.3, 0, 30)
         p = TwoModeParams(gamma=5.0, g=1.0)
         sectors = decompose_initial(field, p)
-        occ = occupancy_series(sectors, p, 1e-3, 50_000)
+        occ = occupancy_series(sectors, 1e-3, 50_000, {})
         assert np.abs(occ.norm - 1.0).max() < 1e-10
 
     def test_no_sectors_rejected(self):
@@ -179,7 +179,7 @@ class TestSeries:
         sectors = decompose_initial(field, p)
         dt = 1e-3
         steps = 1000
-        occ = occupancy_series(sectors, p, dt, steps)
+        occ = occupancy_series(sectors, dt, steps, {})
 
         h, offsets = dense_block_hamiltonian(4, p)
         dim = h.shape[0]
@@ -212,7 +212,7 @@ class TestSeries:
         dt = 1e-3
         period = math.pi / p.g
         steps = int(10 * period / dt) + 2
-        ts = occupancy_series(sectors, p, dt, steps).field
+        ts = occupancy_series(sectors, dt, steps, {}).field
         x0 = ts.values[0]
         for w in range(10):
             lo = int(w * period / dt)
@@ -224,14 +224,17 @@ class TestSeries:
         field = pacs_amplitudes(1.0, 0, 25)
         p = TwoModeParams(gamma=0.05)
         sectors = decompose_initial(field, p)
-        ts = occupancy_series(sectors, p, 1e-2, 100).field
+        run = {"model": "bipartite", "gamma": 0.05}
+        ts = occupancy_series(sectors, 1e-2, 100, run).field
         assert ts.observable == "photon_number"
         assert ts.meta["gamma"] == 0.05
+        # the run's metadata is kept as given, not altered in place
+        assert run == {"model": "bipartite", "gamma": 0.05}
 
     def test_pruning_and_norm_metadata(self):
         field = pacs_amplitudes(math.sqrt(5.0), 5, 60)
         p = TwoModeParams(gamma=5.0)
-        occ = occupancy_series(decompose_initial(field, p), p, 1e-2, 100)
+        occ = occupancy_series(decompose_initial(field, p), 1e-2, 100, {})
         meta = occ.field.meta
         assert meta["norm_error"] == abs(occ.norm[0] - 1.0)
         assert meta["norm_error"] <= 1e-12
@@ -271,17 +274,7 @@ def occupancy_every_pair(sectors, p, dt, steps):
         offset += s.N + 1
     atom, pruning = SpectralSum(amps, levels, upper, lower).evaluate(dt, steps)
     atom += atom_const
-    meta = {
-        "model": "bipartite",
-        "omega": p.omega,
-        "omega0": p.omega0,
-        "gamma": p.gamma,
-        "g": p.g,
-        "sectors": len(sectors),
-        "steps": steps,
-        "norm_error": abs(norm - 1.0),
-        **pruning,
-    }
+    meta = {"sectors": len(sectors), "norm_error": abs(norm - 1.0), **pruning}
     return total_number - atom, atom, meta
 
 
@@ -296,7 +289,8 @@ def test_zero_pair_terms_skipped_exactly(nu, m, gamma_over_g):
     p = TwoModeParams(omega=1.0, omega0=1.0, gamma=gamma_over_g, g=1.0)
     sectors = decompose_initial(initial_field_state(nu, m), p)
     dt, steps = 1e-3, 3000
-    occ = occupancy_series(sectors, p, dt, steps)
+    run = {"model": "bipartite", "nu": nu, "m": m}
+    occ = occupancy_series(sectors, dt, steps, run)
     field, atom, meta = occupancy_every_pair(sectors, p, dt, steps)
     assert np.array_equal(occ.field.values, field)
     # <b+b> back from <a+a>: total - (total - atom) rounds to within an
@@ -304,7 +298,8 @@ def test_zero_pair_terms_skipped_exactly(nu, m, gamma_over_g):
     _, total_number, _ = occupancy_sum(sectors)
     ulp = np.spacing(total_number)
     assert np.abs(total_number - occ.field.values - atom).max() <= ulp
-    assert occ.field.meta == meta
+    # the model adds only what it computed to the run's metadata
+    assert occ.field.meta == {**run, **meta}
     if nu == 50.0:
         # more than half the levels have w_s = 0 and are never paired
         zero = sum(int(np.count_nonzero(s.initial_coeffs == 0)) for s in sectors)
@@ -328,7 +323,7 @@ def test_sectors_keep_only_what_the_sum_reads():
 def test_norm_is_one_value_per_sample():
     field = pacs_amplitudes(1.0, 0, 25)
     p = TwoModeParams(gamma=0.5)
-    occ = occupancy_series(decompose_initial(field, p), p, 1e-2, 1000)
+    occ = occupancy_series(decompose_initial(field, p), 1e-2, 1000, {})
     assert len(occ.norm) == 1000
     assert occ.norm.strides == (0,)  # a view of one float, not 1000
     assert not occ.norm.flags.writeable
@@ -342,7 +337,7 @@ def test_series_is_held_once():
     sectors = decompose_initial(initial_field_state(5.0, 5), p)
     tracemalloc.start()
     try:
-        occupancy_series(sectors, p, 1e-3, 2_000_000)
+        occupancy_series(sectors, 1e-3, 2_000_000, {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -236,6 +236,25 @@ def test_rp_window_the_series_cannot_fit_exits_2(tmp_path, series_file, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_density_bin_width_past_the_bin_cap_exits_2(tmp_path, series_file, capsys):
+    # 1e-12 cuts the series' range into about 4.7e12 bins, whose edges
+    # numpy was once asked to hold (34.5 TiB): a usage error, found once
+    # the series is read and before any array is sized
+    out = tmp_path / "out"
+    argv = ["analyze", "--task", "density", "--bin-width", "1e-12"]
+    assert exit_code(argv + ["--series", series_file, "--out", out]) == 2
+    assert not out.exists()
+    assert "'bin_width'" in capsys.readouterr().err
+
+
+def test_simulate_sidecar_records_nu_as_given(tmp_path):
+    # nu squared back from sqrt(5) once read 5.000000000000001
+    argv = ["simulate", "--model", "kerr", "--nu", "5", "--m", "2", "--steps", 10]
+    assert exit_code(argv + ["--out", tmp_path]) == 0
+    meta = json.loads((tmp_path / "kerr_series.wprs.meta.json").read_text())["meta"]
+    assert (meta["nu"], meta["m"]) == (5.0, 2)
+
+
 def test_rp_below_the_window_plots_the_whole_series(tmp_path):
     # a 3 000-sample fig5 series is shorter than lab.RP_WINDOW_LEN: analyze
     # and the preset both plot all of it, byte for byte alike

@@ -108,7 +108,7 @@ class TestSeries:
     def test_vacuum_series_zero(self):
         s = pacs_amplitudes(0.0, 0, 10)
         spec = kerr_spectrum(1.0, 0.0, 10)
-        ts = generate_series_x(s, spec, 1e-3, 500)
+        ts = generate_series_x(s, spec, 1e-3, 500, {})
         assert np.all(ts.values == 0.0)
 
     def test_initial_value_and_revival(self):
@@ -116,7 +116,7 @@ class TestSeries:
         spec = kerr_spectrum(1.0, 0.0, 30)
         dt = 1e-3
         steps = int(round(math.pi / dt)) + 1
-        ts = generate_series_x(s, spec, dt, steps)
+        ts = generate_series_x(s, spec, dt, steps, {})
         assert ts.values[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
         k_rev = int(round(math.pi / dt))
         # revival sampled on the grid: pi is not an exact grid point, so
@@ -129,7 +129,7 @@ class TestSeries:
         s = pacs_amplitudes(1.0, 0, 30)
         spec = kerr_spectrum(1.0, 0.01, 30)
         dt = 1e-3
-        ts = generate_series_x(s, spec, dt, 30_000)
+        ts = generate_series_x(s, spec, dt, 30_000, {})
         rng = np.random.default_rng(11)
         for k in rng.integers(0, 30_000, size=100):
             direct = quadrature_expectation(evolve_diagonal(s, spec, k * dt))
@@ -138,7 +138,7 @@ class TestSeries:
     def test_bound_invariant(self):
         s = pacs_amplitudes(1.0, 5, 40)
         spec = kerr_spectrum(1.0, 0.01, 40)
-        ts = generate_series_x(s, spec, 2e-3, 20_000)
+        ts = generate_series_x(s, spec, 2e-3, 20_000, {})
         # the sum's mass, sqrt(2) sum_n |c_n| |c_{n+1}| sqrt(n+1), bounds every sample
         mass = np.abs(quadrature_sum(s, spec).amp).sum()
         assert np.abs(ts.values).max() <= mass + 1e-12
@@ -151,8 +151,15 @@ class TestSeries:
     def test_metadata(self):
         s = pacs_amplitudes(2.0, 0, 40)
         spec = kerr_spectrum(1.0, 0.01, 40)
-        ts = generate_series_x(s, spec, 1e-3, 10)
+        run = {"model": "kerr", "nu": 4.0, "m": 0}
+        ts = generate_series_x(s, spec, 1e-3, 10, run)
         assert ts.observable == "quadrature_x"
-        assert ts.meta["nu"] == pytest.approx(4.0)
+        assert ts.meta["nu"] == 4.0
         assert ts.meta["m"] == 0
         assert ts.dt == 1e-3
+        # the run's metadata is kept as given, not altered in place, and
+        # the model adds only what it computed
+        assert run == {"model": "kerr", "nu": 4.0, "m": 0}
+        added = ts.meta.keys() - run.keys()
+        assert added == {"n_max", *quadrature_sum(s, spec).evaluate(1e-3, 10)[1]}
+        assert ts.meta["n_max"] == 40

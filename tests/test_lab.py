@@ -14,7 +14,7 @@ import pytest
 
 from wplab import bipartite, embed, lab, neighbors, recur, seriesio
 from wplab.embed import FNN_MIN_POINTS, EmbeddingSpec
-from wplab.presets import PRESETS
+from wplab.presets import PRESETS, ExperimentPreset
 from wplab.recur import Cell
 from wplab.series import TimeSeries
 
@@ -310,6 +310,29 @@ from wplab import lab
 for preset_id, steps in json.loads(sys.argv[2]).items():
     lab.run_preset(preset_id, Path(sys.argv[1]) / preset_id, steps=steps)
 """
+
+
+PRUNING_KEYS = {
+    "spectral_terms", "spectral_terms_kept", "spectral_dropped_mass",
+    "spectral_prune_budget",
+}
+SERIES_PRESETS = [k for k, p in PRESETS.items() if isinstance(p, ExperimentPreset)]
+
+
+@pytest.mark.parametrize("preset_id", SERIES_PRESETS)
+def test_preset_sidecar_records_the_run_inputs(tmp_path, monkeypatch, preset_id):
+    # the run writes its inputs, the model only what it computed; the
+    # analyses are skipped, so only the series and its sidecar are written
+    monkeypatch.setattr(lab, "_run_task", lambda *args: None)
+    preset = PRESETS[preset_id]
+    manifest = lab.run_preset(preset_id, tmp_path, steps=SMOKE_STEPS[preset_id])
+    sidecar = tmp_path / f"{preset_id}_series.wprs.meta.json"
+    meta = json.loads(sidecar.read_text())["meta"]
+    run = {"model": preset.model, **preset.params, "nu": preset.nu, "m": preset.m}
+    run["steps"] = manifest.parameters["steps"]
+    assert {k: meta[k] for k in run} == run
+    computed = {"n_max"} if preset.model == "kerr" else {"sectors", "norm_error"}
+    assert meta.keys() == run.keys() | computed | PRUNING_KEYS
 
 
 def data_digests(out: Path) -> dict[str, str]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wplab import lab, recur, seriesio, svg
 from wplab.embed import EmbeddingSpec, delay_embed
 from wplab.recur import (
+    DENSITY_MAX_BINS,
     Cell,
     DegenerateSupportError,
     InsufficientEventsError,
@@ -262,6 +263,18 @@ class TestInvariantDensity:
         bins = density_bins(values, bin_width)
         covered = min(values) + bins * bin_width >= max(values)
         assert d.counts.size == (bins if covered else bins + 1)
+
+    def test_bin_cap(self):
+        # a range of DENSITY_MAX_BINS - 1 widths fits, with room for the
+        # bin the rounded edges may add; one width more is refused
+        top = float(DENSITY_MAX_BINS - 1)
+        d = invariant_density(series_of([0.0, top]), 1.0)
+        assert d.counts.size <= DENSITY_MAX_BINS
+        with pytest.raises(ValueError, match="bin_width"):
+            invariant_density(series_of([0.0, top + 1.0]), 1.0)
+        # so is a width whose bin count would overflow an integer
+        with pytest.raises(ValueError, match="bin_width"):
+            invariant_density(series_of([0.0, 1.0]), 5e-324)
 
     def test_constant_series(self):
         d = invariant_density(series_of(np.full(100, 2.5)), 0.1)

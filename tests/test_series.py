@@ -341,7 +341,7 @@ class TestPruning:
         preset = get_preset("fig11-14")
         p = TwoModeParams(**preset.params)
         sectors = decompose_initial(lab.initial_field_state(preset.nu, preset.m), p)
-        meta = occupancy_series(sectors, p, preset.dt, 10).field.meta
+        meta = occupancy_series(sectors, preset.dt, 10, {}).field.meta
         assert meta["spectral_terms"] == sum(s.N * (s.N + 1) // 2 for s in sectors)
         assert meta["spectral_terms_kept"] < 0.1 * meta["spectral_terms"]
 
@@ -470,7 +470,7 @@ def test_exact_kerr_revival():
     s = pacs_amplitudes(math.sqrt(5.0), 2, 60)
     spec = kerr_spectrum(chi, 0.0, s.n_max)
     dt = math.pi / (chi * revival)
-    x = generate_series_x(s, spec, dt, revival + 1).values
+    x = generate_series_x(s, spec, dt, revival + 1, {}).values
     assert abs(x[revival] - x[0]) <= 1e-10
     for k in (1, revival // 3, block_rows(revival + 1), revival - 1):
         exact = quadrature_expectation(evolve_diagonal(s, spec, k * dt))
