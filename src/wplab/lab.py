@@ -10,9 +10,11 @@ series file reproduces the preset's exports byte for byte.  Reruns of a
 preset produce byte-identical data files
 as long as the BLAS thread count and OpenBLAS's CPU kernel stay the
 same: the spectral kernel's GEMM rounds differently under either.  The
-manifest additionally records wall time, each task's wall time and the
-peak RSS after it, assumptions and the BLAS (``blas_environment``),
-which names the kernel and thread count.
+manifest's parameters are what the run computed, its series metadata
+plus ``dt``, not the preset's fields restated.  It additionally
+records wall time, each task's wall time and the peak RSS after it,
+assumptions and the BLAS (``blas_environment``), which names the
+kernel and thread count.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ ANALYSIS_TASKS = (
 @dataclass(frozen=True)
 class RunManifest:
     preset: str
+    # the series' metadata plus dt; a table's are its entries' metadata
+    # by entry id, steps and dt
     parameters: dict[str, Any]
     outputs: list[dict[str, Any]]  # path, sha256, bytes
     wall_time_s: float
@@ -259,10 +263,13 @@ def simulate(
     steps: int,
     out: str | Path,
 ) -> Path:
-    """Run a simulation and write the series file (plus metadata sidecar)."""
+    """Run a simulation and write the series file (plus metadata sidecar);
+    a failed write leaves neither file."""
     nu, m = initial
     ts = simulate_series(model, params, nu, m, dt, steps)
-    return seriesio.write_series(ts, out)
+    out = Path(out)
+    with _removed_on_failure([out, out.with_name(out.name + ".meta.json")]):
+        return seriesio.write_series(ts, out)
 
 
 # fixed analysis settings: no caller needs another value
@@ -720,7 +727,7 @@ def _preset_outputs(
     preset: ExperimentPreset, resolved: list[dict[str, Any]], out_dir: Path,
     steps: int, dt: float, svg: bool, written: list[Path],
     stages: list[dict[str, Any]],
-) -> None:
+) -> dict[str, Any]:
     ts = simulate_series(preset.model, preset.params, preset.nu, preset.m, dt, steps)
     stem = out_dir / f"{preset.id}_series"
     written += [Path(f"{stem}.wprs"), Path(f"{stem}.wprs.meta.json")]
@@ -729,25 +736,27 @@ def _preset_outputs(
         t0 = time.perf_counter()
         _run_task(item.task, ts, options, stem, svg, written)
         stages.append(_stage(item.task, t0))
+    return ts.meta
 
 
 def _table_outputs(
     preset: TablePreset, resolved: list[dict[str, Any]], out_dir: Path,
     steps: int, dt: float, written: list[Path], stages: list[dict[str, Any]],
-) -> None:
+) -> dict[str, Any]:
     (item,), (options,) = preset.analyses, resolved
-    rows = []
+    rows, entries = [], {}
     for entry in preset.entries:
         ts = simulate_series(entry.model, entry.params, entry.nu, entry.m, dt, steps)
         t0 = time.perf_counter()
         payload = _lyapunov_report(item.task, ts, options)[1]
         stages.append(_stage(item.task, t0, entry=entry.id))
+        meta = entries[entry.id] = ts.meta
         rows.append(
             {
                 "entry": entry.id,
-                "gamma_over_g": entry.params["gamma"] / entry.params["g"],
-                "nu": entry.nu,
-                "m": entry.m,
+                "gamma_over_g": meta["gamma"] / meta["g"],
+                "nu": meta["nu"],
+                "m": meta["m"],
                 **payload,
             }
         )
@@ -766,6 +775,7 @@ def _table_outputs(
         ),
     ]
     seriesio.write_text("".join(lines), txt_path)
+    return {"entries": entries, "steps": steps}
 
 
 def run_preset(
@@ -786,28 +796,28 @@ def run_preset(
         steps = preset.full_steps if full_scale else preset.steps
     dt = preset.dt if dt is None else dt
     _check_grid(dt, steps)
-    run_steps, run_dt = int(steps), float(dt)
+    steps, dt = int(steps), float(dt)
     # each analysis's options, resolved and checked against the length
     resolved = [resolve_options(item.task, item.options) for item in preset.analyses]
     for item, options in zip(preset.analyses, resolved):
-        _check_lengths(item.task, options, run_steps, f"{preset.id}: ")
+        _check_lengths(item.task, options, steps, f"{preset.id}: ")
 
     t0 = time.perf_counter()
-    # a failure removes what exists, the manifest included: the outputs
-    # stay only with their manifest
+    # a failure removes what exists, the manifest included, and the last
+    # run's manifest goes before the first write: the outputs stay only
+    # with their manifest
+    manifest_path = out_dir / f"{preset_id}_manifest.json"
+    manifest_path.unlink(missing_ok=True)
     written: list[Path] = []
     stages: list[dict[str, Any]] = []
     with _removed_on_failure(written):
         if isinstance(preset, TablePreset):
-            _table_outputs(preset, resolved, out_dir, run_steps, run_dt, written, stages)
-            parameters: dict[str, Any] = {"entries": [e.id for e in preset.entries]}
+            ran = _table_outputs(preset, resolved, out_dir, steps, dt, written, stages)
         else:
-            _preset_outputs(
-                preset, resolved, out_dir, run_steps, run_dt, svg, written, stages
+            ran = _preset_outputs(
+                preset, resolved, out_dir, steps, dt, svg, written, stages
             )
-            parameters = {"model": preset.model, "nu": preset.nu, "m": preset.m}
-            parameters.update(preset.params)
-        parameters.update(dt=run_dt, steps=run_steps)
+        parameters = {**ran, "dt": dt}
         wall = time.perf_counter() - t0
         outputs = [
             {
@@ -821,6 +831,6 @@ def run_preset(
         manifest = RunManifest(
             preset_id, parameters, outputs, wall, tuple(preset.notes), blas, stages
         )
-        written.append(out_dir / f"{preset_id}_manifest.json")
-        seriesio.write_json(asdict(manifest), written[-1])
+        written.append(manifest_path)
+        seriesio.write_json(asdict(manifest), manifest_path)
     return manifest

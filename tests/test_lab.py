@@ -142,6 +142,39 @@ def test_manifest_failure_leaves_no_outputs(tmp_path, monkeypatch, fails):
     assert list(out.iterdir()) == []
 
 
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    lab.run_preset("fig5", tmp_path)
+    # bad input is found before any write: the last run still verifies
+    with pytest.raises(lab.OptionError, match="fig5: "):
+        lab.run_preset("fig5", tmp_path, steps=1)
+    assert lab.RunManifest.load(tmp_path / "fig5_manifest.json").verify(tmp_path)
+
+    # a rerun that fails once writing removes the last run's manifest,
+    # which would name the series the failure removed
+    def failing_write(*args, **kwargs):
+        raise OSError("rp export failed")
+
+    monkeypatch.setattr(seriesio, "write_recurrence", failing_write)
+    with pytest.raises(OSError, match="rp export failed"):
+        lab.run_preset("fig5", tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_simulate_leaves_no_series(tmp_path, monkeypatch):
+    # new samples beside the last run's sidecar would claim its nu
+    path = tmp_path / "kerr_series.wprs"
+    params = {"chi": 1.0, "chi_prime": 0.01}
+    lab.simulate("kerr", params, (5.0, 0), 1e-3, 50, path)
+
+    def failing_write(*args):
+        raise OSError("sidecar write failed")
+
+    monkeypatch.setattr(seriesio, "_write_json", failing_write)
+    with pytest.raises(OSError, match="sidecar write failed"):
+        lab.simulate("kerr", params, (10.0, 0), 1e-3, 50, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "size", [0, 1, lab._HASH_BLOCK - 1, lab._HASH_BLOCK, 3 * lab._HASH_BLOCK + 7]
 )
@@ -333,6 +366,9 @@ def test_preset_sidecar_records_the_run_inputs(tmp_path, monkeypatch, preset_id)
     assert {k: meta[k] for k in run} == run
     computed = {"n_max"} if preset.model == "kerr" else {"sectors", "norm_error"}
     assert meta.keys() == run.keys() | computed | PRUNING_KEYS
+    # the manifest records that metadata, not the preset restated
+    manifest = lab.RunManifest.load(tmp_path / f"{preset_id}_manifest.json")
+    assert manifest.parameters == {**meta, "dt": preset.dt}
 
 
 def data_digests(out: Path) -> dict[str, str]:
@@ -534,7 +570,8 @@ def test_preset_options_resolve(preset_id):
 
 def test_table_row_is_the_classify_export(tmp_path):
     # a table row is the classify json of its entry's series plus the
-    # entry's own columns, key for key
+    # columns that series' metadata gives, key for key; the manifest
+    # maps each entry to that metadata
     table = PRESETS["table1"]
     (item,) = table.analyses
     entry = table.entries[4]  # gamma/g = 5, coherent state
@@ -543,7 +580,17 @@ def test_table_row_is_the_classify_export(tmp_path):
     # one stage per entry's task
     stages = [(s["task"], s["entry"]) for s in manifest.stages]
     assert stages == [(item.task, e.id) for e in table.entries]
+    manifest_path = tmp_path / "table" / "table1_manifest.json"
+    parameters = lab.RunManifest.load(manifest_path).parameters
+    entries = parameters.pop("entries")
+    assert parameters == {"dt": table.dt, "steps": steps}
     rows = json.loads((tmp_path / "table" / "table1.json").read_text())["rows"]
+    assert [r["entry"] for r in rows] == [e.id for e in table.entries]
+    assert entries.keys() == {r["entry"] for r in rows}
+    for r in rows:
+        meta = entries[r["entry"]]
+        columns = (meta["gamma"] / meta["g"], meta["nu"], meta["m"])
+        assert (r["gamma_over_g"], r["nu"], r["m"]) == columns
     (row,) = [r for r in rows if r["entry"] == entry.id]
     columns = {"entry": entry.id, "gamma_over_g": 5.0, "nu": 1.0, "m": 0}
     assert {key: row.pop(key) for key in columns} == columns
@@ -552,6 +599,8 @@ def test_table_row_is_the_classify_export(tmp_path):
         entry.model, entry.params, (entry.nu, entry.m), table.dt, steps,
         tmp_path / "s.wprs",
     )
+    sidecar = json.loads(series.with_name(series.name + ".meta.json").read_text())
+    assert entries[entry.id] == sidecar["meta"]
     (path,) = lab.analyze(item.task, series, item.options, tmp_path / "classify")
     assert json.loads(path.read_text()) == row
 
