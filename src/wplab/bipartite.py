@@ -26,17 +26,19 @@ exactly zero (more than half of them at nu = 50, gamma/g = 5) makes
 every pair term it is in exactly zero, so only the fed pairs, both of
 whose levels have w_s != 0, are formed.
 ``decompose_initial`` forms A right after each block's solve and keeps
-of it only what the sum reads: the constant and A_ss' over the fed
-pairs.  A ``SectorState`` holds those, the block's eigenvalues, a copy
-of w and the field probability |c_N|^2 fed to it.  Neither V nor A
-outlives its block, so the blocks' (N+1)^2 matrices (4.7 MB at nu = 50,
-83 MB at nu = 200) are never held together.
-``occupancy_sum`` gathers the constants and the pair terms of all
-blocks into one ``series.SpectralSum``, which takes every block's
-eigenvalues, concatenated, as its levels and each term as a (s', s)
-index pair offset by its block's start, so the extended-precision phase
-work of ``SpectralSum.evaluate`` is per eigenvalue, not per pair.  There
-is no integration error.  The pairs that are not fed are counted in the
+of it only what the sum reads: the constant, and the fed pairs (s, s')
+with their amplitudes 2 |c_N|^2 w_s w_s' A_ss', found and formed once.
+A ``SectorState`` holds those, the block's eigenvalues, a copy of w and
+the field probability |c_N|^2 fed to it.  Neither V nor A outlives its
+block, so the blocks' (N+1)^2 matrices (4.7 MB at nu = 50, 83 MB at
+nu = 200) are never held together.
+``occupancy_sum`` only concatenates: every block's constants, summed,
+and its pair amplitudes into one ``series.SpectralSum``, which takes
+every block's eigenvalues, concatenated, as its levels and each term as
+a (s', s) index pair offset by its block's start, so the
+extended-precision phase work of ``SpectralSum.evaluate`` is per
+eigenvalue, not per pair.
+There is no integration error.  The pairs that are not fed are counted in the
 sum's ``terms`` but never formed: ``evaluate`` would drop them first,
 adding nothing to the dropped mass, and sum the same terms in the same
 order.  It drops the smallest pair terms whose |amplitude| sums to at
@@ -101,18 +103,20 @@ class EigenDecomposition:
 @dataclass(frozen=True)
 class SectorState:
     """One conserved-N block: its eigenvalues, the initial data feeding
-    it, and the entries of A = V^T diag(n) V that the occupancy reads."""
+    it, and the occupancy terms that A = V^T diag(n) V gives it."""
 
     N: int
     levels: np.ndarray  # ascending eigenvalues
     initial_coeffs: np.ndarray  # eigenbasis expansion w of the starting vector
     weight: float  # |c_N|^2, the field probability routed into this block
     atom_diag: float  # sum_s w_s^2 A_ss
-    atom_pairs: np.ndarray  # A_ss' over the fed pairs, in ``_fed_pairs`` order
+    pairs: np.ndarray  # the fed pairs (s, s'), s < s', as (2, pairs) uint16
+    pair_amps: np.ndarray  # 2 |c_N|^2 w_s w_s' A_ss', one per pair
 
     def __post_init__(self):
-        for name in ("levels", "initial_coeffs", "atom_pairs"):
-            v = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+        for name in ("levels", "initial_coeffs", "pairs", "pair_amps"):
+            kind = np.uint16 if name == "pairs" else np.float64
+            v = np.ascontiguousarray(getattr(self, name), dtype=kind)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
@@ -227,8 +231,9 @@ def decompose_initial(field: FockState, p: TwoModeParams) -> list[SectorState]:
     With the second mode empty, sector N starts in basis vector n = 0 and
     receives the field amplitude c_N.  Sectors carrying squared amplitude
     below ``SECTOR_PRUNE_MASS`` are skipped.  Each sector's A is formed
-    right after its solve, and only the entries the occupancy reads
-    outlive it.
+    right after its solve, and only the occupancy terms it gives outlive
+    it.  Block dimensions stay within ``fock.N_MAX_CAP + 1``, so every
+    level index fits the pairs' uint16.
     """
     sectors = []
     for N, amp in enumerate(field.amplitudes.tolist()):
@@ -244,8 +249,9 @@ def decompose_initial(field: FockState, p: TwoModeParams) -> list[SectorState]:
         # np.diag's strided view, not a contiguous copy: the copy's dot
         # product rounds differently, and the preset digests pin these bits
         diag = float(coeffs**2 @ np.diag(a))
-        lo, hi = _fed_pairs(coeffs)
-        sectors.append(SectorState(N, eig.eigenvalues, coeffs, weight, diag, a[lo, hi]))
+        lo, hi = pairs = _fed_pairs(coeffs)
+        amps = 2.0 * weight * coeffs[lo] * coeffs[hi] * a[lo, hi]
+        sectors.append(SectorState(N, eig.eigenvalues, coeffs, weight, diag, pairs, amps))
     return sectors
 
 
@@ -266,32 +272,24 @@ def occupancy_sum(sectors: list[SectorState]) -> tuple[SpectralSum, float, float
     """
     if not sectors:
         raise ValueError("no sectors to evolve")
-    # a level with w_s = 0 gives exactly zero pair terms: only the fed
-    # pairs are formed, and the terms are filled in place, so they are
-    # held in memory once
-    pairs = sum(s.atom_pairs.size for s in sectors)
-    amps = np.empty(pairs)
-    upper = np.empty(pairs, dtype=np.intp)
-    lower = np.empty(pairs, dtype=np.intp)
     levels = np.concatenate([s.levels for s in sectors])
+    amps = np.concatenate([s.pair_amps for s in sectors])
+    # every term's (s, s'), offset in the loop by its sector's first level
+    index = np.concatenate([s.pairs for s in sectors], axis=1, dtype=np.int32)
     atom_const = total_number = norm = 0.0
     j0 = offset = 0
     for s in sectors:
-        w = s.initial_coeffs
-        mass = float((w**2).sum())
+        mass = float((s.initial_coeffs**2).sum())
         atom_const += s.weight * s.atom_diag
         total_number += s.weight * s.N * mass
         norm += s.weight * mass
-        lo, hi = _fed_pairs(w)
-        j1 = j0 + lo.size
-        amps[j0:j1] = 2.0 * s.weight * w[lo] * w[hi] * s.atom_pairs
-        upper[j0:j1] = hi + offset
-        lower[j0:j1] = lo + offset
-        j0 = j1
-        offset += s.N + 1
+        j1 = j0 + s.pair_amps.size
+        index[:, j0:j1] += offset
+        j0, offset = j1, offset + s.N + 1
     # every pair of levels is a term of the model, formed or not
     terms = sum(s.N * (s.N + 1) // 2 for s in sectors)
-    return SpectralSum(amps, levels, upper, lower, atom_const, terms), total_number, norm
+    atom = SpectralSum(amps, levels, index[1], index[0], atom_const, terms)
+    return atom, total_number, norm
 
 
 def occupancy_series(

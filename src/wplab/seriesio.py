@@ -20,10 +20,11 @@ return-time histograms) are non-negative and formatted by numpy, as
 ``%d`` would, from tables of 4-digit groups rather than Python ints:
 the leading zeros are NUL bytes, dropped by one select per chunk.
 
-Every writer fills a temporary sibling of its target and moves it into
-place with ``os.replace``, so a target is either complete or absent (or
-still the previous complete file); an interrupted write leaves no
-partial file behind.
+Every writer fills a temporary sibling of its target, named for that
+writer alone, and moves it into place with ``os.replace``, so a target
+is either complete or absent (or still the previous complete file, or
+the last finished writer's, when two write it at once); an interrupted
+write leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -62,13 +63,16 @@ def _replacing(path: Path, mode: str = "w") -> Iterator[Any]:
 
     The data go to a temporary sibling, moved over ``path`` by
     ``os.replace`` after it is closed; if the block raises, the temporary
-    file is removed and ``path`` is left as it was.  Missing parent
-    directories are created, so none exists before something is written.
+    file is removed and ``path`` is left as it was.  Each call creates a
+    temporary of its own (a random name, created exclusively), so writers
+    of one path never share one.  Missing parent directories are created,
+    so none exists before something is written.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, mode.replace("w", "x"))
     try:
-        with open(tmp, mode) as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wplab import lab
+from wplab import bipartite, lab
 from wplab.bipartite import (
     TwoModeParams,
+    _fed_pairs,
     decompose,
     decompose_initial,
     occupancy_series,
@@ -96,7 +97,7 @@ class TestDecomposeInitial:
         sectors = decompose_initial(field, TwoModeParams(gamma=5.0))
         for s in sectors:
             assert isinstance(s.weight, float)
-            for data in (s.levels, s.initial_coeffs, s.atom_pairs):
+            for data in (s.levels, s.initial_coeffs, s.pair_amps):
                 assert data.dtype == np.float64
             assert s.initial_coeffs.base is None
         assert occupancy_sum(sectors)[0].amp.dtype == np.float64
@@ -318,6 +319,39 @@ def test_sectors_keep_only_what_the_sum_reads():
     finally:
         tracemalloc.stop()
     assert peak < 32e6  # 16 MB measured
+
+
+@pytest.mark.parametrize("nu", [5.0, 50.0])
+def test_sector_pair_terms_are_formed_once(nu, monkeypatch):
+    # each sector carries its fed pairs and their amplitudes, the bits the
+    # sum formed from A and w itself before; the sum only concatenates them
+    p = TwoModeParams(omega=1.0, omega0=1.0, gamma=5.0, g=1.0)
+    sectors = decompose_initial(initial_field_state(nu, 5), p)
+    amps, upper, lower = [], [], []
+    offset = 0
+    for s in sectors:
+        lo, hi = _fed_pairs(s.initial_coeffs)
+        assert np.array_equal(s.pairs, [lo, hi])
+        assert s.pairs.dtype == np.uint16 and not s.pairs.flags.writeable
+        v = decompose(*sector_diagonals(s.N, p)).eigenvectors
+        a = v.T @ (np.arange(s.N + 1.0)[:, None] * v)
+        w = s.initial_coeffs
+        amps.append(2.0 * s.weight * w[lo] * w[hi] * a[lo, hi])
+        assert s.pair_amps.tobytes() == amps[-1].tobytes()
+        upper.append(hi + offset)
+        lower.append(lo + offset)
+        offset += s.N + 1
+
+    def no_fed_pairs(coeffs):
+        raise AssertionError("_fed_pairs called again")
+
+    monkeypatch.setattr(bipartite, "_fed_pairs", no_fed_pairs)
+    atom = occupancy_sum(sectors)[0]
+    assert atom.amp.tobytes() == np.concatenate(amps).tobytes()
+    assert np.array_equal(atom.upper, np.concatenate(upper))
+    assert np.array_equal(atom.lower, np.concatenate(lower))
+    levels = np.concatenate([s.levels for s in sectors])
+    assert atom.levels.tobytes() == levels.tobytes()
 
 
 def test_norm_is_one_value_per_sample():

@@ -417,6 +417,21 @@ def test_analyze_reproduces_preset_lyapunov_run(tmp_path):
             assert (out / name).read_bytes() == (preset / name).read_bytes(), name
 
 
+def test_full_scale_fig5_keeps_its_4000_steps(tmp_path):
+    # fig5's series length is its recurrence window at either scale, and
+    # the flag resolves as run_preset's switch does
+    manifest = lab.run_preset("fig5", tmp_path / "lab", full_scale=True)
+    assert manifest.parameters["steps"] == 4000
+    assert exit_code(["preset", "fig5", "--full-scale", "--out", tmp_path / "cli"]) == 0
+    lab.run_preset("fig5", tmp_path / "desk")
+    text = (tmp_path / "cli" / "fig5_series_rp.txt").read_bytes()
+    assert b"\n# window_len = 4000\n" in text
+    for name in ("fig5_series.wprs", "fig5_series_rp.txt"):
+        want = (tmp_path / "cli" / name).read_bytes()
+        assert (tmp_path / "lab" / name).read_bytes() == want
+        assert (tmp_path / "desk" / name).read_bytes() == want
+
+
 @pytest.fixture
 def fig5_run(tmp_path, monkeypatch):
     """A fig5 run under the working directory, and its manifest's relative path."""

@@ -175,6 +175,25 @@ def test_failed_simulate_leaves_no_series(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+class StepsSeen(Exception):
+    """Raised by a stand-in simulation with the steps it was asked for."""
+
+
+@pytest.mark.parametrize("preset_id", ["fig1", "fig4", "fig7-10", "fig11-14", "table1"])
+def test_full_scale_runs_1e7_steps(tmp_path, monkeypatch, preset_id):
+    # a 1e6-step preset at full scale asks for 1e7 steps; nothing is
+    # simulated here, and the failure leaves no file and no manifest
+    def record_steps(model, params, nu, m, dt, steps):
+        raise StepsSeen(steps)
+
+    monkeypatch.setattr(lab, "simulate_series", record_steps)
+    out = tmp_path / "out"
+    with pytest.raises(StepsSeen) as seen:
+        lab.run_preset(preset_id, out, full_scale=True)
+    assert seen.value.args == (10_000_000,)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "size", [0, 1, lab._HASH_BLOCK - 1, lab._HASH_BLOCK, 3 * lab._HASH_BLOCK + 7]
 )

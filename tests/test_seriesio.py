@@ -2,6 +2,7 @@ import io
 import math
 import tempfile
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -309,6 +310,48 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="no space"):
             getattr(svg, plot)(x, x * x, tmp_path / "plot.svg", "title")
         assert list(tmp_path.iterdir()) == []
+
+    def test_writers_of_one_path_do_not_share_a_temporary(self, tmp_path):
+        # with one temporary name per path, the inner writer moved the
+        # outer one's half-written file into place and the outer writer's
+        # own move then found no temporary
+        path = tmp_path / "x.txt"
+        with seriesio._replacing(path) as outer:
+            outer.write("outer\n" * 1000)
+            with seriesio._replacing(path) as inner:
+                inner.write("inner\n")
+            assert path.read_text() == "inner\n"
+            outer.write("end\n")
+        assert path.read_text() == "outer\n" * 1000 + "end\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_writer_removes_only_its_own_temporary(self, tmp_path):
+        path = tmp_path / "x.txt"
+        with seriesio._replacing(path, "wb") as outer:
+            outer.write(b"outer\n")
+            with pytest.raises(OSError, match="inner failed"):
+                with seriesio._replacing(path, "wb") as inner:
+                    inner.write(b"inner\n")
+                    raise OSError("inner failed")
+            assert not path.exists()
+        assert path.read_bytes() == b"outer\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_concurrent_writers_leave_one_whole_file(self, tmp_path):
+        # four threads rewriting one path: every write succeeds, and the
+        # file is one writer's text whole
+        path = tmp_path / "x.txt"
+        texts = [f"{k}\n" * (1000 + k) for k in range(4)]
+
+        def rewrite(text):
+            for _ in range(25):
+                seriesio.write_text(text, path)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for done in [pool.submit(rewrite, text) for text in texts]:
+                done.result(timeout=60)
+        assert path.read_text() in texts
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_series_and_sidecar_leave_no_temporary(self, tmp_path):
         ts = sine_series(100, period=7.0)
