@@ -30,7 +30,10 @@ below 1%, chooses the dimension an estimate embeds in (the caller only
 records it), and hands on the KD-tree of that embedding when it was the
 last scanned: the tree covers every embedded row, and queries keep to
 the rows they may use through ``limit``, so the divergence estimate of
-the same embedding reuses it instead of building another.
+the same embedding reuses it instead of building another.  Each
+estimator's defaults (MI_BINS, MI_MIN_WINDOW, FNN_D_MAX) are the rules
+every run path uses, so a caller passes only the lags searched and the
+delay.
 """
 
 from __future__ import annotations
@@ -213,18 +216,20 @@ _UPDATE_COST = 6
 def mutual_information_delay(
     series: TimeSeries,
     max_lag: int,
-    bins: int,
+    bins: int = MI_BINS,
     stride: Optional[int] = None,
-    min_window: int = 1,
+    min_window: int = MI_MIN_WINDOW,
     stop_at_minimum: bool = False,
 ) -> MutualInformationResult:
     """First strict local minimum of the histogram mutual information.
 
     Falls back to max_lag (flagged) when the curve has no interior
-    minimum.  ``stride`` subsamples the pair statistics on long series
-    (default targets about 2e5 pairs per lag).  ``min_window`` widens the
-    neighborhood a minimum must dominate; curves of noiseless periodic
-    signals carry binning ripple that a 1-sample window latches onto.
+    minimum.  The series is binned into ``bins`` (MI_BINS, 16) per axis.
+    ``stride`` subsamples the pair statistics on long series (default
+    targets about 2e5 pairs per lag).  A minimum must lie below every
+    value within ``min_window`` (MI_MIN_WINDOW, 5) lags of it; curves of
+    noiseless periodic signals carry binning ripple that a 1-lag window
+    latches onto.
     With ``stop_at_minimum`` the curve ends at the lag that confirms the
     first minimum, ``min_window`` lags past it; lag and flag are the
     same as from the full curve.
@@ -294,7 +299,7 @@ def _is_minimum(curve: np.ndarray, k: int, w: int) -> bool:
 def false_nearest_neighbors(
     series: TimeSeries,
     delay: int,
-    d_max: int,
+    d_max: int = FNN_D_MAX,
     max_reference: int = MAX_REFERENCE,
 ) -> FnnResult:
     """False-neighbor fractions as the dimension grows, and the dimension
@@ -304,11 +309,12 @@ def false_nearest_neighbors(
     FNN_R_TOL (15) times the current distance, or by more than FNN_A_TOL
     (2) times the series spread (the usual catch for stochastic data).
     ``dimension`` is the smallest d with a false fraction under 1%, where
-    the scan stops (``fnn_fractions`` ends there, or at ``d_max``); the
-    caller embeds in ``chosen``: that d, else the smallest under 5%, else
-    ``d_max``.  Dimension d needs FNN_MIN_POINTS (20) extended points
-    (``check_fnn``).  Each finds the neighbors of all (up to
-    ``max_reference``) reference points in one batched query, on a tree
+    the scan stops (``fnn_fractions`` ends there, or at ``d_max``,
+    FNN_D_MAX = 8 by default); the caller embeds in ``chosen``: that d,
+    else the smallest under 5%, else ``d_max``.  Dimension d needs
+    FNN_MIN_POINTS (20) extended points (``check_fnn``).  Each finds the
+    neighbors of all (up to ``max_reference``) reference points in one
+    batched query, on a tree
     over the whole d-embedding limited to the rows whose next coordinate
     exists.  The last tree is handed on as ``grid`` if it is ``chosen``'s.
     """

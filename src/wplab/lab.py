@@ -42,9 +42,6 @@ from .bipartite import (
     sector_eigensolver,
 )
 from .embed import (
-    FNN_D_MAX,
-    MI_BINS,
-    MI_MIN_WINDOW,
     EmbeddingSpec,
     classify,
     false_nearest_neighbors,
@@ -60,7 +57,6 @@ from .fock import (
     pacs_amplitudes,
 )
 from .kerr import KerrParams, generate_series_x, kerr_spectrum
-from .neighbors import BoxGrid
 from .presets import PRESETS, ExperimentPreset, TablePreset, get_preset
 from .recur import (
     Cell,
@@ -443,67 +439,43 @@ def _derived(options: dict[str, Any], name: str, *inputs):
     return OPTIONS[name].default(*inputs) if value is None else value
 
 
-def _mutual_information(
-    series: TimeSeries, options: dict[str, Any], stop_at_minimum: bool = False
-):
-    return mutual_information_delay(
-        series,
-        max_lag=_derived(options, "max_lag", len(series)),
-        bins=MI_BINS,
-        min_window=MI_MIN_WINDOW,
-        stop_at_minimum=stop_at_minimum,
-    )
-
-
-def choose_embedding(
-    series: TimeSeries, options: dict[str, Any]
-) -> tuple[EmbeddingSpec, dict[str, Any], Optional[BoxGrid]]:
-    """Delay from the mutual-information minimum, dimension from FNN.
-
-    ``options`` are resolved Lyapunov options; an explicit ``delay`` or
-    ``dimension`` short-circuits the automatic choice.  The delay search
-    ends at the first minimum; a horizon, explicit or derived from the
-    delay, that the series cannot fit is rejected there, before FNN
-    (``_check_lengths``).  FNN decides the dimension
-    (``FnnResult.chosen``) and this records it: ``fnn_fractions`` as far
-    as FNN scanned, ``fnn_relaxed`` when no fraction is under 1%, and
-    ``fnn_dimension``.  The third value is ``FnnResult.grid``, FNN's
-    KD-tree over the chosen embedding for the divergence estimate, or
-    None.
-    """
-    info: dict[str, Any] = {}
-    delay = options["delay"]
-    if delay is None:
-        mi = _mutual_information(series, options, stop_at_minimum=True)
-        delay = mi.lag
-        info["mi_lag"] = mi.lag
-        info["mi_has_minimum"] = mi.has_minimum
-    _check_lengths("lyapunov", options, len(series), delay=delay)  # classify's too
-    dimension, grid = options["dimension"], None
-    if dimension is None:
-        fnn = false_nearest_neighbors(series, delay=int(delay), d_max=FNN_D_MAX)
-        info["fnn_fractions"] = [round(float(f), 6) for f in fnn.fnn_fractions]
-        if fnn.dimension is None:
-            info["fnn_relaxed"] = True
-        dimension, grid = fnn.chosen, fnn.grid
-        info["fnn_dimension"] = dimension
-    return EmbeddingSpec(int(delay), int(dimension)), info, grid
-
-
 def _lyapunov_report(task: str, series: TimeSeries, options: dict[str, Any]):
     """The Lyapunov estimate of ``series`` and its json payload.
 
     ``options`` are the resolved options of ``task``, "lyapunov" or
-    "classify"; for "classify" the payload adds the verdict.  The
-    ``lyapunov`` and ``classify`` json exports and the rows of a table
-    preset are this payload.
+    "classify"; an explicit ``delay`` or ``dimension`` skips its search.
+    The delay is the first minimum of the mutual information, where the
+    search stops; a horizon, explicit or derived from the delay, that
+    the series cannot fit is rejected there, before FNN
+    (``_check_lengths``).  FNN decides the dimension
+    (``FnnResult.chosen``) and hands on its KD-tree over that embedding,
+    if it has one, to Rosenstein's estimate once the embedded length is
+    checked.  ``selection`` records what was searched: ``mi_lag`` and
+    ``mi_has_minimum``; ``fnn_fractions`` as far as FNN scanned,
+    ``fnn_relaxed`` when no fraction is under 1%, and ``fnn_dimension``;
+    then always ``theiler``, ``horizon`` and ``method``.  For "classify"
+    the payload adds the verdict.  The ``lyapunov`` and ``classify`` json
+    exports and the rows of a table preset are this payload.
     """
-    spec, info, grid = choose_embedding(series, options)
-    _check_lengths(
-        task, options, len(series), delay=spec.delay, dimension=spec.dimension
-    )
-    theiler = _theiler(spec.delay)
-    horizon = _derived(options, "horizon", spec.delay)
+    info: dict[str, Any] = {}
+    delay, dimension, grid = options["delay"], options["dimension"], None
+    if delay is None:
+        max_lag = _derived(options, "max_lag", len(series))
+        mi = mutual_information_delay(series, max_lag, stop_at_minimum=True)
+        delay = info["mi_lag"] = mi.lag
+        info["mi_has_minimum"] = mi.has_minimum
+    _check_lengths(task, options, len(series), delay=delay)
+    if dimension is None:
+        fnn = false_nearest_neighbors(series, delay)
+        info["fnn_fractions"] = [round(float(f), 6) for f in fnn.fnn_fractions]
+        if fnn.dimension is None:
+            info["fnn_relaxed"] = True
+        dimension = info["fnn_dimension"] = fnn.chosen
+        grid = fnn.grid
+    _check_lengths(task, options, len(series), delay=delay, dimension=dimension)
+    theiler = _theiler(delay)
+    horizon = _derived(options, "horizon", delay)
+    spec = EmbeddingSpec(delay, dimension)
     result = lyapunov_rosenstein(series, spec, theiler, horizon, grid=grid)
     info.update(theiler=theiler, horizon=horizon, method="rosenstein")
     payload = {
@@ -606,7 +578,7 @@ def _run_task(
         seriesio.write_recurrence(rp, out_path("txt"))
         plot = (svgmod.points_svg, rp.pairs[:, 0], rp.pairs[:, 1], "recurrence plot")
     elif task == "mi":
-        mi = _mutual_information(ts, options)
+        mi = mutual_information_delay(ts, _derived(options, "max_lag", len(ts)))
         seriesio.write_pairs(
             np.column_stack((np.arange(1, mi.curve.size + 1), mi.curve)),
             out_path("txt"),
@@ -615,7 +587,7 @@ def _run_task(
             {"lag": mi.lag, "has_minimum": mi.has_minimum},
         )
     elif task == "fnn":
-        f = false_nearest_neighbors(ts, delay=options["delay"], d_max=FNN_D_MAX)
+        f = false_nearest_neighbors(ts, options["delay"])
         seriesio.write_pairs(
             np.column_stack((np.arange(1, f.fnn_fractions.size + 1), f.fnn_fractions)),
             out_path("txt"),
@@ -662,10 +634,10 @@ def _check_lengths(
 
     Called at three points, each before the work its rules guard: on the
     bare length (``analyze`` once the series is read, ``run_preset``
-    before simulating), once the delay search has chosen ``delay``
-    (``choose_embedding``, before FNN), and once FNN has chosen
-    ``dimension`` (``_lyapunov_report``).  FNN's higher dimensions stay
-    checked in its scan, whose stopping dimension depends on the data.
+    before simulating), and in ``_lyapunov_report`` once the delay search
+    has chosen ``delay`` (before FNN) and once FNN has chosen
+    ``dimension``.  FNN's higher dimensions stay checked in its scan,
+    whose stopping dimension depends on the data.
     """
     known = options.get("delay") if delay is None else delay
     try:

@@ -190,7 +190,7 @@ class TestDelayEmbed:
 class TestMutualInformation:
     def test_matches_brute_force_on_noise(self):
         ts = white_noise(3000)
-        res = mutual_information_delay(ts, max_lag=20, bins=8)
+        res = mutual_information_delay(ts, max_lag=20, bins=8, min_window=1)
         oracle = brute_force_mi_curve(ts.values, 20, 8)
         assert np.abs(res.curve - oracle).max() < 1e-12
         # flat near zero, and the returned lag is the oracle curve's first
@@ -212,6 +212,18 @@ class TestMutualInformation:
         assert res.has_minimum
         assert abs(res.lag - 50) <= 5
         assert abs(int(np.argmin(res.curve)) + 1 - 50) <= 5
+
+    def test_defaults_are_the_run_rules(self):
+        # the run paths pass only max_lag: bins and window are MI_BINS and
+        # MI_MIN_WINDOW, whose window skips the ripple minimum at lag 3
+        ts = sine_series(10_000, period=200.0)
+        default = mutual_information_delay(ts, 120)
+        stated = mutual_information_delay(
+            ts, 120, bins=embed.MI_BINS, min_window=embed.MI_MIN_WINDOW
+        )
+        assert (default.lag, default.has_minimum) == (stated.lag, stated.has_minimum)
+        assert np.array_equal(default.curve, stated.curve)
+        assert default.lag != mutual_information_delay(ts, 120, min_window=1).lag
 
     def test_constant_series_error(self):
         ts = TimeSeries(1.0, np.full(1000, 2.0))
@@ -304,6 +316,16 @@ class TestFnn:
         f = false_nearest_neighbors(white_noise(10_000), delay=1, d_max=5)
         assert f.dimension is None
         assert np.all(f.fnn_fractions >= 0.01)
+
+    def test_default_scan_ends_at_fnn_d_max(self):
+        # no fraction of white noise drops under 1%: the default scan runs
+        # to FNN_D_MAX and chooses it, as the stated one does
+        ts = white_noise(5000)
+        default = false_nearest_neighbors(ts, 1)
+        stated = false_nearest_neighbors(ts, 1, d_max=embed.FNN_D_MAX)
+        assert default.fnn_fractions.size == embed.FNN_D_MAX
+        assert (default.dimension, default.chosen) == (stated.dimension, stated.chosen)
+        assert np.array_equal(default.fnn_fractions, stated.fnn_fractions)
 
     def test_matches_brute_force(self):
         # same criterion evaluated with an O(n^2) scan

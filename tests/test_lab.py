@@ -104,6 +104,70 @@ def test_no_tree_outlives_the_estimate(monkeypatch, make, options, shared):
     assert [ref() for ref in built] == [None] * len(built)
 
 
+@pytest.mark.parametrize("dimension", [None, 3], ids=["fnn", "given-dimension"])
+@pytest.mark.parametrize("delay", [None, 20], ids=["mi", "given-delay"])
+def test_selection_records_the_searches_made(delay, dimension):
+    # the MI keys only when the delay was searched, the FNN keys only when
+    # the dimension was, and theiler, horizon and method always, in order
+    series = sine_series(20_000, period=100.0)
+    options = {"delay": delay, "dimension": dimension, "horizon": 300}
+    options = lab.resolve_options("lyapunov", options)
+    result, payload = lab._lyapunov_report("lyapunov", series, options)
+    selection, spec = payload["selection"], result.embedding
+    searched = []
+    if delay is None:
+        searched += ["mi_lag", "mi_has_minimum"]
+        delay = selection["mi_lag"]
+    if dimension is None:
+        searched += ["fnn_fractions", "fnn_dimension"]
+        dimension = selection["fnn_dimension"]
+        assert len(selection["fnn_fractions"]) == dimension
+    assert list(selection) == searched + ["theiler", "horizon", "method"]
+    assert (spec.delay, spec.dimension) == (delay, dimension)
+    assert (selection["theiler"], selection["horizon"], selection["method"]) == (
+        2 * spec.delay, 300, "rosenstein"
+    )
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+SEAMS_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+from wplab import lab
+from wplab.presets import PRESETS
+
+tracer = spans.Tracer()
+spans.install(tracer)
+p = PRESETS["fig11-14"]
+(item,) = [a for a in p.analyses if a.task == "classify"]
+ts = lab.simulate_series(p.model, p.params, p.nu, p.m, p.dt, 41_000)
+lab._lyapunov_report("classify", ts, lab.resolve_options("classify", item.options))
+print(json.dumps(sorted({span[0] for span in tracer.spans})))
+"""
+
+
+def test_benchmark_tracer_sees_every_lyapunov_stage():
+    # the benchmark's tracer wraps the estimators where lab looks them up:
+    # a call that leaves lab's namespace would silently read 0 there
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", SEAMS_SCRIPT, str(PERFBENCH)],
+        env=env, check=True, timeout=120, capture_output=True, text=True,
+    ).stdout
+    missing = {
+        "embed.mutual_information_delay",
+        "embed.false_nearest_neighbors",
+        "embed.delay_embed",
+        "embed.lyapunov_rosenstein",
+        "embed.classify",
+        "neighbors.build",
+    }.difference(json.loads(out))
+    assert not missing
+
+
 def test_failed_preset_leaves_no_outputs(tmp_path, monkeypatch):
     # density is the last task of fig7-10: the series and the exports
     # written before it must go too
