@@ -69,6 +69,9 @@ SECTOR_PRUNE_MASS = 1e-14
 
 @dataclass(frozen=True)
 class TwoModeParams:
+    """The couplings of H = omega a+a + omega0 b+b + gamma b+b+bb + g (a b+ + a+ b);
+    each a finite real, not a bool, and g >= 0."""
+
     omega: float = 1.0
     omega0: float = 1.0
     gamma: float = 0.0

@@ -3,8 +3,8 @@
 Subcommands: ``simulate`` (write a series file), ``analyze`` (run one
 analysis task on a series file), ``preset`` (run a catalogued
 experiment), ``verify`` (check a preset's outputs against its
-manifest), ``list-presets``.  The ``analyze`` option flags are
-generated from ``lab.OPTIONS``.
+manifest), ``list-presets``.  ``--model``'s choices are the keys of
+``lab.MODELS``; the ``analyze`` option flags come from ``lab.OPTIONS``.
 
 Exit status: 0 success, 1 runtime error, such as a malformed or empty
 series file or ``.meta.json`` sidecar (nothing is written), 2 usage
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a series file")
-    sim.add_argument("--model", choices=("kerr", "bipartite"), required=True)
+    sim.add_argument("--model", choices=tuple(lab.MODELS), required=True)
     sim.add_argument("--nu", type=float, default=1.0, help="mean photon number")
     sim.add_argument("--m", type=int, default=0, help="photon additions")
     sim.add_argument("--chi", type=float, default=1.0)
@@ -98,15 +98,11 @@ def main(argv=None) -> int:
             for pid in lab.list_presets():
                 print(pid)
         elif args.command == "simulate":
-            if args.model == "kerr":
-                params = {"chi": args.chi, "chi_prime": args.chi * args.chi_prime_ratio}
-            else:
-                params = {
-                    "omega": args.omega,
-                    "omega0": args.omega0,
-                    "gamma": args.g * args.gamma_over_g,
-                    "g": args.g,
-                }
+            params = {
+                "kerr": {"chi": args.chi, "chi_prime": args.chi * args.chi_prime_ratio},
+                "bipartite": {"omega": args.omega, "omega0": args.omega0,
+                              "gamma": args.g * args.gamma_over_g, "g": args.g},
+            }[args.model]
             path = lab.simulate(
                 args.model,
                 params,

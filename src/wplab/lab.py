@@ -214,6 +214,16 @@ def initial_field_state(nu: float, m: int) -> FockState:
     return pacs_amplitudes(alpha, m, n_max)
 
 
+# model name: (parameter class, series builder(p, state, dt, steps, meta)).  A
+# builder finds its stages in this module when it runs, where tracing wraps them.
+MODELS: dict[str, tuple[type, Callable[..., TimeSeries]]] = {
+    "kerr": (KerrParams, lambda p, state, *run: generate_series_x(
+        state, kerr_spectrum(p.chi, p.chi_prime, state.n_max), *run)),
+    "bipartite": (TwoModeParams, lambda p, state, *run: occupancy_series(
+        decompose_initial(state, p), *run).field),
+}
+
+
 def simulate_series(
     model: str,
     params: dict[str, float],
@@ -222,19 +232,18 @@ def simulate_series(
     dt: float,
     steps: int,
 ) -> TimeSeries:
-    """Generate the observable series for one model configuration.
+    """Generate the observable series of ``model``, a key of ``MODELS``.
 
     The parameters, ``nu``, ``m``, ``dt`` and ``steps`` are checked before
     any state is prepared; bad input raises ``OptionError``.  The run's
     inputs are the series metadata, written here once; the model adds
     only what it computed.
     """
-    # the model's parameter class rejects a missing, unknown or bad field
-    model_params = {"kerr": KerrParams, "bipartite": TwoModeParams}.get(model)
-    if model_params is None:
-        raise OptionError(f"unknown model {model!r} (expected 'kerr' or 'bipartite')")
+    if model not in MODELS:
+        raise OptionError(f"unknown model {model!r}; expected one of {', '.join(MODELS)}")
+    model_params, builder = MODELS[model]
     try:
-        p = model_params(**params)
+        p = model_params(**params)  # rejects a missing, unknown or bad field
     except (TypeError, ValueError) as exc:
         raise OptionError(f"model {model!r}: {exc}") from None
     _check_grid(dt, steps)
@@ -244,11 +253,7 @@ def simulate_series(
     if not (_is(m, numbers.Integral) and 0 <= m < N_MAX_CAP):
         raise OptionError(f"m must be an integer in [0, {N_MAX_CAP}), got {m!r}")
     meta = {"model": model, **asdict(p), "nu": float(nu), "m": int(m), "steps": steps}
-    state = initial_field_state(nu, m)
-    if model == "kerr":
-        spec = kerr_spectrum(p.chi, p.chi_prime, state.n_max)
-        return generate_series_x(state, spec, dt, steps, meta)
-    return occupancy_series(decompose_initial(state, p), dt, steps, meta).field
+    return builder(p, initial_field_state(nu, m), dt, steps, meta)
 
 
 def simulate(

@@ -24,7 +24,7 @@ class AnalysisTask:
 @dataclass(frozen=True)
 class ExperimentPreset:
     id: str
-    model: str  # "kerr" | "bipartite"
+    model: str  # a key of lab.MODELS
     nu: float
     m: int
     params: dict[str, float]

@@ -129,10 +129,14 @@ def test_config_is_no_flag():
     assert exit_code(["--config", "wplab.cfg", "list-presets"]) == 2
 
 
-def test_analyze_flags_are_the_lab_options():
+def subcommand_flags(command: str) -> dict[str, argparse.Action]:
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {f: a for a in sub.choices["analyze"]._actions for f in a.option_strings}
+    return {f: a for a in sub.choices[command]._actions for f in a.option_strings}
+
+
+def test_analyze_flags_are_the_lab_options():
+    flags = subcommand_flags("analyze")
     del flags["-h"], flags["--help"]
     names = {"--" + name.replace("_", "-"): name for name in lab.OPTIONS}
     assert flags.keys() == {"--task", "--series", "--out", "--svg", *names}
@@ -247,12 +251,41 @@ def test_density_bin_width_past_the_bin_cap_exits_2(tmp_path, series_file, capsy
     assert "'bin_width'" in capsys.readouterr().err
 
 
+def sidecar_meta(directory: Path, model: str) -> dict:
+    return json.loads((directory / f"{model}_series.wprs.meta.json").read_text())["meta"]
+
+
 def test_simulate_sidecar_records_nu_as_given(tmp_path):
     # nu squared back from sqrt(5) once read 5.000000000000001
     argv = ["simulate", "--model", "kerr", "--nu", "5", "--m", "2", "--steps", 10]
     assert exit_code(argv + ["--out", tmp_path]) == 0
-    meta = json.loads((tmp_path / "kerr_series.wprs.meta.json").read_text())["meta"]
+    meta = sidecar_meta(tmp_path, "kerr")
     assert (meta["nu"], meta["m"]) == (5.0, 2)
+
+
+def test_simulate_maps_the_kerr_ratio_flag(tmp_path):
+    # chi' is chi times the ratio, so a mapping that dropped chi shows here
+    argv = ["simulate", "--model", "kerr", "--chi", 2, "--chi-prime-ratio", 0.25]
+    assert exit_code(argv + ["--steps", 10, "--out", tmp_path]) == 0
+    meta = sidecar_meta(tmp_path, "kerr")
+    assert (meta["chi"], meta["chi_prime"]) == (2.0, 0.5)
+
+
+def test_simulate_maps_the_two_mode_flags(tmp_path):
+    # gamma is g times the ratio; each frequency goes to its own field
+    argv = ["simulate", "--model", "bipartite", "--nu", 2, "--m", 1, "--steps", 200,
+            "--g", 0.5, "--gamma-over-g", 4, "--omega", 1.5, "--omega0", 0.75]
+    assert exit_code(argv + ["--out", tmp_path / "cli"]) == 0
+    meta = sidecar_meta(tmp_path / "cli", "bipartite")
+    assert (meta["gamma"], meta["g"]) == (2.0, 0.5)
+    params = {"omega": 1.5, "omega0": 0.75, "gamma": 2.0, "g": 0.5}
+    lab.simulate("bipartite", params, (2.0, 1), 1e-3, 200, tmp_path / "lab.wprs")
+    cli_series = (tmp_path / "cli" / "bipartite_series.wprs").read_bytes()
+    assert cli_series == (tmp_path / "lab.wprs").read_bytes()
+
+
+def test_model_choices_are_the_model_table():
+    assert subcommand_flags("simulate")["--model"].choices == tuple(lab.MODELS)
 
 
 def test_rp_below_the_window_plots_the_whole_series(tmp_path):

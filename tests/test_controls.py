@@ -34,10 +34,14 @@ def signal(f) -> TimeSeries:
 
 
 def phase_surrogate() -> TimeSeries:
-    """An exact phase surrogate of ``table1``'s gamma/g = 5 CS row: its
-    sum with every term's phase drawn uniformly (seeded).  It keeps each
-    |a_j| and frequency, so it is quasi-periodic by construction, and its
-    amplitudes are complex where the row's own are real."""
+    """An exact phase surrogate of the second mode's <b+b> in ``table1``'s
+    gamma/g = 5 CS row: the sum ``occupancy_sum`` returns, with every
+    term's phase drawn uniformly (seeded).  The row's own series is
+    <a+a> = N - <b+b>, and the reflection x -> N - x leaves unchanged
+    every distance between delay vectors that the verdict uses.  It
+    keeps each |a_j| and frequency, so it is quasi-periodic by
+    construction, and its amplitudes are complex where the row's own are
+    real."""
     (entry,) = (
         e for e in PRESETS["table1"].entries if e.id.startswith("gamma_over_g=5 CS")
     )

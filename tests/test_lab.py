@@ -140,6 +140,8 @@ from wplab.presets import PRESETS
 
 tracer = spans.Tracer()
 spans.install(tracer)
+k = PRESETS["fig4"]
+lab.simulate_series(k.model, k.params, k.nu, k.m, k.dt, 1_000)
 p = PRESETS["fig11-14"]
 (item,) = [a for a in p.analyses if a.task == "classify"]
 ts = lab.simulate_series(p.model, p.params, p.nu, p.m, p.dt, 41_000)
@@ -149,8 +151,9 @@ print(json.dumps(sorted({span[0] for span in tracer.spans})))
 
 
 def test_benchmark_tracer_sees_every_lyapunov_stage():
-    # the benchmark's tracer wraps the estimators where lab looks them up:
-    # a call that leaves lab's namespace would silently read 0 there
+    # the benchmark's tracer wraps each model's stages and the estimators
+    # where lab looks them up: a call that leaves lab's namespace, or a
+    # lab.MODELS builder holding a stage's function object, reads 0 there
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -158,6 +161,13 @@ def test_benchmark_tracer_sees_every_lyapunov_stage():
         env=env, check=True, timeout=120, capture_output=True, text=True,
     ).stdout
     missing = {
+        "fock.choose_truncation",
+        "fock.pacs_amplitudes",
+        "kerr.kerr_spectrum",
+        "kerr.generate_series_x",
+        "bipartite.decompose_initial",
+        "eigen.decompose",
+        "bipartite.occupancy_series",
         "embed.mutual_information_delay",
         "embed.false_nearest_neighbors",
         "embed.delay_embed",
@@ -380,8 +390,12 @@ def test_bad_model_input_fails_before_any_state(
     params = dict(params)
     initial = (params.pop("nu", 5.0), params.pop("m", 5))
     steps = params.pop("steps", 50)
-    with pytest.raises(lab.OptionError, match=named):
+    with pytest.raises(lab.OptionError, match=named) as raised:
         lab.simulate(model, params, initial, dt, steps, tmp_path / "s.wprs")
+    if model not in lab.MODELS:
+        # the message lists the model table, whatever it holds
+        for name in lab.MODELS:
+            assert name in str(raised.value), name
     assert list(tmp_path.iterdir()) == []
 
 
