@@ -39,22 +39,23 @@ a (s', s) index pair offset by its block's start, so the
 extended-precision phase work of ``SpectralSum.evaluate`` is per
 eigenvalue, not per pair.
 There is no integration error.  The pairs that are not fed are counted in the
-sum's ``terms`` but never formed: ``evaluate`` would drop them first,
-adding nothing to the dropped mass, and sum the same terms in the same
-order.  It drops the smallest pair terms whose |amplitude| sums to at
-most ``series.PRUNE_FRACTION`` of the total, which moves no sample by
-more than that dropped mass (``fig11-14`` keeps 508 of its 9 860 pairs).
-The series adds to the run's metadata the sectors, the terms kept, the
-dropped mass and its budget, and |norm - 1| over the kept sectors.  The
-series is the field's <a+a>, the total number less <b+b>, formed in
-place; no <b+b> series is kept.
+sum's ``terms`` but never formed: ``SpectralSum.pruned`` would drop them
+first, adding nothing to the dropped mass, and keep the same terms in
+the same order.  It drops the smallest pair terms whose |amplitude| sums
+to at most ``series.PRUNE_FRACTION`` of the total, which moves no sample
+by more than that dropped mass (``fig11-14`` keeps 508 of its 9 860
+pairs).  The series adds to the run's metadata the sectors, the terms
+kept, the dropped mass and its budget, and |norm - 1| over the kept
+sectors.  The series is the field's <a+a>: its spectrum is the kept
+<b+b> sum with the total number as its ``minuend``, which ``evaluate``
+subtracts each sample from in place, so no <b+b> series is kept.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -305,13 +306,13 @@ def occupancy_series(
 
     The norm and the total number are constants of the motion; ``norm``
     is a read-only view repeating the former for every sample.  The
-    series' metadata is the run's ``meta`` plus what this computed.
+    series' spectrum is the kept <b+b> sum with the total number as its
+    ``minuend``, and its metadata the run's ``meta`` plus what this computed.
     """
     atom, total_number, norm = occupancy_sum(sectors)
-    occ, pruning = atom.evaluate(dt, steps)
-    np.subtract(total_number, occ, out=occ)  # <a+a> = N - <b+b>, in place
+    kept, pruning = replace(atom, minuend=total_number).pruned()  # <a+a> = N - <b+b>
     meta = {**meta, "sectors": len(sectors), "norm_error": abs(norm - 1.0), **pruning}
     return OccupancySeries(
-        field=TimeSeries(dt, occ, observable="photon_number", meta=meta),
+        field=TimeSeries(dt, kept.evaluate(dt, steps), "photon_number", meta, kept),
         norm=np.broadcast_to(norm, steps),
     )

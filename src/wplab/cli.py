@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Subcommands: ``simulate`` (write a series file), ``analyze`` (run one
+Subcommands: ``simulate`` (write a series file, its ``.meta.json``
+sidecar and its stored spectral sum, ``.sum``), ``analyze`` (run one
 analysis task on a series file), ``preset`` (run a catalogued
 experiment), ``verify`` (check a preset's outputs against its
 manifest), ``list-presets``.  ``--model``'s choices are the keys of
 ``lab.MODELS``; the ``analyze`` option flags come from ``lab.OPTIONS``.
 
 Exit status: 0 success, 1 runtime error, such as a malformed or empty
-series file or ``.meta.json`` sidecar (nothing is written), 2 usage
+series file, ``.meta.json`` sidecar or ``.sum`` file (nothing is written), 2 usage
 error: a bad flag, analysis option, preset id, model parameter,
 ``nu``, ``m``, ``dt`` or ``steps``, or an ``nu`` or ``m`` beyond the
 Fock basis cap, found before any file is read or written, or a series

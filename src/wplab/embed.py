@@ -61,7 +61,7 @@ FNN_MIN_POINTS = 20
 FNN_D_MAX = 8  # the largest dimension tried
 FNN_STOP_FRACTION = 0.01  # the scan stops at the first false fraction under this
 FNN_RELAXED_FRACTION = 0.05  # the estimate's fallback when none is under 1%
-MAX_REFERENCE = 2000  # most reference points of FNN and of Rosenstein's estimate
+MAX_REFERENCE = 2000  # FNN and Rosenstein use every max(1, n // 2000)-th point: 2000 to 3999
 # cap on the bytes of each side's gathered pair rows in one chunk of the
 # divergence curve's delta_k; a chunk holds at least one delta_k
 _CURVE_CHUNK_BYTES = 1 << 19
@@ -313,8 +313,8 @@ def false_nearest_neighbors(
     FNN_D_MAX = 8 by default); the caller embeds in ``chosen``: that d,
     else the smallest under 5%, else ``d_max``.  Dimension d needs
     FNN_MIN_POINTS (20) extended points (``check_fnn``).  Each finds the
-    neighbors of all (up to ``max_reference``) reference points in one
-    batched query, on a tree
+    neighbors of every max(1, points // ``max_reference``)-th extended point
+    (``max_reference`` to 2 * ``max_reference`` - 1) in one batched query, on a tree
     over the whole d-embedding limited to the rows whose next coordinate
     exists.  The last tree is handed on as ``grid`` if it is ``chosen``'s.
     """
@@ -531,7 +531,8 @@ def lyapunov_rosenstein(
     """Mean log divergence from each reference point's nearest neighbor.
 
     The neighbors (outside the Theiler window, with room for ``horizon``
-    steps ahead) of all reference points come from one batched query, on
+    steps ahead) of every max(1, points // ``max_reference``)-th point, from
+    ``max_reference`` to 2 * ``max_reference`` - 1 of them, come from one batched query, on
     ``grid`` when given: a tree over ``delay_embed(series, spec)``, such
     as ``FnnResult.grid``.  The curve is sampled every ``curve_stride``
     delta_k, by default max(1, horizon // 200).

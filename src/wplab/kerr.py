@@ -89,8 +89,8 @@ def generate_series_x(
     steps: int,
     meta: dict,
 ) -> TimeSeries:
-    """<x(t)> sampled at t = k*dt for k = 0..steps-1; its metadata is the
-    run's ``meta`` plus what this computed, ``n_max`` and the pruning."""
-    out, pruning = quadrature_sum(state0, spec).evaluate(dt, steps)
+    """<x(t)> at t = k*dt for k = 0..steps-1, with the kept sum as its spectrum;
+    its metadata is the run's ``meta`` plus ``n_max`` and the pruning."""
+    kept, pruning = quadrature_sum(state0, spec).pruned()
     meta = {**meta, "n_max": spec.n_max, **pruning}
-    return TimeSeries(dt, out, observable="quadrature_x", meta=meta)
+    return TimeSeries(dt, kept.evaluate(dt, steps), "quadrature_x", meta, kept)

@@ -252,7 +252,7 @@ def simulate_series(
     # n_max >= m + 1 cannot fit under the basis cap once m reaches it
     if not (_is(m, numbers.Integral) and 0 <= m < N_MAX_CAP):
         raise OptionError(f"m must be an integer in [0, {N_MAX_CAP}), got {m!r}")
-    meta = {"model": model, **asdict(p), "nu": float(nu), "m": int(m), "steps": steps}
+    meta = {"model": model, **asdict(p), "nu": float(nu), "m": int(m), "steps": int(steps)}
     return builder(p, initial_field_state(nu, m), dt, steps, meta)
 
 
@@ -264,12 +264,11 @@ def simulate(
     steps: int,
     out: str | Path,
 ) -> Path:
-    """Run a simulation and write the series file (plus metadata sidecar);
-    a failed write leaves neither file."""
+    """Run a simulation and write the series file, its sidecar and its stored
+    sum (``seriesio.series_files``); a failed write leaves none of them."""
     nu, m = initial
     ts = simulate_series(model, params, nu, m, dt, steps)
-    out = Path(out)
-    with _removed_on_failure([out, out.with_name(out.name + ".meta.json")]):
+    with _removed_on_failure(seriesio.series_files(out)):
         return seriesio.write_series(ts, out)
 
 
@@ -707,8 +706,8 @@ def _preset_outputs(
 ) -> dict[str, Any]:
     ts = simulate_series(preset.model, preset.params, preset.nu, preset.m, dt, steps)
     stem = out_dir / f"{preset.id}_series"
-    written += [Path(f"{stem}.wprs"), Path(f"{stem}.wprs.meta.json")]
-    seriesio.write_series(ts, written[-2])
+    written += seriesio.series_files(f"{stem}.wprs")
+    seriesio.write_series(ts, written[-3])
     for item, options in zip(preset.analyses, resolved):
         t0 = time.perf_counter()
         _run_task(item.task, ts, options, stem, svg, written)

@@ -16,22 +16,22 @@ starts and on the two exact factor grids of R is reduced modulo 2*pi in
 long double and exponentiated, and a term's phasor is the product of
 its two levels' entries.  No error accumulates along the series.
 
-Before any of that work ``evaluate`` prunes.  Since |exp(-i w t)| = 1,
-|Re sum_{j in D} a_j exp(-i w_j t)| <= sum_{j in D} |a_j| at every t, so
-dropping a set D of terms moves no sample by more than its mass
-sum_D |a_j|.  It drops the smallest terms (stable sort by |a_j|,
-so ties go in index order) whose cumulative |a_j| is at most
-``PRUNE_FRACTION * sum_j |a_j|``, and tabulates phases only for the
-levels the kept terms use.  A term larger than that budget is never
-dropped.  The caller gets the count of terms kept and the dropped mass,
-the bound on every sample's change.
+``SpectralSum.pruned`` prunes once.  Since |exp(-i w t)| = 1, dropping
+a set D of terms moves no sample by more than its mass sum_D |a_j|.  It
+drops the smallest terms (stable sort by |a_j|, so ties go in index
+order) whose cumulative |a_j| is at most ``PRUNE_FRACTION * sum_j |a_j|``
+and keeps the levels the rest use; a term above that budget is never
+dropped.  ``evaluate`` sums every term it is given: pruning a kept sum
+again, against its own total or the original one, would drop more (16
+of ``fig11-14``'s 508), so a series' kept sum (``TimeSeries.spectrum``)
+evaluates to its samples bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -49,13 +49,15 @@ PRUNE_FRACTION = 1e-14
 
 
 def check_real_fields(params) -> None:
-    """``ValueError`` naming the first field of the dataclass ``params``
-    that is not a finite real number (a bool is not one)."""
+    """``ValueError`` naming the first field of the frozen dataclass ``params``
+    that is not a finite real number (a bool is not one); else each is
+    held as the Python float that the run computes with and records."""
     for f in fields(params):
         v = getattr(params, f.name)
         real = isinstance(v, numbers.Real) and not isinstance(v, bool)
         if not (real and math.isfinite(v)):
             raise ValueError(f"parameter {f.name!r} must be a finite real, got {v!r}")
+        object.__setattr__(params, f.name, float(v))
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,15 @@ class TimeSeries:
 
     ``dt`` is stored as a Python float and ``values`` as a read-only
     float64 array; ``meta`` carries the run's inputs and what the model
-    computed (free-form).
+    computed (free-form); ``spectrum``, when known, is the kept
+    ``SpectralSum`` that evaluates to ``values`` bit for bit.
     """
 
     dt: float
     values: np.ndarray
     observable: str = ""
     meta: dict[str, Any] = field(default_factory=dict)
+    spectrum: Optional[SpectralSum] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.dt, bool) or not (math.isfinite(self.dt) and self.dt > 0):
@@ -149,16 +153,23 @@ def _kept_terms(mag: np.ndarray) -> tuple[np.ndarray, float, float]:
     return np.sort(order[drop:]), dropped, budget
 
 
+def _used_levels(levels, upper, lower) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``levels`` cut to those that ``upper`` or ``lower`` index, and both renumbered."""
+    used, index = np.unique(np.concatenate((upper, lower)), return_inverse=True)
+    return levels[used], index[: upper.size], index[upper.size :]
+
+
 @dataclass(frozen=True)
 class SpectralSum:
-    """const + Re sum_j amp_j exp(-i (E[upper_j] - E[lower_j]) t).
+    """const + Re sum_j amp_j exp(-i (E[upper_j] - E[lower_j]) t), or
+    ``minuend`` less that when it is given.
 
     ``levels`` holds the energies E; ``upper`` and ``lower`` index into
     it, one pair per term (``lower`` may exceed ``upper``).  ``terms`` is
     the model's term count, which may include terms never formed because
     they are exactly zero; None counts the given ones.  The arrays are
-    kept as the caller gave them, and checked and converted by
-    ``evaluate``, which keeps real amplitudes real.
+    checked and made 1-D on construction: ``amp`` complex128, or float64
+    when real, ``levels`` float64 and the indices intp.
     """
 
     amp: Any
@@ -167,19 +178,39 @@ class SpectralSum:
     lower: Any
     const: float = 0.0
     terms: Optional[int] = None
+    minuend: Optional[float] = None
 
-    def evaluate(self, dt: float, steps: int) -> tuple[np.ndarray, dict[str, Any]]:
-        """The sum at t = k*dt for k = 0..steps-1, and a pruning report.
+    def __post_init__(self):
+        # real amplitudes stay real: numpy multiplies them as (a, 0) anyway
+        kind = np.complex128 if np.iscomplexobj(self.amp) else np.float64
+        amp = np.asarray(self.amp, dtype=kind).ravel()
+        levels = np.asarray(self.levels, dtype=np.float64).ravel()
+        upper = _level_index(self.upper, amp.size, levels.size, "upper")
+        lower = _level_index(self.lower, amp.size, levels.size, "lower")
+        terms = amp.size if self.terms is None else self.terms
+        for name, value in zip(("amp", "levels", "upper", "lower", "terms"),
+                               (amp, levels, upper, lower, terms)):
+            object.__setattr__(self, name, value)
 
-        The report, for the series metadata, holds ``spectral_terms``
-        (``terms``), ``spectral_terms_kept`` (summed),
-        ``spectral_dropped_mass`` (sum |amp_j| over the dropped terms, a
-        bound on every sample's change) and ``spectral_prune_budget``
-        (``PRUNE_FRACTION * sum_j |amp_j|``, which the dropped mass never
-        exceeds).  The dropped terms are the smallest by |amp_j|, ties in
-        index order, and no phase is tabulated for a level only they use.
+    def pruned(self) -> tuple[SpectralSum, dict[str, Any]]:
+        """The kept terms, in order, over the levels they use, and the
+        report for the series metadata: ``spectral_terms`` (``terms``),
+        ``spectral_terms_kept``, ``spectral_dropped_mass`` (sum |amp_j| over
+        the dropped terms, which bounds every sample's change) and
+        ``spectral_prune_budget`` (``PRUNE_FRACTION * sum_j |amp_j|``)."""
+        keep, dropped, budget = _kept_terms(np.abs(self.amp))
+        report = {"spectral_terms": self.terms, "spectral_terms_kept": keep.size,
+                  "spectral_dropped_mass": dropped, "spectral_prune_budget": budget}
+        levels, upper, lower = _used_levels(self.levels, self.upper[keep], self.lower[keep])
+        kept = replace(self, amp=self.amp[keep], levels=levels, upper=upper, lower=lower)
+        return kept, report
+
+    def evaluate(self, dt: float, steps: int) -> np.ndarray:
+        """The sum of every term at t = k*dt for k = 0..steps-1.
+
         ``const`` is added only when it is non-zero, so a zero constant
-        leaves every sample's bits as the terms give them.
+        leaves every sample's bits as the terms give them; a ``minuend``
+        then takes each sample from it, in place.
 
         The phase tables exp(-+i E t) are built once per level on the three
         grids (block starts, and the coarse and fine factors b = h*L + l of
@@ -192,28 +223,12 @@ class SpectralSum:
         chunked so the in-block table stays within about ``_TABLE_BYTES``,
         and every chunk's table is written into one buffer allocated once
         per call, so one table is alive at a time; the level tables take
-        (blocks + 2*sqrt(B)) * 16 bytes per kept level.
+        (blocks + 2*sqrt(B)) * 16 bytes per used level.
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        # real amplitudes stay real: numpy multiplies them as (a, 0) anyway
-        kind = np.complex128 if np.iscomplexobj(self.amp) else np.float64
-        amp = np.asarray(self.amp, dtype=kind).ravel()
-        levels = np.asarray(self.levels, dtype=np.float64).ravel()
-        upper = _level_index(self.upper, amp.size, levels.size, "upper")
-        lower = _level_index(self.lower, amp.size, levels.size, "lower")
-        keep, dropped, budget = _kept_terms(np.abs(amp))
-        report = {
-            "spectral_terms": amp.size if self.terms is None else self.terms,
-            "spectral_terms_kept": keep.size,
-            "spectral_dropped_mass": dropped,
-            "spectral_prune_budget": budget,
-        }
-        amp = amp[keep]
-        pairs = np.concatenate((upper[keep], lower[keep]))
-        used, index = np.unique(pairs, return_inverse=True)
-        levels = levels[used]
-        upper, lower = index[: amp.size], index[amp.size :]
+        amp = self.amp
+        levels, upper, lower = _used_levels(self.levels, self.upper, self.lower)
 
         rows = block_rows(steps)
         blocks = -(-steps // rows)
@@ -251,4 +266,6 @@ class SpectralSum:
         samples = out.ravel()[:steps]
         if self.const:
             samples += self.const
-        return samples, report
+        if self.minuend is not None:
+            np.subtract(self.minuend, samples, out=samples)
+        return samples

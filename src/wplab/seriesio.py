@@ -10,6 +10,11 @@ run's inputs (model, parameters, nu, m, steps) and what the model
 computed.  One that is not a JSON object with a string ``observable``
 and an object ``meta`` is a ``FormatError`` naming it, as a bad header
 is (CLI exit 1).
+A series' kept sum (``TimeSeries.spectrum``) goes to ``<file>.sum``, all
+little-endian: a 48-byte header (``_SUM_HEADER``), then the levels, the
+amplitudes (``<c16`` when complex, else ``<f8``) and the upper and lower
+level indices (``<u4``).  A series without one removes a stale ``.sum``
+and reads back as ``spectrum=None``; a malformed one is a ``FormatError``.
 A write passes the samples' own buffer to the file, and a read keeps a
 read-only view of the bytes it read: neither copies the samples again.
 Analysis exports are plain text with ``# key = value`` headers echoing
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -40,12 +46,15 @@ from typing import Any, Iterator, Optional
 import numpy as np
 
 from .recur import Cell, DensityHistogram, RecurrencePlotData, ReturnTimeHistogram
-from .series import TimeSeries
+from .series import SpectralSum, TimeSeries
 
 MAGIC = b"WPRS"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHQd8x")  # magic, version, reserved, count, dt, pad
 assert _HEADER.size == 32
+SUM_MAGIC = b"WPSS"
+# magic, version, complex flag, levels, kept terms, terms, const, minuend (NaN: none)
+_SUM_HEADER = struct.Struct("<4sHHQQQdd")
 
 
 # rows formatted per string operation by ``_write_rows`` and
@@ -149,20 +158,61 @@ def _write_int_rows(fh, rows: np.ndarray) -> None:
         fh.write(str(raw[raw != 0], "ascii"))
 
 
+def series_files(path: str | Path) -> list[Path]:
+    """The series file ``path``, its JSON sidecar and its stored sum."""
+    path = Path(path)
+    return [path, *(path.with_name(path.name + ext) for ext in (".meta.json", ".sum"))]
+
+
+def _sum_body(cplx: bool, levels: int, kept: int) -> np.dtype:
+    """The arrays of a stored sum after its header, in file order."""
+    amp = "<c16" if cplx else "<f8"
+    return np.dtype(
+        [("levels", "<f8", (levels,)), ("amp", amp, (kept,)), ("pairs", "<u4", (2, kept))]
+    )
+
+
 def write_series(ts: TimeSeries, path: str | Path) -> Path:
     if len(ts) == 0:  # ``read_series`` rejects a file of no samples
         raise ValueError("cannot write a series of no samples")
-    path = Path(path)
+    path, meta_path, sum_path = series_files(path)
     with _replacing(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, 0, len(ts), ts.dt))
         fh.write(ts.values.astype("<f8", copy=False))
-    sidecar = {"observable": ts.observable, "meta": ts.meta}
-    _write_json(sidecar, path.with_name(path.name + ".meta.json"))
+    _write_json({"observable": ts.observable, "meta": ts.meta}, meta_path)
+    s = ts.spectrum
+    if s is None:
+        sum_path.unlink(missing_ok=True)
+        return path
+    counts = (s.amp.dtype.kind == "c", s.levels.size, s.amp.size, s.terms)
+    body = np.zeros((), _sum_body(*counts[:3]))
+    body["levels"], body["amp"], body["pairs"] = s.levels, s.amp, (s.upper, s.lower)
+    minuend = math.nan if s.minuend is None else s.minuend
+    with _replacing(sum_path, "wb") as fh:
+        fh.write(_SUM_HEADER.pack(SUM_MAGIC, VERSION, *counts, s.const, minuend))
+        fh.write(body.tobytes())
     return path
 
 
+def _read_sum(path: Path) -> SpectralSum:
+    raw = path.read_bytes()
+    try:  # a short header, a count beyond a C int, a wrong size or a bad index
+        header = _SUM_HEADER.unpack_from(raw)
+        magic, version, cplx, levels, kept, terms, const, minuend = header
+        if (magic, version) != (SUM_MAGIC, VERSION) or cplx > 1:
+            raise ValueError(f"not a version {VERSION} spectral sum")
+        body = _sum_body(cplx, levels, kept)
+        if len(raw) != (size := _SUM_HEADER.size + body.itemsize):
+            raise ValueError(f"expected {size} bytes, found {len(raw)}")
+        b = np.frombuffer(raw, body, 1, _SUM_HEADER.size)[0]
+        minuend = None if math.isnan(minuend) else minuend
+        return SpectralSum(b["amp"], b["levels"], *b["pairs"], const, terms, minuend)
+    except (ValueError, struct.error) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def read_series(path: str | Path) -> TimeSeries:
-    path = Path(path)
+    path, meta_path, sum_path = series_files(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
@@ -181,7 +231,6 @@ def read_series(path: str | Path) -> TimeSeries:
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size, count=count)
     observable = ""
     meta: dict[str, Any] = {}
-    meta_path = path.with_name(path.name + ".meta.json")
     if meta_path.exists():
         try:
             sidecar = json.loads(meta_path.read_text())
@@ -193,8 +242,9 @@ def read_series(path: str | Path) -> TimeSeries:
         meta = sidecar.get("meta", {})
         if not (isinstance(observable, str) and isinstance(meta, dict)):
             raise FormatError(f"{meta_path}: observable must be a string, meta an object")
+    spectrum = _read_sum(sum_path) if sum_path.exists() else None
     try:
-        return TimeSeries(dt, values, observable=observable, meta=meta)
+        return TimeSeries(dt, values, observable, meta, spectrum)
     except ValueError as exc:  # a NaN or infinite sample: dt is checked above
         raise FormatError(f"{path}: {exc}") from None
 

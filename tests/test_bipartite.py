@@ -273,7 +273,8 @@ def occupancy_every_pair(sectors, p, dt, steps):
         lower[j0:j1] = lo + offset
         j0 = j1
         offset += s.N + 1
-    atom, pruning = SpectralSum(amps, levels, upper, lower).evaluate(dt, steps)
+    kept, pruning = SpectralSum(amps, levels, upper, lower).pruned()
+    atom = kept.evaluate(dt, steps)
     atom += atom_const
     meta = {"sectors": len(sectors), "norm_error": abs(norm - 1.0), **pruning}
     return total_number - atom, atom, meta

@@ -424,6 +424,20 @@ def test_series_file_with_a_nan_sample_exits_1(tmp_path, series_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cut", [20, -1, None], ids=["truncated", "short", "long"])
+def test_malformed_stored_sum_exits_1(tmp_path, series_file, cut, capsys):
+    # a copy of the valid Kerr series whose .sum is cut short or a byte long
+    path = tmp_path / "s.wprs"
+    path.write_bytes(series_file.read_bytes())
+    raw = series_file.with_name("kerr_series.wprs.sum").read_bytes()
+    (tmp_path / "s.wprs.sum").write_bytes(raw + b"\0" if cut is None else raw[:cut])
+    out = tmp_path / "out"
+    argv = ["analyze", "--task", "density", "--series", path, "--out", out]
+    assert exit_code(argv) == 1
+    assert "s.wprs.sum: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def option_flags(options):
     """The ``analyze`` flags that give ``options``; a cell pair as LO:HI."""
     flags = []
@@ -477,7 +491,7 @@ def test_verify_accepts_untouched_outputs(fig5_run, capsys):
     # the outputs are looked up beside the manifest, not in the working directory
     capsys.readouterr()
     assert exit_code(["verify", fig5_run]) == 0
-    assert capsys.readouterr().out == "fig5: 3 outputs verified\n"
+    assert capsys.readouterr().out == "fig5: 4 outputs verified\n"
 
 
 def test_verify_names_first_bad_output(fig5_run, capsys):
@@ -528,12 +542,15 @@ def test_import_does_not_load_the_cli():
 # ``wplab simulate``, then ``wplab analyze`` at each task's defaults
 WIDE_SCRIPT = """
 import sys
-from wplab import cli
+from wplab import cli, seriesio
 out = sys.argv[1]
 series = out + "/bipartite_series.wprs"
 argv = ["simulate", "--model", "bipartite", "--nu", "50", "--m", "5",
         "--gamma-over-g", "5", "--steps", "4000", "--out", out]
 assert cli.main(argv) == 0
+# the stored sum evaluates to the stored samples, bit for bit
+ts = seriesio.read_series(series)
+assert ts.spectrum.evaluate(ts.dt, len(ts)).tobytes() == ts.values.tobytes()
 for task in ("rp", "density", "returnmap", "f1", "f2"):
     assert cli.main(["analyze", "--task", task, "--series", series, "--out", out]) == 0
 """

@@ -50,7 +50,7 @@ def phase_surrogate() -> TimeSeries:
     s = occupancy_sum(decompose_initial(field, p))[0]
     phases = np.exp(2j * np.pi * np.random.default_rng(0).random(s.amp.size))
     surrogate = SpectralSum(s.amp * phases, s.levels, s.upper, s.lower, s.const)
-    return TimeSeries(DT, surrogate.evaluate(DT, SAMPLES)[0])
+    return TimeSeries(DT, surrogate.pruned()[0].evaluate(DT, SAMPLES))
 
 
 def defect_1(measured: str):

@@ -249,6 +249,54 @@ def test_failed_simulate_leaves_no_series(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def fail_writing(monkeypatch, suffix):
+    """Make every atomic write of a path ending in ``suffix`` raise."""
+    replacing = seriesio._replacing
+
+    def failing(path, mode="w"):
+        if path.name.endswith(suffix):
+            raise OSError(f"{suffix} write failed")
+        return replacing(path, mode)
+
+    monkeypatch.setattr(seriesio, "_replacing", failing)
+
+
+@pytest.mark.parametrize("suffix", [".meta.json", ".sum"])
+def test_failed_sidecar_or_sum_write_leaves_no_series_files(tmp_path, monkeypatch, suffix):
+    # a simulate rerun whose sidecar or stored sum fails leaves none of the
+    # three files, neither the new series nor the last run's siblings; a
+    # preset run, no file at all
+    path = tmp_path / "s" / "kerr_series.wprs"
+    params = {"chi": 1.0, "chi_prime": 0.01}
+    lab.simulate("kerr", params, (5.0, 0), 1e-3, 50, path)
+    assert [p.name for p in seriesio.series_files(path) if p.exists()] == [
+        "kerr_series.wprs", "kerr_series.wprs.meta.json", "kerr_series.wprs.sum",
+    ]
+    fail_writing(monkeypatch, suffix)
+    with pytest.raises(OSError, match=f"{suffix} write failed"):
+        lab.simulate("kerr", params, (10.0, 0), 1e-3, 50, path)
+    assert list(path.parent.iterdir()) == []
+    with pytest.raises(OSError, match=f"{suffix} write failed"):
+        lab.run_preset("fig5", tmp_path / "p")
+    assert list((tmp_path / "p").iterdir()) == []
+
+
+def test_numpy_scalar_inputs_write_as_python_numbers(tmp_path):
+    # np.int64 steps and np.float64 parameters are recorded as Python
+    # numbers, so the files are those of Python inputs; an np.float32
+    # parameter is held as the float the sidecar records
+    def files(name, chi, steps):
+        out = tmp_path / name / "s.wprs"
+        lab.simulate("kerr", {"chi": chi, "chi_prime": 0.01}, (1.0, 0), 1e-3, steps, out)
+        return [p.read_bytes() for p in seriesio.series_files(out)]
+
+    assert files("numpy", np.float64(1.0), np.int64(100)) == files("python", 1.0, 100)
+    single = files("float32", np.float32(0.1), 100)
+    meta = json.loads(single[1])["meta"]
+    assert meta["chi"] == float(np.float32(0.1))
+    assert single == files("as-float", float(np.float32(0.1)), 100)
+
+
 class StepsSeen(Exception):
     """Raised by a stand-in simulation with the steps it was asked for."""
 
@@ -466,6 +514,9 @@ def test_preset_sidecar_records_the_run_inputs(tmp_path, monkeypatch, preset_id)
     # the manifest records that metadata, not the preset restated
     manifest = lab.RunManifest.load(tmp_path / f"{preset_id}_manifest.json")
     assert manifest.parameters == {**meta, "dt": preset.dt}
+    # and the stored sum evaluates to the stored samples, bit for bit
+    ts = seriesio.read_series(tmp_path / f"{preset_id}_series.wprs")
+    assert ts.spectrum.evaluate(ts.dt, len(ts)).tobytes() == ts.values.tobytes()
 
 
 def data_digests(out: Path) -> dict[str, str]:
@@ -712,6 +763,41 @@ def test_analyze_samples_the_estimate_as_the_preset_does(tmp_path, preset_id, ta
     options = {"max_lag": 400, "horizon": 4000}
     for path in lab.analyze(task, series, options, tmp_path / "a"):
         assert path.read_bytes() == (preset / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("preset_id", ["fig4", "fig11-14"])
+def test_simulated_spectrum_evaluates_to_the_samples(preset_id):
+    # the kept sum the series carries is summed whole: evaluating it
+    # prunes nothing more, though pruning it anew would drop terms
+    preset = PRESETS[preset_id]
+    ts = lab.simulate_series(
+        preset.model, preset.params, preset.nu, preset.m, preset.dt, 41_000
+    )
+    kept = ts.spectrum
+    assert kept.amp.size == ts.meta["spectral_terms_kept"]
+    assert kept.terms == ts.meta["spectral_terms"]
+    assert kept.evaluate(ts.dt, len(ts)).tobytes() == ts.values.tobytes()
+    assert kept.pruned()[1]["spectral_terms_kept"] < kept.amp.size
+
+
+def test_series_without_a_stored_sum_runs_every_task(tmp_path):
+    # a series file from outside wplab has no .sum: it reads with no
+    # spectrum, and every task writes what it writes with one
+    series = lab.simulate("kerr", {"chi": 1.0, "chi_prime": 0.01}, (4.0, 0), 1e-3,
+                          41_000, tmp_path / "s.wprs")
+    bare = tmp_path / "bare" / "s.wprs"
+    bare.parent.mkdir()
+    for p in seriesio.series_files(series)[:2]:
+        (bare.parent / p.name).write_bytes(p.read_bytes())
+    assert seriesio.read_series(bare).spectrum is None
+    lyapunov = {"max_lag": 400, "horizon": 4000}
+    options = {"fnn": {"delay": 25}, "lyapunov": lyapunov, "classify": lyapunov}
+    for task in lab.ANALYSIS_TASKS:
+        with_sum = lab.analyze(task, series, options.get(task), tmp_path / "a")
+        without = lab.analyze(task, bare, options.get(task), tmp_path / "b")
+        assert [p.name for p in without] == [p.name for p in with_sum]
+        for path, got in zip(with_sum, without):
+            assert got.read_bytes() == path.read_bytes(), got.name
 
 
 @pytest.mark.parametrize(

@@ -41,10 +41,17 @@ def random_terms(seed, terms, max_freq=300.0):
     return amp, rng.uniform(-max_freq, max_freq, terms)
 
 
+def pruned_series(s, dt, steps):
+    """The prune step, then evaluation of the kept sum: the samples and
+    the pruning report."""
+    kept, report = s.pruned()
+    return kept.evaluate(dt, steps), report
+
+
 def freq_series(amp, freq, dt, steps):
     """The kernel on frequencies freq_j = E[j+1] - E[0] with levels [0, *freq]."""
     upper = np.arange(1, len(freq) + 1)
-    return SpectralSum(amp, [0.0, *freq], upper, 0 * upper).evaluate(dt, steps)[0]
+    return pruned_series(SpectralSum(amp, [0.0, *freq], upper, 0 * upper), dt, steps)[0]
 
 
 def level_freqs(levels, upper, lower):
@@ -123,7 +130,7 @@ class TestSpectralSeries:
         lower = np.concatenate(([1, 9, 23, 3, 2, 7, 5, 4], rng.integers(0, 24, 30)))
         amp = rng.normal(size=upper.size) + 1j * rng.normal(size=upper.size)
         dt = 1.3e-3
-        x, _ = SpectralSum(amp, levels, upper, lower).evaluate(dt, steps)
+        x, _ = pruned_series(SpectralSum(amp, levels, upper, lower), dt, steps)
         ks = boundary_indices(steps)
         expect = direct_sum(amp, level_freqs(levels, upper, lower), dt, ks)
         assert np.abs(x[ks] - expect).max() <= 1e-13 * np.abs(amp).sum()
@@ -133,23 +140,23 @@ class TestSpectralSeries:
         amp, levels = random_terms(11, 9)
         upper = np.arange(9)
         lower = np.roll(upper, 4)
-        x, _ = SpectralSum(amp, levels, lower, upper).evaluate(1e-2, 500)
-        y, _ = SpectralSum(np.conj(amp), levels, upper, lower).evaluate(1e-2, 500)
+        x, _ = pruned_series(SpectralSum(amp, levels, lower, upper), 1e-2, 500)
+        y, _ = pruned_series(SpectralSum(np.conj(amp), levels, upper, lower), 1e-2, 500)
         assert np.abs(x - y).max() <= 1e-13 * np.abs(amp).sum()
 
     def test_constant_and_term_count(self):
         # the constant is added to every sample; ``terms`` is reported as given
         amp, levels = random_terms(4, 6)
         upper, lower = np.arange(6), np.roll(np.arange(6), 2)
-        x, report = SpectralSum(amp, levels, upper, lower).evaluate(1e-2, 300)
-        y, counted = SpectralSum(amp, levels, upper, lower, 2.5, 40).evaluate(1e-2, 300)
+        x, report = pruned_series(SpectralSum(amp, levels, upper, lower), 1e-2, 300)
+        y, counted = pruned_series(SpectralSum(amp, levels, upper, lower, 2.5, 40), 1e-2, 300)
         assert np.array_equal(y, x + 2.5)
         assert report["spectral_terms"] == 6
         assert counted == {**report, "spectral_terms": 40}
 
     def test_no_terms_is_zero(self):
         for levels in ([], [1.0]):
-            x, _ = SpectralSum([], levels, [], []).evaluate(0.1, 7)
+            x, _ = pruned_series(SpectralSum([], levels, [], []), 0.1, 7)
             assert np.array_equal(x, np.zeros(7))
 
     @pytest.mark.parametrize(
@@ -241,9 +248,9 @@ class TestPruning:
         dt = 1.3e-3
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series, "PRUNE_FRACTION", fraction)
-            x, report = SpectralSum(amp, levels, upper, lower).evaluate(dt, steps)
+            x, report = pruned_series(SpectralSum(amp, levels, upper, lower), dt, steps)
             mp.setattr(series, "PRUNE_FRACTION", 0.0)
-            y, _ = SpectralSum(amp, levels, upper, lower).evaluate(dt, steps)
+            y, _ = pruned_series(SpectralSum(amp, levels, upper, lower), dt, steps)
         keep, dropped = pruning_reference(np.abs(amp), fraction)
         assert report["spectral_terms"] == len(terms)
         assert report["spectral_terms_kept"] == len(keep)
@@ -265,7 +272,7 @@ class TestPruning:
         calls = tabulated_levels(monkeypatch)
         upper, lower = [1, 2, 2, 0], [0, 0, 1, 2]
         zeros = SpectralSum(np.zeros(4), [0.0, 1.0, 2.5], upper, lower)
-        x, report = zeros.evaluate(0.1, 50)
+        x, report = pruned_series(zeros, 0.1, 50)
         assert np.array_equal(x, np.zeros(50))
         assert report["spectral_terms_kept"] == 0
         assert report["spectral_dropped_mass"] == 0.0
@@ -273,7 +280,7 @@ class TestPruning:
 
     def test_single_term_is_kept(self):
         amp, levels = [3e-12j], [0.0, 7.0]
-        x, report = SpectralSum(amp, levels, [1], [0]).evaluate(0.01, 200)
+        x, report = pruned_series(SpectralSum(amp, levels, [1], [0]), 0.01, 200)
         assert report["spectral_terms_kept"] == 1
         assert report["spectral_dropped_mass"] == 0.0
         expect = term_sum(amp, levels, [1], [0], 0.01, np.arange(200))
@@ -282,7 +289,7 @@ class TestPruning:
     def test_term_above_budget_is_kept(self):
         # 2e-14 exceeds the budget 1e-14 * (1 + 2e-14) by itself
         amp = [1.0, 2e-14]
-        _, report = SpectralSum(amp, [0.0, 3.0, 5.0], [1, 2], [0, 0]).evaluate(0.01, 100)
+        _, report = pruned_series(SpectralSum(amp, [0.0, 3.0, 5.0], [1, 2], [0, 0]), 0.01, 100)
         assert report["spectral_terms_kept"] == 2
         assert report["spectral_dropped_mass"] == 0.0
 
@@ -295,8 +302,8 @@ class TestPruning:
         levels = np.concatenate(([0.0], 10.0 + np.arange(amp.size)))
         upper, lower = np.arange(1, amp.size + 1), np.zeros(amp.size, int)
         calls = tabulated_levels(monkeypatch)
-        x, report = SpectralSum(amp, levels, upper, lower).evaluate(0.01, 300)
-        again, _ = SpectralSum(amp, levels, upper, lower).evaluate(0.01, 300)
+        x, report = pruned_series(SpectralSum(amp, levels, upper, lower), 0.01, 300)
+        again, _ = pruned_series(SpectralSum(amp, levels, upper, lower), 0.01, 300)
         assert np.array_equal(x, again)
         keep = np.arange(142, amp.size)
         assert report["spectral_terms_kept"] == keep.size
@@ -315,9 +322,31 @@ class TestPruning:
         lower = np.concatenate((rng.integers(0, 15, 40), np.arange(25, 30)))
         amp = np.concatenate((rng.normal(size=40) + 1j, np.full(5, 1e-18)))
         calls = tabulated_levels(monkeypatch)
-        _, report = SpectralSum(amp, levels, upper, lower).evaluate(1e-3, 5000)
+        _, report = pruned_series(SpectralSum(amp, levels, upper, lower), 1e-3, 5000)
         assert report["spectral_terms_kept"] == 40
         used = np.sort(levels[np.unique(np.concatenate((upper[:40], lower[:40])))])
+        assert len(calls) == 3
+        assert all(np.array_equal(c, used) for c in calls)
+
+    def test_evaluation_drops_no_term(self, monkeypatch):
+        # the 1e-18 terms fit the budget, so the prune step drops them,
+        # but evaluation sums every term it is given, over every level
+        # they use
+        rng = np.random.default_rng(8)
+        levels = rng.uniform(-50.0, 50.0, 30)
+        upper = np.concatenate((rng.integers(0, 15, 40), np.arange(20, 25)))
+        lower = np.concatenate((rng.integers(0, 15, 40), np.arange(25, 30)))
+        amp = np.concatenate((rng.normal(size=40) + 1j, np.full(5, 1e-18)))
+        s = SpectralSum(amp, levels, upper, lower)
+        assert s.pruned()[1]["spectral_terms_kept"] == 40
+
+        def no_pruning(mag):
+            raise AssertionError("evaluate pruned")
+
+        calls = tabulated_levels(monkeypatch)
+        monkeypatch.setattr(series, "_kept_terms", no_pruning)
+        s.evaluate(1e-3, 5000)
+        used = np.sort(levels[np.unique(np.concatenate((upper, lower)))])
         assert len(calls) == 3
         assert all(np.array_equal(c, used) for c in calls)
 
@@ -329,7 +358,7 @@ class TestPruning:
         amp = 10.0 ** rng.uniform(-20.0, 0.0, 60) * np.exp(2j * np.pi * rng.random(60))
         freq = rng.uniform(-2000.0, 2000.0, 60)
         upper = np.arange(1, 61)
-        x, report = SpectralSum(amp, [0.0, *freq], upper, 0 * upper).evaluate(1e-3, steps)
+        x, report = pruned_series(SpectralSum(amp, [0.0, *freq], upper, 0 * upper), 1e-3, steps)
         assert report["spectral_terms_kept"] < 60
         ks = boundary_indices(steps)
         err = np.abs(x[ks] - direct_sum(amp, freq, 1e-3, ks)).max()
@@ -415,7 +444,7 @@ class TestTableBuffer:
         chunk = kept // 3 - 1
         assert kept // chunk >= 3 and kept % chunk
         monkeypatch.setattr(series, "_TABLE_BYTES", 16 * block_rows(steps) * chunk)
-        got, _ = s.evaluate(dt, steps)
+        got, _ = pruned_series(s, dt, steps)
         assert np.array_equal(got, fresh_table_series(s, dt, steps))
 
     def test_one_table_alive(self):
@@ -427,9 +456,10 @@ class TestTableBuffer:
         chunk = series._TABLE_BYTES // (16 * rows)
         assert kept > 2 * chunk  # two full chunks, so two tables could be alive
         table = 16 * -(-rows // side) * side * chunk
+        kept = s.pruned()[0]
         tracemalloc.start()
         try:
-            s.evaluate(dt, steps)
+            kept.evaluate(dt, steps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -456,8 +486,8 @@ def test_real_amplitudes_keep_their_bits(monkeypatch, steps, make):
     else:
         s, dt = two_mode_wide_sum()
     assert s.amp.dtype == np.float64
-    x, report = s.evaluate(dt, steps)
-    y, expect = replace(s, amp=s.amp.astype(np.complex128)).evaluate(dt, steps)
+    x, report = pruned_series(s, dt, steps)
+    y, expect = pruned_series(replace(s, amp=s.amp.astype(np.complex128)), dt, steps)
     assert x.tobytes() == y.tobytes()
     assert report == expect
     assert 0 < report["spectral_terms_kept"] < report["spectral_terms"]
@@ -496,7 +526,8 @@ amp = rng.normal(size=3000) + 1j * rng.normal(size=3000)
 freq = rng.uniform(-500.0, 500.0, 3000)
 levels = np.concatenate(([0.0], freq))
 upper = np.arange(1, 3001)
-x, _ = SpectralSum(amp, levels, upper, np.zeros(3000, int)).evaluate(1e-3, 200_000)
+kept = SpectralSum(amp, levels, upper, np.zeros(3000, int)).pruned()[0]
+x = kept.evaluate(1e-3, 200_000)
 np.save(sys.argv[1], x)
 """
 

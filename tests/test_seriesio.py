@@ -21,7 +21,7 @@ from wplab.recur import (
     recurrence_matrix,
     return_map,
 )
-from wplab.series import TimeSeries
+from wplab.series import SpectralSum, TimeSeries
 
 from synthetic import henon_series, sine_series
 
@@ -456,6 +456,69 @@ def test_bad_header_is_a_format_error_naming_the_file(tmp_path, raw, reason):
     path.write_bytes(raw)
     with pytest.raises(seriesio.FormatError, match=rf"s\.wprs: {reason}"):
         seriesio.read_series(path)
+
+
+def spectral_series(cplx, minuend=None, dt=1e-2, steps=300):
+    """A series whose spectrum is a kept sum: 40 terms over 30 levels, 5
+    of them small enough to be pruned, a constant and ``minuend``."""
+    rng = np.random.default_rng(3)
+    amp = rng.normal(size=40) * 10.0 ** np.where(np.arange(40) % 8, 0.0, -18.0)
+    if cplx:
+        amp = amp * np.exp(2j * np.pi * rng.random(40))
+    terms = SpectralSum(
+        amp, rng.uniform(-50.0, 50.0, 30), rng.integers(0, 30, 40),
+        rng.integers(0, 30, 40), 0.5, 99, minuend,
+    )
+    kept = terms.pruned()[0]
+    return TimeSeries(dt, kept.evaluate(dt, steps), "x", {}, kept)
+
+
+class TestStoredSum:
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("minuend", [None, 7.25])
+    def test_round_trip_evaluates_to_the_samples(self, tmp_path, cplx, minuend):
+        ts = spectral_series(cplx, minuend)
+        kept = ts.spectrum
+        assert kept.amp.size == 35 and kept.terms == 99
+        path = seriesio.write_series(ts, tmp_path / "s.wprs")
+        raw = (tmp_path / "s.wprs.sum").read_bytes()
+        levels, width = kept.levels.size, 16 if cplx else 8
+        assert len(raw) == 48 + 8 * levels + (width + 8) * kept.amp.size
+        back = seriesio.read_series(path).spectrum
+        for name in ("amp", "levels", "upper", "lower"):
+            assert np.array_equal(getattr(back, name), getattr(kept, name)), name
+        assert back.amp.dtype == kept.amp.dtype
+        assert (back.const, back.terms, back.minuend) == (0.5, 99, minuend)
+        assert back.evaluate(ts.dt, len(ts)).tobytes() == ts.values.tobytes()
+        # the same sum writes the same bytes
+        seriesio.write_series(ts, tmp_path / "again.wprs")
+        assert (tmp_path / "again.wprs.sum").read_bytes() == raw
+
+    def test_series_without_a_sum_removes_a_stale_one(self, tmp_path):
+        path = seriesio.write_series(spectral_series(True), tmp_path / "s.wprs")
+        assert (tmp_path / "s.wprs.sum").exists()
+        seriesio.write_series(sine_series(50, period=10.0), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.wprs", "s.wprs.meta.json"]
+        assert seriesio.read_series(path).spectrum is None
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda raw: raw[:40], "unpack_from requires a buffer of at least 48 bytes"),
+            (lambda raw: raw[:-1], r"expected \d+ bytes, found \d+"),
+            (lambda raw: raw + b"\0", r"expected \d+ bytes, found \d+"),
+            (lambda raw: b"WPSX" + raw[4:], "not a version 1 spectral sum"),
+            # the last lower-level index, set past the levels
+            (lambda raw: raw[:-4] + b"\xff" * 4, "lower indexes outside"),
+        ],
+        ids=["header", "short", "long", "magic", "index"],
+    )
+    def test_malformed_sum_is_a_format_error_naming_it(self, tmp_path, damage, reason):
+        path = seriesio.write_series(spectral_series(False), tmp_path / "s.wprs")
+        stored = tmp_path / "s.wprs.sum"
+        stored.write_bytes(damage(stored.read_bytes()))
+        with pytest.raises(seriesio.FormatError, match=rf"s\.wprs\.sum: {reason}"):
+            seriesio.read_series(path)
 
 
 def traced_peak(call):
