@@ -762,7 +762,10 @@ def run_preset(
     full_scale: bool = False,
     svg: bool = False,
 ) -> RunManifest:
-    """Generate a preset's series, run its analyses, write a manifest."""
+    """Generate a preset's series, run its analyses, write a manifest.
+
+    A rerun into ``out_dir`` first removes the files its last manifest
+    lists, so no output of that run outlives its manifest."""
     try:
         preset = get_preset(preset_id)
     except KeyError as exc:
@@ -780,9 +783,17 @@ def run_preset(
 
     t0 = time.perf_counter()
     # a failure removes what exists, the manifest included, and the last
-    # run's manifest goes before the first write: the outputs stay only
-    # with their manifest
+    # run's outputs and then its manifest go before the first write: the
+    # outputs stay only with their manifest
     manifest_path = out_dir / f"{preset_id}_manifest.json"
+    try:
+        stale = RunManifest.load(manifest_path).outputs
+    except (OSError, ValueError):  # none, or unreadable: only the manifest goes
+        stale = []
+    for rec in stale:
+        p = out_dir / rec["path"]
+        if p.is_file():
+            p.unlink()
     manifest_path.unlink(missing_ok=True)
     written: list[Path] = []
     stages: list[dict[str, Any]] = []

@@ -32,8 +32,10 @@ def series_file(tmp_path_factory):
 
 def test_exit_codes(tmp_path, series_file):
     assert exit_code(["list-presets"]) == 0
-    assert exit_code(["analyze", "--task", "density", "--series", series_file,
-                      "--out", tmp_path]) == 0
+    # mi and fnn are no preset's tasks; test_lab checks what each export holds
+    for flags in (["--task", "density"], ["--task", "mi"], ["--task", "fnn", "--delay", 25]):
+        argv = ["analyze", *flags, "--series", series_file, "--out", tmp_path]
+        assert exit_code(argv) == 0
     assert exit_code(["analyze", "--task", "density", "--series",
                       tmp_path / "missing.wprs"]) == 1
     assert exit_code(["analyze", "--task", "spectrum", "--series", series_file]) == 2

@@ -265,10 +265,12 @@ def fail_writing(monkeypatch, suffix):
 def test_failed_sidecar_or_sum_write_leaves_no_series_files(tmp_path, monkeypatch, suffix):
     # a simulate rerun whose sidecar or stored sum fails leaves none of the
     # three files, neither the new series nor the last run's siblings; a
-    # preset run, no file at all
+    # preset rerun, no file at all: the last run's exports go with its
+    # manifest, before the first write
     path = tmp_path / "s" / "kerr_series.wprs"
     params = {"chi": 1.0, "chi_prime": 0.01}
     lab.simulate("kerr", params, (5.0, 0), 1e-3, 50, path)
+    lab.run_preset("fig5", tmp_path / "p")
     assert [p.name for p in seriesio.series_files(path) if p.exists()] == [
         "kerr_series.wprs", "kerr_series.wprs.meta.json", "kerr_series.wprs.sum",
     ]
@@ -279,6 +281,27 @@ def test_failed_sidecar_or_sum_write_leaves_no_series_files(tmp_path, monkeypatc
     with pytest.raises(OSError, match=f"{suffix} write failed"):
         lab.run_preset("fig5", tmp_path / "p")
     assert list((tmp_path / "p").iterdir()) == []
+
+
+def test_plain_rerun_leaves_no_svg_of_the_last_run(tmp_path):
+    lab.run_preset("fig5", tmp_path, svg=True)
+    assert (tmp_path / "fig5_series_rp.svg").is_file()
+    manifest = lab.run_preset("fig5", tmp_path)
+    listed = {rec["path"] for rec in manifest.outputs} | {"fig5_manifest.json"}
+    assert {p.name for p in tmp_path.iterdir()} == listed
+
+
+def test_rerun_removes_no_directory_its_last_manifest_lists(tmp_path):
+    # RunManifest.load refuses absolute and ".." paths; "", "." and a
+    # subdirectory pass it, and name no file to remove
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "keep.txt").write_text("kept\n")
+    outputs = [{"path": path, "sha256": "ab"} for path in ("", ".", "sub")]
+    stale = {"preset": "fig5", "parameters": {}, "outputs": outputs, "wall_time_s": 0.1}
+    (tmp_path / "fig5_manifest.json").write_text(json.dumps(stale))
+    lab.run_preset("fig5", tmp_path)
+    assert (tmp_path / "sub" / "keep.txt").read_text() == "kept\n"
+    assert lab.RunManifest.load(tmp_path / "fig5_manifest.json").verify(tmp_path)
 
 
 def test_numpy_scalar_inputs_write_as_python_numbers(tmp_path):
