@@ -1,9 +1,6 @@
 import argparse
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,6 +9,9 @@ import pytest
 
 from wplab import cli, lab, neighbors, seriesio
 from wplab.presets import get_preset
+
+from childproc import run_python
+from pinned import data_digests, pinned_digests
 
 
 def exit_code(argv):
@@ -56,6 +56,9 @@ def test_exit_codes(tmp_path, series_file):
         ["simulate", "--model", "kerr", "--chi", "nan"],
         ["simulate", "--model", "bipartite", "--g", -1],
         ["simulate", "--model", "bipartite", "--omega", "nan"],
+        # a flag of another model is rejected, not dropped
+        ["simulate", "--model", "bipartite", "--chi", 7, "--chi-prime-ratio", 3],
+        ["simulate", "--model", "kerr", "--g", 4, "--gamma-over-g", 9],
     ],
 )
 def test_bad_input_exits_2_and_creates_nothing(tmp_path, monkeypatch, argv):
@@ -166,6 +169,18 @@ def test_svg_output_is_xml(tmp_path, series_file, task, flags):
     root = ET.parse(svg).getroot()
     assert root.tag == "{http://www.w3.org/2000/svg}svg"
     assert len(list(root.iter())) > 3
+
+
+@pytest.mark.parametrize(
+    "task, flags",
+    [("mi", []), ("fnn", ["--delay", 25]), ("classify", EMBEDDING + ["--horizon", 100])],
+)
+def test_svg_is_drawn_only_for_the_svg_tasks(tmp_path, series_file, task, flags):
+    # the tasks that --svg's help names draw (test_svg_output_is_xml),
+    # and no other does
+    argv = ["analyze", "--task", task, "--series", series_file, "--out", tmp_path]
+    assert exit_code(argv + flags + ["--svg"]) == 0
+    assert any(tmp_path.glob("*.svg")) == (task in cli.SVG_TASKS)
 
 
 @pytest.mark.parametrize(
@@ -288,6 +303,8 @@ def test_simulate_maps_the_two_mode_flags(tmp_path):
 
 def test_model_choices_are_the_model_table():
     assert subcommand_flags("simulate")["--model"].choices == tuple(lab.MODELS)
+    # and each model declares its own flags and their mapping
+    assert cli.MODEL_FLAGS.keys() == cli.MODEL_PARAMS.keys() == lab.MODELS.keys()
 
 
 def test_rp_below_the_window_plots_the_whole_series(tmp_path):
@@ -533,48 +550,15 @@ def test_verify_unreadable_manifest_exits_2(tmp_path, capsys, text):
 
 
 def test_import_does_not_load_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    check = "import wplab, sys; assert not {'argparse', 'wplab.cli'} & set(sys.modules)"
-    subprocess.run([sys.executable, "-c", check], env=env, check=True)
+    run_python("import wplab, sys; assert not {'argparse', 'wplab.cli'} & set(sys.modules)")
 
 
-# the two-mode-wide benchmark's path: a nu = 50 two-mode series through
-# ``wplab simulate``, then ``wplab analyze`` at each task's defaults
-WIDE_SCRIPT = """
-import sys
-from wplab import cli, seriesio
-out = sys.argv[1]
-series = out + "/bipartite_series.wprs"
-argv = ["simulate", "--model", "bipartite", "--nu", "50", "--m", "5",
-        "--gamma-over-g", "5", "--steps", "4000", "--out", out]
-assert cli.main(argv) == 0
-# the stored sum evaluates to the stored samples, bit for bit
-ts = seriesio.read_series(series)
-assert ts.spectrum.evaluate(ts.dt, len(ts)).tobytes() == ts.values.tobytes()
-for task in ("rp", "density", "returnmap", "f1", "f2"):
-    assert cli.main(["analyze", "--task", task, "--series", series, "--out", out]) == 0
-"""
-
-
-def test_two_mode_wide_matches_pinned_digests(tmp_path):
-    # one BLAS thread and the Haswell kernel, as the preset digests pin;
-    # no preset covers this series, the widest the kernel and the
-    # recurrence-plot sweep run in the benchmark
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
-        OPENBLAS_CORETYPE="Haswell",
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", WIDE_SCRIPT, str(tmp_path)], env=env, check=True, timeout=300
-    )
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
-    }
-    pinned = json.loads(Path(__file__).with_name("two_mode_wide_digests.json").read_text())
-    assert got == pinned
+def test_two_mode_wide_matches_pinned_digests(pinned_runs):
+    """The outputs of the two-mode-wide benchmark's CLI path in
+    ``pinned_runs`` against the ``two-mode-wide/<file>`` keys of
+    ``digests.json``; no preset covers this series, the widest the kernel
+    and the recurrence-plot sweep run in the benchmark.  A re-pin is made
+    as ``test_lab.py::test_presets_match_pinned_digests`` says."""
+    runs = [data_digests(out, wide=True) for out in pinned_runs]
+    assert runs[0] == runs[1]
+    assert runs[0] == pinned_digests(wide=True)

@@ -54,6 +54,16 @@ def phase_surrogate() -> TimeSeries:
     return TimeSeries(DT, surrogate.evaluate(DT, SAMPLES))
 
 
+def kerr_state(preset_id: str, dt: float) -> TimeSeries:
+    """The series of a Kerr preset's state and parameters at spacing
+    ``dt``.  Every Kerr preset's series repeats after exactly 100 pi."""
+    p = PRESETS[preset_id]
+    return lab.simulate_series(p.model, p.params, p.nu, p.m, dt, SAMPLES)
+
+
+KERR_DT = 0.011  # SAMPLES * KERR_DT = 660: 2.1 periods of 100 pi
+
+
 def defect_1(measured: str):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP defect 1: {measured}")
 
@@ -99,6 +109,22 @@ REGULAR = [
         phase_surrogate,
         id="phase-surrogate",
         marks=defect_1("chaotic, lambda 0.556 on fit [860, 1360], R2 0.9998"),
+    ),
+    # the fig1, fig3 and fig4 states (nu, m = 1, 0; 100, 0; 100, 5) over
+    # two periods come out "regular" with lambda -2.6e-4, 1.3e-4 and
+    # 4.9e-5, but only on the fallback fit [20, 4000] (R2 0.47, 0.002,
+    # 0.0004): the same fallback that makes logistic and Henon falsely
+    # "regular", so these pass for a reason that defect 1 does not check
+    pytest.param(lambda: kerr_state("fig1", KERR_DT), id="kerr-fig1"),
+    pytest.param(lambda: kerr_state("fig3", KERR_DT), id="kerr-fig3"),
+    pytest.param(lambda: kerr_state("fig4", KERR_DT), id="kerr-fig4"),
+    # 0.19 periods: the delay search stops at its max_lag cap, 400
+    pytest.param(
+        lambda: kerr_state("fig1", DT),
+        id="kerr-fig1-short",
+        marks=defect_1(
+            "chaotic, lambda 0.273 on fit [1360, 1480], R2 0.9998, at delay 400"
+        ),
     ),
 ]
 

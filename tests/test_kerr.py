@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wplab import lab, seriesio
 from wplab.fock import pacs_amplitudes
 from wplab.kerr import (
     KerrParams,
@@ -11,6 +12,7 @@ from wplab.kerr import (
     kerr_spectrum,
     quadrature_sum,
 )
+from wplab.presets import PRESETS
 
 from oracles import norm_squared, overlap
 
@@ -163,3 +165,37 @@ class TestSeries:
         added = ts.meta.keys() - run.keys()
         assert added == {"n_max", *quadrature_sum(s, spec).pruned()[1]}
         assert ts.meta["n_max"] == 40
+
+
+# at chi = 1 and chi' = 0.01, as every Kerr preset, each frequency
+# E_{n+1} - E_n = 2n + 0.03 n(n-1) lies on the grid 0.02 Z
+FREQUENCY_GRID = 0.02
+PERIOD = 2.0 * math.pi / FREQUENCY_GRID  # 100 pi
+PERIOD_SAMPLES = 1000
+
+
+@pytest.mark.parametrize("run_path", ["in-memory", "file"])
+@pytest.mark.parametrize("preset_id", ["fig1", "fig2", "fig3", "fig4"])
+def test_kerr_series_has_period_100_pi(tmp_path, preset_id, run_path):
+    # the states (nu, m) = (1, 0), (1, 5), (100, 0) and (100, 5), each
+    # checked on the kept sum that its own series carries
+    p = PRESETS[preset_id]
+    dt, steps = PERIOD / PERIOD_SAMPLES, 2 * PERIOD_SAMPLES
+    if run_path == "in-memory":
+        ts = lab.simulate_series(p.model, p.params, p.nu, p.m, dt, steps)
+    else:
+        path = lab.simulate(p.model, p.params, (p.nu, p.m), dt, steps, tmp_path / "s.wprs")
+        ts = seriesio.read_series(path)
+    kept = ts.spectrum
+    # every kept frequency is on the grid (8.8e-10 of a step at most), and
+    # the multiples share no factor, so no shorter period divides 100 pi
+    on_grid = (kept.levels[kept.upper] - kept.levels[kept.lower]) / FREQUENCY_GRID
+    multiples = np.rint(on_grid)
+    assert np.abs(on_grid - multiples).max() <= 1e-8
+    assert math.gcd(*multiples.astype(int)) == 1
+    # one period on: the samples agree (1.8e-10 of sum |a_j| at most) ...
+    x, mass = ts.values, np.abs(kept.amp).sum()
+    assert np.abs(x[PERIOD_SAMPLES:] - x[:-PERIOD_SAMPLES]).max() <= 1e-9 * mass
+    # ... and half a period on they do not (0.70 to 14.8 at most)
+    half = PERIOD_SAMPLES // 2
+    assert np.abs(x[half:] - x[:-half]).max() >= 0.5

@@ -1,10 +1,7 @@
 import gc
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -18,9 +15,9 @@ from wplab.presets import PRESETS, ExperimentPreset
 from wplab.recur import Cell
 from wplab.series import TimeSeries
 
+from childproc import run_python
+from pinned import SMOKE_STEPS, data_digests, pinned_digests
 from synthetic import henon_series, sine_series
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_classify_json_for_regular_verdict(tmp_path):
@@ -154,12 +151,7 @@ def test_benchmark_tracer_sees_every_lyapunov_stage():
     # the benchmark's tracer wraps each model's stages and the estimators
     # where lab looks them up: a call that leaves lab's namespace, or a
     # lab.MODELS builder holding a stage's function object, reads 0 there
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", SEAMS_SCRIPT, str(PERFBENCH)],
-        env=env, check=True, timeout=120, capture_output=True, text=True,
-    ).stdout
+    out = run_python(SEAMS_SCRIPT, PERFBENCH)
     missing = {
         "fock.choose_truncation",
         "fock.pacs_amplitudes",
@@ -496,23 +488,6 @@ def test_bad_preset_dt_fails_before_simulating(tmp_path, monkeypatch, dt):
     assert not out.exists()
 
 
-# every preset at small steps: long enough for its recurrence window and
-# Lyapunov horizon (4000 -> more than 40 000 steps); fig5/fig6 at their own
-SMOKE_STEPS = {
-    **dict.fromkeys(("fig1", "fig2", "fig3", "fig7-10"), 20_000),
-    **dict.fromkeys(("fig4", "fig11-14", "table1"), 41_000),
-    **dict.fromkeys(("fig5", "fig6"), None),
-}
-
-SMOKE_SCRIPT = """
-import json, sys
-from pathlib import Path
-from wplab import lab
-for preset_id, steps in json.loads(sys.argv[2]).items():
-    lab.run_preset(preset_id, Path(sys.argv[1]) / preset_id, steps=steps)
-"""
-
-
 PRUNING_KEYS = {
     "spectral_terms", "spectral_terms_kept", "spectral_dropped_mass",
     "spectral_prune_budget",
@@ -542,40 +517,15 @@ def test_preset_sidecar_records_the_run_inputs(tmp_path, monkeypatch, preset_id)
     assert ts.spectrum.evaluate(ts.dt, len(ts)).tobytes() == ts.values.tobytes()
 
 
-def data_digests(out: Path) -> dict[str, str]:
-    """sha256 of every output except the manifests, which record wall time."""
-    return {
-        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.glob("*/*"))
-        if not p.name.endswith("_manifest.json")
-    }
-
-
-def test_presets_match_pinned_digests(tmp_path):
-    # OpenBLAS rounds a GEMM differently per thread count and per CPU
-    # kernel, so the runs pin both; the digests are of numpy 2.4 with
-    # OpenBLAS 0.3.31, taken before the option table replaced the
-    # per-use option defaults
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
-        OPENBLAS_CORETYPE="Haswell",
-    )
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    runs = []
-    for rerun in ("a", "b"):
-        out = tmp_path / rerun
-        subprocess.run(
-            [sys.executable, "-c", SMOKE_SCRIPT, str(out), json.dumps(SMOKE_STEPS)],
-            env=env,
-            check=True,
-            timeout=300,
-        )
-        runs.append(data_digests(out))
+def test_presets_match_pinned_digests(pinned_runs):
+    """Every preset output of ``pinned_runs`` but the manifests, against
+    the ``<preset>/<file>`` keys of ``digests.json``.  The digests are of
+    numpy 2.4 with OpenBLAS 0.3.31.  A re-pin writes ``data_digests`` of
+    one run made as ``pinned_runs`` makes it, in the pinned child (one
+    BLAS thread, Haswell), into ``digests.json``."""
+    runs = [data_digests(out, wide=False) for out in pinned_runs]
     assert runs[0] == runs[1]
-    pinned = json.loads(Path(__file__).with_name("preset_digests.json").read_text())
-    assert runs[0] == pinned
+    assert runs[0] == pinned_digests(wide=False)
 
 
 @pytest.mark.parametrize("preset_id", sorted(PRESETS))
@@ -599,23 +549,11 @@ def test_preset_runs_tasks_on_the_series_in_memory(tmp_path, monkeypatch, preset
     assert manifest.verify(tmp_path)
 
 
-def test_manifest_records_blas(tmp_path):
-    # OpenBLAS picks its kernel when it loads, so the run has its own
-    # process, with the thread count and kernel the digest runs pin
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
-        OPENBLAS_CORETYPE="Haswell",
-    )
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", SMOKE_SCRIPT, str(tmp_path), json.dumps({"fig5": None})],
-        env=env,
-        check=True,
-        timeout=120,
-    )
-    m = json.loads((tmp_path / "fig5" / "fig5_manifest.json").read_text())
+def test_manifest_records_blas(pinned_runs):
+    # OpenBLAS picks its kernel when it loads: the pinned run's manifest
+    # records the thread count and kernel its own process started with
+    run = pinned_runs[0] / "fig5"
+    m = json.loads((run / "fig5_manifest.json").read_text())
     blas = m["blas"]
     info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert (blas["name"], blas["version"]) == (info["name"], info["version"])
@@ -634,7 +572,7 @@ def test_manifest_records_blas(tmp_path):
         tuple(m["assumptions"]),
     )
     assert manifest.blas == {}
-    assert manifest.verify(tmp_path / "fig5")
+    assert manifest.verify(run)
 
 
 def test_manifest_records_stages(tmp_path):
@@ -669,13 +607,8 @@ print(json.dumps(lab.run_preset("fig5", sys.argv[1]).stages))
 def test_stage_peak_is_the_runs_own(tmp_path):
     # a run started from a larger process reports its own peak RSS, not
     # the parent's that ru_maxrss carries across fork and exec
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     ballast = np.ones(192 * 2**20 // 8)  # a 192 MB parent
-    out = subprocess.run(
-        [sys.executable, "-c", STAGES_SCRIPT, str(tmp_path)],
-        env=env, check=True, timeout=120, capture_output=True, text=True,
-    ).stdout
+    out = run_python(STAGES_SCRIPT, tmp_path)
     del ballast
     (stage,) = json.loads(out)
     assert 0.0 < stage["peak_rss_mb"] < 150.0
@@ -706,17 +639,7 @@ print(json.dumps([before, lab.blas_environment()]))
 def test_blas_is_numpys_with_scipy_loaded():
     # with a second OpenBLAS in the process the manifest still names the
     # one numpy's arrays run on, whichever path sorts first
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", BLAS_WITH_SCIPY],
-        env=env,
-        check=True,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    ).stdout
-    before, after = json.loads(out)
+    before, after = json.loads(run_python(BLAS_WITH_SCIPY, threads=1))
     assert after == before
 
 
@@ -1092,12 +1015,5 @@ assert "_hashlib" not in sys.modules, "OpenSSL was loaded"
 def test_two_mode_run_does_not_import_masked_arrays(tmp_path):
     # numpy.ma costs 14 ms to import, and numpy's median and bare unique
     # import it on their first call
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
-        env=env,
-        check=True,
-        timeout=120,
-    )
+    run_python(NO_MASKED_ARRAYS, tmp_path, threads=1)
     assert len(list(tmp_path.glob("s_*.txt"))) == 5

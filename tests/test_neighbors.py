@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +7,7 @@ import pytest
 from wplab import neighbors
 from wplab.neighbors import BoxGrid
 
+from childproc import run_python
 from oracles import brute_force_nearest
 
 
@@ -274,11 +271,4 @@ def test_grid_needs_a_nonempty_point_array(points):
 
 def test_import_does_not_load_scipy():
     # scipy loads on first neighbour search; runs without one skip its cost
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", "import wplab, sys; assert 'scipy' not in sys.modules"],
-        env=env,
-        check=True,
-    )
+    run_python("import wplab, sys; assert 'scipy' not in sys.modules")

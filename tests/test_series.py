@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +19,7 @@ from wplab.kerr import evolve_diagonal, generate_series_x, kerr_spectrum, quadra
 from wplab.presets import get_preset
 from wplab.series import SpectralSum, block_rows, reduced_phases
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from childproc import run_python
 
 
 def direct_sum(amp, freq, dt, ks):
@@ -536,16 +532,8 @@ def test_blas_thread_counts_agree(tmp_path):
     # OpenBLAS splits a GEMM differently per thread count, so the sums may
     # differ in the last bits, but no more than that
     runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        paths = [str(SRC), env.get("PYTHONPATH")]
-        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    for threads in (1, 2):
         path = tmp_path / f"threads{threads}.npy"
-        subprocess.run(
-            [sys.executable, "-c", AGREEMENT_SCRIPT, str(path)],
-            env=env,
-            check=True,
-            timeout=120,
-        )
+        run_python(AGREEMENT_SCRIPT, path, threads=threads)
         runs.append(np.load(path))
     assert np.abs(runs[0] - runs[1]).max() <= 1e-12
