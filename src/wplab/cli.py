@@ -88,19 +88,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a series file")
-    sim.add_argument("--model", choices=tuple(lab.MODELS), required=True)
+    sim.add_argument(
+        "--model", choices=tuple(lab.MODELS), required=True,
+        help=f"the model: {', '.join(lab.MODELS)}",
+    )
     sim.add_argument("--nu", type=float, default=1.0, help="mean photon number")
     sim.add_argument("--m", type=int, default=0, help="photon additions")
     for model, flags in MODEL_FLAGS.items():
         for name, default in flags.items():
             text = f"{FLAG_HELP[name]} ({model})" if name in FLAG_HELP else model
             sim.add_argument(_flag(name), type=float, help=f"{text} [{default}]")
-    sim.add_argument("--dt", type=float, default=1e-3)
-    sim.add_argument("--steps", type=int, default=100_000)
+    sim.add_argument("--dt", type=float, default=1e-3, help="sample spacing [1e-3]")
+    sim.add_argument("--steps", type=int, default=100_000, help="samples [100 000]")
     sim.add_argument("--out", default=".", help="output directory")
 
     ana = sub.add_parser("analyze", help="run one analysis task on a series file")
-    ana.add_argument("--task", choices=lab.ANALYSIS_TASKS, required=True)
+    ana.add_argument(
+        "--task", choices=lab.ANALYSIS_TASKS, required=True,
+        help=f"the analysis: {', '.join(lab.ANALYSIS_TASKS)}",
+    )
     ana.add_argument("--series", required=True, help="input .wprs file")
     ana.add_argument("--out", help="output directory")
     for name, opt in lab.OPTIONS.items():
@@ -110,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     pre = sub.add_parser("preset", help="run a catalogued experiment")
     pre.add_argument("id", help="preset id (see list-presets)")
     pre.add_argument("--out", default=".", help="output directory")
-    pre.add_argument("--steps", type=int, default=None)
-    pre.add_argument("--dt", type=float, default=None)
+    pre.add_argument("--steps", type=int, help="samples [the preset's own]")
+    pre.add_argument("--dt", type=float, help="sample spacing [the preset's own]")
     pre.add_argument(
         "--full-scale", action="store_true",
         help="1e7-sample series (fig5 and fig6 keep their 4000)",

@@ -1,4 +1,5 @@
-"""Deterministic synthetic series used for estimator validation.
+"""Deterministic synthetic series used for estimator validation, and
+the series of a preset's model.
 
 Each generator's start, parameters, transient and sampling step are fixed
 values, named in its docstring: the length (and a sine's period) is all
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from wplab import lab
+from wplab.presets import PRESETS
 from wplab.series import TimeSeries
 
 GOLDEN_ROTATION = float((np.sqrt(5.0) - 1.0) / 2.0)
@@ -43,6 +46,14 @@ def rotation_series(length: int) -> TimeSeries:
     k = np.arange(length, dtype=np.longdouble)
     vals = np.mod(k * np.longdouble(GOLDEN_ROTATION), np.longdouble(1.0)).astype(float)
     return TimeSeries(1.0, vals, observable="rotation", meta={"angle": GOLDEN_ROTATION})
+
+
+def preset_series(preset_id: str, steps: int, dt: float | None = None) -> TimeSeries:
+    """``steps`` samples of a preset's model, parameters and state, at the
+    preset's sample spacing unless ``dt`` is given."""
+    p = PRESETS[preset_id]
+    dt = p.dt if dt is None else dt
+    return lab.simulate_series(p.model, p.params, p.nu, p.m, dt, steps)
 
 
 def sine_series(length: int, period: float) -> TimeSeries:

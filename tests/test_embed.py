@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wplab import embed, lab, neighbors
+from wplab import embed, neighbors
 from wplab.embed import (
     FIT_MIN_POINTS,
     FIT_SLOPE_TOL,
@@ -23,21 +23,15 @@ from wplab.embed import (
     _select_fit_window,
 )
 from wplab.neighbors import BoxGrid
-from wplab.presets import PRESETS
 from wplab.series import TimeSeries
 
 from oracles import brute_force_nearest
-from synthetic import henon_series, logistic_series, sine_series
+from synthetic import henon_series, logistic_series, preset_series, sine_series
 
 
 def white_noise(n, seed=123):
     rng = np.random.default_rng(seed)
     return TimeSeries(1.0, rng.normal(size=n))
-
-
-def fig4_series(steps):
-    p = PRESETS["fig4"]
-    return lab.simulate_series(p.model, p.params, p.nu, p.m, p.dt, steps)
 
 
 def brute_force_mi_curve(x, max_lag, bins):
@@ -389,7 +383,7 @@ class TestFnn:
             (lambda: white_noise(10_000), 1, 5, None, 5),
             # relaxed: none under 1%, the first under 5% is d = 6, and the
             # d = 8 tree the scan ended on is not its tree
-            (lambda: fig4_series(20_000), 8, 8, None, 6),
+            (lambda: preset_series("fig4", 20_000), 8, 8, None, 6),
         ],
         ids=["sine", "henon", "noise", "fig4-relaxed"],
     )

